@@ -143,21 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="archive root (adds read-path metrics)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8480)
-    serve.add_argument("--view", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="serve queries from incrementally maintained "
-                            "materialized views (--no-view: full store "
-                            "scan per request)")
-    serve.add_argument("--engine", choices=["async", "threaded"],
-                       default="async",
-                       help="HTTP engine: the asyncio selector-loop "
-                            "server with /stream/* SSE endpoints "
-                            "(default), or the legacy thread-per-"
-                            "connection server")
 
     tail = obs.add_parser(
         "tail", help="follow a served observatory's live event stream")
-    tail.add_argument("url", help="observatory base URL (async engine)")
+    tail.add_argument("url", help="observatory base URL")
     tail.add_argument("--what", choices=["events", "outbreaks",
                                          "resurrections"],
                       default="events",
@@ -552,8 +541,8 @@ def _run_supervised(args, store, make_ingest) -> int:
         max_restarts=args.max_restarts)
     server = None
     if args.serve_port is not None:
-        # The async engine: /healthz + /metrics as before, plus live
-        # /stream/* of exactly what this supervised ingest appends.
+        # /healthz + /metrics, plus live /stream/* of exactly what
+        # this supervised ingest appends.
         server = AsyncObservatoryServer(store, port=args.serve_port,
                                         supervisor=supervisor).start()
         print(f"observatory daemon serving on {server.url}")
@@ -618,44 +607,23 @@ def _cmd_observatory_doctor(args) -> int:
 
 
 def _cmd_observatory_serve(args) -> int:
-    import signal
-
-    from repro.observatory import EventStore, ObservatoryServer
+    from repro.observatory import EventStore
     from repro.observatory.asyncserver import AsyncObservatoryServer
     from repro.ris import Archive
 
     store = EventStore(args.store, readonly=True)
     archive = Archive(args.archive) if args.archive else None
-    if args.engine == "threaded":
-        server = ObservatoryServer(store, host=args.host, port=args.port,
-                                   archive=archive, use_view=args.view)
-        print(f"observatory listening on {server.url} (threaded)",
-              flush=True)
-        # Graceful SIGTERM: stop accepting, finish in-flight handlers
-        # (non-daemon handler threads are joined by stop()), exit 0.
-        try:
-            signal.signal(signal.SIGTERM,
-                          lambda signum, frame: server.request_shutdown())
-        except ValueError:
-            pass  # not on the main thread (embedded use)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        server.stop()
-    else:
-        server = AsyncObservatoryServer(store, host=args.host,
-                                        port=args.port, archive=archive,
-                                        use_view=args.view)
-        print(f"observatory listening on http://{args.host}:{args.port} "
-              f"(async, streaming on /stream/*)", flush=True)
-        try:
-            # Installs SIGTERM/SIGINT handlers itself: on either it
-            # drains in-flight requests, sends SSE subscribers a final
-            # frame, and returns.
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
+    server = AsyncObservatoryServer(store, host=args.host, port=args.port,
+                                    archive=archive)
+    print(f"observatory listening on http://{args.host}:{args.port} "
+          f"(streaming on /stream/*)", flush=True)
+    try:
+        # Installs SIGTERM/SIGINT handlers itself: on either it drains
+        # in-flight requests, sends SSE subscribers a final frame, and
+        # returns.
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
     return 0
 
 

@@ -19,7 +19,7 @@ miniature:
   ETag/304 revalidation, and cursor pagination;
 * :mod:`repro.observatory.stream` /
   :mod:`repro.observatory.asyncserver` are the push side: an asyncio
-  HTTP server (the default ``observatory serve`` engine) whose
+  HTTP server (what ``observatory serve`` runs) whose
   ``/stream/*`` SSE endpoints tail the store live, with resume tokens,
   a shared fan-out hub, and drop-to-cursor backpressure (DESIGN.md
   §14);
@@ -77,7 +77,7 @@ from repro.observatory.forensics import (
     render_forensics,
 )
 from repro.observatory.ingest import ObservatoryIngest
-from repro.observatory.server import ObservatoryApp, ObservatoryServer
+from repro.observatory.server import ObservatoryApp
 from repro.observatory.store import EventStore, file_sha256
 from repro.observatory.supervisor import ObservatorySupervisor
 from repro.observatory.synthetic import (
@@ -107,7 +107,6 @@ __all__ = [
     "ObservatoryProtocolError",
     "ObservatorySupervisor",
     "ObservatoryUnreachable",
-    "ObservatoryServer",
     "PARTIAL_HEADER",
     "ShardFleet",
     "ShardWorker",

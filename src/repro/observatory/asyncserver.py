@@ -1,21 +1,18 @@
 """The asyncio observatory server: one selector loop, many streams.
 
-This is the default serve path (``observatory serve``); the threaded
-server (:class:`repro.observatory.server.ObservatoryServer`) remains as
-``--engine threaded``.  Both are thin transports over the same
-:class:`repro.observatory.server.ObservatoryApp`, so every data
-endpoint — bodies, ETags, 304s, pagination, ``/metrics`` — is identical
-by construction; the parity tests assert it anyway.
+This is the observatory's HTTP transport (``observatory serve``, the
+supervised ingest's ``--serve-port``, every shard worker): a thin layer
+over :class:`repro.observatory.server.ObservatoryApp` that puts on the
+wire exactly what ``ObservatoryApp.respond`` returns — status, headers,
+body — which the transport-fidelity tests assert.
 
-Why asyncio: the threaded server pays a thread per connection, which
-caps plain-query concurrency around the ~294 req/s ceiling recorded in
-``BENCH_query.json`` and makes ten thousand idle SSE subscribers ten
-thousand idle threads.  Here a connection is a coroutine: data requests
-are parsed on the loop, answered through ``ObservatoryApp.respond`` on
-a small executor-thread pool (store reads are blocking file I/O), and
-written back with HTTP/1.1 keep-alive — repeat queries skip the
-connect + thread-spawn tax entirely.  Streams never touch the executor
-pool after catch-up: they wait on their hub queue.
+Why asyncio: a thread per connection would make ten thousand idle SSE
+subscribers ten thousand idle threads.  Here a connection is a
+coroutine: data requests are parsed on the loop, answered through
+``ObservatoryApp.respond`` on a small executor-thread pool (store reads
+are blocking file I/O), and written back with HTTP/1.1 keep-alive —
+repeat queries skip the connect tax entirely.  Streams never touch the
+executor pool after catch-up: they wait on their hub queue.
 
 The transport half lives in :class:`AsyncHTTPTransport` — lifecycle,
 the connection loop, head parsing, graceful drain and signal handling —
@@ -26,9 +23,7 @@ adds the ``ObservatoryApp`` dispatch plus SSE streaming on top.
 Shutdown is graceful by contract (SIGTERM or ``stop()``): the listener
 closes first (no new connections), every in-flight request finishes,
 SSE subscribers get a final ``: shutdown`` comment frame, and only
-connections still busy after ``drain_timeout`` are cancelled.  The old
-behaviour — cancel every connection task immediately — could kill a
-response mid-write.
+connections still busy after ``drain_timeout`` are cancelled.
 
 ``/stream/outbreaks``, ``/stream/resurrections`` and ``/stream/events``
 serve Server-Sent Events that tail the event store by ``seq``:
@@ -99,12 +94,10 @@ class AsyncHTTPTransport:
     ``_on_cleanup`` hooks, which run inside the event loop before the
     listener opens and after it drains.
 
-    Lifecycle mirrors the threaded server exactly — ``start()`` runs
-    the loop on a daemon thread (ephemeral ``port=0`` readable back
-    after start), ``serve_forever()`` blocks in the foreground and
-    installs SIGTERM/SIGINT handlers for a graceful exit, ``stop()`` is
-    thread-safe — so the CLI, the supervisor and every test can swap
-    engines without touching anything else.
+    Lifecycle: ``start()`` runs the loop on a daemon thread (ephemeral
+    ``port=0`` readable back after start), ``serve_forever()`` blocks
+    in the foreground and installs SIGTERM/SIGINT handlers for a
+    graceful exit, ``stop()`` is thread-safe.
 
     Shutdown sequence: close the listener, set ``_draining`` (the
     connection loop stops accepting follow-up keep-alive requests and
@@ -376,12 +369,11 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
 
     def __init__(self, store: EventStore, host: str = "127.0.0.1",
                  port: int = 0, ingest=None, archive=None, supervisor=None,
-                 use_view: bool = True, poll_interval: float = 0.05,
-                 queue_events: int = 256, heartbeat: float = 15.0,
-                 write_buffer: int = 1 << 16, batch_events: int = 1024,
-                 drain_timeout: float = 5.0):
+                 poll_interval: float = 0.05, queue_events: int = 256,
+                 heartbeat: float = 15.0, write_buffer: int = 1 << 16,
+                 batch_events: int = 1024, drain_timeout: float = 5.0):
         ObservatoryApp.__init__(self, store, ingest=ingest, archive=archive,
-                                supervisor=supervisor, use_view=use_view)
+                                supervisor=supervisor)
         AsyncHTTPTransport.__init__(self, host=host, port=port,
                                     drain_timeout=drain_timeout,
                                     write_buffer=write_buffer)
@@ -472,8 +464,10 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
             ("Content-Type", "text/event-stream"),
             ("Cache-Control", "no-cache")], keep_alive=False)
         if reset_first:
-            writer.write(format_reset(generation, next_seq))
+            # Count first: ``write`` may hand the frame to the socket at
+            # once, and whoever reads it must find it already counted.
             self.stream_stats.resets += 1
+            writer.write(format_reset(generation, next_seq))
         await writer.drain()
         assert self.hub is not None
         self.stream_stats.subscribers += 1
@@ -538,8 +532,8 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
             current, stop = await loop.run_in_executor(
                 None, self.store.position)
             if current != generation:
-                writer.write(format_reset(current, stop))
                 self.stream_stats.resets += 1
+                writer.write(format_reset(current, stop))
                 await writer.drain()
                 return current, stop
             if cursor >= stop:
@@ -588,8 +582,8 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
                             and entry_next <= cursor:
                         continue  # already announced during catch-up
                     generation, cursor = entry_generation, entry_next
-                    writer.write(format_reset(generation, cursor))
                     self.stream_stats.resets += 1
+                    writer.write(format_reset(generation, cursor))
                     await writer.drain()
                     continue
                 seq = entry["seq"]

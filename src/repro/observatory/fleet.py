@@ -152,7 +152,7 @@ class ShardWorker:
     def __init__(self, source_root: Union[str, Path],
                  shard_root: Union[str, Path], index: int, count: int,
                  host: str = "127.0.0.1", port: int = 0,
-                 poll_interval: float = 0.05, use_view: bool = True):
+                 poll_interval: float = 0.05):
         if not 0 <= index < count:
             raise ValueError(f"shard index {index} out of range for "
                              f"{count} shard(s)")
@@ -173,7 +173,7 @@ class ShardWorker:
             sidecar.get("source_generation") if sidecar is not None else None)
         self.source = EventStore(source_root, readonly=True)
         self.server = AsyncObservatoryServer(self.store, host=host,
-                                             port=port, use_view=use_view)
+                                             port=port)
         self.server.healthz_extra = {
             "shard": {"name": self.name, "index": index, "count": count}}
         self.events_routed = 0

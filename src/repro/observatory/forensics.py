@@ -175,8 +175,8 @@ def forensics_payload(alert_payload: dict[str, Any], origin_asn: int,
 def render_forensics(event: dict[str, Any]) -> dict[str, Any]:
     """The ``/outbreaks/<id>/forensics`` body for one stored event.
 
-    A pure function of the event, so the threaded engine, the asyncio
-    engine and every federation shard render byte-identical answers.
+    A pure function of the event, so the monolithic server and every
+    federation shard render byte-identical answers.
     Peers that never withdrew by snapshot time are the zombie-path
     candidates fed to the palm tree; ``rooted_paths``/``total_paths``
     let the caller tell "no suspect" from "no evidence".

@@ -18,22 +18,19 @@ safe).  ``/metrics`` folds in the ingest counters and the archive
 read-path counters (decoded-file cache hits/misses/evictions, index
 skip-scan) when those objects are attached.
 
-The module is split along a transport seam: :class:`ObservatoryApp`
-holds everything HTTP-agnostic — routing, ETags, pagination, counters,
-metrics rendering — and answers one request at a time through
-:meth:`ObservatoryApp.respond`; :class:`ObservatoryServer` is the
-threaded (``ThreadingHTTPServer``) transport over it, kept as the
-escape hatch and the parity baseline.  The default serve path is the
-asyncio transport in :mod:`repro.observatory.asyncserver`, which adds
-the ``/stream/*`` SSE endpoints on the same app core — both transports
-produce byte-identical bodies because they share ``respond``.
+This module is transport-neutral: :class:`ObservatoryApp` holds
+routing, ETags, pagination, counters and metrics rendering, and answers
+one request at a time through :meth:`ObservatoryApp.respond` — the only
+thing a transport calls.  The HTTP transport is the asyncio server in
+:mod:`repro.observatory.asyncserver`, which adds the ``/stream/*`` SSE
+endpoints on the same app core.
 
 The read path is built for *repeated* queries (the §5 lifespan workload
 asked at production rate):
 
-* by default responses come from :class:`.views.MaterializedViews`,
-  which folds only newly appended events per request instead of
-  re-scanning the store (``use_view=False`` restores full scans);
+* responses come from :class:`.views.MaterializedViews`, which folds
+  only newly appended events per request instead of re-scanning the
+  store;
 * every data endpoint carries a strong ``ETag`` derived from the
   store's ``(generation, next_seq)`` position plus the canonical query,
   honours ``If-None-Match`` with ``304 Not Modified``, and sends
@@ -52,11 +49,10 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
-from urllib.parse import parse_qs, unquote, urlparse
+from urllib.parse import unquote
 
-from repro.observatory.forensics import outbreak_prefix, render_forensics
+from repro.observatory.forensics import render_forensics
 from repro.observatory.store import EventStore
 from repro.observatory.views import (
     CursorError,
@@ -66,7 +62,7 @@ from repro.observatory.views import (
     seq_cursor,
 )
 
-__all__ = ["ObservatoryApp", "ObservatoryServer", "forensics_outbreak_id"]
+__all__ = ["ObservatoryApp", "forensics_outbreak_id"]
 
 #: Data responses may be cached but must be revalidated (the ETag makes
 #: revalidation a 304 with no body).
@@ -122,74 +118,25 @@ class _NotFound(Exception):
     """
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-observatory"
-    #: Bound every blocking socket read/write: a wedged client cannot
-    #: hold a handler thread (and the graceful-shutdown join) forever.
-    timeout = 30
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep the test/CI output clean
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        observatory: "ObservatoryServer" = self.server.observatory  # type: ignore[attr-defined]
-        url = urlparse(self.path)
-        params = parse_qs(url.query)
-        status, headers, payload = observatory.respond(
-            url.path, params, self.headers.get("If-None-Match"))
-        self._transmit(status, headers, payload)
-
-    def _send_json(self, status: int, body: dict[str, Any],
-                   etag: Optional[str] = None) -> None:
-        self._transmit(*ObservatoryApp._json_response(status, body,
-                                                      etag=etag))
-
-    def _send_not_modified(self, etag: str) -> None:
-        self._transmit(304, [("ETag", etag),
-                             ("Cache-Control", CACHE_CONTROL),
-                             ("Content-Length", "0")], b"")
-
-    def _transmit(self, status: int, headers: list[tuple[str, str]],
-                  payload: bytes) -> None:
-        """Write one response, tolerating a client that hung up: a
-        disconnect mid-response is the client's business, not a stderr
-        traceback — drop it and count it."""
-        try:
-            self.send_response(status)
-            for name, value in headers:
-                self.send_header(name, value)
-            self.end_headers()
-            if payload:
-                self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            observatory: "ObservatoryServer" = self.server.observatory  # type: ignore[attr-defined]
-            observatory.count_dropped_response()
-            self.close_connection = True
-
-
 class ObservatoryApp:
     """Transport-neutral core of the observatory API.
 
     Holds the store, the materialized views and every request counter,
     and answers one request at a time through :meth:`respond` — pure
     ``(path, params, If-None-Match) -> (status, headers, payload)``.
-    Both HTTP transports (:class:`ObservatoryServer`,
-    :class:`repro.observatory.asyncserver.AsyncObservatoryServer`) call
-    it from concurrent threads, so the counters stay lock-guarded here.
-
-    ``use_view=False`` disables the materialized views and serves every
-    query with a full store scan (the pre-view behaviour, kept for
-    benchmarking and as an escape hatch).
+    :class:`repro.observatory.asyncserver.AsyncObservatoryServer` calls
+    it from concurrent executor threads, so the counters stay
+    lock-guarded here.
     """
 
     def __init__(self, store: EventStore, ingest=None, archive=None,
-                 supervisor=None, use_view: bool = True):
+                 supervisor=None):
         self.store = store
         self.ingest = ingest
         self.archive = archive
         self.supervisor = supervisor
-        self.views = MaterializedViews(store) if use_view else None
-        #: Handler threads run concurrently; all request counters share
+        self.views = MaterializedViews(store)
+        #: Requests run concurrently; all request counters share
         #: one lock so none of them undercount.
         self._counter_lock = threading.Lock()
         self._requests_served = 0
@@ -361,10 +308,9 @@ class ObservatoryApp:
     # -- routing ----------------------------------------------------------
 
     def handle(self, path: str, params: dict) -> dict[str, Any]:
-        if self.views is not None and path != "/healthz":
-            self.views.refresh()
         if path == "/healthz":
             return self._healthz()
+        self.views.refresh()
         if path == "/outbreaks":
             return self._outbreaks(params)
         outbreak = forensics_outbreak_id(path)
@@ -385,9 +331,8 @@ class ObservatoryApp:
                 "segment_formats": stats["by_format"],
                 "generation": stats["generation"],
                 "ingest_finished": (self.ingest.finished
-                                    if self.ingest is not None else None)}
-        if self.views is not None:
-            body["view"] = self.views.stats()
+                                    if self.ingest is not None else None),
+                "view": self.views.stats()}
         if self.supervisor is not None:
             state = self.supervisor.state
             body["ingest_state"] = state
@@ -422,23 +367,10 @@ class ObservatoryApp:
                 "next_cursor": str(next_key) if next_key is not None
                 else None}
 
-    def _latest_lifespans(self, prefix: Optional[str] = None
-                          ) -> dict[str, dict[str, Any]]:
-        latest: dict[str, dict[str, Any]] = {}
-        for event in self.store.events(kinds=("lifespan",), prefix=prefix):
-            latest[event["prefix"]] = event  # seq order: last one wins
-        return latest
-
-    def _zombie_rows(self) -> list[dict[str, Any]]:
-        if self.views is not None:
-            return self.views.zombies()
-        return [event for _, event in sorted(self._latest_lifespans().items())
-                if event["segment_count"] > 0]
-
     def _zombies(self, params: dict) -> dict[str, Any]:
         limit = _limit_param(params)
         cursor = _str_param(params, "cursor")
-        rows = self._zombie_rows()
+        rows = self.views.zombies()
         if limit is None and cursor is None:
             return {"count": len(rows), "zombies": rows}
         page, next_key = paginate(rows, key=lambda e: e["prefix"],
@@ -446,18 +378,13 @@ class ObservatoryApp:
         return {"count": len(page), "zombies": page, "next_cursor": next_key}
 
     def _zombie(self, prefix: str) -> dict[str, Any]:
-        if self.views is not None:
-            lifespan = self.views.latest_lifespan(prefix)
-        else:
-            lifespan = self._latest_lifespans(prefix).get(prefix)
+        lifespan = self.views.latest_lifespan(prefix)
         outbreaks = list(self.store.events(kinds=("outbreak",), prefix=prefix))
         resurrections = list(self.store.events(kinds=("resurrection",),
                                                prefix=prefix))
         if lifespan is None and not outbreaks and not resurrections:
             raise _NotFound(prefix)
-        counts = (self.views.counts(prefix) if self.views is not None
-                  else {"outbreaks": len(outbreaks),
-                        "resurrections": len(resurrections)})
+        counts = self.views.counts(prefix)
         return {"prefix": prefix, "lifespan": lifespan,
                 "outbreaks": outbreaks, "resurrections": resurrections,
                 "outbreak_count": counts["outbreaks"],
@@ -466,46 +393,19 @@ class ObservatoryApp:
     def _forensics(self, outbreak_id: str) -> dict[str, Any]:
         """The pre-outbreak snapshot for one outbreak — O(outbreak):
         one view lookup plus a render over the bounded per-prefix
-        snapshot, never a history scan (the no-view fallback scans only
-        ``forensics`` events for the ID's prefix)."""
-        if self.views is not None:
-            event = self.views.forensics(outbreak_id)
-        else:
-            event = None
-            prefix = outbreak_prefix(outbreak_id) or None
-            for candidate in self.store.events(kinds=("forensics",),
-                                               prefix=prefix):
-                if candidate["outbreak_id"] == outbreak_id:
-                    event = candidate  # seq order: last one wins
+        snapshot, never a history scan."""
+        event = self.views.forensics(outbreak_id)
         if event is None:
             raise _NotFound(outbreak_id)
         return render_forensics(event)
 
-    def _resurrection_rows(self, prefix: Optional[str],
-                           since: Optional[int],
-                           until: Optional[int]) -> list[dict[str, Any]]:
-        """Both §5.1 scales, merged: update-stream re-announcements and
-        RIB-dump gap/reappearance events."""
-        if self.views is not None:
-            return self.views.resurrections(prefix=prefix, since=since,
-                                            until=until)
-        merged = []
-        for event in self.store.events(kinds=("resurrection",), prefix=prefix,
-                                       since=since, until=until):
-            merged.append({**event, "scale": "updates"})
-        for event in self.store.events(kinds=("lifespan",), prefix=prefix,
-                                       since=since, until=until):
-            if event["resurrection"]:
-                merged.append({**event, "scale": "rib"})
-        merged.sort(key=lambda e: (e["time"], e["seq"]))
-        return merged
-
     def _resurrections(self, params: dict) -> dict[str, Any]:
         limit = _limit_param(params)
         cursor = _str_param(params, "cursor")
-        rows = self._resurrection_rows(_str_param(params, "prefix"),
-                                       _int_param(params, "since"),
-                                       _int_param(params, "until"))
+        rows = self.views.resurrections(
+            prefix=_str_param(params, "prefix"),
+            since=_int_param(params, "since"),
+            until=_int_param(params, "until"))
         if limit is None and cursor is None:
             return {"count": len(rows), "resurrections": rows}
         parsed = pair_cursor(cursor) if cursor is not None else None
@@ -574,19 +474,18 @@ class ObservatoryApp:
                    "queue overflowed; they re-sync from the store).")
             metric("observatory_stream_resets_total", stream.resets,
                    "Re-sync signals sent after store generation bumps.")
-        if self.views is not None:
-            view = self.views.stats()
-            metric("observatory_view_watermark", view["watermark"],
-                   "Store seq the materialized views are caught up to.")
-            metric("observatory_view_prefixes", view["prefixes"],
-                   "Prefixes tracked in the latest-lifespan view.")
-            metric("observatory_view_refreshes_total", view["refreshes"],
-                   "Materialized view refresh passes.")
-            metric("observatory_view_rebuilds_total", view["rebuilds"],
-                   "Full view rebuilds (store generation changes).")
-            metric("observatory_view_events_folded_total",
-                   view["events_folded"],
-                   "Events folded into the views incrementally.")
+        view = self.views.stats()
+        metric("observatory_view_watermark", view["watermark"],
+               "Store seq the materialized views are caught up to.")
+        metric("observatory_view_prefixes", view["prefixes"],
+               "Prefixes tracked in the latest-lifespan view.")
+        metric("observatory_view_refreshes_total", view["refreshes"],
+               "Materialized view refresh passes.")
+        metric("observatory_view_rebuilds_total", view["rebuilds"],
+               "Full view rebuilds (store generation changes).")
+        metric("observatory_view_events_folded_total",
+               view["events_folded"],
+               "Events folded into the views incrementally.")
         if self.ingest is not None:
             ingest = self.ingest.stats()
             metric("observatory_ingest_records_total",
@@ -642,73 +541,3 @@ class ObservatoryApp:
                    scan["files_skipped"],
                    "Archive files skipped via the sidecar index.")
         return "\n".join(lines) + "\n"
-
-
-class _DrainingHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` with graceful drain semantics.
-
-    Handler threads are non-daemon, so ``server_close()`` (and, as a
-    backstop, interpreter exit) joins every in-flight handler instead
-    of killing a response mid-write; ``_Handler.timeout`` bounds how
-    long a wedged client can delay the join.
-    """
-
-    daemon_threads = False
-
-
-class ObservatoryServer(ObservatoryApp):
-    """The threaded transport: one handler thread per connection.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port` after construction) — the form every test uses.
-    Kept as the parity baseline and escape hatch
-    (``observatory serve --engine threaded``); the asyncio transport in
-    :mod:`repro.observatory.asyncserver` is the default serve path and
-    the only one with ``/stream/*``.
-    """
-
-    def __init__(self, store: EventStore, host: str = "127.0.0.1",
-                 port: int = 0, ingest=None, archive=None, supervisor=None,
-                 use_view: bool = True):
-        super().__init__(store, ingest=ingest, archive=archive,
-                         supervisor=supervisor, use_view=use_view)
-        self._httpd = _DrainingHTTPServer((host, port), _Handler)
-        self._httpd.observatory = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ObservatoryServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="observatory-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI foreground mode)."""
-        self._httpd.serve_forever()
-
-    def request_shutdown(self) -> None:
-        """Signal-handler-safe shutdown request: asks ``serve_forever``
-        to return without blocking on it.  (Calling ``shutdown()`` on
-        the serving thread deadlocks — it waits for the serve loop the
-        caller is standing on — hence the one-shot helper thread.)"""
-        threading.Thread(target=self._httpd.shutdown, daemon=True).start()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None

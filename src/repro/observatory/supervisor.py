@@ -27,7 +27,7 @@ The observable health is a three-state machine:
 ``stalled``     the heartbeat is older than ``heartbeat_timeout``, or
                 the supervisor exhausted its restart budget.
 
-:class:`~repro.observatory.server.ObservatoryServer` surfaces the state
+:class:`~repro.observatory.server.ObservatoryApp` surfaces the state
 in ``/healthz`` and exports the counters (records skipped, bytes
 quarantined, restarts, ingest lag) on ``/metrics``.
 """

@@ -118,9 +118,10 @@ class MaterializedViews:
         self.events_folded = 0
         #: Wall time of the most recent refresh that involved a full
         #: rebuild — the store-format-sensitive number (a rebuild
-        #: replays all of history; see ``scripts/bench_query.py``).
+        #: replays all of history; ``observatory.views.rebuild_s`` in
+        #: ``BENCHMARK.json``).
         self.last_rebuild_seconds: Optional[float] = None
-        #: One lock for maintenance and reads: the server's handler
+        #: One lock for maintenance and reads: the server's executor
         #: threads refresh and query concurrently.
         self._lock = threading.RLock()
         self._reset()

@@ -8,12 +8,12 @@ import random
 import pytest
 
 from repro.observatory import (
+    AsyncObservatoryServer,
     ColsegError,
     ColumnarSegment,
     EventStore,
     MaterializedViews,
     ObservatoryClient,
-    ObservatoryServer,
     fsck,
 )
 from repro.observatory.colseg import write_segment
@@ -308,8 +308,8 @@ class TestServerParity:
         fill_mixed(cstore)
         jstore.compact(fmt="jsonl")
         cstore.compact(fmt="columnar")
-        jserver = ObservatoryServer(jstore).start()
-        cserver = ObservatoryServer(cstore).start()
+        jserver = AsyncObservatoryServer(jstore).start()
+        cserver = AsyncObservatoryServer(cstore).start()
         yield (ObservatoryClient(jserver.url),
                ObservatoryClient(cserver.url))
         jserver.stop()

@@ -532,19 +532,18 @@ class TestClientRetries:
 
 @pytest.mark.slow
 class TestGracefulShutdown:
-    def _spawn_serve(self, store, engine, port):
+    def _spawn_serve(self, store, port):
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "observatory", "serve",
-             str(store), "--engine", engine, "--port", str(port)],
+             str(store), "--port", str(port)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
-    @pytest.mark.parametrize("engine", ["threaded", "async"])
-    def test_sigterm_exits_zero(self, tmp_path, engine):
+    def test_sigterm_exits_zero(self, tmp_path):
         build_store(tmp_path / "store", events=12)
         port = pick_free_port()
-        proc = self._spawn_serve(tmp_path / "store", engine, port)
+        proc = self._spawn_serve(tmp_path / "store", port)
         try:
             base = f"http://127.0.0.1:{port}"
             assert wait_until(lambda: _up(base))
@@ -558,7 +557,7 @@ class TestGracefulShutdown:
     def test_async_sigterm_sends_final_sse_frame(self, tmp_path):
         build_store(tmp_path / "store", events=12)
         port = pick_free_port()
-        proc = self._spawn_serve(tmp_path / "store", "async", port)
+        proc = self._spawn_serve(tmp_path / "store", port)
         try:
             base = f"http://127.0.0.1:{port}"
             assert wait_until(lambda: _up(base))

@@ -1,9 +1,10 @@
 """Pre-outbreak forensics: the bounded last-announcement ring, the
 durable forensics snapshot events, the ``/outbreaks/<id>/forensics``
-endpoint (engine parity, ETag/304, 404s), kill-resume byte-identity
+endpoint (wire fidelity, ETag/304, 404s), kill-resume byte-identity
 with the ring in the checkpoint, federation single-owner routing with
 the shard-down 503 path, and the doctor's semantic sweep."""
 
+import hashlib
 import json
 from urllib.parse import quote
 
@@ -18,7 +19,6 @@ from repro.observatory import (
     LastAnnouncementRing,
     ObservatoryIngest,
     ObservatoryClient,
-    ObservatoryServer,
     PARTIAL_HEADER,
     ShardWorker,
     build_synthetic_archive,
@@ -311,13 +311,14 @@ class TestEndpoint:
         status, _, body = app.respond(forensics_path(ids[0]), {}, etag)
         assert status == 304 and body == b""
 
-    def test_no_view_fallback_is_byte_identical(self, forensic_store):
+    def test_body_is_the_rendered_store_event(self, forensic_store):
         store, ids = forensic_store
-        with_views = ObservatoryApp(store)
-        without = ObservatoryApp(store, use_view=False)
+        app = ObservatoryApp(store)
         for identifier in ids:
-            assert with_views.respond(forensics_path(identifier), {})[2] \
-                == without.respond(forensics_path(identifier), {})[2]
+            event = [e for e in store.events(kinds=("forensics",))
+                     if e["outbreak_id"] == identifier][-1]  # latest wins
+            assert app.respond(forensics_path(identifier), {})[2] == \
+                json.dumps(render_forensics(event), sort_keys=True).encode()
 
     def test_unknown_outbreak_is_404(self, forensic_store):
         store, _ = forensic_store
@@ -327,28 +328,37 @@ class TestEndpoint:
         assert status == 404
         assert json.loads(body)["error"]
 
+    #: (status, ETag, sha256(body)[:16]) per path, as the parent commit
+    #: (90de47d) served them from the same synthetic scenario.
+    GOLDEN = [(200, '"0-16-f9a90c5261d01c25"', "1bd5c113c7136b57"),
+              (200, '"0-16-21113a37e4bb362d"', "460a420acf720d92"),
+              (404, None, "24a98aa4ffe32393")]
+
     def test_engine_parity_bodies_and_304s(self, forensic_store):
+        """The wire carries what ``respond`` returns in-process."""
         store, ids = forensic_store
-        threaded = ObservatoryServer(
+        oracle = ObservatoryApp(store)
+        server = AsyncObservatoryServer(
             EventStore(store.root, readonly=True)).start()
-        asyncio_engine = AsyncObservatoryServer(
-            EventStore(store.root, readonly=True)).start()
+        served = []
         try:
             for identifier in ids + ["no~such~out~break"]:
                 path = forensics_path(identifier)
-                t_status, t_headers, t_body = fetch(threaded.url, path)
-                a_status, a_headers, a_body = fetch(asyncio_engine.url, path)
-                assert (a_status, a_body) == (t_status, t_body)
-                if t_status != 200:
-                    continue
-                assert a_headers["ETag"] == t_headers["ETag"]
-                for url in (threaded.url, asyncio_engine.url):
-                    status, _, body = fetch(
-                        url, path, {"If-None-Match": t_headers["ETag"]})
-                    assert status == 304 and body == b""
+                status, headers, body = fetch(server.url, path)
+                expected = oracle.respond(path, {})
+                assert (status, body) == expected[::2]
+                assert dict(expected[1]).items() <= headers.items()
+                etag = headers.get("ETag")
+                served.append((status, etag,
+                               hashlib.sha256(body).hexdigest()[:16]))
+                if etag is not None:
+                    status, headers, body = fetch(
+                        server.url, path, {"If-None-Match": etag})
+                    assert (status, headers["ETag"], body) \
+                        == (304, etag, b"")
         finally:
-            threaded.stop()
-            asyncio_engine.stop()
+            server.stop()
+        assert served == self.GOLDEN
 
     def test_client_forensics(self, forensic_store):
         store, ids = forensic_store

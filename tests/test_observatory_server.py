@@ -7,10 +7,11 @@ import pytest
 
 from repro.cli import main
 from repro.observatory import (
+    AsyncObservatoryServer,
     EventStore,
+    ObservatoryApp,
     ObservatoryClient,
     ObservatoryIngest,
-    ObservatoryServer,
     build_synthetic_archive,
     load_scenario,
 )
@@ -37,7 +38,8 @@ def world(tmp_path_factory):
 @pytest.fixture()
 def server(world):
     built, config, archive, store, ingest = world
-    server = ObservatoryServer(store, ingest=ingest, archive=archive).start()
+    server = AsyncObservatoryServer(store, ingest=ingest,
+                                    archive=archive).start()
     yield server
     server.stop()
 
@@ -146,18 +148,18 @@ class TestLiveIngest:
         ingest = ObservatoryIngest(
             Archive(built.root), store, tmp_path / "ckpt.json",
             config["intervals"], config["start"], config["end"])
-        server = ObservatoryServer(store, ingest=ingest).start()
-        try:
-            client = ObservatoryClient(server.url)
-            assert client.healthz()["events"] == 0
-            ingest.run(max_records=90)
-            mid = client.healthz()["events"]
-            ingest.run()
-            ingest.finish()
-            assert client.healthz()["events"] > mid > 0
-            assert client.outbreaks()["count"] == 2
-        finally:
-            server.stop()
+        app = ObservatoryApp(store, ingest=ingest)
+
+        def get(path):
+            return json.loads(app.respond(path, {})[2])
+
+        assert get("/healthz")["events"] == 0
+        ingest.run(max_records=90)
+        mid = get("/healthz")["events"]
+        ingest.run()
+        ingest.finish()
+        assert get("/healthz")["events"] > mid > 0
+        assert get("/outbreaks")["count"] == 2
 
     def test_readonly_store_serves_other_writer(self, tmp_path):
         """Cross-process shape: the server reads a store directory that a
@@ -165,16 +167,11 @@ class TestLiveIngest:
         writer = EventStore(tmp_path / "store")
         writer.append("outbreak", 10, {"prefix": "2a0d::/48"})
         writer.sync()
-        reader = EventStore(tmp_path / "store", readonly=True)
-        server = ObservatoryServer(reader).start()
-        try:
-            client = ObservatoryClient(server.url)
-            assert client.outbreaks()["count"] == 1
-            writer.append("outbreak", 20, {"prefix": "2a0d::/48"})
-            writer.sync()
-            assert client.outbreaks()["count"] == 2
-        finally:
-            server.stop()
+        app = ObservatoryApp(EventStore(tmp_path / "store", readonly=True))
+        assert json.loads(app.respond("/outbreaks", {})[2])["count"] == 1
+        writer.append("outbreak", 20, {"prefix": "2a0d::/48"})
+        writer.sync()
+        assert json.loads(app.respond("/outbreaks", {})[2])["count"] == 2
 
 
 class TestObservatoryCli:

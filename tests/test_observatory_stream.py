@@ -1,13 +1,15 @@
 """Tests for the streaming subsystem: resume tokens, SSE framing, the
-fan-out hub, the asyncio server (parity with the threaded server plus
-the ``/stream/*`` endpoints), client streaming, and the timeout split."""
+fan-out hub, the asyncio server (wire fidelity to ``respond()`` plus the
+``/stream/*`` endpoints), client streaming, and the timeout split."""
 
 import asyncio
+import hashlib
 import http.client
 import json
 import socket
 import threading
 import time
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
@@ -17,10 +19,10 @@ from repro.observatory import (
     EventStore,
     ObservatoryClient,
     ObservatoryIngest,
-    ObservatoryServer,
     build_synthetic_archive,
     load_scenario,
 )
+from repro.observatory.server import ObservatoryApp
 from repro.observatory.stream import (
     RESET,
     StreamHub,
@@ -34,6 +36,7 @@ from repro.observatory.stream import (
     parse_token,
 )
 from repro.ris import Archive
+from test_observatory_federation import wait_until
 
 
 @pytest.fixture(scope="module")
@@ -237,90 +240,106 @@ class TestStreamHub:
         assert entries == [(RESET, 3, 1)]
 
 
-PARITY_PATHS = [
-    "/healthz",
-    "/outbreaks",
-    "/outbreaks?limit=2",
-    "/outbreaks?prefix=2a0d:3dc1:1000::/48",
-    "/outbreaks?since=1717300000&until=1717400000",
-    "/zombies",
-    "/zombies?limit=1",
-    "/zombies/2a0d:3dc1:1000::%2F48",
-    "/zombies/2001:db8:ffff::%2F48",  # 404
-    "/resurrections",
-    "/resurrections?limit=2",
-    "/outbreaks?limit=0",     # 400
-    "/outbreaks?cursor=junk",  # 400
-    "/nope",                   # 404
-]
+#: path -> (query digest of its ETag ``"0-16-<digest>"``, or None;
+#: sha256(body)[:16]), captured from the commit (90de47d) that still had
+#: the threaded engine and the scan path: retiring them changed no byte.
+PARITY_PATHS = {
+    "/healthz": (None, "60af9fe790354440"),
+    "/outbreaks": ("d1dd3abf80bf7594", "743cb68434499f65"),
+    "/outbreaks?limit=2": ("b148c45a06e88f29", "f9b01b5a09b2b445"),
+    "/outbreaks?prefix=2a0d:3dc1:1000::/48":
+        ("90f9065d58f4e585", "1f765f724e0012c4"),
+    "/outbreaks?since=1717300000&until=1717400000":
+        ("d35fb18a6308655b", "743cb68434499f65"),
+    "/zombies": ("ed8af40eb2f179b4", "0f1d88058714fe15"),
+    "/zombies?limit=1": ("75cdd5b125e4a1ad", "232a602490ea75c3"),
+    "/zombies/2a0d:3dc1:1000::%2F48": ("7474c67ecdfaf155", "72830bf81a5f93e1"),
+    "/zombies/2001:db8:ffff::%2F48": (None, "ffe58a127d5e7d5d"),  # 404
+    "/resurrections": ("12d89d9ed07c56e7", "6122f04dfc7039f8"),
+    "/resurrections?limit=2": ("00d0e94f8a5ebff5", "4235d024e0f3c11f"),
+    "/outbreaks?limit=0": (None, "cab2b5ac4a15569b"),      # 400
+    "/outbreaks?cursor=junk": (None, "1a970cf5bde467f5"),  # 400
+    "/nope": (None, "c203b4cceb859832"),                   # 404
+}
 
 
 class TestEngineParity:
-    """The asyncio engine must be indistinguishable from the threaded
-    one on every data endpoint: status, body bytes, ETag, 304s,
-    pagination."""
+    """What the HTTP engine puts on the wire — status, every header
+    ``respond`` returned, body — equals ``ObservatoryApp.respond``
+    called in-process on the same store: 200s, 304s, 400s, 404s and
+    pagination walks."""
 
     @pytest.fixture()
     def engines(self, world):
         built, config, archive, store, ingest = world
-        threaded = ObservatoryServer(store, ingest=ingest,
-                                     archive=archive).start()
+        oracle = ObservatoryApp(store, ingest=ingest, archive=archive)
         asynced = AsyncObservatoryServer(store, ingest=ingest,
                                          archive=archive,
                                          poll_interval=0.02).start()
-        yield threaded, asynced
-        threaded.stop()
+        yield oracle, asynced
         asynced.stop()
 
     @staticmethod
     def fetch(server, path, headers=None):
+        """One GET as ``respond`` shapes it; ``Connection`` is the only
+        header the transport adds."""
         conn = http.client.HTTPConnection(server.host, server.port,
                                           timeout=5)
         try:
             conn.request("GET", path, headers=headers or {})
             response = conn.getresponse()
-            return (response.status, response.read(),
-                    response.getheader("ETag"),
-                    response.getheader("Content-Type"))
+            return (response.status,
+                    [header for header in response.getheaders()
+                     if header[0] != "Connection"],
+                    response.read())
         finally:
             conn.close()
 
+    @staticmethod
+    def respond(app, path, if_none_match=None):
+        url = urlsplit(path)
+        return app.respond(url.path, parse_qs(url.query), if_none_match)
+
     @pytest.mark.parametrize("path", PARITY_PATHS)
     def test_identical_responses(self, engines, path):
-        threaded, asynced = engines
-        assert self.fetch(threaded, path) == self.fetch(asynced, path)
+        oracle, asynced = engines
+        status, headers, body = self.fetch(asynced, path)
+        assert (status, headers, body) == self.respond(oracle, path)
+        digest, body_hash = PARITY_PATHS[path]
+        assert dict(headers).get("ETag") == (digest and f'"0-16-{digest}"')
+        assert hashlib.sha256(body).hexdigest()[:16] == body_hash
 
     def test_not_modified_parity(self, engines):
-        threaded, asynced = engines
-        for server in engines:
-            status, body, etag, _ = self.fetch(server, "/outbreaks")
-            assert status == 200 and etag
-            status, body, etag2, _ = self.fetch(
-                server, "/outbreaks", {"If-None-Match": etag})
-            assert (status, body, etag2) == (304, b"", etag)
+        oracle, asynced = engines
+        etag = dict(self.fetch(asynced, "/outbreaks")[1])["ETag"]
+        served = self.fetch(asynced, "/outbreaks", {"If-None-Match": etag})
+        assert served == self.respond(oracle, "/outbreaks", etag)
+        assert served[::2] == (304, b"") and dict(served[1])["ETag"] == etag
 
     def test_pagination_parity(self, engines):
-        threaded, asynced = engines
+        oracle, asynced = engines
         for what in ("outbreaks", "zombies", "resurrections"):
-            threaded_rows = list(ObservatoryClient(
-                threaded.url).paginate(what, page_size=2))
-            async_rows = list(ObservatoryClient(
+            rows, params = [], {"limit": ["2"]}
+            while params.get("cursor") != [None]:
+                page = json.loads(oracle.respond(f"/{what}", params)[2])
+                rows += page[what]
+                params["cursor"] = [page["next_cursor"]]
+            served = list(ObservatoryClient(
                 asynced.url).paginate(what, page_size=2))
-            assert threaded_rows == async_rows and threaded_rows
+            assert served == rows and rows
 
     def test_metrics_series_parity_and_stream_series(self, engines):
-        threaded, asynced = engines
-        threaded_metrics = self.fetch(threaded, "/metrics")[1].decode()
-        async_metrics = self.fetch(asynced, "/metrics")[1].decode()
+        oracle, asynced = engines
+        app_metrics = oracle.render_metrics()
+        async_metrics = self.fetch(asynced, "/metrics")[2].decode()
 
         def series(text):
             return {line.split()[2] for line in text.splitlines()
                     if line.startswith("# TYPE")}
 
-        # The async engine exposes everything the threaded one does,
-        # plus the observatory_stream_* series.
-        extra = series(async_metrics) - series(threaded_metrics)
-        assert series(threaded_metrics) <= series(async_metrics)
+        # Served: the app's series plus the transport's stream series.
+        extra = series(async_metrics) - series(app_metrics)
+        assert series(app_metrics) <= series(async_metrics)
         assert extra == {"observatory_stream_subscribers",
                          "observatory_stream_events_sent_total",
                          "observatory_stream_lagged_total",
@@ -488,7 +507,8 @@ class TestGenerationBump:
         try:
             conn, response = sse_connect(server, "/stream/events")
             generation = store.position()[0]
-            time.sleep(0.05)  # subscriber reaches the live phase
+            assert wait_until(
+                lambda: server.stream_stats.subscribers >= 1, interval=0.001)
             store.compact()
             new_generation, new_next = store.position()
             assert new_generation != generation
@@ -649,7 +669,8 @@ class TestStoreStreamSink:
         dispatcher = AlertDispatcher([StoreStreamSink(store)])
         try:
             conn, response = sse_connect(server, "/stream/outbreaks")
-            time.sleep(0.05)
+            assert wait_until(
+                lambda: server.stream_stats.subscribers >= 1, interval=0.001)
             prefix = Prefix("2001:db8:1000::/48")
             dispatcher.emit(ZombieAlert(
                 prefix=prefix, peer=("rrc00", "2001:db8::2"),

@@ -1,14 +1,15 @@
 """Tests for the crash-tolerant supervisor driving a checkpointed
-ingest, and its surfacing through the observatory HTTP server."""
+ingest, and its surfacing through the observatory HTTP API."""
+
+import json
 
 import pytest
 
 from repro.mrt import DecodeStats
 from repro.observatory import (
     EventStore,
-    ObservatoryClient,
+    ObservatoryApp,
     ObservatoryIngest,
-    ObservatoryServer,
     ObservatorySupervisor,
     build_synthetic_archive,
 )
@@ -199,32 +200,25 @@ class TestServerIntegration:
     def test_healthz_and_metrics_surface_supervisor(self, crashed):
         supervisor, store_dir, _ = crashed
         store = EventStore(store_dir, readonly=True)
-        server = ObservatoryServer(store, supervisor=supervisor).start()
-        try:
-            client = ObservatoryClient(server.url)
-            body = client.healthz()
-            assert body["status"] == "ok"  # degraded is alive, not down
-            assert body["ingest_state"] == "degraded"
-            assert body["supervisor"]["restarts"] == 2
-            assert body["supervisor"]["crashes"] == 2
+        app = ObservatoryApp(store, supervisor=supervisor)
+        body = json.loads(app.respond("/healthz", {})[2])
+        assert body["status"] == "ok"  # degraded is alive, not down
+        assert body["ingest_state"] == "degraded"
+        assert body["supervisor"]["restarts"] == 2
+        assert body["supervisor"]["crashes"] == 2
 
-            metrics = client.metrics()
-            assert "observatory_supervisor_restarts_total 2" in metrics
-            assert 'observatory_ingest_state{state="degraded"} 1' in metrics
-            assert 'observatory_ingest_state{state="healthy"} 0' in metrics
-            assert "observatory_ingest_lag_seconds 0" in metrics
-        finally:
-            server.stop()
+        metrics = app.respond("/metrics", {})[2].decode()
+        assert "observatory_supervisor_restarts_total 2" in metrics
+        assert 'observatory_ingest_state{state="degraded"} 1' in metrics
+        assert 'observatory_ingest_state{state="healthy"} 0' in metrics
+        assert "observatory_ingest_lag_seconds 0" in metrics
 
     def test_stalled_supervisor_fails_healthz(self, world):
         root, scen = world
         supervisor, store, _ = make_supervisor(root, scen, "store-stalled")
         supervisor.gave_up = True
-        server = ObservatoryServer(store, supervisor=supervisor).start()
-        try:
-            body = ObservatoryClient(server.url).healthz()
-            assert body["status"] == "stalled"
-            assert body["ingest_state"] == "stalled"
-        finally:
-            server.stop()
-            store.close()
+        app = ObservatoryApp(store, supervisor=supervisor)
+        body = json.loads(app.respond("/healthz", {})[2])
+        store.close()
+        assert body["status"] == "stalled"
+        assert body["ingest_state"] == "stalled"

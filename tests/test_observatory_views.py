@@ -2,6 +2,8 @@
 revalidation, and the query-path bugfixes in the HTTP layer."""
 
 import json
+import socket
+import struct
 import threading
 import urllib.error
 import urllib.request
@@ -10,10 +12,11 @@ import pytest
 
 from repro.cli import main
 from repro.observatory import (
+    AsyncObservatoryServer,
     EventStore,
     MaterializedViews,
+    ObservatoryApp,
     ObservatoryClient,
-    ObservatoryServer,
 )
 from repro.observatory.client import ObservatoryError
 from repro.observatory.views import (
@@ -22,6 +25,7 @@ from repro.observatory.views import (
     paginate,
     seq_cursor,
 )
+from test_observatory_federation import wait_until
 
 
 def lifespan(prefix, segments=1, resurrection=False):
@@ -68,14 +72,26 @@ def full_scan_zombies(store):
             if latest[p]["segment_count"] > 0]
 
 
-def full_scan_resurrections(store):
+def full_scan_resurrections(store, **filters):
     merged = [{**e, "scale": "updates"}
-              for e in store.events(kinds=("resurrection",))]
+              for e in store.events(kinds=("resurrection",), **filters)]
     merged += [{**e, "scale": "rib"}
-               for e in store.events(kinds=("lifespan",))
+               for e in store.events(kinds=("lifespan",), **filters)
                if e["resurrection"]]
     merged.sort(key=lambda e: (e["time"], e["seq"]))
     return merged
+
+
+def full_scan_zombie(store, prefix):
+    """The ``/zombies/<prefix>`` body from three brute-force scans."""
+    lifespans, outbreaks, resurrections = (
+        list(store.events(kinds=(kind,), prefix=prefix))
+        for kind in ("lifespan", "outbreak", "resurrection"))
+    return {"prefix": prefix,
+            "lifespan": lifespans[-1] if lifespans else None,
+            "outbreaks": outbreaks, "resurrections": resurrections,
+            "outbreak_count": len(outbreaks),
+            "resurrection_count": len(resurrections)}
 
 
 class TestStoreMinSeq:
@@ -310,7 +326,7 @@ class TestPaginateHelper:
 def served(tmp_path):
     store = EventStore(tmp_path / "store", segment_max_records=8)
     fill_store(store)
-    server = ObservatoryServer(store).start()
+    server = AsyncObservatoryServer(store).start()
     yield store, server, ObservatoryClient(server.url)
     server.stop()
 
@@ -380,21 +396,19 @@ class TestHttpPagination:
 
 
 class TestViewParity:
-    def test_view_and_cold_scan_bodies_are_identical(self, tmp_path):
-        store = EventStore(tmp_path / "store", segment_max_records=8)
-        fill_store(store)
-        with_view = ObservatoryServer(store, use_view=True).start()
-        without = ObservatoryServer(store, use_view=False).start()
-        try:
-            hot = ObservatoryClient(with_view.url)
-            cold = ObservatoryClient(without.url)
-            for call in ("outbreaks", "zombies", "resurrections"):
-                assert getattr(hot, call)() == getattr(cold, call)()
-            prefix = "2001:db8:1::/48"
-            assert hot.zombie(prefix) == cold.zombie(prefix)
-        finally:
-            with_view.stop()
-            without.stop()
+    def test_view_and_cold_scan_bodies_are_identical(self, served):
+        store, server, client = served
+        prefix = "2001:db8:1::/48"
+        zombies = full_scan_zombies(store)
+        assert client.zombies() == {"count": len(zombies),
+                                    "zombies": zombies}
+        for filters in ({}, {"prefix": prefix},
+                        {"since": 1200, "until": 2200}):
+            rows = full_scan_resurrections(store, **filters)
+            assert rows
+            assert client.resurrections(**filters) == \
+                {"count": len(rows), "resurrections": rows}
+        assert client.zombie(prefix) == full_scan_zombie(store, prefix)
 
     def test_zombie_detail_counts_come_from_the_view(self, served):
         store, server, client = served
@@ -437,19 +451,15 @@ class TestEtagRevalidation:
         store = EventStore(tmp_path / "store")
         store.append("lifespan", 100, lifespan("a::/48"))
         store.append("lifespan", 200, lifespan("b::/48"))
-        server = ObservatoryServer(store).start()
-        try:
-            client = ObservatoryClient(server.url)
-            client.zombies()
-            store.truncate(1)
-            store.append("lifespan", 300, lifespan("c::/48"))
-            assert store.next_seq == 2
-            body = client.zombies()
-            assert client.revalidations == 0  # ETag changed: no false 304
-            assert [z["prefix"] for z in body["zombies"]] == \
-                ["a::/48", "c::/48"]
-        finally:
-            server.stop()
+        app = ObservatoryApp(store)
+        etag = dict(app.respond("/zombies", {})[1])["ETag"]
+        store.truncate(1)
+        store.append("lifespan", 300, lifespan("c::/48"))
+        assert store.next_seq == 2
+        status, _, body = app.respond("/zombies", {}, etag)
+        assert status == 200  # ETag changed: no false 304
+        assert [z["prefix"] for z in json.loads(body)["zombies"]] == \
+            ["a::/48", "c::/48"]
 
     def test_compact_changes_etag_not_content(self, served):
         store, server, client = served
@@ -477,20 +487,14 @@ class TestEtagRevalidation:
         writer = EventStore(tmp_path / "store")
         writer.append("lifespan", 100, lifespan("a::/48"))
         writer.sync()
-        reader = EventStore(tmp_path / "store", readonly=True)
-        server = ObservatoryServer(reader).start()
-        try:
-            client = ObservatoryClient(server.url)
-            client.zombies()
-            client.zombies()
-            assert client.revalidations == 1  # steady state revalidates
-            writer.append("lifespan", 200, lifespan("b::/48"))  # no sync()
-            body = client.zombies()
-            assert client.revalidations == 1  # full 200, not a false 304
-            assert [z["prefix"] for z in body["zombies"]] == \
-                ["a::/48", "b::/48"]
-        finally:
-            server.stop()
+        app = ObservatoryApp(EventStore(tmp_path / "store", readonly=True))
+        etag = dict(app.respond("/zombies", {})[1])["ETag"]
+        assert app.respond("/zombies", {}, etag)[0] == 304  # steady state
+        writer.append("lifespan", 200, lifespan("b::/48"))  # no sync()
+        status, _, body = app.respond("/zombies", {}, etag)
+        assert status == 200  # full 200, not a false 304
+        assert [z["prefix"] for z in json.loads(body)["zombies"]] == \
+            ["a::/48", "b::/48"]
 
     def test_if_none_match_star_does_not_shadow_404(self, served):
         store, server, client = served
@@ -546,22 +550,12 @@ class TestHandlerBugfixes:
         broken = lifespan("bad::/48")
         del broken["segment_count"]
         store.append("lifespan", 100, broken)
-        server = ObservatoryServer(store).start()
-        try:
-            client = ObservatoryClient(server.url, retries=0)
-            with pytest.raises(ObservatoryError) as excinfo:
-                client.zombies()
-            assert excinfo.value.status == 500
-            assert "KeyError" in excinfo.value.message
-            # Routing misses still 404.
-            with pytest.raises(ObservatoryError) as excinfo:
-                client._get("/nope")
-            assert excinfo.value.status == 404
-            with pytest.raises(ObservatoryError) as excinfo:
-                client.zombie("unknown::/48")
-            assert excinfo.value.status == 404
-        finally:
-            server.stop()
+        app = ObservatoryApp(store)
+        status, _, body = app.respond("/zombies", {})
+        assert status == 500 and "KeyError" in json.loads(body)["error"]
+        # Routing misses still 404.
+        assert app.respond("/nope", {})[0] == 404
+        assert app.respond("/zombies/unknown::/48", {})[0] == 404
 
     def test_monotonic_series_are_counters(self, served):
         store, server, client = served
@@ -580,31 +574,26 @@ class TestHandlerBugfixes:
         assert types["observatory_events"] == "gauge"
 
     def test_client_disconnect_mid_response_is_dropped(self, tmp_path):
-        from repro.observatory.server import _Handler
-
         store = EventStore(tmp_path / "store")
-        server = ObservatoryServer(store)  # never started: no socket
+        for n in range(4000):  # a listing far larger than a socket buffer
+            store.append("outbreak", 1000 + n,
+                         {"prefix": f"2001:db8:{n:x}::/48", "pad": "x" * 200})
+        server = AsyncObservatoryServer(store).start()
         try:
-            class HungUp:
-                def write(self, data):
-                    raise BrokenPipeError(32, "Broken pipe")
-
-                def flush(self):
-                    pass
-
-            handler = _Handler.__new__(_Handler)
-            handler.server = server._httpd
-            handler.wfile = HungUp()
-            handler.request_version = "HTTP/1.1"
-            handler.requestline = "GET /zombies HTTP/1.1"
-            handler.close_connection = False
-            handler._send_json(200, {"count": 0})  # must not raise
-            assert server.responses_dropped == 1
-            assert handler.close_connection is True
-            handler._send_not_modified('"1-2-abc"')
-            assert server.responses_dropped == 2
+            sock = socket.create_connection((server.host, server.port))
+            sock.sendall(b"GET /outbreaks HTTP/1.1\r\nHost: x\r\n\r\n")
+            # Hang up with an RST before reading a byte of the answer.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            assert wait_until(lambda: server.responses_dropped >= 1)
+            # The next connection is served, and sees the drop counted.
+            client = ObservatoryClient(server.url)
+            assert ("observatory_http_responses_dropped_total 1"
+                    in client.metrics().splitlines())
+            assert client.outbreaks(limit=1)["count"] == 1
         finally:
-            server._httpd.server_close()
+            server.stop()
 
     def test_dropped_responses_surface_in_metrics(self, served):
         store, server, client = served
@@ -659,13 +648,3 @@ class TestQueryCli:
                      "--cursor", "yesterday"]) == 2
         err = capsys.readouterr().err
         assert "cursor" in err and "Traceback" not in err
-
-    def test_serve_accepts_view_flags(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["observatory", "serve", "somewhere"])
-        assert args.view is True
-        args = parser.parse_args(["observatory", "serve", "somewhere",
-                                  "--no-view"])
-        assert args.view is False
