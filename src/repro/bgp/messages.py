@@ -13,9 +13,10 @@ Two layers are distinguished:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.prefix import Prefix
@@ -27,6 +28,7 @@ __all__ = [
     "UpdateRecord",
     "StateRecord",
     "Record",
+    "merge_records",
 ]
 
 
@@ -150,3 +152,9 @@ def record_sort_key(record: Record) -> tuple:
     must be up before updates flow on it)."""
     is_update = isinstance(record, UpdateRecord)
     return (record.timestamp, record.collector, record.peer_address, is_update)
+
+
+def merge_records(streams: Iterable[Iterable[Record]]) -> Iterator[Record]:
+    """Merge streams that are each in :func:`record_sort_key` order
+    (one per collector, file run or platform) into one such stream."""
+    return heapq.merge(*streams, key=record_sort_key)

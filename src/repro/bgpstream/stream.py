@@ -1,4 +1,5 @@
-"""pybgpstream-compatible facade over :class:`repro.ris.Archive`.
+"""pybgpstream-compatible facade over :class:`repro.ris.Archive` (either
+layout: a :class:`repro.routeviews.RouteViewsArchive` is one too).
 
 The paper's pipeline is what a real deployment would write against
 pybgpstream; this module provides the same element interface so the
@@ -70,7 +71,11 @@ class BGPElem:
 
 
 class _Filter:
-    """Parsed filter string."""
+    """Parsed filter string.
+
+    ``record_filter`` is the archive-side push-down equivalent, built
+    once; :meth:`match_elem` is the element-level form RIB rows need.
+    """
 
     def __init__(self, text: Optional[str]):
         self.prefix_exact: Optional[Prefix] = None
@@ -81,6 +86,14 @@ class _Filter:
         self.elem_types: set[str] = set()
         if text:
             self._parse(text)
+        self.record_filter = RecordFilter(
+            peers=frozenset(self.peers),
+            collectors=frozenset(self.collectors),
+            ipversion=self.ipversion,
+            elem_types=frozenset(self.elem_types),
+            prefix_exact=self.prefix_exact,
+            prefix_more=self.prefix_more,
+        )
 
     def _parse(self, text: str) -> None:
         for clause in text.split(" and "):
@@ -119,15 +132,7 @@ class _Filter:
                 raise FilterError(f"cannot parse clause {clause!r}") from exc
 
     def match_prefix(self, prefix: Prefix) -> bool:
-        if self.ipversion == 4 and not prefix.is_ipv4:
-            return False
-        if self.ipversion == 6 and not prefix.is_ipv6:
-            return False
-        if self.prefix_exact is not None and prefix != self.prefix_exact:
-            return False
-        if self.prefix_more is not None and not self.prefix_more.contains(prefix):
-            return False
-        return True
+        return self.record_filter.match_prefix(prefix)
 
     def match_elem(self, elem: BGPElem) -> bool:
         if self.elem_types and elem.type not in self.elem_types:
@@ -139,28 +144,14 @@ class _Filter:
         if elem.type in ("A", "W", "R"):
             return self.match_prefix(_parse_prefix(elem.fields["prefix"]))
         # State elems carry no prefix: they cannot match a prefix clause.
-        has_prefix_clause = (self.prefix_exact is not None
-                             or self.prefix_more is not None
-                             or self.ipversion is not None)
-        return not has_prefix_clause
-
-    def to_record_filter(self) -> RecordFilter:
-        """The archive-side push-down equivalent of this filter."""
-        return RecordFilter(
-            peers=frozenset(self.peers),
-            collectors=frozenset(self.collectors),
-            ipversion=self.ipversion,
-            elem_types=frozenset(self.elem_types),
-            prefix_exact=self.prefix_exact,
-            prefix_more=self.prefix_more,
-        )
+        return not self.record_filter.has_prefix_clause
 
 
 def compile_filter(text: Optional[str]) -> RecordFilter:
     """Compile a BGPStream filter string into a pushed-down
     :class:`~repro.ris.pushdown.RecordFilter` usable directly with
     :meth:`repro.ris.Archive.iter_updates`."""
-    return _Filter(text).to_record_filter()
+    return _Filter(text).record_filter
 
 
 class BGPStream:
@@ -195,21 +186,9 @@ class BGPStream:
         # Filter clauses are pushed down into the archive read path
         # (file-index skipping, NLRI prematch, record-level match), so
         # every record that comes back is already a match.
-        record_filter = self._filter.to_record_filter()
-        try:
-            records = self.archive.iter_updates(
+        for record in self.archive.iter_updates(
                 self.from_time, self.until_time, self.collectors,
-                record_filter=record_filter)
-        except TypeError:
-            # Substrate without push-down support (duck-typed archive):
-            # fall back to element-level filtering.
-            for record in self.archive.iter_updates(
-                    self.from_time, self.until_time, self.collectors):
-                elem = _record_to_elem(record)
-                if self._filter.match_elem(elem):
-                    yield elem
-            return
-        for record in records:
+                record_filter=self._filter.record_filter):
             yield _record_to_elem(record)
 
     def _iter_ribs(self) -> Iterator[BGPElem]:

@@ -18,16 +18,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.bgp.jsonio import record_from_json, record_to_json
 from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
 from repro.net.prefix import Prefix
 
 __all__ = ["PrefixState", "PeerKey", "StateReconstructor"]
-
-#: Snapshot document version (bumped on incompatible layout changes).
-SNAPSHOT_VERSION = 1
 
 #: A RIS peer router identity: (collector, peer_address).
 PeerKey = tuple[str, str]
@@ -90,58 +86,6 @@ class StateReconstructor:
         for (peer, prefix), events in self._events.items():
             if peer == key:
                 events.append(_Event(time, order, present=False, announcement=None))
-
-    # -- persistence -----------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-safe document from which :meth:`from_snapshot` rebuilds
-        an equivalent reconstructor (same answers to every query).
-
-        The checkpoint/restore path of :mod:`repro.observatory` uses this
-        so a restarted process does not re-scan the window.
-        """
-        events = []
-        for (key, prefix), items in sorted(
-                self._events.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            events.append({
-                "collector": key[0],
-                "peer_address": key[1],
-                "prefix": str(prefix),
-                "events": [
-                    {"time": e.time, "order": e.order, "present": e.present,
-                     "announcement": (record_to_json(e.announcement)
-                                      if e.announcement is not None else None)}
-                    for e in items
-                ],
-            })
-        return {
-            "version": SNAPSHOT_VERSION,
-            "peers": [[collector, address, asn]
-                      for (collector, address), asn in sorted(self._peers.items())],
-            "events": events,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict[str, Any]) -> "StateReconstructor":
-        """Rebuild a reconstructor from a :meth:`snapshot` document."""
-        if snapshot.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported StateReconstructor snapshot version: "
-                f"{snapshot.get('version')!r}")
-        instance = cls(())
-        for collector, address, asn in snapshot["peers"]:
-            instance._peers[(collector, address)] = asn
-        for entry in snapshot["events"]:
-            key = ((entry["collector"], entry["peer_address"]),
-                   Prefix(entry["prefix"]))
-            instance._events[key] = [
-                _Event(item["time"], item["order"], item["present"],
-                       (record_from_json(item["announcement"])
-                        if item["announcement"] is not None else None))
-                for item in entry["events"]
-            ]
-            instance._peers_by_prefix.setdefault(key[1], set()).add(key[0])
-        return instance
 
     # -- queries ---------------------------------------------------------
 

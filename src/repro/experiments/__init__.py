@@ -1,10 +1,5 @@
 """Experiment harness: world builders and table/figure reproducers."""
 
-from repro.experiments.archive_io import (
-    records_window,
-    synthetic_update_records,
-    write_records_archive,
-)
 from repro.experiments.campaign import CampaignRun, run_campaign
 from repro.experiments.cases import CaseStudy, build_case_study, build_paper_cases
 from repro.experiments.config import (
@@ -41,9 +36,6 @@ from repro.experiments.tables import (
 __all__ = [
     "CampaignRun",
     "run_campaign",
-    "write_records_archive",
-    "synthetic_update_records",
-    "records_window",
     "CaseStudy",
     "build_case_study",
     "build_paper_cases",

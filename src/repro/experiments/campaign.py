@@ -200,6 +200,13 @@ def _telstra_stubs() -> tuple[int, ...]:
     return (65101, 65102, 65103)
 
 
+def _feed_address(asn: int) -> str:
+    """Feed address of a named peer; a 32-bit ASN spills into a second
+    group (a single group holds four hex digits)."""
+    groups = f"{asn:x}" if asn <= 0xffff else f"{asn >> 16:x}:{asn & 0xffff:x}"
+    return f"2001:db8:{groups}::feed"
+
+
 def _build_peer_registry(topology: ASTopology, config: CampaignConfig,
                          rng: random.Random) -> PeerRegistry:
     registry = PeerRegistry()
@@ -209,9 +216,9 @@ def _build_peer_registry(topology: ASTopology, config: CampaignConfig,
     named = [(9304, "rrc10"), (17639, "rrc10"), (142271, "rrc23"),
              (61573, "rrc15")]
     for asn, collector in named:
-        registry.add(RISPeer(collector, f"2001:db8:{asn:x}::feed", asn))
+        registry.add(RISPeer(collector, _feed_address(asn), asn))
     for asn in _telstra_stubs():
-        registry.add(RISPeer("rrc03", f"2001:db8:{asn:x}::feed", asn))
+        registry.add(RISPeer("rrc03", _feed_address(asn), asn))
 
     reserved = {210312, 8298, 25091, 33891, 9304, 4637, 211509, 211380,
                 207301, 10429, 28598, 12956, TELSTRA_ROUTE_SERVER}

@@ -1,20 +1,26 @@
-"""MRT file container: gzip-compressed record streams on disk.
+"""MRT file container: compressed record streams on disk.
 
 RIPE RIS publishes updates as gzip-compressed concatenations of MRT
-records.  This module reads and writes that container and exposes record
-iteration that tolerates individually corrupted records (as real
-archives require — see the FRR ADD-PATH incident cited by the paper).
+records, RouteViews as bzip2.  This module owns that container — one
+read opener (:func:`open_mrt`) and one deterministic writer
+(:func:`create_mrt`), codec picked from the file suffix — and the
+**one** loop that decodes an updates file into records
+(:func:`read_updates_file`); every archive layout, error policy and
+filter goes through it.
 """
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import struct
 import zlib
+from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.bgp.messages import Record, record_sort_key
+from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
 from repro.mrt.bgp4mp import (
     decode_bgp4mp,
     decode_mrt_header,
@@ -22,21 +28,47 @@ from repro.mrt.bgp4mp import (
     encode_update_record,
     prematch_bgp4mp,
 )
-from repro.mrt.constants import MRT_BGP4MP, MRT_TABLE_DUMP_V2
-from repro.bgp.messages import StateRecord, UpdateRecord
+from repro.mrt.constants import MRT_BGP4MP
 from repro.mrt.resilient import DecodeStats, ErrorPolicy, ResilientReader
 
-__all__ = ["write_updates_file", "read_updates_file", "iter_raw_records",
-           "MRTDecodeError"]
+__all__ = ["open_mrt", "create_mrt", "write_updates_file", "read_updates_file",
+           "iter_raw_records", "MRTDecodeError"]
+
+#: What a malformed BGP4MP body raises out of the decoder.
+_RECORD_ERRORS = (ValueError, struct.error)
 
 
 class MRTDecodeError(ValueError):
     """A record could not be decoded (corruption, unsupported feature)."""
 
 
+def open_mrt(path: Union[str, Path]):
+    """Open an MRT container for reading.  The codec follows the suffix:
+    ``.bz2`` is bzip2 (RouteViews), anything else gzip (RIS)."""
+    opener = bz2.open if str(path).endswith(".bz2") else gzip.open
+    return opener(path, "rb")
+
+
+@contextmanager
+def create_mrt(path: Union[str, Path]):
+    """Open an MRT container for writing, codec by suffix as in
+    :func:`open_mrt`.  Gzip members carry ``mtime=0`` and an empty
+    embedded filename, so re-written files are byte-identical and
+    transport manifest checksums are stable."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if str(path).endswith(".bz2"):
+        with bz2.open(path, "wb") as handle:
+            yield handle
+    else:
+        with open(path, "wb") as raw, \
+                gzip.GzipFile(filename="", mode="wb", fileobj=raw,
+                              mtime=0) as handle:
+            yield handle
+
+
 def write_updates_file(path: Union[str, Path], records: Iterable[Record],
                        sort: bool = True) -> int:
-    """Write update/state records to a gzip MRT file; returns count.
+    """Write update/state records to an MRT file; returns count.
 
     Records are sorted into archive order (time, then peer) unless the
     caller guarantees ordering.
@@ -44,13 +76,7 @@ def write_updates_file(path: Union[str, Path], records: Iterable[Record],
     items = list(records)
     if sort:
         items.sort(key=record_sort_key)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # mtime=0 and an empty embedded filename make re-written files
-    # byte-identical, so transport manifest checksums are stable.
-    with open(path, "wb") as raw, \
-            gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                          mtime=0) as handle:
+    with create_mrt(path) as handle:
         for record in items:
             if isinstance(record, UpdateRecord):
                 handle.write(encode_update_record(record))
@@ -62,14 +88,16 @@ def write_updates_file(path: Union[str, Path], records: Iterable[Record],
 
 
 def iter_raw_records(path: Union[str, Path]) -> Iterator[tuple]:
-    """Yield ``(header, body)`` pairs from a gzip MRT file.
+    """Yield ``(header, body)`` pairs from an MRT file, strictly.
 
     Records are read *streaming* from the decompressor — header, then
     body — so a multi-megabyte archive file never has to be held in
-    memory as one contiguous buffer.
+    memory as one contiguous buffer.  Structural damage raises
+    :class:`MRTDecodeError`; :class:`~repro.mrt.resilient.ResilientReader`
+    is the source that resyncs instead.
     """
     try:
-        with gzip.open(path, "rb") as handle:
+        with open_mrt(path) as handle:
             while True:
                 head = handle.read(12)
                 if not head:
@@ -88,22 +116,32 @@ def iter_raw_records(path: Union[str, Path]) -> Iterator[tuple]:
         raise MRTDecodeError(f"{path}: {exc}") from exc
 
 
+def _ignore(header, body, exc=None) -> None:
+    """The default policy: an undecodable record is dropped silently."""
+
+
+def _fail(path, header, body, exc=None) -> None:
+    """The strict policy: an undecodable record aborts the file."""
+    reason = exc if exc is not None else (
+        f"unexpected MRT type {header.mrt_type} in updates file")
+    raise MRTDecodeError(f"{path}: {reason}") from exc
+
+
 def read_updates_file(path: Union[str, Path], collector: str,
-                      strict: bool = False,
                       record_filter=None,
                       error_policy: Optional[str] = None,
                       stats: Optional[DecodeStats] = None
                       ) -> Iterator[Record]:
-    """Decode a gzip MRT updates file into Update/State records.
+    """Decode an MRT updates file into Update/State records.
 
-    With ``strict=False`` (default), records that fail to decode are
-    skipped — the behaviour a production pipeline needs against corrupted
-    archive files.  With ``strict=True`` the error propagates.
+    ``error_policy`` (:class:`~repro.mrt.resilient.ErrorPolicy`) picks,
+    once per file, where raw records come from and what a bad one costs:
 
-    ``error_policy`` selects the full containment layer
-    (:mod:`repro.mrt.resilient`) instead of the legacy flag:
-
-    ``"strict"``      any corruption raises :class:`MRTDecodeError`
+    ``None``          (default) records that fail to decode — and
+                      non-BGP4MP records — are skipped silently; a
+                      corrupt compressed stream or torn record raises
+                      :class:`MRTDecodeError`;
+    ``"strict"``      any of the above raises :class:`MRTDecodeError`
                       with file context (fail-fast batch mode);
     ``"skip"``        bad records and garbage runs are contained via
                       header resync and counted into ``stats``;
@@ -116,62 +154,35 @@ def read_updates_file(path: Union[str, Path], collector: str,
     fields *before* path attributes are decoded, and only records for
     which ``record_filter.matches_record`` holds are yielded.
     """
-    if error_policy is not None:
-        policy = ErrorPolicy.validate(error_policy)
-        if policy != ErrorPolicy.STRICT:
-            yield from _read_updates_tolerant(Path(path), collector, policy,
-                                              record_filter, stats)
-            return
-        strict = True
-    for header, body in iter_raw_records(path):
-        if header.mrt_type != MRT_BGP4MP:
-            if strict:
-                raise MRTDecodeError(
-                    f"{path}: unexpected MRT type {header.mrt_type} in updates file")
-            continue
-        try:
-            if record_filter is not None and not prematch_bgp4mp(
-                    header, body, record_filter):
-                continue
-            records = decode_bgp4mp(header, body, collector)
-        except (ValueError, struct.error) as exc:
-            if strict:
-                raise MRTDecodeError(f"{path}: {exc}") from exc
-            continue
-        if stats is not None:
-            stats.records_decoded += 1
-        if record_filter is None:
-            yield from records
+    policy = (ErrorPolicy.validate(error_policy)
+              if error_policy is not None else None)
+    with ExitStack() as stack:
+        if policy in (ErrorPolicy.SKIP, ErrorPolicy.QUARANTINE):
+            # Containment is the point: any decode failure — struct
+            # underrun, bad marker, invalid enum, short body — and any
+            # RIB or foreign record costs exactly that record.
+            reader = stack.enter_context(
+                ResilientReader(path, policy, stats=stats))
+            raws = reader.iter_raw(stack.enter_context(open_mrt(path)))
+            stats, caught, reject = (reader.stats, Exception,
+                                     reader.quarantine_record)
         else:
-            for record in records:
-                if record_filter.matches_record(record):
-                    yield record
-
-
-def _read_updates_tolerant(path: Path, collector: str, policy: str,
-                           record_filter, stats: Optional[DecodeStats]
-                           ) -> Iterator[Record]:
-    """The ``skip``/``quarantine`` decode path: every per-record failure
-    is contained, counted, and (under ``quarantine``) preserved."""
-    with ResilientReader(path, policy, stats=stats) as reader:
-        for offset, header, body in reader.iter_raw():
+            raws, caught = iter_raw_records(path), _RECORD_ERRORS
+            reject = _ignore if policy is None else partial(_fail, path)
+        for header, body in raws:
             if header.mrt_type != MRT_BGP4MP:
-                # A RIB or foreign record inside an updates file is
-                # poison for this stream: contain it like any other.
-                reader.quarantine_record(offset, header, body)
+                reject(header, body)
                 continue
             try:
                 if record_filter is not None and not prematch_bgp4mp(
                         header, body, record_filter):
                     continue
                 records = decode_bgp4mp(header, body, collector)
-            except Exception:
-                # Containment is the point: any decode failure — struct
-                # underrun, bad marker, invalid enum, short body — costs
-                # exactly this record.
-                reader.quarantine_record(offset, header, body)
+            except caught as exc:
+                reject(header, body, exc)
                 continue
-            reader.stats.records_decoded += 1
+            if stats is not None:
+                stats.records_decoded += 1
             if record_filter is None:
                 yield from records
             else:

@@ -19,11 +19,14 @@ scan.  This module provides the containment layer:
   bytes skipped/quarantined, resyncs, compressed-stream errors) that
   travel across process-pool workers and surface in ``/metrics``.
 
-* :class:`ResilientReader` — a streaming raw-record iterator with
-  **header resync**: after garbage or a torn record it scans forward for
-  the next plausible MRT common header (known type/subtype pair, sane
-  timestamp, bounded length) and resumes there, so one flipped byte
-  costs one record, not the rest of the file.
+* :class:`ResilientReader` — the raw-record source that
+  :func:`repro.mrt.files.read_updates_file` (the one decode loop) runs
+  on under ``skip``/``quarantine``, in place of the strict
+  :func:`~repro.mrt.files.iter_raw_records`.  It has **header resync**:
+  after garbage or a torn record it scans forward for the next
+  plausible MRT common header (known type/subtype pair, sane timestamp,
+  bounded length) and resumes there, so one flipped byte costs one
+  record, not the rest of the file.
 
 * :class:`QuarantineWriter` / :func:`read_quarantine` — the sidecar
   format: a small framed binary file of ``(stream_offset, raw bytes)``
@@ -32,12 +35,11 @@ scan.  This module provides the containment layer:
 
 from __future__ import annotations
 
-import gzip
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro.mrt.bgp4mp import MRTRecordHeader, decode_mrt_header
 from repro.mrt.constants import (
@@ -239,12 +241,12 @@ def plausible_header(buffer, offset: int = 0) -> bool:
 class ResilientReader:
     """Streaming raw-record reader with per-record error containment.
 
-    Yields ``(stream_offset, header, body)`` like the strict iterator,
-    but never raises for corrupt input under ``skip``/``quarantine``:
-    implausible headers and torn records trigger a forward scan for the
-    next plausible header, the skipped run is counted (and quarantined
-    under ``quarantine``), and a corrupted *compressed* stream simply
-    ends the file at the last decodable byte.
+    Yields ``(header, body)`` like the strict iterator
+    (:func:`repro.mrt.files.iter_raw_records`), but never raises for
+    corrupt input: implausible headers and torn records trigger a
+    forward scan for the next plausible header, the skipped run is
+    counted (and quarantined under ``quarantine``), and a corrupted
+    *compressed* stream simply ends the file at the last decodable byte.
 
     The caller reports its own decode failures back through
     :meth:`quarantine_record`, so record-level poison (bad BGP marker,
@@ -261,14 +263,16 @@ class ResilientReader:
         self.policy = ErrorPolicy.validate(policy)
         if self.policy == ErrorPolicy.STRICT:
             raise ValueError(
-                "ResilientReader is the tolerant path; use "
-                "iter_raw_records for strict decoding")
+                "ResilientReader is the tolerant raw-record source; "
+                "read_updates_file pairs the strict policy with "
+                "iter_raw_records")
         self.stats = stats if stats is not None else DecodeStats()
         self._writer: Optional[QuarantineWriter] = None
         if self.policy == ErrorPolicy.QUARANTINE:
             self._writer = QuarantineWriter(
                 sidecar if sidecar is not None else quarantine_path(self.path))
         self._had_errors = False
+        self._offset = 0  # decompressed-stream offset of the last record
 
     # -- sidecar -----------------------------------------------------------
 
@@ -278,14 +282,15 @@ class ResilientReader:
             self._writer.add(offset, raw)
             self.stats.bytes_quarantined += len(raw)
 
-    def quarantine_record(self, offset: int, header: MRTRecordHeader,
-                          body: bytes) -> None:
-        """The caller failed to decode this record: count it and (under
-        ``quarantine``) preserve its raw bytes."""
+    def quarantine_record(self, header: MRTRecordHeader, body: bytes,
+                          exc: Optional[Exception] = None) -> None:
+        """The caller failed to decode the record :meth:`iter_raw` just
+        yielded (``exc`` is what its decoder raised, if anything): count
+        it and (under ``quarantine``) preserve its raw bytes."""
         self.stats.records_skipped += 1
         raw = _MRT_HDR.pack(header.timestamp, header.mrt_type,
                             header.subtype, header.length) + body
-        self._quarantine_bytes(offset, raw)
+        self._quarantine_bytes(self._offset, raw)
 
     def close(self) -> None:
         if self._writer is not None:
@@ -305,63 +310,65 @@ class ResilientReader:
 
     # -- iteration ---------------------------------------------------------
 
-    def iter_raw(self) -> Iterator[Tuple[int, MRTRecordHeader, bytes]]:
-        with gzip.open(self.path, "rb") as handle:
-            buffer = bytearray()
-            base = 0  # decompressed-stream offset of buffer[0]
-            eof = False
+    def iter_raw(self, handle: BinaryIO
+                 ) -> Iterator[Tuple[MRTRecordHeader, bytes]]:
+        """Records of the decompressed stream ``handle`` (the container
+        is opened by the caller, :func:`repro.mrt.files.open_mrt`)."""
+        buffer = bytearray()
+        base = 0  # decompressed-stream offset of buffer[0]
+        eof = False
 
-            def fill(target: int) -> None:
-                nonlocal eof
-                while not eof and len(buffer) < target:
-                    try:
-                        chunk = handle.read(_CHUNK)
-                    except _STREAM_ERRORS:
-                        # Corrupted compressed stream: whatever already
-                        # decompressed is all this file will yield.
-                        self.stats.stream_errors += 1
-                        self._had_errors = True
-                        eof = True
-                        return
-                    if not chunk:
-                        eof = True
-                    else:
-                        buffer.extend(chunk)
-
-            def discard(count: int) -> None:
-                """Drop ``count`` leading bytes as a skipped run."""
-                nonlocal base
-                self.stats.bytes_skipped += count
-                self._quarantine_bytes(base, bytes(buffer[:count]))
-                del buffer[:count]
-                base += count
-
-            while True:
-                fill(12)
-                if not buffer:
+        def fill(target: int) -> None:
+            nonlocal eof
+            while not eof and len(buffer) < target:
+                try:
+                    chunk = handle.read(_CHUNK)
+                except _STREAM_ERRORS:
+                    # Corrupted compressed stream: whatever already
+                    # decompressed is all this file will yield.
+                    self.stats.stream_errors += 1
+                    self._had_errors = True
+                    eof = True
                     return
-                if plausible_header(buffer):
-                    header = decode_mrt_header(bytes(buffer[:12]))
-                    fill(12 + header.length)
-                    if len(buffer) >= 12 + header.length:
-                        body = bytes(buffer[12:12 + header.length])
-                        offset = base
-                        del buffer[:12 + header.length]
-                        base = offset + 12 + header.length
-                        yield offset, header, body
-                        continue
-                    # Torn record (or a corrupted length field that ran
-                    # past EOF): fall through to resync, which scans the
-                    # remainder for any later record boundary.
-                # Resync: scan forward for the next plausible header.
-                self.stats.resyncs += 1
-                position = 1
-                while True:
-                    fill(position + 12)
-                    if len(buffer) < position + 12:
-                        discard(len(buffer))
-                        return
-                    if plausible_header(buffer, position):
-                        discard(position)
-                        break
-                    position += 1
+                if not chunk:
+                    eof = True
+                else:
+                    buffer.extend(chunk)
+
+        def discard(count: int) -> None:
+            """Drop ``count`` leading bytes as a skipped run."""
+            nonlocal base
+            self.stats.bytes_skipped += count
+            self._quarantine_bytes(base, bytes(buffer[:count]))
+            del buffer[:count]
+            base += count
+
+        while True:
+            fill(12)
+            if not buffer:
+                return
+            if plausible_header(buffer):
+                header = decode_mrt_header(bytes(buffer[:12]))
+                fill(12 + header.length)
+                if len(buffer) >= 12 + header.length:
+                    body = bytes(buffer[12:12 + header.length])
+                    self._offset = base
+                    del buffer[:12 + header.length]
+                    base += 12 + header.length
+                    yield header, body
+                    continue
+                # Torn record (or a corrupted length field that ran
+                # past EOF): fall through to resync, which scans the
+                # remainder for any later record boundary.
+            # Resync: scan forward for the next plausible header.
+            self.stats.resyncs += 1
+            position = 1
+            while True:
+                fill(position + 12)
+                if len(buffer) < position + 12:
+                    discard(len(buffer))
+                    return
+                if plausible_header(buffer, position):
+                    discard(position)
+                    break
+                position += 1

@@ -61,6 +61,9 @@ from repro.observatory.server import (
     CACHE_CONTROL,
     ObservatoryApp,
     _BadRequest,
+    _int_param,
+    _limit_param,
+    _str_param,
     forensics_outbreak_id,
 )
 from repro.observatory.views import CursorError, pair_cursor, seq_cursor
@@ -133,7 +136,7 @@ class CircuitBreaker:
 #: Listing endpoint -> (body key, row sort key, next_cursor formatter,
 #: local param validator replicating the monolithic validation order).
 def _validate_outbreaks(params: dict) -> None:
-    cursor = _param(params, "cursor")
+    cursor = _str_param(params, "cursor")
     if cursor is not None:
         seq_cursor(cursor)
     _int_param(params, "since")
@@ -147,7 +150,7 @@ def _validate_zombies(params: dict) -> None:
 def _validate_resurrections(params: dict) -> None:
     _int_param(params, "since")
     _int_param(params, "until")
-    cursor = _param(params, "cursor")
+    cursor = _str_param(params, "cursor")
     if cursor is not None:
         pair_cursor(cursor)
 
@@ -172,28 +175,6 @@ LISTINGS: dict[str, dict[str, Any]] = {
         "validate": _validate_resurrections,
     },
 }
-
-
-def _param(params: dict, name: str) -> Optional[str]:
-    values = params.get(name)
-    return values[0] if values else None
-
-
-def _int_param(params: dict, name: str) -> Optional[int]:
-    values = params.get(name)
-    if not values:
-        return None
-    try:
-        return int(values[0])
-    except ValueError:
-        raise _BadRequest(f"parameter {name!r} must be an integer")
-
-
-def _limit_param(params: dict) -> Optional[int]:
-    limit = _int_param(params, "limit")
-    if limit is not None and limit <= 0:
-        raise _BadRequest("parameter 'limit' must be a positive integer")
-    return limit
 
 
 class FederatedObservatoryServer(AsyncHTTPTransport):
@@ -491,7 +472,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         spec = LISTINGS[path]
         limit = _limit_param(params)
         spec["validate"](params)
-        cursor = _param(params, "cursor")
+        cursor = _str_param(params, "cursor")
         canon = self._canon(path, params)
         target = self._target(path, params)
         entry = self._cache.get(canon)

@@ -1,15 +1,17 @@
-"""On-disk RIS raw-data archive with the real RIPE layout.
+"""On-disk raw-data archive: one implementation, two declared layouts.
 
-Files live at::
+A :class:`Layout` states where a collector platform keeps its files; the
+RIS one (:data:`RIS_LAYOUT`, the default) is the real RIPE layout::
 
     <root>/<collector>/<YYYY.MM>/updates.<YYYYMMDD>.<HHMM>.gz   (5-minute bins)
     <root>/<collector>/<YYYY.MM>/bview.<YYYYMMDD>.<HHMM>.gz     (8-hourly RIBs)
 
+and :mod:`repro.routeviews` declares the RouteViews one.
 :class:`ArchiveWriter` bins a record stream into update files and writes
 RIB snapshots; :class:`Archive` resolves time windows back to files and
 iterates decoded records, merging collectors in time order — exactly the
 access pattern the zombie pipeline (and pybgpstream) uses against the
-real archive.
+real archives.  Neither class knows which platform it is serving.
 
 The read path is built for throughput:
 
@@ -30,15 +32,15 @@ The read path is built for throughput:
 
 from __future__ import annotations
 
-import gzip
-import heapq
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
-from repro.bgp.messages import Record, record_sort_key
-from repro.mrt.files import read_updates_file, write_updates_file
+from repro.bgp.messages import Record, merge_records, record_sort_key
+from repro.mrt.files import (create_mrt, open_mrt, read_updates_file,
+                             write_updates_file)
 from repro.mrt.resilient import DecodeStats, ErrorPolicy
 from repro.mrt.tabledump import RibDump, decode_rib_dump, encode_rib_dump
 from repro.ris.cache import DecodedFileCache
@@ -57,14 +59,21 @@ RIB_DUMP_SECONDS = 8 * 3600
 DEFAULT_CACHE_FILES = 32
 
 
-def _month_dir(timestamp: int) -> str:
-    dt = to_datetime(timestamp)
-    return f"{dt.year:04d}.{dt.month:02d}"
+class Layout(NamedTuple):
+    """Where one collector platform keeps its files, relative to the
+    archive root.  The templates take ``{collector}``, ``{month}``
+    (``YYYY.MM``) and ``{stamp}`` (``YYYYMMDD.HHMM``); the file suffix
+    selects the compression (:mod:`repro.mrt.files`)."""
+
+    bin_seconds: int  #: time span of one updates file
+    collectors: str   #: pattern whose first path component is a collector
+    updates: str      #: updates-file template
+    ribs: str         #: RIB-snapshot template
 
 
-def _file_stamp(timestamp: int) -> str:
-    dt = to_datetime(timestamp)
-    return f"{dt:%Y%m%d}.{dt:%H%M}"
+RIS_LAYOUT = Layout(UPDATE_BIN_SECONDS, "rrc*",
+                    "{collector}/{month}/updates.{stamp}.gz",
+                    "{collector}/{month}/bview.{stamp}.gz")
 
 
 def _parse_file_stamp(name: str) -> int:
@@ -90,11 +99,13 @@ def _warn_foreign_file(path: Path) -> None:
 class ArchiveWriter:
     """Write records and RIB dumps into an archive directory."""
 
+    layout = RIS_LAYOUT
+
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
 
     def write_updates(self, collector: str, records: Iterable[Record]) -> list[Path]:
-        """Bin records into 5-minute update files; returns paths written.
+        """Bin records into update files; returns paths written.
 
         Records for bins that already exist on disk are merged with the
         existing content (needed when a simulation writes incrementally).
@@ -105,7 +116,7 @@ class ArchiveWriter:
             if record.collector != collector:
                 raise ValueError(
                     f"record for {record.collector} routed to {collector} writer")
-            bin_start = align_down(record.timestamp, UPDATE_BIN_SECONDS)
+            bin_start = align_down(record.timestamp, self.layout.bin_seconds)
             bins.setdefault(bin_start, []).append(record)
 
         written = []
@@ -121,25 +132,23 @@ class ArchiveWriter:
         return written
 
     def write_rib(self, dump: RibDump) -> Path:
-        """Write one bview snapshot."""
+        """Write one RIB snapshot."""
         path = self.rib_path(dump.collector, dump.timestamp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # mtime=0 + empty embedded filename: byte-identical re-writes,
-        # stable transport manifest checksums.
-        with open(path, "wb") as raw, \
-                gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                              mtime=0) as handle:
+        with create_mrt(path) as handle:
             handle.write(encode_rib_dump(dump))
         write_index(path, (), index=build_rib_index(dump))
         return path
 
     def update_path(self, collector: str, bin_start: int) -> Path:
-        return (self.root / collector / _month_dir(bin_start)
-                / f"updates.{_file_stamp(bin_start)}.gz")
+        return self._path(self.layout.updates, collector, bin_start)
 
     def rib_path(self, collector: str, timestamp: int) -> Path:
-        return (self.root / collector / _month_dir(timestamp)
-                / f"bview.{_file_stamp(timestamp)}.gz")
+        return self._path(self.layout.ribs, collector, timestamp)
+
+    def _path(self, template: str, collector: str, timestamp: int) -> Path:
+        dt = to_datetime(timestamp)
+        return self.root / template.format(
+            collector=collector, month=f"{dt:%Y.%m}", stamp=f"{dt:%Y%m%d.%H%M}")
 
 
 class Archive:
@@ -160,6 +169,8 @@ class Archive:
     applied identically on the serial and process-pool paths.
     """
 
+    layout = RIS_LAYOUT
+
     def __init__(self, root: Union[str, Path], workers: int = 1,
                  cache_size: int = DEFAULT_CACHE_FILES,
                  on_foreign_file: Optional[Callable[[Path], None]] = None,
@@ -178,26 +189,24 @@ class Archive:
 
     def collectors(self) -> list[str]:
         """Collector directories present in the archive."""
-        return sorted(p.name for p in self.root.iterdir()
-                      if p.is_dir() and p.name.startswith("rrc"))
+        return sorted({p.relative_to(self.root).parts[0]
+                       for p in self.root.glob(self.layout.collectors)
+                       if p.is_dir()})
 
-    def _files(self, collector: str, kind: str, start: int, end: int) -> list[Path]:
-        """Archive files of ``kind`` whose file stamp falls in [start, end)."""
-        base = self.root / collector
-        if not base.exists():
-            return []
+    def _files(self, template: str, collector: str, start: int,
+               end: int) -> list[Path]:
+        """Files of ``collector`` matching the layout ``template`` whose
+        file stamp falls in [start, end), in (month, stamp) order."""
         out = []
-        for month_dir in sorted(base.iterdir()):
-            if not month_dir.is_dir():
+        for path in sorted(self.root.glob(template.format(
+                collector=collector, month="*", stamp="*"))):
+            try:
+                stamp = _parse_file_stamp(path.name)
+            except ValueError:
+                self.on_foreign_file(path)
                 continue
-            for path in sorted(month_dir.glob(f"{kind}.*.gz")):
-                try:
-                    stamp = _parse_file_stamp(path.name)
-                except ValueError:
-                    self.on_foreign_file(path)
-                    continue
-                if start <= stamp < end:
-                    out.append(path)
+            if start <= stamp < end:
+                out.append(path)
         return out
 
     def update_files(self, collector: str, start: int, end: int) -> list[Path]:
@@ -206,11 +215,11 @@ class Archive:
         The file containing ``start`` is included even though its stamp
         may precede ``start`` (records are filtered at iteration time).
         """
-        window_start = align_down(start, UPDATE_BIN_SECONDS)
-        return self._files(collector, "updates", window_start, end)
+        window_start = align_down(start, self.layout.bin_seconds)
+        return self._files(self.layout.updates, collector, window_start, end)
 
     def rib_files(self, collector: str, start: int, end: int) -> list[Path]:
-        return self._files(collector, "bview", start, end)
+        return self._files(self.layout.ribs, collector, start, end)
 
     def _file_may_match(self, path: Path, start: int, end: int,
                         record_filter: Optional[RecordFilter]) -> bool:
@@ -319,8 +328,7 @@ class Archive:
             for path in paths:
                 yield from self._decoded(path, collector, record_filter)
 
-        streams = [stream(c, paths) for c, paths in plan]
-        yield from heapq.merge(*streams, key=record_sort_key)
+        return merge_records(stream(c, paths) for c, paths in plan)
 
     def _iter_parallel(self, plan: Sequence[tuple[str, Sequence[Path]]],
                        record_filter: Optional[RecordFilter]
@@ -342,5 +350,5 @@ class Archive:
             for path in self.rib_files(collector, start, end):
                 stamped.append((_parse_file_stamp(path.name), path))
         for _, path in sorted(stamped, key=lambda item: (item[0], str(item[1]))):
-            with gzip.open(path, "rb") as handle:
+            with open_mrt(path) as handle:
                 yield decode_rib_dump(handle.read())

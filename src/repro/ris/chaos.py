@@ -31,7 +31,6 @@ resync cost deterministic.
 
 from __future__ import annotations
 
-import gzip
 import random
 import shutil
 import struct
@@ -45,7 +44,7 @@ from repro.mrt.constants import (
     BGP4MP_STATE_CHANGE,
     BGP4MP_STATE_CHANGE_AS4,
 )
-from repro.mrt.files import iter_raw_records
+from repro.mrt.files import create_mrt, iter_raw_records
 from repro.net.prefix import AFI_IPV4
 from repro.ris.index import index_path
 
@@ -105,12 +104,10 @@ def _poison_record(header: MRTRecordHeader, body: bytes) -> bytes:
 
 
 def _rewrite(path: Path, payload: bytes) -> None:
-    """Publish the corrupted decompressed stream (deterministic gzip
-    bytes, same convention as the archive writer) and drop the sidecar
-    index, which no longer describes the file."""
-    with open(path, "wb") as raw, \
-            gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                          mtime=0) as handle:
+    """Publish the corrupted decompressed stream (deterministic bytes,
+    through the archive writer's own container helper) and drop the
+    sidecar index, which no longer describes the file."""
+    with create_mrt(path) as handle:
         handle.write(payload)
     sidecar = index_path(path)
     if sidecar.exists():

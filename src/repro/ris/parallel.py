@@ -2,7 +2,7 @@
 
 MRT decode is pure-python CPU work, so multi-file windows are decoded
 with a :class:`~concurrent.futures.ProcessPoolExecutor`: each worker
-gzip-decompresses and decodes one file (with filter push-down applied
+decompresses and decodes one file (with filter push-down applied
 in the worker, so non-matching records never cross the process
 boundary), and the parent merges the per-collector streams with the
 same ``(time, collector, peer)`` heap-merge as the sequential path —
@@ -23,14 +23,13 @@ DecodeStats` back to the parent for aggregation.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from repro.bgp.messages import Record, record_sort_key
+from repro.bgp.messages import Record, merge_records
 from repro.mrt.files import MRTDecodeError, read_updates_file
 from repro.mrt.resilient import DecodeStats
 from repro.ris.cache import DecodedFileCache
@@ -133,7 +132,7 @@ def iter_plan_parallel(pool: Executor,
                        ) -> Iterator[Record]:
     """Decode a ``[(collector, paths), ...]`` plan on ``pool`` and merge
     the collector streams in global ``(time, collector, peer)`` order."""
-    streams = [_collector_stream(pool, collector, paths, record_filter,
-                                 cache, error_policy, stats)
-               for collector, paths in plan]
-    yield from heapq.merge(*streams, key=record_sort_key)
+    return merge_records(
+        _collector_stream(pool, collector, paths, record_filter, cache,
+                          error_policy, stats)
+        for collector, paths in plan)

@@ -32,7 +32,8 @@ class RecordFilter:
 
     ``elem_types`` uses the stream element letters (``"A"``/``"W"``);
     state records never carry one, so any ``type`` clause excludes them —
-    exactly as ``_Filter.match_elem`` behaves on ``"S"`` elements.
+    exactly as the element-level oracle
+    (``repro.bgpstream.stream._Filter.match_elem``) treats ``"S"`` elements.
     """
 
     peers: frozenset = frozenset()

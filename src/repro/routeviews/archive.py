@@ -2,36 +2,28 @@
 
 The paper excludes RouteViews "due to limited resources,
 acknowledging the potential omission of zombie routes", and lists
-combining RIS with RouteViews as future work.  This module implements
-the RouteViews side so that combination is possible:
+combining RIS with RouteViews as future work.  This module makes that
+combination possible with layout facts alone — all listing, binning,
+merging, indexing and decoding is :mod:`repro.ris.archive`'s:
 
 * the real on-disk layout differs from RIS:
   ``<root>/<collector>/bgpdata/<YYYY.MM>/UPDATES/updates.<YYYYMMDD>.<HHMM>.bz2``
   with 15-minute bins, and ``RIBS/rib.<YYYYMMDD>.<HHMM>.bz2`` every two
   hours (same MRT payloads, bzip2 instead of gzip);
-* :class:`RouteViewsArchive` mirrors :class:`repro.ris.Archive`'s API, and
+* :class:`RouteViewsWriter` / :class:`RouteViewsArchive` are
+  :class:`repro.ris.ArchiveWriter` / :class:`repro.ris.Archive` reading
+  that layout, so sidecar indexes, filter push-down, the decoded-file
+  cache and error policies apply unchanged, and
 * :func:`merged_update_stream` interleaves records from both platforms
-  in global time order — the detector runs over the union unchanged.
+  in one time-ordered stream — the detector runs over the union unchanged.
 """
 
 from __future__ import annotations
 
-import bz2
-import heapq
-import struct
-from datetime import datetime, timezone
-from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional
 
-from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
-from repro.mrt.bgp4mp import (
-    decode_bgp4mp,
-    decode_mrt_header,
-    encode_state_record,
-    encode_update_record,
-)
-from repro.mrt.constants import MRT_BGP4MP
-from repro.utils.timeutil import align_down, to_datetime
+from repro.bgp.messages import Record, merge_records
+from repro.ris.archive import Archive, ArchiveWriter, Layout
 
 __all__ = ["RouteViewsArchive", "RouteViewsWriter", "merged_update_stream",
            "UPDATE_BIN_SECONDS", "RIB_DUMP_SECONDS", "DEFAULT_COLLECTORS"]
@@ -45,136 +37,32 @@ DEFAULT_COLLECTORS: tuple[str, ...] = (
     "route-views.amsix", "route-views.linx", "route-views.sydney",
 )
 
-
-def _month_dir(timestamp: int) -> str:
-    dt = to_datetime(timestamp)
-    return f"{dt.year:04d}.{dt.month:02d}"
-
-
-def _stamp(timestamp: int) -> str:
-    dt = to_datetime(timestamp)
-    return f"{dt:%Y%m%d}.{dt:%H%M}"
+#: A collector is any directory holding ``bgpdata``.
+ROUTEVIEWS_LAYOUT = Layout(
+    UPDATE_BIN_SECONDS, "*/bgpdata",
+    "{collector}/bgpdata/{month}/UPDATES/updates.{stamp}.bz2",
+    "{collector}/bgpdata/{month}/RIBS/rib.{stamp}.bz2")
 
 
-def _parse_stamp(name: str) -> int:
-    parts = name.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not an archive file name: {name!r}")
-    dt = datetime.strptime(parts[1] + parts[2], "%Y%m%d%H%M")
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+class RouteViewsWriter(ArchiveWriter):
+    """Write records and RIB dumps into a RouteViews-layout archive."""
+
+    layout = ROUTEVIEWS_LAYOUT
 
 
-class RouteViewsWriter:
-    """Write update records into a RouteViews-layout archive."""
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def update_path(self, collector: str, bin_start: int) -> Path:
-        return (self.root / collector / "bgpdata" / _month_dir(bin_start)
-                / "UPDATES" / f"updates.{_stamp(bin_start)}.bz2")
-
-    def write_updates(self, collector: str,
-                      records: Iterable[Record]) -> list[Path]:
-        """Bin into 15-minute bzip2 files; returns paths written."""
-        bins: dict[int, list[Record]] = {}
-        for record in records:
-            if record.collector != collector:
-                raise ValueError(
-                    f"record for {record.collector} given to {collector} writer")
-            bin_start = align_down(record.timestamp, UPDATE_BIN_SECONDS)
-            bins.setdefault(bin_start, []).append(record)
-        written = []
-        for bin_start, items in sorted(bins.items()):
-            items.sort(key=record_sort_key)
-            path = self.update_path(collector, bin_start)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with bz2.open(path, "wb") as handle:
-                for record in items:
-                    if isinstance(record, UpdateRecord):
-                        handle.write(encode_update_record(record))
-                    elif isinstance(record, StateRecord):
-                        handle.write(encode_state_record(record))
-                    else:
-                        raise TypeError(type(record).__name__)
-            written.append(path)
-        return written
-
-
-class RouteViewsArchive:
+class RouteViewsArchive(Archive):
     """Read-side of a RouteViews-layout archive."""
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        if not self.root.exists():
-            raise FileNotFoundError(f"archive root does not exist: {self.root}")
-
-    def collectors(self) -> list[str]:
-        return sorted(p.name for p in self.root.iterdir()
-                      if p.is_dir() and (p / "bgpdata").exists())
-
-    def update_files(self, collector: str, start: int, end: int) -> list[Path]:
-        base = self.root / collector / "bgpdata"
-        if not base.exists():
-            return []
-        window_start = align_down(start, UPDATE_BIN_SECONDS)
-        out = []
-        for month_dir in sorted(base.iterdir()):
-            updates_dir = month_dir / "UPDATES"
-            if not updates_dir.is_dir():
-                continue
-            for path in sorted(updates_dir.glob("updates.*.bz2")):
-                try:
-                    stamp = _parse_stamp(path.name)
-                except ValueError:
-                    continue  # foreign file in UPDATES directory
-                if window_start <= stamp < end:
-                    out.append(path)
-        return out
-
-    def iter_updates(self, start: int, end: int,
-                     collectors: Optional[Sequence[str]] = None
-                     ) -> Iterator[Record]:
-        collectors = list(collectors) if collectors is not None \
-            else self.collectors()
-
-        def stream(collector: str) -> Iterator[Record]:
-            for path in self.update_files(collector, start, end):
-                yield from _read_bz2_updates(path, collector, start, end)
-
-        yield from heapq.merge(*(stream(c) for c in collectors),
-                               key=record_sort_key)
-
-
-def _read_bz2_updates(path: Path, collector: str, start: int,
-                      end: int) -> Iterator[Record]:
-    with bz2.open(path, "rb") as handle:
-        data = handle.read()
-    offset = 0
-    while offset < len(data):
-        header = decode_mrt_header(data, offset)
-        body = data[offset + 12:offset + 12 + header.length]
-        offset += 12 + header.length
-        if header.mrt_type != MRT_BGP4MP:
-            continue
-        try:
-            records = decode_bgp4mp(header, body, collector)
-        except (ValueError, struct.error):
-            continue  # tolerate corrupted records, as with RIS
-        for record in records:
-            if start <= record.timestamp < end:
-                yield record
+    layout = ROUTEVIEWS_LAYOUT
 
 
 def merged_update_stream(start: int, end: int,
-                         ris_archive=None,
-                         routeviews_archive: Optional[RouteViewsArchive] = None,
+                         ris_archive: Optional[Archive] = None,
+                         routeviews_archive: Optional[Archive] = None,
                          ) -> Iterator[Record]:
-    """Interleave RIS and RouteViews records in global time order —
+    """Interleave RIS and RouteViews records in overall time order —
     the §6 "combined platforms" detector input."""
-    streams = []
-    if ris_archive is not None:
-        streams.append(ris_archive.iter_updates(start, end))
-    if routeviews_archive is not None:
-        streams.append(routeviews_archive.iter_updates(start, end))
-    yield from heapq.merge(*streams, key=record_sort_key)
+    return merge_records(
+        archive.iter_updates(start, end)
+        for archive in (ris_archive, routeviews_archive)
+        if archive is not None)

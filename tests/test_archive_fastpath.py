@@ -1,9 +1,7 @@
 """Tests for the high-throughput archive read path: sidecar indexes,
 filter push-down, parallel decode equivalence and the decoded-file
-cache."""
-
-import gzip
-import json
+cache — held to the same oracle in both on-disk layouts (the
+``*RouteViews`` classes at the bottom rerun the RIS cases unchanged)."""
 
 import pytest
 
@@ -18,6 +16,7 @@ from repro.bgp import (
 )
 from repro.bgpstream import BGPStream, compile_filter
 from repro.mrt import iter_update_prefixes, iter_raw_records
+from repro.mrt.files import create_mrt
 from repro.net import Prefix
 from repro.ris import (
     Archive,
@@ -28,6 +27,7 @@ from repro.ris import (
     load_index,
     reindex_archive,
 )
+from repro.routeviews import RouteViewsArchive, RouteViewsWriter
 from repro.utils.timeutil import ts
 
 BASE = ts(2024, 6, 4, 12, 0)
@@ -41,12 +41,9 @@ def attrs4(*asns):
     return PathAttributes(as_path=ASPath.of(*asns), next_hop="192.0.2.1")
 
 
-@pytest.fixture(scope="module")
-def populated_root(tmp_path_factory):
+def populate(writer):
     """Three collectors, mixed v4/v6 announcements, withdrawals and
-    state changes spread over several 5-minute bins."""
-    root = tmp_path_factory.mktemp("fastpath")
-    writer = ArchiveWriter(root)
+    state changes spread over several update bins."""
     for c_index, collector in enumerate(("rrc00", "rrc01", "rrc02")):
         records = []
         for i in range(40):
@@ -67,7 +64,34 @@ def populated_root(tmp_path_factory):
                     t + 3, collector, "2001:db8::2", 25091,
                     PeerState.ESTABLISHED, PeerState.IDLE))
         writer.write_updates(collector, records)
-    return root
+    return writer.root
+
+
+@pytest.fixture(scope="module")
+def populated_roots(tmp_path_factory):
+    """The same record set written once per layout, keyed by the
+    archive class that reads it back."""
+    return {
+        Archive: populate(ArchiveWriter(tmp_path_factory.mktemp("ris"))),
+        RouteViewsArchive: populate(
+            RouteViewsWriter(tmp_path_factory.mktemp("routeviews"))),
+    }
+
+
+@pytest.fixture()
+def populated_root(populated_roots):
+    return populated_roots[Archive]
+
+
+class RisLayout:
+    """The layout a test class runs against; its ``*RouteViews``
+    subclass swaps the two classes and inherits every case."""
+
+    writer_cls, archive_cls = ArchiveWriter, Archive
+
+    @pytest.fixture()
+    def populated_root(self, populated_roots):
+        return populated_roots[self.archive_cls]
 
 
 WINDOW = (BASE, BASE + 3600)
@@ -85,40 +109,41 @@ FILTERS = [
 ]
 
 
-class TestParallelEquivalence:
+class TestParallelEquivalence(RisLayout):
     def test_parallel_sequence_identical(self, populated_root):
-        sequential = Archive(populated_root, workers=1, cache_size=0)
-        parallel = Archive(populated_root, workers=3, cache_size=0)
+        sequential = self.archive_cls(populated_root, workers=1, cache_size=0)
+        parallel = self.archive_cls(populated_root, workers=3, cache_size=0)
         expected = list(sequential.iter_updates(*WINDOW))
         assert expected  # the fixture produced a non-trivial window
         assert list(parallel.iter_updates(*WINDOW)) == expected
 
     @pytest.mark.parametrize("filter_text", FILTERS)
     def test_pushdown_equals_post_filtering(self, populated_root, filter_text):
-        archive = Archive(populated_root, workers=1, cache_size=0)
+        archive = self.archive_cls(populated_root, workers=1, cache_size=0)
         full = list(archive.iter_updates(*WINDOW))
         record_filter = compile_filter(filter_text)
         expected = [r for r in full if record_filter.matches_record(r)]
         pushed = list(archive.iter_updates(*WINDOW, record_filter=record_filter))
         assert pushed == expected
-        parallel = Archive(populated_root, workers=3, cache_size=0)
+        parallel = self.archive_cls(populated_root, workers=3, cache_size=0)
         assert list(parallel.iter_updates(
             *WINDOW, record_filter=record_filter)) == expected
 
     def test_facade_pushdown_matches_element_filtering(self, populated_root):
         for filter_text in FILTERS[1:]:
-            elems = list(BGPStream(str(populated_root), *WINDOW,
-                                   filter=filter_text))
-            archive = Archive(populated_root, cache_size=0)
+            archive = self.archive_cls(populated_root, cache_size=0)
+            elems = list(BGPStream(archive, *WINDOW, filter=filter_text))
             stream = BGPStream(archive, *WINDOW)
             baseline = [e for e in stream
                         if stream._filter.__class__(filter_text).match_elem(e)]
             assert elems == baseline
 
 
-class TestFileIndex:
+class TestFileIndex(RisLayout):
     def test_writer_emits_sidecars(self, populated_root):
-        files = sorted(populated_root.rglob("updates.*.gz"))
+        archive = self.archive_cls(populated_root)
+        files = [path for collector in archive.collectors()
+                 for path in archive.update_files(collector, *WINDOW)]
         assert files
         for path in files:
             index = load_index(path)
@@ -127,7 +152,7 @@ class TestFileIndex:
             assert index.min_timestamp <= index.max_timestamp
 
     def test_index_contents_match_decode(self, populated_root):
-        archive = Archive(populated_root, cache_size=0)
+        archive = self.archive_cls(populated_root, cache_size=0)
         path = archive.update_files("rrc00", *WINDOW)[0]
         from repro.mrt.files import read_updates_file
 
@@ -139,26 +164,28 @@ class TestFileIndex:
         assert index.afis == {1, 2}
 
     def test_stale_sidecar_is_ignored(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
+        writer = self.writer_cls(tmp_path)
         record = UpdateRecord(BASE, "rrc00", "::1", 1,
                               Withdrawal(Prefix("2001:db8::/32")))
         (path,) = writer.write_updates("rrc00", [record])
         assert load_index(path) is not None
         # A foreign writer rewrites the data file without the sidecar.
-        with gzip.open(path, "wb") as handle:
+        with create_mrt(path) as handle:
             handle.write(b"")
         assert load_index(path) is None
         # The read path falls back to decoding (no crash, no stale data).
-        assert list(Archive(tmp_path).iter_updates(BASE, BASE + 300)) == []
+        archive = self.archive_cls(tmp_path)
+        assert list(archive.iter_updates(BASE, BASE + 300)) == []
 
     def test_corrupt_sidecar_is_ignored(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
+        writer = self.writer_cls(tmp_path)
         record = UpdateRecord(BASE, "rrc00", "::1", 1,
                               Withdrawal(Prefix("2001:db8::/32")))
         (path,) = writer.write_updates("rrc00", [record])
         index_path(path).write_text("{not json")
         assert load_index(path) is None
-        assert len(list(Archive(tmp_path).iter_updates(BASE, BASE + 300))) == 1
+        archive = self.archive_cls(tmp_path)
+        assert len(list(archive.iter_updates(BASE, BASE + 300))) == 1
 
     def test_index_skips_files_without_decode(self, populated_root, monkeypatch):
         """A peer filter that excludes every peer must not decompress a
@@ -173,7 +200,7 @@ class TestFileIndex:
             return real(path, collector, **kwargs)
 
         monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = Archive(populated_root, cache_size=0)
+        archive = self.archive_cls(populated_root, cache_size=0)
         record_filter = RecordFilter(peers=frozenset({64999}))
         assert list(archive.iter_updates(*WINDOW,
                                          record_filter=record_filter)) == []
@@ -184,7 +211,7 @@ class TestFileIndex:
         it when every record precedes ``start``."""
         import repro.ris.archive as archive_mod
 
-        writer = ArchiveWriter(tmp_path)
+        writer = self.writer_cls(tmp_path)
         writer.write_updates("rrc00", [
             UpdateRecord(BASE + offset, "rrc00", "::1", 1,
                          Withdrawal(Prefix("2001:db8::/32")))
@@ -198,7 +225,7 @@ class TestFileIndex:
             return real(path, collector, **kwargs)
 
         monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = Archive(tmp_path, cache_size=0)
+        archive = self.archive_cls(tmp_path, cache_size=0)
         # The bin containing start is listed by update_files ...
         assert len(archive.update_files("rrc00", BASE + 100, BASE + 300)) == 1
         # ... but its indexed max_timestamp < start, so it never decodes.
@@ -208,7 +235,7 @@ class TestFileIndex:
     def test_rib_dump_gets_sidecar(self, tmp_path):
         from repro.mrt import RibDump
 
-        writer = ArchiveWriter(tmp_path)
+        writer = self.writer_cls(tmp_path)
         dump = RibDump(BASE, "rrc00")
         dump.add_route(Prefix("2a0d:3dc1:1200::/48"), 25091, "2001:db8::2",
                        attrs6(25091, 8298, 210312), BASE - 3600)
@@ -223,7 +250,7 @@ class TestFileIndex:
         assert index.min_timestamp == index.max_timestamp == BASE
 
     def test_reindex_archive(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
+        writer = self.writer_cls(tmp_path)
         record = UpdateRecord(BASE, "rrc00", "::1", 1,
                               Withdrawal(Prefix("2001:db8::/32")))
         (path,) = writer.write_updates("rrc00", [record])
@@ -234,7 +261,7 @@ class TestFileIndex:
         assert reindex_archive(tmp_path, rebuild=True) == 1
 
 
-class TestDecodedFileCache:
+class TestDecodedFileCache(RisLayout):
     def test_rescan_hits_cache(self, populated_root, monkeypatch):
         import repro.ris.archive as archive_mod
 
@@ -246,7 +273,7 @@ class TestDecodedFileCache:
             return real(path, collector, **kwargs)
 
         monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = Archive(populated_root, cache_size=64)
+        archive = self.archive_cls(populated_root, cache_size=64)
         first = list(archive.iter_updates(*WINDOW))
         decode_count = len(calls)
         assert decode_count > 0
@@ -267,7 +294,7 @@ class TestDecodedFileCache:
             return real(path, collector, **kwargs)
 
         monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = Archive(populated_root, cache_size=64)
+        archive = self.archive_cls(populated_root, cache_size=64)
         full = list(archive.iter_updates(*WINDOW))
         decode_count = len(calls)
         record_filter = compile_filter("ipversion 4")
@@ -277,8 +304,8 @@ class TestDecodedFileCache:
         assert filtered == [r for r in full if record_filter.matches_record(r)]
 
     def test_rewrite_invalidates_cache(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
-        archive = Archive(tmp_path, cache_size=8)
+        writer = self.writer_cls(tmp_path)
+        archive = self.archive_cls(tmp_path, cache_size=8)
         writer.write_updates("rrc00", [
             UpdateRecord(BASE, "rrc00", "::1", 1,
                          Withdrawal(Prefix("2001:db8::/32")))])
@@ -289,44 +316,41 @@ class TestDecodedFileCache:
         assert len(list(archive.iter_updates(BASE, BASE + 300))) == 2
 
 
-class TestForeignFiles:
+class TestForeignFiles(RisLayout):
     def test_foreign_files_skipped_with_warning(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
-        writer.write_updates("rrc00", [
+        writer = self.writer_cls(tmp_path)
+        (path,) = writer.write_updates("rrc00", [
             UpdateRecord(BASE, "rrc00", "::1", 1,
                          Withdrawal(Prefix("2001:db8::/32")))])
-        month_dir = next((tmp_path / "rrc00").iterdir())
-        (month_dir / "updates.tmp.gz").write_bytes(b"junk")
-        (month_dir / "updates.not-a-date.0000.extra.gz").write_bytes(b"junk")
-        archive = Archive(tmp_path, cache_size=0)
+        path.with_name(f"updates.tmp{path.suffix}").write_bytes(b"junk")
+        path.with_name(
+            f"updates.not-a-date.0000.extra{path.suffix}").write_bytes(b"junk")
+        archive = self.archive_cls(tmp_path, cache_size=0)
         with pytest.warns(RuntimeWarning, match="non-archive file"):
             records = list(archive.iter_updates(BASE, BASE + 300))
         assert len(records) == 1
 
     def test_foreign_file_hook_override(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
-        writer.write_updates("rrc00", [
+        writer = self.writer_cls(tmp_path)
+        (path,) = writer.write_updates("rrc00", [
             UpdateRecord(BASE, "rrc00", "::1", 1,
                          Withdrawal(Prefix("2001:db8::/32")))])
-        month_dir = next((tmp_path / "rrc00").iterdir())
-        (month_dir / "updates.tmp.gz").write_bytes(b"junk")
+        path.with_name(f"updates.tmp{path.suffix}").write_bytes(b"junk")
         seen = []
-        archive = Archive(tmp_path, cache_size=0,
+        archive = self.archive_cls(tmp_path, cache_size=0,
                           on_foreign_file=seen.append)
         assert len(list(archive.iter_updates(BASE, BASE + 300))) == 1
-        assert [p.name for p in seen] == ["updates.tmp.gz"]
+        assert [p.name for p in seen] == [f"updates.tmp{path.suffix}"]
 
     def test_sidecars_never_parsed_as_archive_files(self, tmp_path):
-        writer = ArchiveWriter(tmp_path)
-        writer.write_updates("rrc00", [
+        writer = self.writer_cls(tmp_path)
+        written = writer.write_updates("rrc00", [
             UpdateRecord(BASE, "rrc00", "::1", 1,
                          Withdrawal(Prefix("2001:db8::/32")))])
-        archive = Archive(tmp_path, cache_size=0)
+        archive = self.archive_cls(tmp_path, cache_size=0)
         # .idx sidecars exist next to the data files and must not be
         # globbed up as update files.
-        files = archive.update_files("rrc00", BASE, BASE + 300)
-        assert all(p.suffix == ".gz" for p in files)
-        assert len(files) == 1
+        assert archive.update_files("rrc00", BASE, BASE + 300) == written
 
 
 class TestPrematchWalker:
@@ -394,3 +418,47 @@ class TestArchiveStats:
     def test_archive_stats_without_cache(self, tmp_path):
         archive = Archive(tmp_path, cache_size=0)
         assert archive.stats()["cache"] is None
+
+
+class TestParallelEquivalenceRouteViews(TestParallelEquivalence):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestFileIndexRouteViews(TestFileIndex):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+    test_reindex_archive = None  # `repro index` walks the RIS layout only
+
+
+class TestDecodedFileCacheRouteViews(TestDecodedFileCache):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestForeignFilesRouteViews(TestForeignFiles):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestLayoutsAgree:
+    @pytest.mark.parametrize("filter_text", FILTERS)
+    def test_both_layouts_read_back_the_same_sequence(self, populated_roots,
+                                                      filter_text):
+        record_filter = compile_filter(filter_text)
+        ris, routeviews = (
+            list(archive_cls(root, cache_size=0).iter_updates(
+                *WINDOW, record_filter=record_filter))
+            for archive_cls, root in populated_roots.items())
+        assert ris == routeviews
+        assert bool(ris) == (filter_text != "peer 64999")
+
+    def test_second_batch_into_an_existing_bin_is_merged(self, tmp_path):
+        """A RouteViews bin written twice keeps both batches and gets a
+        fresh sidecar, exactly like a RIS bin."""
+        writer = RouteViewsWriter(tmp_path)
+        first, second = (
+            UpdateRecord(BASE + offset, "route-views2", "::1", 1,
+                         Withdrawal(Prefix("2001:db8::/32")))
+            for offset in (10, 700))
+        (path,) = writer.write_updates("route-views2", [second])
+        assert writer.write_updates("route-views2", [first]) == [path]
+        archive = RouteViewsArchive(tmp_path)
+        assert list(archive.iter_updates(BASE, BASE + 900)) == [first, second]
+        assert load_index(path).record_count == 2

@@ -150,12 +150,3 @@ class TestPerPrefixIndex:
             for prefix in (Prefix(P), other, Prefix("2001:db8::/32")):
                 assert state.peers_with_prefix(prefix, time) == \
                     self._brute_force(state, prefix, time), (prefix, time)
-
-    def test_snapshot_round_trip_preserves_index(self):
-        state = StateReconstructor(self._world())
-        restored = StateReconstructor.from_snapshot(state.snapshot())
-        for time in (50, 150, 300):
-            assert restored.peers_with_prefix(Prefix(P), time) == \
-                state.peers_with_prefix(Prefix(P), time)
-        assert restored.ever_announced(Prefix(P))
-        assert not restored.ever_announced(Prefix("2001:db8::/32"))

@@ -6,6 +6,8 @@ resurrection uptick, Table 5 noisy peers, the §5.2 case studies, Fig. 3
 durations, and resurrection events.
 """
 
+import ipaddress
+
 import pytest
 
 from repro.core import LifespanTracker, NoisyPeerDetector, find_resurrections
@@ -17,7 +19,8 @@ from repro.experiments import (
     campaign_run,
 )
 from repro.net import Prefix
-from repro.utils.timeutil import MINUTE
+from repro.ris import Archive, ArchiveWriter
+from repro.utils.timeutil import HOUR, MINUTE
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,30 @@ class TestCampaignBasics:
 
     def test_noisy_truth_attached(self, run):
         assert len(run.noisy_truth) == 3
+
+    def test_every_peer_address_parses(self, run):
+        for peer in run.peers:
+            ipaddress.ip_address(peer.address)
+
+    def test_first_hours_round_trip_through_the_archive(self, run, tmp_path):
+        start = run.config.start
+        window = [r for r in run.records if r.timestamp < start + 2 * HOUR]
+        assert any(r.peer_asn == 142271 for r in window)  # a 32-bit ASN peer
+        writer = ArchiveWriter(tmp_path)
+        for collector in sorted({r.collector for r in window}):
+            writer.write_updates(
+                collector, [r for r in window if r.collector == collector])
+        read = Archive(tmp_path).iter_updates(start, start + 2 * HOUR)
+
+        def identity(record):
+            # Peer address canonicalised: the simulator spells some with
+            # an explicit zero group, which sixteen bytes on disk do not
+            # remember (and which can reorder peers within one second).
+            return str(record).replace(
+                record.peer_address,
+                str(ipaddress.ip_address(record.peer_address)))
+
+        assert sorted(map(identity, read)) == sorted(map(identity, window))
 
     def test_scripted_prefixes_in_window(self, run):
         assert str(run.scripted_prefixes["impactful"]) == "2a0d:3dc1:2233::/48"

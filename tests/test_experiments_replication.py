@@ -1,5 +1,7 @@
 """Integration tests for the replication experiment (paper §3, App. B)."""
 
+import ipaddress
+
 import pytest
 
 from repro.experiments import (
@@ -30,6 +32,10 @@ class TestRunBasics:
         # 5 days x 6 slots x 27 beacons, nearly all visible.
         result = run.detect()
         assert result.visible_count >= 0.9 * 5 * 6 * 27
+
+    def test_every_peer_address_parses(self, run):
+        for peer in run.peers:
+            ipaddress.ip_address(peer.address)
 
     def test_periods_registered(self):
         assert set(REPLICATION_PERIODS) == {"2018", "2017-oct", "2017-mar"}

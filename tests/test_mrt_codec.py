@@ -193,7 +193,7 @@ class TestFiles:
         with gzip.open(path, "wb") as handle:
             handle.write(struct.pack("!IHHI", 999, 16, 4, 8) + b"\x00" * 8)
         with pytest.raises(MRTDecodeError):
-            list(read_updates_file(path, "rrc00", strict=True))
+            list(read_updates_file(path, "rrc00", error_policy="strict"))
 
     def test_truncated_file_raises(self, tmp_path):
         import struct

@@ -1,7 +1,7 @@
 """Tests for the poison-record containment layer (repro.mrt.resilient)
-and its threading through the archive read path."""
+and its threading through the archive read path, in both on-disk
+layouts (the ``*RouteViews`` classes rerun the RIS cases on bzip2)."""
 
-import gzip
 import struct
 
 import pytest
@@ -22,8 +22,11 @@ from repro.mrt import (
     write_updates_file,
 )
 from repro.mrt.constants import MRT_BGP4MP
+from repro.mrt.files import create_mrt, open_mrt
+from repro.ris import Archive, ArchiveWriter
 from repro.ris.chaos import _poison_record
 from repro.ris.parallel import decode_file
+from repro.routeviews import RouteViewsArchive, RouteViewsWriter
 
 _MRT_HDR = struct.Struct("!IHHI")
 
@@ -41,14 +44,12 @@ def records_for_file(n=8):
 
 
 def raw_stream(path):
-    with gzip.open(path, "rb") as handle:
+    with open_mrt(path) as handle:
         return handle.read()
 
 
 def rewrite(path, payload):
-    with open(path, "wb") as raw, \
-            gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                          mtime=0) as handle:
+    with create_mrt(path) as handle:
         handle.write(payload)
 
 
@@ -61,6 +62,20 @@ def clean_file(tmp_path):
     path = tmp_path / "updates.20240604.0800.gz"
     write_updates_file(path, records_for_file())
     return path
+
+
+class RisLayout:
+    """The layout a test class runs against; its ``*RouteViews``
+    subclass swaps the two classes and inherits every case."""
+
+    writer_cls, archive_cls = ArchiveWriter, Archive
+
+    @pytest.fixture()
+    def clean_file(self, tmp_path):
+        """One updates file where the layout puts it under ``tmp_path``."""
+        path = self.writer_cls(tmp_path).update_path("rrc00", T0)
+        write_updates_file(path, records_for_file())
+        return path
 
 
 class TestPlausibleHeader:
@@ -149,7 +164,7 @@ class TestQuarantineSidecar:
             read_quarantine(other)
 
 
-class TestTolerantDecode:
+class TestTolerantDecode(RisLayout):
     def test_clean_file_identical_across_policies(self, clean_file):
         base = list(read_updates_file(clean_file, "rrc00"))
         for policy in (None, "strict", "skip", "quarantine"):
@@ -157,7 +172,7 @@ class TestTolerantDecode:
                                           error_policy=policy)) == base
         assert not quarantine_path(clean_file).exists()
 
-    def test_marker_flip_costs_exactly_one_record(self, clean_file):
+    def test_marker_flip_costs_exactly_one_record(self, clean_file, tmp_path):
         raws = raw_records(clean_file)
         pieces = []
         for position, (header, body) in enumerate(raws):
@@ -176,6 +191,10 @@ class TestTolerantDecode:
         assert survivors == clean
         assert stats.records_skipped == 1
         assert stats.resyncs == 0  # structurally intact, no scan needed
+        # The archive class threads the policy through unchanged.
+        archive = self.archive_cls(tmp_path, error_policy="skip")
+        assert list(archive.iter_updates(T0, T0 + 3600)) == clean
+        assert archive.decode_stats.records_skipped == 1
 
     def test_resync_after_garbage_recovers_everything(self, clean_file):
         raws = raw_records(clean_file)
@@ -233,7 +252,7 @@ class TestTolerantDecode:
             list(read_updates_file(clean_file, "rrc00", error_policy="maybe"))
 
 
-class TestQuarantineRoundTrip:
+class TestQuarantineRoundTrip(RisLayout):
     def test_quarantined_bytes_redecodable_after_repair(self, clean_file):
         raws = raw_records(clean_file)
         packed = [_MRT_HDR.pack(h.timestamp, h.mrt_type, h.subtype,
@@ -302,3 +321,11 @@ class TestWorkerErrorContext:
                                      error_policy="skip")
         assert stats["records_decoded"] == len(records)
         assert stats["records_skipped"] == 0
+
+
+class TestTolerantDecodeRouteViews(TestTolerantDecode):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestQuarantineRoundTripRouteViews(TestQuarantineRoundTrip):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
