@@ -225,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard scatter deadline in seconds")
     fserve.add_argument("--retries", type=int, default=1,
                         help="extra connect attempts per shard request")
-    fserve.add_argument("--hedge-after", type=float, default=None,
-                        help="race a hedged second request against a "
-                             "shard slower than this many seconds")
     fserve.add_argument("--breaker-threshold", type=int, default=3,
                         help="consecutive failures before a shard's "
                              "circuit opens")
@@ -651,7 +648,6 @@ def _cmd_observatory_fleet_serve(args) -> int:
     server = FederatedObservatoryServer(
         fleet.shard_urls(), host=args.host, port=args.port,
         deadline=args.deadline, retries=args.retries,
-        hedge_after=args.hedge_after,
         breaker_threshold=args.breaker_threshold,
         breaker_open_seconds=args.breaker_open_seconds, fleet=fleet)
     print(f"federated observatory listening on "

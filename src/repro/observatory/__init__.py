@@ -23,9 +23,10 @@ miniature:
   ``/stream/*`` SSE endpoints tail the store live, with resume tokens,
   a shared fan-out hub, and drop-to-cursor backpressure (DESIGN.md
   §14);
-* :mod:`repro.observatory.views` keeps the query-side materialized
-  views (latest lifespan per prefix, per-prefix event counts, merged
-  resurrection timeline) fresh incrementally off the store's
+* :mod:`repro.observatory.views` keeps the read model every API route
+  is answered from (latest lifespan per prefix, outbreak and
+  resurrection rows, merged resurrection timeline, forensics
+  snapshots) fresh incrementally off the store's
   ``(generation, next_seq)`` watermark;
 * :mod:`repro.observatory.supervisor` wraps the ingest in a watchdog
   that restarts it from the last checkpoint across crashes and exposes

@@ -53,11 +53,11 @@ import asyncio
 import http.client
 import signal
 import threading
-from typing import Any, Optional
+from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.observatory.server import ObservatoryApp, _BadRequest
-from repro.observatory.store import EventStore
+from repro.observatory.store import EventStore, TailCursor
 from repro.observatory.stream import (
     RESET,
     StreamHub,
@@ -68,6 +68,7 @@ from repro.observatory.stream import (
     format_event,
     format_reset,
     parse_token,
+    _live_batch,
 )
 
 __all__ = ["AsyncHTTPTransport", "AsyncObservatoryServer", "STREAM_PATHS"]
@@ -444,22 +445,17 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
         except (TokenError, _BadRequest) as exc:
             await self._send_error(writer, 400, str(exc))
             return
-        generation, next_seq = await loop.run_in_executor(
-            None, self.store.position)
-        reset_first = False
-        if token is not None:
-            if token[0] == generation and token[1] <= next_seq:
-                cursor = token[1]
-            else:
-                # Another generation (history rewritten while the
-                # subscriber was away) or a position the store never
-                # reached: re-sync rather than guess.
-                reset_first = True
-                cursor = next_seq
-        elif from_seq is not None:
-            cursor = min(from_seq, next_seq)
-        else:
-            cursor = next_seq  # no token: live tail only
+        # A token names (generation, next seq owed); anything the store
+        # cannot continue from — another generation (history rewritten
+        # while the subscriber was away) or a position it never
+        # reached — re-syncs rather than guesses.
+        tail = TailCursor(self.store, *(token or ()))
+        rewritten = await loop.run_in_executor(None, tail.poll)
+        reset_first = rewritten and token is not None
+        if reset_first or (token is None and from_seq is None):
+            tail.seq = tail.end  # re-sync, or no token: live tail only
+        elif token is None:
+            tail.seq = min(from_seq, tail.end)
         self._write_head(writer, 200, [
             ("Content-Type", "text/event-stream"),
             ("Cache-Control", "no-cache")], keep_alive=False)
@@ -467,7 +463,7 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
             # Count first: ``write`` may hand the frame to the socket at
             # once, and whoever reads it must find it already counted.
             self.stream_stats.resets += 1
-            writer.write(format_reset(generation, next_seq))
+            writer.write(format_reset(tail.generation, tail.seq))
         await writer.drain()
         assert self.hub is not None
         self.stream_stats.subscribers += 1
@@ -476,10 +472,8 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
                 subscription = Subscription(self.queue_events)
                 self.hub.attach(subscription)
                 try:
-                    generation, cursor = await self._catch_up(
-                        writer, kinds, generation, cursor)
-                    generation, cursor = await self._tail_live(
-                        writer, subscription, kinds, generation, cursor)
+                    await self._catch_up(writer, kinds, tail)
+                    await self._tail_live(writer, subscription, kinds, tail)
                 finally:
                     self.hub.detach(subscription)
                 # Lagged: the queue overflowed while this consumer was
@@ -503,53 +497,29 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
             raise _BadRequest("parameter 'from_seq' must be >= 0")
         return value
 
-    def _read_stream_batch(self, min_seq: int, stop_seq: int,
-                           kinds: Optional[tuple[str, ...]]
-                           ) -> tuple[list[dict[str, Any]], int]:
-        """Executor helper: up to ``batch_events`` matching events in
-        ``[min_seq, stop_seq)`` plus the cursor after them.  The cursor
-        jumps to ``stop_seq`` when the span is exhausted even if no
-        event matched the kind filter — filtered-out events are
-        *considered*, not owed."""
-        batch: list[dict[str, Any]] = []
-        cursor = stop_seq
-        for event in self.store.events(kinds=kinds, min_seq=min_seq):
-            if event["seq"] >= stop_seq:
-                break
-            batch.append(event)
-            if len(batch) >= self.batch_events:
-                cursor = event["seq"] + 1
-                break
-        return batch, cursor
-
     async def _catch_up(self, writer: asyncio.StreamWriter,
                         kinds: Optional[tuple[str, ...]],
-                        generation: int, cursor: int) -> tuple[int, int]:
+                        tail: TailCursor) -> None:
         """Replay ``[cursor, position)`` from the store, in batches."""
         assert self._draining is not None
         loop = asyncio.get_running_loop()
         while not self._draining.is_set():
-            current, stop = await loop.run_in_executor(
-                None, self.store.position)
-            if current != generation:
+            reset, batch = await loop.run_in_executor(
+                None, _live_batch, tail, kinds, self.batch_events)
+            if reset:
                 self.stream_stats.resets += 1
-                writer.write(format_reset(current, stop))
-                await writer.drain()
-                return current, stop
-            if cursor >= stop:
-                return generation, cursor
-            batch, cursor = await loop.run_in_executor(
-                None, self._read_stream_batch, cursor, stop, kinds)
+                writer.write(format_reset(tail.generation, tail.seq))
             for event in batch:
-                writer.write(format_event(event, generation))
+                writer.write(format_event(event, tail.generation))
                 self.stream_stats.events_sent += 1
             await writer.drain()
-        return generation, cursor
+            if tail.seq >= tail.end:
+                return
 
     async def _tail_live(self, writer: asyncio.StreamWriter,
                          subscription: Subscription,
                          kinds: Optional[tuple[str, ...]],
-                         generation: int, cursor: int) -> tuple[int, int]:
+                         tail: TailCursor) -> None:
         """Consume the hub queue until this subscriber lags or the
         server starts draining (queue entries already delivered by the
         hub are flushed to the client before the stream winds down)."""
@@ -570,7 +540,7 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
                         entry = await get_task
                     except asyncio.CancelledError:
                         if drain_task.done():
-                            return generation, cursor
+                            return
                         writer.write(format_comment("keepalive"))
                         await writer.drain()
                         continue
@@ -578,23 +548,22 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
                     entry = get_task.result()
                 if isinstance(entry, tuple) and entry[0] == RESET:
                     _, entry_generation, entry_next = entry
-                    if entry_generation == generation \
-                            and entry_next <= cursor:
+                    if entry_generation == tail.generation \
+                            and entry_next <= tail.seq:
                         continue  # already announced during catch-up
-                    generation, cursor = entry_generation, entry_next
+                    tail.generation, tail.seq = entry_generation, entry_next
                     self.stream_stats.resets += 1
-                    writer.write(format_reset(generation, cursor))
+                    writer.write(format_reset(entry_generation, entry_next))
                     await writer.drain()
                     continue
                 seq = entry["seq"]
-                if seq < cursor:
+                if seq < tail.seq:
                     continue  # already replayed from the store
-                cursor = seq + 1
+                tail.seq = seq + 1
                 if kinds is not None and entry["kind"] not in kinds:
                     continue
-                writer.write(format_event(entry, generation))
+                writer.write(format_event(entry, tail.generation))
                 self.stream_stats.events_sent += 1
                 await writer.drain()
-            return generation, cursor
         finally:
             drain_task.cancel()

@@ -25,9 +25,6 @@ answer.  Degradation is graceful and explicit, never silent:
   shard is declared down for ``breaker_open_seconds`` without paying
   the deadline, then a single half-open probe decides between closing
   the circuit and re-opening it;
-* optionally a **hedged** second request races the first after
-  ``hedge_after`` seconds (tail-latency insurance, paid only when the
-  shard is slow);
 * a missing shard removes its rows from the merged answer, sets the
   ``X-Observatory-Partial`` header to the missing shard names, and the
   answer still returns within the deadline.
@@ -59,14 +56,15 @@ from repro.observatory.fleet import shard_for, shard_name
 from repro.observatory.forensics import outbreak_prefix
 from repro.observatory.server import (
     CACHE_CONTROL,
+    LISTINGS,
+    Listing,
     ObservatoryApp,
     _BadRequest,
-    _int_param,
-    _limit_param,
-    _str_param,
+    _canon,
+    _etag_matches,
     forensics_outbreak_id,
 )
-from repro.observatory.views import CursorError, pair_cursor, seq_cursor
+from repro.observatory.views import CursorError
 
 __all__ = ["CircuitBreaker", "FederatedObservatoryServer", "PARTIAL_HEADER",
            "ShardUnavailable"]
@@ -133,50 +131,6 @@ class CircuitBreaker:
             self._opened_at = self._clock()
 
 
-#: Listing endpoint -> (body key, row sort key, next_cursor formatter,
-#: local param validator replicating the monolithic validation order).
-def _validate_outbreaks(params: dict) -> None:
-    cursor = _str_param(params, "cursor")
-    if cursor is not None:
-        seq_cursor(cursor)
-    _int_param(params, "since")
-    _int_param(params, "until")
-
-
-def _validate_zombies(params: dict) -> None:
-    pass  # the prefix-string cursor accepts anything
-
-
-def _validate_resurrections(params: dict) -> None:
-    _int_param(params, "since")
-    _int_param(params, "until")
-    cursor = _str_param(params, "cursor")
-    if cursor is not None:
-        pair_cursor(cursor)
-
-
-LISTINGS: dict[str, dict[str, Any]] = {
-    "/outbreaks": {
-        "name": "outbreaks",
-        "key": lambda row: row["seq"],
-        "format": str,
-        "validate": _validate_outbreaks,
-    },
-    "/zombies": {
-        "name": "zombies",
-        "key": lambda row: row["prefix"],
-        "format": lambda key: key,
-        "validate": _validate_zombies,
-    },
-    "/resurrections": {
-        "name": "resurrections",
-        "key": lambda row: (row["time"], row["seq"]),
-        "format": lambda key: f"{key[0]}:{key[1]}",
-        "validate": _validate_resurrections,
-    },
-}
-
-
 class FederatedObservatoryServer(AsyncHTTPTransport):
     """Scatter-gather observatory API over shard servers.
 
@@ -196,8 +150,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                  backoff: float = 0.05, backoff_cap: float = 1.0,
                  jitter: float = 0.5, seed: int = 0,
                  breaker_threshold: int = 3, breaker_open_seconds: float = 5.0,
-                 hedge_after: Optional[float] = None, fleet=None,
-                 drain_timeout: float = 5.0):
+                 fleet=None, drain_timeout: float = 5.0):
         super().__init__(host=host, port=port, drain_timeout=drain_timeout)
         if not shard_urls:
             raise ValueError("need at least one shard URL")
@@ -212,7 +165,6 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.jitter = jitter
-        self.hedge_after = hedge_after
         self.fleet = fleet
         self._rng = random.Random(seed)
         self.breakers = [CircuitBreaker(breaker_threshold,
@@ -225,7 +177,6 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         self.not_modified_served = 0
         self.partial_responses = 0
         self.retried_connects = 0
-        self.hedged_requests = 0
         self.shard_failures = [0] * len(shard_urls)
         self._shard_up = [True] * len(shard_urls)
 
@@ -341,40 +292,6 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                 headers[name.strip().lower()] = value.strip()
         return int(parts[1]), headers
 
-    async def _hedged_get(self, index: int, target: str,
-                          if_none_match: Optional[str]
-                          ) -> tuple[int, dict[str, str], bytes]:
-        """The fetch, optionally hedged: if the primary request has not
-        answered within ``hedge_after``, race a second one and take the
-        first answer."""
-        if self.hedge_after is None:
-            return await self._http_get(index, target, if_none_match)
-        primary = asyncio.ensure_future(
-            self._http_get(index, target, if_none_match))
-        try:
-            return await asyncio.wait_for(asyncio.shield(primary),
-                                          self.hedge_after)
-        except asyncio.TimeoutError:
-            pass
-        except asyncio.CancelledError:
-            primary.cancel()
-            raise
-        self.hedged_requests += 1
-        backup = asyncio.ensure_future(
-            self._http_get(index, target, if_none_match))
-        pending = {primary, backup}
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED)
-                for task in done:
-                    if task.exception() is None:
-                        return task.result()
-            raise primary.exception()  # both failed: surface the primary's
-        finally:
-            for task in pending:
-                task.cancel()
-
     async def _ask_shard(self, index: int, target: str,
                          if_none_match: Optional[str] = None
                          ) -> tuple[int, dict[str, str], bytes]:
@@ -385,7 +302,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                 f"{self.shard_names[index]}: circuit open")
         try:
             result = await asyncio.wait_for(
-                self._hedged_get(index, target, if_none_match),
+                self._http_get(index, target, if_none_match),
                 timeout=self.deadline)
         except asyncio.CancelledError:
             raise
@@ -441,20 +358,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                     f"{index}:{self._position_of(etags.get(index))}")
         return '"' + "|".join(components) + "-" + digest + '"'
 
-    @staticmethod
-    def _etag_matches(etag: str, header: Optional[str]) -> bool:
-        if not header:
-            return False
-        return etag in (value.strip() for value in header.split(","))
-
     # -- listings ----------------------------------------------------------
-
-    @staticmethod
-    def _canon(path: str, params: dict) -> str:
-        return path + "?" + "&".join(
-            f"{key}={value}"
-            for key in sorted(params)
-            for value in params[key])
 
     @staticmethod
     def _target(path: str, params: dict) -> str:
@@ -470,10 +374,10 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                        if_none_match: Optional[str]
                        ) -> tuple[int, list[tuple[str, str]], bytes]:
         spec = LISTINGS[path]
-        limit = _limit_param(params)
-        spec["validate"](params)
-        cursor = _str_param(params, "cursor")
-        canon = self._canon(path, params)
+        # The monolith's own validation: a bad request gets the 400 a
+        # single store would send, without asking any shard.
+        limit, cursor, _ = spec.parse(params)
+        canon = _canon(path, params)
         target = self._target(path, params)
         entry = self._cache.get(canon)
         conditions = dict(entry["etags"]) if entry else {}
@@ -498,7 +402,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
             if missing else []
         if missing:
             self.partial_responses += 1
-        if self._etag_matches(fed_etag, if_none_match):
+        if _etag_matches(fed_etag, if_none_match):
             self.not_modified_served += 1
             return 304, [("ETag", fed_etag),
                          ("Cache-Control", CACHE_CONTROL),
@@ -522,13 +426,12 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         while len(self._cache) > self.CACHE_ENTRIES:
             self._cache.pop(next(iter(self._cache)))
 
-    def _merge(self, spec: dict[str, Any],
+    def _merge(self, spec: Listing,
                bodies: dict[int, dict[str, Any]],
-               limit: Optional[int], cursor: Optional[str]
-               ) -> dict[str, Any]:
+               limit: Optional[int], cursor: Any) -> dict[str, Any]:
         """Merge per-shard pages into exactly the page one store would
         serve (see the module docstring for why the algebra is exact)."""
-        name, key = spec["name"], spec["key"]
+        name, key = spec.name, spec.key
         rows: list[dict[str, Any]] = []
         for body in bodies.values():
             rows.extend(body[name])
@@ -540,7 +443,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
             len(rows) > limit
             or any(body.get("next_cursor") is not None
                    for body in bodies.values()))
-        next_cursor = spec["format"](key(page[-1])) if page and more else None
+        next_cursor = spec.format(key(page[-1])) if page and more else None
         return {"count": len(page), name: page, "next_cursor": next_cursor}
 
     # -- single-owner routes -----------------------------------------------
@@ -652,9 +555,6 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         metric("observatory_federation_retried_connects_total",
                self.retried_connects,
                "Shard connect attempts retried after a connect error.")
-        metric("observatory_federation_hedged_requests_total",
-               self.hedged_requests,
-               "Hedged second requests launched against slow shards.")
         for index, name in enumerate(self.shard_names):
             metric("observatory_federation_shard_up",
                    1 if self._shard_up[index] else 0,

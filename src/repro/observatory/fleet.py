@@ -22,10 +22,11 @@ the store (compaction folds events in place), so nothing downstream
 needed to learn anything new.
 
 **Workers.**  A :class:`ShardWorker` tails a source event store
-(readonly, the same concurrent-reader protocol the views use), appends
-the events it owns to its private shard store seq-preserved, and serves
-that store through a full :class:`AsyncObservatoryServer` — views,
-ETags, pagination, SSE and all.  Its durable resume point is the shard
+(readonly, through the same :class:`~repro.observatory.store.TailCursor`
+the views use), appends the events it owns to its private shard store
+seq-preserved, and serves that store through a full
+:class:`AsyncObservatoryServer` — views, ETags, pagination, SSE and
+all.  Its durable resume point is the shard
 store's own ``next_seq``: routing scans the source in ascending seq
 order, so everything below the last routed seq has been considered,
 and a restarted worker re-scans at most the filtered suffix once.  A
@@ -57,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.observatory.asyncserver import AsyncObservatoryServer
-from repro.observatory.store import EventStore
+from repro.observatory.store import EventStore, TailCursor
 
 __all__ = ["ShardFleet", "ShardWorker", "partition_store", "pick_free_port",
            "shard_for", "shard_name"]
@@ -121,22 +122,20 @@ def partition_store(source_root: Union[str, Path],
     ``fleet_root``, routing by prefix hash and preserving every event's
     global seq.  Returns the shard store roots (created even for shards
     that end up empty)."""
-    source = EventStore(source_root, readonly=True)
-    generation, next_seq = source.position()
+    tail = TailCursor(EventStore(source_root, readonly=True))
+    tail.poll()
     fleet_root = Path(fleet_root)
     roots = [fleet_root / shard_name(index) for index in range(count)]
     stores = [EventStore(root) for root in roots]
     try:
-        for event in source.events():
-            if event["seq"] >= next_seq:
-                break
+        for event in tail.read():
             stores[shard_for(_routing_key(event), count)].append(
                 event["kind"], event["time"], _event_payload(event),
                 seq=event["seq"])
     finally:
         for index, store in enumerate(stores):
             store.close()
-            _write_sidecar(roots[index], index, count, generation)
+            _write_sidecar(roots[index], index, count, tail.generation)
     return roots
 
 
@@ -169,20 +168,19 @@ class ShardWorker:
                 f"{self.shard_root} belongs to shard "
                 f"{sidecar.get('index')}/{sidecar.get('count')}, not "
                 f"{index}/{count}")
-        self._source_generation: Optional[int] = (
-            sidecar.get("source_generation") if sidecar is not None else None)
-        self.source = EventStore(source_root, readonly=True)
+        #: Where this shard is in the source.  The durable resume point
+        #: is the shard store's own next_seq: a restart re-scans at
+        #: most the filtered suffix once, never routes a duplicate.
+        self._tail = TailCursor(
+            EventStore(source_root, readonly=True),
+            sidecar.get("source_generation") if sidecar is not None else None,
+            self.store.next_seq)
         self.server = AsyncObservatoryServer(self.store, host=host,
                                              port=port)
         self.server.healthz_extra = {
             "shard": {"name": self.name, "index": index, "count": count}}
         self.events_routed = 0
         self.rebuilds = 0
-        #: Source seqs below this were already considered (routed or
-        #: skipped).  In-memory only: on restart it re-anchors at the
-        #: shard store's next_seq, costing one re-scan of the filtered
-        #: suffix — never a duplicate (min_seq skips everything routed).
-        self._watermark = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -190,29 +188,20 @@ class ShardWorker:
 
     def sync_once(self) -> int:
         """One tail pass: route everything new; returns events appended."""
-        generation, next_seq = self.source.position()
-        if generation != self._source_generation:
+        if self._tail.poll():
             # History behind us was rewritten upstream: rebuild, exactly
             # like the materialized views on a generation bump.
-            if self._source_generation is not None or self.store.next_seq:
+            if self.store.next_seq:
                 self.store.truncate(0)
                 self.rebuilds += 1
-            self._source_generation = generation
-            self._watermark = 0
             _write_sidecar(self.shard_root, self.index, self.count,
-                           generation)
+                           self._tail.generation)
         appended = 0
-        start = max(self._watermark, self.store.next_seq)
-        for event in self.source.events(min_seq=start):
-            seq = event["seq"]
-            if seq >= next_seq:
-                break  # appended after position() was read: next pass
+        for event in self._tail.read():
             if shard_for(_routing_key(event), self.count) == self.index:
                 self.store.append(event["kind"], event["time"],
-                                  _event_payload(event), seq=seq)
+                                  _event_payload(event), seq=event["seq"])
                 appended += 1
-            self._watermark = seq + 1
-        self._watermark = max(self._watermark, next_seq)
         if appended:
             self.store.sync()
             self.events_routed += appended

@@ -28,9 +28,12 @@ endpoints on the same app core.
 The read path is built for *repeated* queries (the §5 lifespan workload
 asked at production rate):
 
-* responses come from :class:`.views.MaterializedViews`, which folds
-  only newly appended events per request instead of re-scanning the
-  store;
+* every data route is answered from :class:`.views.MaterializedViews`,
+  which folds only newly appended events per request — this module
+  never scans the store, and ``/healthz`` reads the manifest only;
+* what a list endpoint is (rows, order, cursor codec, parameters in
+  validation order) is one row of :data:`LISTINGS`, served by one
+  handler and shared with the federated tier;
 * every data endpoint carries a strong ``ETag`` derived from the
   store's ``(generation, next_seq)`` position plus the canonical query,
   honours ``If-None-Match`` with ``304 Not Modified``, and sends
@@ -49,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import unquote
 
 from repro.observatory.forensics import render_forensics
@@ -62,7 +65,7 @@ from repro.observatory.views import (
     seq_cursor,
 )
 
-__all__ = ["ObservatoryApp", "forensics_outbreak_id"]
+__all__ = ["LISTINGS", "Listing", "ObservatoryApp", "forensics_outbreak_id"]
 
 #: Data responses may be cached but must be revalidated (the ETag makes
 #: revalidation a 304 with no body).
@@ -83,26 +86,35 @@ def forensics_outbreak_id(path: str) -> Optional[str]:
     return unquote(identifier) if identifier else None
 
 
-def _int_param(params: dict, name: str) -> Optional[int]:
+def _param(params: dict, name: str, convert: Callable[[str], Any] = str):
+    """The first value of one query parameter through ``convert``
+    (``None`` when absent)."""
     values = params.get(name)
     if not values:
         return None
     try:
-        return int(values[0])
+        return convert(values[0])
+    except CursorError:
+        raise
     except ValueError:
         raise _BadRequest(f"parameter {name!r} must be an integer")
 
 
-def _str_param(params: dict, name: str) -> Optional[str]:
-    values = params.get(name)
-    return values[0] if values else None
+def _etag_matches(etag: str, header: Optional[str]) -> bool:
+    if not header:
+        return False
+    # Concrete matches only: honouring ``*`` ("any current
+    # representation") would answer 304 for resources that do not
+    # exist, since the match runs before the data lookup.
+    return etag in (value.strip() for value in header.split(","))
 
 
-def _limit_param(params: dict) -> Optional[int]:
-    limit = _int_param(params, "limit")
-    if limit is not None and limit <= 0:
-        raise _BadRequest("parameter 'limit' must be a positive integer")
-    return limit
+def _canon(path: str, params: dict) -> str:
+    """The canonical query string ETags and response caches key on."""
+    return path + "?" + "&".join(
+        f"{key}={value}"
+        for key in sorted(params)
+        for value in params[key])
 
 
 class _BadRequest(Exception):
@@ -116,6 +128,53 @@ class _NotFound(Exception):
     handler is a *data* bug (e.g. a lifespan event missing a field) and
     must surface as a 500, not masquerade as "no such resource".
     """
+
+
+class Listing(NamedTuple):
+    """What one list endpoint *is* — the monolithic handler, the
+    federation's 400-parity check and its merge all read this row."""
+
+    #: Body key of the rows; the endpoint is ``/<name>``.
+    name: str
+    #: Row source: ``rows(views, **filters)``, ascending by ``key``.
+    rows: Callable[..., list[dict[str, Any]]]
+    #: Sort key of a row — also what a cursor names.
+    key: Callable[[dict[str, Any]], Any]
+    #: ``next_cursor`` text of a sort key.
+    format: Callable[[Any], str]
+    #: ``(parameter, converter)`` in validation order, after ``limit``:
+    #: the first bad one is the one the 400 names.  ``cursor`` parses
+    #: to a sort key; every other entry is a filter ``rows`` accepts.
+    params: tuple[tuple[str, Callable[[str], Any]], ...]
+
+    def parse(self, params: dict
+              ) -> tuple[Optional[int], Any, dict[str, Any]]:
+        """``(limit, cursor, filters)`` of one request, or a 400."""
+        limit = _param(params, "limit", int)
+        if limit is not None and limit <= 0:
+            raise _BadRequest("parameter 'limit' must be a positive integer")
+        filters = {name: _param(params, name, convert)
+                   for name, convert in self.params}
+        return limit, filters.pop("cursor"), filters
+
+
+LISTINGS: dict[str, Listing] = {
+    "/outbreaks": Listing(
+        "outbreaks", MaterializedViews.outbreaks,
+        key=lambda row: row["seq"], format=str,
+        params=(("cursor", seq_cursor), ("prefix", str),
+                ("since", int), ("until", int))),
+    "/zombies": Listing(
+        "zombies", MaterializedViews.zombies,
+        key=lambda row: row["prefix"], format=str,
+        params=(("cursor", str),)),
+    "/resurrections": Listing(
+        "resurrections", MaterializedViews.resurrections,
+        key=lambda row: (row["time"], row["seq"]),
+        format=lambda key: f"{key[0]}:{key[1]}",
+        params=(("prefix", str), ("since", int), ("until", int),
+                ("cursor", pair_cursor))),
+}
 
 
 class ObservatoryApp:
@@ -175,7 +234,7 @@ class ObservatoryApp:
             etag = None
             if self.cacheable(path):
                 etag = self.etag_for(path, params)
-                if self._etag_matches(etag, if_none_match):
+                if _etag_matches(etag, if_none_match):
                     self.count_not_modified()
                     return 304, [("ETag", etag),
                                  ("Cache-Control", CACHE_CONTROL),
@@ -223,15 +282,6 @@ class ObservatoryApp:
             self._response_cache[etag] = response
             while len(self._response_cache) > self.RESPONSE_CACHE_ENTRIES:
                 self._response_cache.pop(next(iter(self._response_cache)))
-
-    @staticmethod
-    def _etag_matches(etag: str, header: Optional[str]) -> bool:
-        if not header:
-            return False
-        # Concrete matches only: honouring ``*`` ("any current
-        # representation") would answer 304 for resources that do not
-        # exist, since the match runs before the data lookup.
-        return etag in (value.strip() for value in header.split(","))
 
     @staticmethod
     def _json_response(status: int, body: dict[str, Any],
@@ -289,7 +339,7 @@ class ObservatoryApp:
         The conditional-request short-circuit only runs on these, so a
         request for an unknown path falls through to its 404 instead of
         being answered 304 (``etag_for`` succeeds for *any* path)."""
-        return (path in ("/outbreaks", "/zombies", "/resurrections")
+        return (path in LISTINGS
                 or path.startswith("/zombies/")
                 or forensics_outbreak_id(path) is not None)
 
@@ -298,11 +348,8 @@ class ObservatoryApp:
         (generation + next_seq — together they identify the visible
         content exactly) plus a digest of the canonical query."""
         generation, next_seq = self.store.position()
-        canon = path + "?" + "&".join(
-            f"{key}={value}"
-            for key in sorted(params)
-            for value in params[key])
-        digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        digest = hashlib.sha256(
+            _canon(path, params).encode("utf-8")).hexdigest()[:16]
         return f'"{generation}-{next_seq}-{digest}"'
 
     # -- routing ----------------------------------------------------------
@@ -311,17 +358,13 @@ class ObservatoryApp:
         if path == "/healthz":
             return self._healthz()
         self.views.refresh()
-        if path == "/outbreaks":
-            return self._outbreaks(params)
+        if path in LISTINGS:
+            return self._listing(LISTINGS[path], params)
         outbreak = forensics_outbreak_id(path)
         if outbreak is not None:
             return self._forensics(outbreak)
-        if path == "/zombies":
-            return self._zombies(params)
         if path.startswith("/zombies/"):
             return self._zombie(unquote(path[len("/zombies/"):]))
-        if path == "/resurrections":
-            return self._resurrections(params)
         raise _NotFound(path)
 
     def _healthz(self) -> dict[str, Any]:
@@ -345,50 +388,27 @@ class ObservatoryApp:
             body.update(self.healthz_extra)
         return body
 
-    def _outbreaks(self, params: dict) -> dict[str, Any]:
-        limit = _limit_param(params)
-        cursor = _str_param(params, "cursor")
-        min_seq = None
-        if cursor is not None:
-            # Push the cursor down into the segment skip: pages deep in
-            # a long history never open the segments before them.
-            min_seq = seq_cursor(cursor) + 1
-        events = list(self.store.events(
-            kinds=("outbreak",),
-            prefix=_str_param(params, "prefix"),
-            since=_int_param(params, "since"),
-            until=_int_param(params, "until"),
-            min_seq=min_seq))
+    def _listing(self, spec: Listing, params: dict) -> dict[str, Any]:
+        """Any list endpoint: the whole listing, or one page of it
+        starting strictly after ``cursor``."""
+        limit, cursor, filters = spec.parse(params)
+        rows = spec.rows(self.views, **filters)
         if limit is None and cursor is None:
-            return {"count": len(events), "outbreaks": events}
-        page, next_key = paginate(events, key=lambda e: e["seq"],
+            return {"count": len(rows), spec.name: rows}
+        page, next_key = paginate(rows, key=spec.key, cursor=cursor,
                                   limit=limit)
-        return {"count": len(page), "outbreaks": page,
-                "next_cursor": str(next_key) if next_key is not None
-                else None}
-
-    def _zombies(self, params: dict) -> dict[str, Any]:
-        limit = _limit_param(params)
-        cursor = _str_param(params, "cursor")
-        rows = self.views.zombies()
-        if limit is None and cursor is None:
-            return {"count": len(rows), "zombies": rows}
-        page, next_key = paginate(rows, key=lambda e: e["prefix"],
-                                  cursor=cursor, limit=limit)
-        return {"count": len(page), "zombies": page, "next_cursor": next_key}
+        return {"count": len(page), spec.name: page,
+                "next_cursor": (spec.format(next_key)
+                                if next_key is not None else None)}
 
     def _zombie(self, prefix: str) -> dict[str, Any]:
-        lifespan = self.views.latest_lifespan(prefix)
-        outbreaks = list(self.store.events(kinds=("outbreak",), prefix=prefix))
-        resurrections = list(self.store.events(kinds=("resurrection",),
-                                               prefix=prefix))
+        lifespan, outbreaks, resurrections = self.views.zombie(prefix)
         if lifespan is None and not outbreaks and not resurrections:
             raise _NotFound(prefix)
-        counts = self.views.counts(prefix)
         return {"prefix": prefix, "lifespan": lifespan,
                 "outbreaks": outbreaks, "resurrections": resurrections,
-                "outbreak_count": counts["outbreaks"],
-                "resurrection_count": counts["resurrections"]}
+                "outbreak_count": len(outbreaks),
+                "resurrection_count": len(resurrections)}
 
     def _forensics(self, outbreak_id: str) -> dict[str, Any]:
         """The pre-outbreak snapshot for one outbreak — O(outbreak):
@@ -398,23 +418,6 @@ class ObservatoryApp:
         if event is None:
             raise _NotFound(outbreak_id)
         return render_forensics(event)
-
-    def _resurrections(self, params: dict) -> dict[str, Any]:
-        limit = _limit_param(params)
-        cursor = _str_param(params, "cursor")
-        rows = self.views.resurrections(
-            prefix=_str_param(params, "prefix"),
-            since=_int_param(params, "since"),
-            until=_int_param(params, "until"))
-        if limit is None and cursor is None:
-            return {"count": len(rows), "resurrections": rows}
-        parsed = pair_cursor(cursor) if cursor is not None else None
-        page, next_key = paginate(rows,
-                                  key=lambda e: (e["time"], e["seq"]),
-                                  cursor=parsed, limit=limit)
-        return {"count": len(page), "resurrections": page,
-                "next_cursor": (f"{next_key[0]}:{next_key[1]}"
-                                if next_key is not None else None)}
 
     # -- metrics ----------------------------------------------------------
 
@@ -435,6 +438,7 @@ class ObservatoryApp:
             lines.append(f"{name}{labels} {value}")
 
         store = self.store.stats()
+        self.views.refresh()
         metric("observatory_events_total", store["next_seq"],
                "Events appended to the store over its lifetime.")
         metric("observatory_store_segments", store["segments"],
@@ -446,7 +450,7 @@ class ObservatoryApp:
         metric("observatory_store_generation", store["generation"],
                "History rewrites (truncate/compact/repair) the store "
                "has seen.")
-        for kind, count in sorted(store["by_kind"].items()):
+        for kind, count in sorted(self.views.kind_counts().items()):
             metric("observatory_events", count,
                    "Events currently in the store by kind.",
                    labels=f'{{kind="{kind}"}}')

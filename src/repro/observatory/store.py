@@ -33,11 +33,13 @@ a cumulative per-prefix summary, so only the latest per prefix matters)
 while preserving the surviving events' bytes and seqs.
 
 Both rewriting operations bump the manifest's ``generation``, which is
-how watermark-based readers (:mod:`repro.observatory.views`) tell "the
-store grew" apart from "history behind my watermark changed": an
-unchanged generation plus a higher ``next_seq`` means everything below
-the watermark is exactly as it was, so reading ``events(min_seq=...)``
-is a complete delta.
+how watermark-based readers tell "the store grew" apart from "history
+behind my watermark changed": an unchanged generation plus a higher
+``next_seq`` means everything below the watermark is exactly as it was,
+so reading ``events(min_seq=...)`` is a complete delta.
+:class:`TailCursor` is that protocol, written once — the materialized
+views, the SSE hub and its subscribers' catch-up, the shard workers and
+``partition_store`` all follow a store through it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Any, Iterator, Optional, Sequence, Union
 from repro.observatory import colseg
 from repro.observatory.colseg import ColsegError, ColumnarSegment
 
-__all__ = ["EventStore", "MANIFEST_VERSION", "file_sha256"]
+__all__ = ["EventStore", "MANIFEST_VERSION", "TailCursor", "file_sha256"]
 
 MANIFEST_VERSION = 1
 
@@ -723,21 +725,76 @@ class EventStore:
         return {"kept": kept, "dropped": dropped}
 
     def stats(self) -> dict[str, Any]:
-        """Store-level counters for ``/metrics`` and dashboards."""
-        by_kind: dict[str, int] = {}
+        """Store-level counters for ``/healthz``, ``/metrics`` and
+        dashboards — manifest index only, no segment is read."""
+        if self.readonly:
+            self._load_manifest()
         by_format: dict[str, int] = {}
         events = 0
         for segment in self._segments:
             events += segment.count
             by_format[segment.format] = by_format.get(segment.format, 0) + 1
-        for event in self.events():
-            by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
         return {
             "root": str(self.root),
             "segments": len(self._segments),
             "events": events,
             "next_seq": self._next_seq,
             "generation": self._generation,
-            "by_kind": by_kind,
             "by_format": by_format,
         }
+
+
+class TailCursor:
+    """One follower's place in a store: the tail protocol, written once.
+
+    ``generation`` is the history the follower has been reading
+    (``None`` = not attached yet) and ``seq`` the next seq it owes its
+    consumer.  :meth:`poll` reads the published position; :meth:`read`
+    yields what lies in ``[seq, end)`` and advances ``seq`` past every
+    event it considered.  Works the same on a shared-process store and
+    on a readonly store tailing a concurrent writer.
+    """
+
+    def __init__(self, store: EventStore, generation: Optional[int] = None,
+                 seq: int = 0):
+        self.store = store
+        self.generation = generation
+        self.seq = seq
+        #: The published ``next_seq`` as of the last :meth:`poll`.
+        self.end = seq
+
+    def poll(self) -> bool:
+        """Read the store's position.  True when the follower cannot
+        continue from where it was — first attach, a generation change
+        (truncate/compact/repair rewrote history) or a position behind
+        ``seq`` — in which case the cursor is rewound to seq 0 of the
+        new generation; a follower that would rather skip than replay
+        sets ``seq = end`` itself."""
+        generation, self.end = self.store.position()
+        if generation == self.generation and self.end >= self.seq:
+            return False
+        self.generation, self.seq = generation, 0
+        return True
+
+    def read(self, kinds: Optional[Sequence[str]] = None,
+             limit: Optional[int] = None) -> Iterator[dict[str, Any]]:
+        """The events in ``[seq, end)`` of the last :meth:`poll`, at
+        most ``limit`` of them.  An event appended after the position
+        was read waits for the next poll: yielding it would put the
+        follower past the published position (a spurious rewind next
+        time) and ahead of every ETag derived from that position.
+        ``seq`` moves past an event once the consumer comes back for
+        the next one, and to ``end`` when the span is exhausted — so
+        events a ``kinds`` filter hid count as considered."""
+        if self.seq >= self.end:
+            return
+        for event in self.store.events(kinds=kinds, min_seq=self.seq):
+            if event["seq"] >= self.end:
+                break
+            yield event
+            self.seq = event["seq"] + 1
+            if limit is not None:
+                limit -= 1
+                if limit <= 0:
+                    return
+        self.seq = self.end

@@ -29,10 +29,10 @@ next_seq)``; subscribers must treat everything they derived from the
 old generation as unverified and re-sync via the query endpoints.
 
 **Backpressure drops subscribers to their cursor, never events.**  One
-:class:`StreamHub` task tails the store (a single ``position()`` poll +
-one ``events(min_seq=)`` delta read per pass, no matter how many
-subscribers) and fans each new event into per-subscriber bounded
-queues.  A subscriber that cannot keep up overflows its queue; the hub
+:class:`StreamHub` task tails the store (one
+:class:`~repro.observatory.store.TailCursor`: a single position poll +
+one delta read per pass, no matter how many subscribers) and fans each
+new event into per-subscriber bounded queues.  A subscriber that cannot keep up overflows its queue; the hub
 marks it lagged and stops feeding it — the subscriber then re-reads the
 store from its own cursor (exactly where it stopped) and rejoins the
 live feed.  Every event is delivered exactly once, in seq order,
@@ -44,6 +44,8 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Any, Optional
+
+from repro.observatory.store import TailCursor
 
 __all__ = ["StreamHub", "StreamStats", "Subscription", "TokenError",
            "encode_token", "format_comment", "format_event",
@@ -139,14 +141,28 @@ class Subscription:
         self.lagged = False
 
 
+def _live_batch(tail: TailCursor, kinds: Optional[tuple[str, ...]],
+                limit: int) -> tuple[bool, list[dict[str, Any]]]:
+    """One pass of a live follower (the hub, a subscriber's catch-up) —
+    blocking store I/O, for an executor thread.  Returns whether
+    history was rewritten under the follower, which then continues at
+    the new tail rather than replaying, else up to ``limit`` events it
+    is owed."""
+    if tail.poll():
+        tail.seq = tail.end
+        return True, []
+    return False, list(tail.read(kinds, limit))
+
+
 class StreamHub:
     """The shared store tail: one poller feeding every subscriber.
 
     ``run()`` is a long-lived task on the server's event loop.  Each
-    pass reads the store position (blocking file I/O, pushed to the
-    executor) and, when the store grew, reads exactly the delta
-    ``events(min_seq=watermark)`` in bounded batches — one read serving
-    N subscribers, instead of N subscribers each polling the store.  A
+    pass follows the store through one
+    :class:`~repro.observatory.store.TailCursor` (blocking file I/O,
+    pushed to the executor): one position read and, when the store
+    grew, exactly the delta in bounded batches — one read serving N
+    subscribers, instead of N subscribers each polling the store.  A
     generation change broadcasts a :data:`RESET` entry instead of
     guessing what survived the rewrite.
     """
@@ -158,14 +174,13 @@ class StreamHub:
         self.poll_interval = poll_interval
         self.batch_events = batch_events
         self._subscriptions: set[Subscription] = set()
-        self._generation: Optional[int] = None
-        self._watermark = 0
+        self._tail = TailCursor(store)
 
     @property
     def watermark(self) -> int:
         """Events below this seq have been broadcast (or predate the
         hub; subscribers cover them by store catch-up)."""
-        return self._watermark
+        return self._tail.seq
 
     def attach(self, subscription: Subscription) -> None:
         """Join the live feed.  The caller must already hold a store
@@ -176,22 +191,6 @@ class StreamHub:
 
     def detach(self, subscription: Subscription) -> None:
         self._subscriptions.discard(subscription)
-
-    def _read_batch(self, min_seq: int, stop_seq: int
-                    ) -> list[dict[str, Any]]:
-        """Up to ``batch_events`` events in ``[min_seq, stop_seq)`` —
-        runs on an executor thread (store reads are blocking I/O).
-        Clamped at the published position exactly like the materialized
-        views: events appended after ``position()`` was read wait for
-        the next pass."""
-        batch: list[dict[str, Any]] = []
-        for event in self.store.events(min_seq=min_seq):
-            if event["seq"] >= stop_seq:
-                break
-            batch.append(event)
-            if len(batch) >= self.batch_events:
-                break
-        return batch
 
     def _broadcast(self, entry: Any) -> None:
         """Feed one queue entry to every live subscriber; a full queue
@@ -209,23 +208,15 @@ class StreamHub:
         """Poll-and-fan-out forever (cancelled at server shutdown)."""
         loop = asyncio.get_running_loop()
         while True:
-            generation, next_seq = await loop.run_in_executor(
-                None, self.store.position)
-            if self._generation is None:
-                # First pass: live subscribers start at the current tail.
-                self._generation, self._watermark = generation, next_seq
-            if generation != self._generation:
-                self._generation = generation
-                self._watermark = next_seq
-                self._broadcast((RESET, generation, next_seq))
-            elif next_seq > self._watermark:
-                batch = await loop.run_in_executor(
-                    None, self._read_batch, self._watermark, next_seq)
-                for event in batch:
-                    self._broadcast(event)
-                if len(batch) >= self.batch_events:
-                    # More to drain: advance and go again without sleeping.
-                    self._watermark = batch[-1]["seq"] + 1
-                    continue
-                self._watermark = next_seq
+            # The first pass attaches at the tail without announcing.
+            attached = self._tail.generation is not None
+            reset, batch = await loop.run_in_executor(
+                None, _live_batch, self._tail, None, self.batch_events)
+            if reset and attached:
+                self._broadcast((RESET, self._tail.generation,
+                                 self._tail.seq))
+            for event in batch:
+                self._broadcast(event)
+            if len(batch) >= self.batch_events:
+                continue  # more to drain: go again without sleeping
             await asyncio.sleep(self.poll_interval)

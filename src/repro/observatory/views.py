@@ -1,23 +1,32 @@
-"""Materialized read views over the event store.
+"""Materialized read views over the event store: the read model.
 
 The §5 lifespan study is a *query* workload: "which prefixes are
 zombies right now, and for how long" asked over and over against a
-slowly growing event history.  Serving every such query with a full
-store scan (`EventStore.events()`) costs O(events) per request;
+slowly growing event history.  Serving every such query with a store
+scan (`EventStore.events()`) costs O(events) per request;
 :class:`MaterializedViews` makes repeated queries O(new events) by
-keeping three derived structures up to date incrementally:
+keeping the rows every API route serves up to date incrementally:
 
 * the **latest lifespan per prefix** — each ``lifespan`` event is a
   cumulative per-prefix summary, so only the newest matters;
-* **per-prefix outbreak / resurrection counts**;
+* the **outbreak events** in seq order (``GET /outbreaks``) and the
+  same events **per prefix**, plus the raw **resurrection events per
+  prefix** (``GET /zombies/<prefix>``; its counts are their lengths);
 * the **merged resurrection timeline** — update-scale ``resurrection``
   events and RIB-scale ``lifespan`` events flagged ``resurrection``,
   tagged with their scale and ordered by ``(time, seq)`` exactly as
-  ``GET /resurrections`` has always returned them.
+  ``GET /resurrections`` has always returned them;
+* the latest **forensics snapshot per outbreak ID** and the
+  **event count per kind** (``/metrics``).
 
-Refresh is keyed to the store's ``(generation, next_seq)`` position:
-an unchanged generation means history behind the watermark is intact,
-so :meth:`MaterializedViews.refresh` folds exactly the events in
+Memory is O(outbreak + resurrection + latest-lifespan + forensics
+events) — superseded lifespans, the bulk of a long history, are not
+held.
+
+Refresh follows the store through a
+:class:`~repro.observatory.store.TailCursor`: an unchanged generation
+means history behind the watermark is intact, so
+:meth:`MaterializedViews.refresh` folds exactly the events in
 ``[watermark, next_seq)`` — never past the published position, so the
 views always correspond to a position the server's ETags can name.
 A generation bump (truncate, compact,
@@ -40,7 +49,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from repro.observatory.store import EventStore
+from repro.observatory.store import EventStore, TailCursor
 
 __all__ = ["CursorError", "MaterializedViews", "paginate",
            "pair_cursor", "seq_cursor"]
@@ -124,26 +133,33 @@ class MaterializedViews:
         #: One lock for maintenance and reads: the server's executor
         #: threads refresh and query concurrently.
         self._lock = threading.RLock()
+        self._tail = TailCursor(store)
         self._reset()
 
     def _reset(self) -> None:
-        self._generation: Optional[int] = None
-        self._watermark = 0
         self._latest: dict[str, dict[str, Any]] = {}
-        self._outbreak_counts: dict[str, int] = {}
-        self._resurrection_counts: dict[str, int] = {}
+        #: ``outbreak`` events in seq order (the ``GET /outbreaks``
+        #: listing) and the same dicts grouped per prefix.
+        self._outbreaks: list[dict[str, Any]] = []
+        self._prefix_outbreaks: dict[Optional[str],
+                                     list[dict[str, Any]]] = {}
+        #: Raw ``resurrection`` events per prefix: the timeline rows
+        #: below carry an added ``scale`` key and are not the same bytes.
+        self._prefix_resurrections: dict[Optional[str],
+                                         list[dict[str, Any]]] = {}
         self._timeline_keys: list[tuple[int, int]] = []
         self._timeline: list[dict[str, Any]] = []
         #: outbreak id -> its ``forensics`` snapshot event (latest
         #: wins) — the O(1) lookup behind ``/outbreaks/<id>/forensics``.
         self._forensics: dict[str, dict[str, Any]] = {}
+        self._kind_counts: dict[str, int] = {}
 
     # -- maintenance ------------------------------------------------------
 
     @property
     def watermark(self) -> int:
         """Events below this seq are folded into the views."""
-        return self._watermark
+        return self._tail.seq
 
     def refresh(self) -> int:
         """Bring the views up to the store's published position.
@@ -162,30 +178,16 @@ class MaterializedViews:
         started = time.perf_counter()
         rebuilds_before = self.rebuilds
         for _ in range(self._MAX_SETTLE):
-            generation, next_seq = self.store.position()
-            if generation != self._generation \
-                    or next_seq < self._watermark:
+            if self._tail.poll():
                 self._reset()
-                self._generation = generation
                 self.rebuilds += 1
-            if next_seq <= self._watermark:
-                break
-            for event in self.store.events(min_seq=self._watermark):
-                if event["seq"] >= next_seq:
-                    # Appended after position() was read.  Folding it
-                    # now would push the watermark past the published
-                    # position (forcing a spurious rebuild on the next
-                    # refresh) and serve content newer than the ETag
-                    # the server derived from that position; the next
-                    # refresh folds it instead.
-                    break
+            for event in self._tail.read():
                 self._fold(event)
                 folded += 1
-            self._watermark = next_seq
             # If a truncate/compact raced the scan we may have folded a
             # mix of old and new history; the next pass detects the
             # generation change and rebuilds.
-            if self.store.generation == self._generation:
+            if self.store.generation == self._tail.generation:
                 break
         if self.rebuilds > rebuilds_before:
             self.last_rebuild_seconds = time.perf_counter() - started
@@ -194,18 +196,18 @@ class MaterializedViews:
 
     def _fold(self, event: dict[str, Any]) -> None:
         kind = event["kind"]
+        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         if kind == "lifespan":
             self._latest[event["prefix"]] = event
             if event["resurrection"]:
                 self._timeline_insert({**event, "scale": "rib"})
         elif kind == "outbreak":
-            prefix = event["prefix"]
-            self._outbreak_counts[prefix] = \
-                self._outbreak_counts.get(prefix, 0) + 1
+            self._outbreaks.append(event)
+            self._prefix_outbreaks.setdefault(
+                event.get("prefix"), []).append(event)
         elif kind == "resurrection":
-            prefix = event["prefix"]
-            self._resurrection_counts[prefix] = \
-                self._resurrection_counts.get(prefix, 0) + 1
+            self._prefix_resurrections.setdefault(
+                event.get("prefix"), []).append(event)
             self._timeline_insert({**event, "scale": "updates"})
         elif kind == "forensics":
             self._forensics[event["outbreak_id"]] = event
@@ -218,10 +220,25 @@ class MaterializedViews:
 
     # -- queries ----------------------------------------------------------
 
-    def latest_lifespan(self, prefix: str) -> Optional[dict[str, Any]]:
-        """The latest ``lifespan`` event for one prefix, or ``None``."""
+    def _select(self, rows: list[dict[str, Any]], prefix: Optional[str],
+                since: Optional[int], until: Optional[int]
+                ) -> list[dict[str, Any]]:
+        """``rows`` filtered like ``EventStore.events`` filters them."""
         with self._lock:
-            return self._latest.get(prefix)
+            return [row for row in rows
+                    if (prefix is None or row.get("prefix") == prefix)
+                    and (since is None or row["time"] >= since)
+                    and (until is None or row["time"] < until)]
+
+    def outbreaks(self, prefix: Optional[str] = None,
+                  since: Optional[int] = None,
+                  until: Optional[int] = None) -> list[dict[str, Any]]:
+        """``outbreak`` events in seq order — the ``GET /outbreaks``
+        listing."""
+        with self._lock:
+            rows = self._outbreaks if prefix is None \
+                else self._prefix_outbreaks.get(prefix, [])
+            return self._select(rows, prefix, since, until)
 
     def zombies(self) -> list[dict[str, Any]]:
         """Prefixes currently in a zombie segment, prefix-sorted —
@@ -230,23 +247,23 @@ class MaterializedViews:
             return [event for _, event in sorted(self._latest.items())
                     if event["segment_count"] > 0]
 
+    def zombie(self, prefix: str) -> tuple[Optional[dict[str, Any]],
+                                           list[dict[str, Any]],
+                                           list[dict[str, Any]]]:
+        """One prefix at one position: its latest ``lifespan`` event (or
+        ``None``), its ``outbreak`` events and its ``resurrection``
+        events — the ``GET /zombies/<prefix>`` body."""
+        with self._lock:
+            return (self._latest.get(prefix),
+                    list(self._prefix_outbreaks.get(prefix, ())),
+                    list(self._prefix_resurrections.get(prefix, ())))
+
     def resurrections(self, prefix: Optional[str] = None,
                       since: Optional[int] = None,
                       until: Optional[int] = None) -> list[dict[str, Any]]:
-        """The merged two-scale timeline, ``(time, seq)``-ordered,
-        optionally filtered like ``EventStore.events``."""
-        rows = []
-        with self._lock:
-            for entry in self._timeline:
-                if prefix is not None and entry.get("prefix") != prefix:
-                    continue
-                time = entry["time"]
-                if since is not None and time < since:
-                    continue
-                if until is not None and time >= until:
-                    continue
-                rows.append(entry)
-        return rows
+        """The merged two-scale timeline, ``(time, seq)``-ordered —
+        the ``GET /resurrections`` listing."""
+        return self._select(self._timeline, prefix, since, until)
 
     def forensics(self, outbreak_id: str) -> Optional[dict[str, Any]]:
         """The ``forensics`` snapshot event for one outbreak ID."""
@@ -255,17 +272,21 @@ class MaterializedViews:
 
     def counts(self, prefix: str) -> dict[str, int]:
         """Per-prefix ``outbreak`` / ``resurrection`` event counts."""
+        _, outbreaks, resurrections = self.zombie(prefix)
+        return {"outbreaks": len(outbreaks),
+                "resurrections": len(resurrections)}
+
+    def kind_counts(self) -> dict[str, int]:
+        """Events folded so far by kind (``observatory_events{kind=}``
+        in ``/metrics``)."""
         with self._lock:
-            return {
-                "outbreaks": self._outbreak_counts.get(prefix, 0),
-                "resurrections": self._resurrection_counts.get(prefix, 0),
-            }
+            return dict(self._kind_counts)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "watermark": self._watermark,
-                "generation": self._generation,
+                "watermark": self._tail.seq,
+                "generation": self._tail.generation,
                 "prefixes": len(self._latest),
                 "timeline_entries": len(self._timeline),
                 "forensics_entries": len(self._forensics),

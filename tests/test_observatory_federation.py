@@ -161,6 +161,21 @@ WALK_PATHS = [
 ]
 
 
+#: What each listing validates, in the order the monolith always has —
+#: the first bad parameter is the one its 400 names.
+VALIDATION_ORDER = {
+    "/outbreaks": ("limit", "cursor", "since", "until"),
+    "/zombies": ("limit",),  # its prefix-string cursor accepts anything
+    "/resurrections": ("limit", "since", "until", "cursor"),
+}
+BAD_VALUES = {"limit": "0", "cursor": "junk", "since": "soon",
+              "until": "later"}
+BAD_PAIRS = [(path, first, second)
+             for path, order in VALIDATION_ORDER.items()
+             for first in order
+             for second in BAD_VALUES if second != first]
+
+
 class TestFederationParity:
     @pytest.mark.parametrize("path", WALK_PATHS)
     def test_bodies_byte_identical(self, fedworld, path):
@@ -212,6 +227,22 @@ class TestFederationParity:
         fed_status, _, fed_body = fetch(fedworld["fed"].url, path)
         assert (fed_status, fed_body) == (mono_status, mono_body)
         assert fed_status == 400
+
+    @pytest.mark.parametrize("path,first,second", BAD_PAIRS)
+    def test_two_bad_parameters_name_the_same_one(self, fedworld, path,
+                                                  first, second):
+        order = VALIDATION_ORDER[path]
+        named = min((name for name in (first, second) if name in order),
+                    key=order.index)
+        for query in (f"{first}={BAD_VALUES[first]}"
+                      f"&{second}={BAD_VALUES[second]}",
+                      f"{second}={BAD_VALUES[second]}"
+                      f"&{first}={BAD_VALUES[first]}"):
+            mono = fetch(fedworld["mono"].url, f"{path}?{query}")
+            fed = fetch(fedworld["fed"].url, f"{path}?{query}")
+            assert (fed[0], fed[2]) == (mono[0], mono[2])
+            assert mono[0] == 400
+            assert named in json.loads(mono[2])["error"]
 
     def test_vector_etag_revalidates(self, fedworld):
         status, headers, _ = fetch(fedworld["fed"].url, "/outbreaks")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.observatory import EventStore
-from repro.observatory.store import INDEX_VALUE_CAP
+from repro.observatory.store import INDEX_VALUE_CAP, TailCursor
 
 
 def fill(store, count, kind="outbreak", t0=1000):
@@ -210,4 +210,110 @@ class TestStats:
         assert stats["events"] == 7
         assert stats["next_seq"] == 7
         assert stats["segments"] == 2
-        assert stats["by_kind"] == {"outbreak": 6, "lifespan": 1}
+        assert stats["by_format"] == {"jsonl": 2}
+
+    def test_stats_reads_no_segment(self, tmp_path, monkeypatch):
+        """``/healthz`` polls this every 0.2 s per shard: the manifest
+        index answers, readonly included."""
+        store = EventStore(tmp_path / "store", segment_max_records=4)
+        fill(store, 6)
+        store.sync()
+        reader = EventStore(tmp_path / "store", readonly=True)
+        store.append("outbreak", 7, {"prefix": "::/0"})
+        store.sync()
+        for target in (store, reader):
+            monkeypatch.setattr(target, "_iter_segment", None)
+            assert target.stats()["next_seq"] == 7
+
+
+class TestTailCursor:
+    """The one tail protocol every store follower runs on."""
+
+    def test_first_poll_attaches_and_yields_the_published_span(
+            self, tmp_path):
+        store = EventStore(tmp_path / "store", segment_max_records=4)
+        fill(store, 6)
+        tail = TailCursor(store)
+        assert tail.poll()  # first attach
+        assert (tail.generation, tail.seq, tail.end) == (0, 0, 6)
+        assert [e["seq"] for e in tail.read()] == list(range(6))
+        assert tail.seq == 6
+        assert not tail.poll()
+        assert list(tail.read()) == []
+
+    def test_event_appended_after_the_poll_waits_for_the_next(
+            self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        fill(store, 3)
+        tail = TailCursor(store)
+        tail.poll()
+        fill(store, 2, t0=2000)  # after position() was read
+        assert [e["seq"] for e in tail.read()] == [0, 1, 2]
+        assert tail.seq == 3  # never past the published position
+        assert not tail.poll()
+        assert [e["seq"] for e in tail.read()] == [3, 4]
+
+    def test_truncate_then_append_back_to_the_same_next_seq_resets(
+            self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        fill(store, 4)
+        tail = TailCursor(store)
+        tail.poll()
+        list(tail.read())
+        store.truncate(2)
+        fill(store, 2, t0=5000)
+        assert store.next_seq == 4  # same position, different content
+        assert tail.poll()
+        assert (tail.generation, tail.seq) == (store.generation, 0)
+        assert [e["time"] for e in tail.read()] == [1000, 1001,
+                                                      5000, 5001]
+
+    def test_position_behind_the_cursor_resets(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        fill(store, 2)
+        tail = TailCursor(store, generation=0, seq=9)  # a stale token
+        assert tail.poll() and tail.seq == 0
+
+    def test_kind_filter_still_advances_past_hidden_events(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        fill(store, 2)
+        fill(store, 3, kind="lifespan", t0=2000)
+        tail = TailCursor(store)
+        tail.poll()
+        assert [e["seq"] for e in tail.read(kinds=("outbreak",))] == [0, 1]
+        assert tail.seq == 5  # the lifespans were considered, not owed
+        assert list(tail.read(kinds=("lifespan",))) == []
+
+    def test_batch_bound_resumes_mid_span(self, tmp_path):
+        store = EventStore(tmp_path / "store", segment_max_records=4)
+        fill(store, 3, kind="lifespan")
+        fill(store, 7, t0=2000)
+        tail = TailCursor(store)
+        tail.poll()
+        first = list(tail.read(kinds=("outbreak",), limit=3))
+        assert [e["seq"] for e in first] == [3, 4, 5]
+        assert (tail.seq, tail.end) == (6, 10)
+        rest = list(tail.read(kinds=("outbreak",), limit=10))
+        assert [e["seq"] for e in rest] == [6, 7, 8, 9]
+        assert tail.seq == 10
+
+    def test_abandoned_event_is_not_counted_as_considered(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        fill(store, 3)
+        tail = TailCursor(store)
+        tail.poll()
+        for event in tail.read():
+            if event["seq"] == 1:
+                break  # the consumer failed on this one
+        assert tail.seq == 1
+
+    def test_readonly_follower_sees_unsynced_appends(self, tmp_path):
+        writer = EventStore(tmp_path / "store")
+        fill(writer, 2)
+        writer.sync()
+        tail = TailCursor(EventStore(tmp_path / "store", readonly=True))
+        tail.poll()
+        assert len(list(tail.read())) == 2
+        fill(writer, 1, t0=3000)  # flushed, manifest not synced
+        assert not tail.poll()
+        assert [e["seq"] for e in tail.read()] == [2]

@@ -459,13 +459,17 @@ class TestBackpressure:
             sock.connect((server.host, server.port))
             sock.sendall(b"GET /stream/events?from_seq=0 HTTP/1.1\r\n"
                          b"Host: x\r\n\r\n")
-            # Stall without reading while the store races far ahead.
+            assert wait_until(
+                lambda: server.stream_stats.subscribers >= 1, interval=0.001)
+            # Stall without reading while the store races far ahead,
+            # until the hub has dropped this subscriber to its cursor.
             total = 2000
             payload = "x" * 400
             for seq in range(50, total):
                 store.append("outbreak", 1_000 + seq, {"n": seq,
                                                        "pad": payload})
-            time.sleep(0.3)
+            assert wait_until(
+                lambda: server.stream_stats.lagged >= 1, interval=0.001)
             # Now drain everything.
             buf = b""
             deadline = time.monotonic() + 60
@@ -477,8 +481,8 @@ class TestBackpressure:
                 if not chunk:
                     break
                 buf += chunk
-                if buf.count(b'"n": ') >= total:
-                    break
+                if buf.count(b'"n": ') >= total and buf.endswith(b"\n\n"):
+                    break  # every event, last frame complete
             sock.close()
             body = buf.split(b"\r\n\r\n", 1)[1].decode()
             seqs = [json.loads(line[len("data: "):])["seq"]
@@ -530,8 +534,12 @@ class TestGenerationBump:
         try:
             client = ObservatoryClient(server.url)
             stream = client.stream("events", reconnect=False)
-            bumped = threading.Thread(
-                target=lambda: (time.sleep(0.15), store.compact()))
+            # Compact only once the subscriber is attached: a bump that
+            # lands before it arrives is not a reset to it at all.
+            bumped = threading.Thread(target=lambda: (
+                wait_until(lambda: server.stream_stats.subscribers >= 1,
+                           interval=0.001),
+                store.compact()))
             bumped.start()
             event = next(stream)
             bumped.join()
@@ -551,13 +559,18 @@ class TestClientStreaming:
             store.append("outbreak", 1_000 + n, {"n": n})
         server = AsyncObservatoryServer(store, poll_interval=0.005).start()
         port = server.port
-        client = ObservatoryClient(server.url, retries=8, backoff=0.05)
+        # The restart waits for the client's first back-off, so the
+        # client has seen the outage before the server is back.
+        backed_off = threading.Event()
+        client = ObservatoryClient(
+            server.url, retries=8, backoff=0.05,
+            sleep=lambda seconds: (backed_off.set(), time.sleep(seconds)))
         stream = client.stream("events", from_seq=0)
         got = [next(stream) for _ in range(10)]
         server.stop()
 
         def restart():
-            time.sleep(0.2)
+            assert backed_off.wait(timeout=20)
             self.server2 = AsyncObservatoryServer(
                 store, host="127.0.0.1", port=port,
                 poll_interval=0.005).start()

@@ -82,6 +82,10 @@ def full_scan_resurrections(store, **filters):
     return merged
 
 
+def full_scan_outbreaks(store, **filters):
+    return list(store.events(kinds=("outbreak",), **filters))
+
+
 def full_scan_zombie(store, prefix):
     """The ``/zombies/<prefix>`` body from three brute-force scans."""
     lifespans, outbreaks, resurrections = (
@@ -424,6 +428,102 @@ class TestViewParity:
         assert health["view"]["watermark"] == store.next_seq
         assert health["generation"] == store.generation
 
+    @pytest.mark.parametrize("layout", ["jsonl", "columnar", "mixed"])
+    def test_outbreaks_and_zombie_detail_equal_cold_scans(self, tmp_path,
+                                                          layout):
+        """The two routes that used to scan segments per request:
+        answered from the views, they equal the brute-force scans on
+        every segment layout a store can have."""
+        store = EventStore(tmp_path / "store", segment_max_records=8)
+        fill_store(store)
+        if layout != "jsonl":
+            store.compact(fmt="columnar")
+        if layout == "mixed":
+            fill_store(store, prefixes=3, rounds=1)  # a JSONL tail
+        app = ObservatoryApp(store)
+
+        def get(path, **params):
+            status, _, body = app.respond(
+                path, {key: [str(value)] for key, value in params.items()})
+            assert status == 200
+            return json.loads(body)
+
+        prefix = "2001:db8:1::/48"
+        for filters in ({}, {"prefix": prefix},
+                        {"since": 1200, "until": 2200},
+                        {"prefix": prefix, "since": 1200}):
+            rows = full_scan_outbreaks(store, **filters)
+            assert rows
+            assert get("/outbreaks", **filters) == \
+                {"count": len(rows), "outbreaks": rows}
+        rows = full_scan_outbreaks(store)
+        first = get("/outbreaks", limit=4)
+        assert first == {"count": 4, "outbreaks": rows[:4],
+                         "next_cursor": str(rows[3]["seq"])}
+        assert get("/outbreaks", cursor=first["next_cursor"]) == \
+            {"count": len(rows) - 4, "outbreaks": rows[4:],
+             "next_cursor": None}
+        assert get("/outbreaks", cursor=rows[3]["seq"], limit=2,
+                   since=1200) == \
+            {"count": 2, "outbreaks": [
+                row for row in rows[4:] if row["time"] >= 1200][:2],
+             "next_cursor": str([row for row in rows[4:]
+                                 if row["time"] >= 1200][1]["seq"])}
+        for index in range(6):
+            prefix = f"2001:db8:{index:x}::/48"
+            assert get("/zombies/" + prefix) == \
+                full_scan_zombie(store, prefix)
+
+    def test_zombie_detail_is_one_position(self, tmp_path):
+        """An outbreak appended after the views refreshed but before
+        the handler returns belongs to the next position: it may appear
+        in neither the rows nor the counts of this answer."""
+        store = EventStore(tmp_path / "store")
+        fill_store(store)
+        prefix = "2001:db8:1::/48"
+        app = ObservatoryApp(store)
+        before = json.loads(app.respond("/zombies/" + prefix, {})[2])
+        refresh = app.views.refresh
+
+        def refresh_then_append():
+            folded = refresh()
+            store.append("outbreak", 7777, {"prefix": prefix, "late": True})
+            return folded
+
+        app.views.refresh = refresh_then_append
+        store.append("lifespan", 7000, lifespan("other::/48"))  # new ETag
+        body = json.loads(app.respond("/zombies/" + prefix, {})[2])
+        assert body == before
+        assert body["outbreak_count"] == len(body["outbreaks"])
+
+    def test_routes_read_the_store_only_through_the_view_refresh(
+            self, tmp_path, monkeypatch):
+        """After a warm-up no route scans segments: the only store read
+        left is the views' own ``min_seq=`` delta."""
+        store = EventStore(tmp_path / "store", segment_max_records=8)
+        fill_store(store)
+        app = ObservatoryApp(store)
+        routes = [("/healthz", {}), ("/metrics", {}), ("/outbreaks", {}),
+                  ("/outbreaks", {"prefix": ["2001:db8:1::/48"],
+                                  "since": ["1200"], "limit": ["2"],
+                                  "cursor": ["3"]}),
+                  ("/zombies", {}), ("/zombies/2001:db8:1::/48", {}),
+                  ("/resurrections", {"until": ["2200"]})]
+        assert app.respond("/zombies", {})[0] == 200  # warm-up
+        calls = []
+        events = store.events
+        monkeypatch.setattr(store, "events", lambda *args, **kwargs: (
+            calls.append((args, kwargs)) or events(*args, **kwargs)))
+        for path, params in routes:
+            assert app.respond(path, params)[0] == 200, path
+        assert app.respond("/outbreaks/unknown/forensics", {})[0] == 404
+        assert calls == []  # nothing appended: not even the delta read
+        watermark = store.next_seq
+        store.append("outbreak", 6000, {"prefix": "2001:db8:1::/48"})
+        for path, params in routes:
+            assert app.respond(path, params)[0] == 200, path
+        assert calls == [((), {"kinds": None, "min_seq": watermark})]
+
 
 class TestEtagRevalidation:
     def test_repeat_query_is_a_304(self, served):
@@ -572,6 +672,31 @@ class TestHandlerBugfixes:
         assert types["observatory_store_segments"] == "gauge"
         assert types["observatory_view_watermark"] == "gauge"
         assert types["observatory_events"] == "gauge"
+
+    def test_metrics_kind_counts_equal_a_brute_force_count(self, tmp_path):
+        """``observatory_events{kind=}`` is what the views folded, not
+        a store scan per scrape — and still the store's content, also
+        once ``compact()`` has folded superseded lifespans away."""
+        store = EventStore(tmp_path / "store", segment_max_records=8)
+        fill_store(store)
+        app = ObservatoryApp(store)
+
+        def served_counts():
+            return {line.split('"')[1]: int(line.split()[1])
+                    for line in app.render_metrics().splitlines()
+                    if line.startswith("observatory_events{kind=")}
+
+        def brute_force():
+            counts = {}
+            for event in store.events():
+                counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+            return counts
+
+        assert served_counts() == brute_force()
+        store.append("outbreak", 9000, {"prefix": "2a0d::/48"})
+        assert served_counts() == brute_force()
+        assert store.compact()["dropped"] > 0
+        assert served_counts() == brute_force()
 
     def test_client_disconnect_mid_response_is_dropped(self, tmp_path):
         store = EventStore(tmp_path / "store")
