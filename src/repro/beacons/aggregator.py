@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import ipaddress
 
-from repro.utils.timeutil import month_start, previous_month_start, seconds_into_month
+from repro.utils.timeutil import (
+    MINUTE,
+    month_start,
+    previous_month_start,
+    seconds_into_month,
+)
 
 __all__ = ["AggregatorClock"]
 
@@ -75,3 +80,20 @@ class AggregatorClock:
             return ipaddress.IPv4Address(address).packed[0] == cls.PREFIX_OCTET
         except (ValueError, ipaddress.AddressValueError):
             return False
+
+    @classmethod
+    def is_stale(cls, announcement, announce_time: int) -> bool:
+        """The double-count test (paper §3.1, step 2): does the stuck
+        ``announcement`` (an update record) pre-date the beacon
+        announcement made at ``announce_time``?  False when it carries
+        no Aggregator clock to tell by."""
+        attrs = announcement.attributes
+        if attrs is None or attrs.aggregator is None:
+            return False
+        address = attrs.aggregator.address
+        if not cls.is_clock_address(address):
+            return False
+        origin_time = cls.decode(address, announcement.timestamp)
+        # Allow a small slack: the clock has one-second granularity and
+        # the origination may lag the scheduled slot by a moment.
+        return origin_time < announce_time - MINUTE

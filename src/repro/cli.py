@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--supervise", action="store_true",
                         help="run under the crash-restarting supervisor "
                              "(restores from the checkpoint after a crash)")
-    ingest.add_argument("--batch-records", type=int, default=500,
-                        help="records per supervised batch (heartbeat unit)")
     ingest.add_argument("--max-restarts", type=int, default=5,
                         help="consecutive crashes tolerated before the "
                              "supervisor gives up")
@@ -221,13 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--port", type=int, default=8490,
                         help="federated query port (shard worker ports "
                              "are OS-assigned)")
-    fserve.add_argument("--deadline", type=float, default=2.0,
-                        help="per-shard scatter deadline in seconds")
     fserve.add_argument("--retries", type=int, default=1,
                         help="extra connect attempts per shard request")
-    fserve.add_argument("--breaker-threshold", type=int, default=3,
-                        help="consecutive failures before a shard's "
-                             "circuit opens")
     fserve.add_argument("--breaker-open-seconds", type=float, default=5.0,
                         help="seconds an open circuit refuses requests "
                              "before its half-open probe")
@@ -237,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--restart-backoff", type=float, default=0.2,
                         help="base delay before respawning a dead shard "
                              "(doubles per consecutive crash)")
-    fserve.add_argument("--poll-interval", type=float, default=0.05,
-                        help="shard workers' source-store poll cadence")
 
     fstatus = flt.add_parser(
         "status", help="fleet-wide health of a running federated server")
@@ -273,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     msync.add_argument("dest", help="local mirror directory")
     msync.add_argument("--workers", type=int, default=4,
                        help="concurrent collector-month downloads")
-    msync.add_argument("--timeout", type=float, default=10.0,
-                       help="per-request timeout in seconds")
     msync.add_argument("--retries", type=int, default=4,
                        help="extra attempts per request")
     msync.add_argument("--collectors", default=None,
@@ -293,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     mwatch.add_argument("--cycles", type=int, default=None,
                         help="stop after N passes (default: forever)")
     mwatch.add_argument("--workers", type=int, default=4)
-    mwatch.add_argument("--timeout", type=float, default=10.0)
     mwatch.add_argument("--retries", type=int, default=4)
     mwatch.add_argument("--key", default=None)
 
@@ -427,10 +415,15 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    from repro.ris import reindex_archive
+    from repro.ris import Archive, reindex_archive
+    from repro.routeviews import RouteViewsArchive
 
     try:
-        written = reindex_archive(args.archive, rebuild=args.rebuild)
+        # One root may hold either platform's files, or both.
+        written = sum(
+            reindex_archive(args.archive, rebuild=args.rebuild,
+                            layout=cls.layout)
+            for cls in (Archive, RouteViewsArchive))
     except FileNotFoundError:
         print(f"archive root does not exist: {args.archive}", file=sys.stderr)
         return 2
@@ -533,9 +526,8 @@ def _run_supervised(args, store, make_ingest) -> int:
     from repro.observatory import ObservatorySupervisor
     from repro.observatory.asyncserver import AsyncObservatoryServer
 
-    supervisor = ObservatorySupervisor(
-        make_ingest, batch_records=args.batch_records,
-        max_restarts=args.max_restarts)
+    supervisor = ObservatorySupervisor(make_ingest,
+                                       max_restarts=args.max_restarts)
     server = None
     if args.serve_port is not None:
         # /healthz + /metrics, plus live /stream/* of exactly what
@@ -638,8 +630,7 @@ def _cmd_observatory_fleet_serve(args) -> int:
     from repro.observatory.fleet import ShardFleet
 
     fleet = ShardFleet(args.store, args.fleet_root, shards=args.shards,
-                       host=args.host, poll_interval=args.poll_interval,
-                       max_restarts=args.max_restarts,
+                       host=args.host, max_restarts=args.max_restarts,
                        backoff=args.restart_backoff,
                        backoff_cap=max(5.0, args.restart_backoff))
     fleet.start()
@@ -647,8 +638,7 @@ def _cmd_observatory_fleet_serve(args) -> int:
           flush=True)
     server = FederatedObservatoryServer(
         fleet.shard_urls(), host=args.host, port=args.port,
-        deadline=args.deadline, retries=args.retries,
-        breaker_threshold=args.breaker_threshold,
+        retries=args.retries,
         breaker_open_seconds=args.breaker_open_seconds, fleet=fleet)
     print(f"federated observatory listening on "
           f"http://{args.host}:{args.port}", flush=True)
@@ -840,11 +830,10 @@ def _cmd_mirror_serve(args) -> int:
 
     server = ArchiveServer(args.archive, host=args.host, port=args.port,
                            key=_mirror_key(args))
-    print(f"archive server listening on {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+    print(f"archive server listening on http://{args.host}:{args.port}",
+          flush=True)
+    # SIGTERM/SIGINT drain in-flight responses, then this returns.
+    server.serve_forever()
     return 0
 
 
@@ -855,8 +844,8 @@ def _make_mirror(args):
     if getattr(args, "collectors", None):
         collectors = [c.strip() for c in args.collectors.split(",") if c.strip()]
     return ArchiveMirror(args.url, args.dest, workers=args.workers,
-                         timeout=args.timeout, retries=args.retries,
-                         key=_mirror_key(args), collectors=collectors)
+                         retries=args.retries, key=_mirror_key(args),
+                         collectors=collectors)
 
 
 def _print_report(report) -> None:
@@ -923,12 +912,10 @@ def _cmd_mirror_proxy(args) -> int:
              if getattr(args, kind) > 0}
     proxy = FaultyProxy(args.upstream, FaultPlan(rates=rates, seed=args.seed),
                         host=args.host, port=args.port)
-    print(f"faulty proxy for {args.upstream} listening on {proxy.url} "
-          f"(rates: {rates or 'none'})")
-    try:
-        proxy.serve_forever()
-    except KeyboardInterrupt:
-        pass
+    print(f"faulty proxy for {args.upstream} listening on "
+          f"http://{args.host}:{args.port} (rates: {rates or 'none'})",
+          flush=True)
+    proxy.serve_forever()
     return 0
 
 

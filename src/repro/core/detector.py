@@ -185,7 +185,8 @@ class ZombieDetector:
             announcement = state.last_announcement(key, interval.prefix, eval_time)
             if announcement is None:
                 continue  # withdrawn in time — healthy
-            stale = self._is_stale(announcement, interval)
+            stale = AggregatorClock.is_stale(announcement,
+                                             interval.announce_time)
             if config.dedup and stale:
                 continue
             routes.append(ZombieRoute(
@@ -198,19 +199,3 @@ class ZombieDetector:
             result.visible_intervals.append(interval)
         if routes:
             result.outbreaks.append(ZombieOutbreak(interval, tuple(routes)))
-
-    @staticmethod
-    def _is_stale(announcement: UpdateRecord,
-                  interval: BeaconInterval) -> bool:
-        """Aggregator-clock test: does the stuck announcement pre-date
-        this interval's beacon announcement? (paper §3.1, step 2)."""
-        attrs = announcement.attributes
-        if attrs is None or attrs.aggregator is None:
-            return False
-        address = attrs.aggregator.address
-        if not AggregatorClock.is_clock_address(address):
-            return False
-        origin_time = AggregatorClock.decode(address, announcement.timestamp)
-        # Allow a small slack: the clock has one-second granularity and
-        # the origination may lag the scheduled slot by a moment.
-        return origin_time < interval.announce_time - MINUTE

@@ -257,8 +257,7 @@ class ResilientReader:
 
     def __init__(self, path: Union[str, Path],
                  policy: str = ErrorPolicy.SKIP,
-                 stats: Optional[DecodeStats] = None,
-                 sidecar: Optional[Union[str, Path]] = None):
+                 stats: Optional[DecodeStats] = None):
         self.path = Path(path)
         self.policy = ErrorPolicy.validate(policy)
         if self.policy == ErrorPolicy.STRICT:
@@ -269,8 +268,7 @@ class ResilientReader:
         self.stats = stats if stats is not None else DecodeStats()
         self._writer: Optional[QuarantineWriter] = None
         if self.policy == ErrorPolicy.QUARANTINE:
-            self._writer = QuarantineWriter(
-                sidecar if sidecar is not None else quarantine_path(self.path))
+            self._writer = QuarantineWriter(quarantine_path(self.path))
         self._had_errors = False
         self._offset = 0  # decompressed-stream offset of the last record
 

@@ -31,6 +31,8 @@ miniature:
 * :mod:`repro.observatory.supervisor` wraps the ingest in a watchdog
   that restarts it from the last checkpoint across crashes and exposes
   a healthy/degraded/stalled state machine;
+  :mod:`repro.observatory.restart` is the restart policy it shares
+  with the shard fleet;
 * :mod:`repro.observatory.doctor` is the store fsck behind
   ``observatory doctor``: torn/bit-rotted/orphaned segment detection
   and manifest repair;
@@ -54,10 +56,7 @@ from repro.observatory.client import (
     ObservatoryProtocolError,
     ObservatoryUnreachable,
 )
-from repro.observatory.asyncserver import (
-    AsyncHTTPTransport,
-    AsyncObservatoryServer,
-)
+from repro.observatory.asyncserver import AsyncObservatoryServer
 from repro.observatory.colseg import ColsegError, ColumnarSegment
 from repro.observatory.doctor import FsckReport, fsck, fsck_fleet
 from repro.observatory.federation import (
@@ -88,6 +87,7 @@ from repro.observatory.synthetic import (
 )
 from repro.observatory.stream import StreamHub, StreamStats
 from repro.observatory.views import MaterializedViews
+from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = [
     "AsyncHTTPTransport",

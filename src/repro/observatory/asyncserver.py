@@ -1,29 +1,22 @@
 """The asyncio observatory server: one selector loop, many streams.
 
-This is the observatory's HTTP transport (``observatory serve``, the
+This is the observatory's HTTP server (``observatory serve``, the
 supervised ingest's ``--serve-port``, every shard worker): a thin layer
 over :class:`repro.observatory.server.ObservatoryApp` that puts on the
 wire exactly what ``ObservatoryApp.respond`` returns — status, headers,
 body — which the transport-fidelity tests assert.
 
-Why asyncio: a thread per connection would make ten thousand idle SSE
-subscribers ten thousand idle threads.  Here a connection is a
-coroutine: data requests are parsed on the loop, answered through
-``ObservatoryApp.respond`` on a small executor-thread pool (store reads
-are blocking file I/O), and written back with HTTP/1.1 keep-alive —
-repeat queries skip the connect tax entirely.  Streams never touch the
-executor pool after catch-up: they wait on their hub queue.
-
-The transport half lives in :class:`AsyncHTTPTransport` — lifecycle,
-the connection loop, head parsing, graceful drain and signal handling —
-with a single ``_dispatch`` hook per request.  The federated query tier
-(:mod:`repro.observatory.federation`) reuses it unchanged; this module
-adds the ``ObservatoryApp`` dispatch plus SSE streaming on top.
-
-Shutdown is graceful by contract (SIGTERM or ``stop()``): the listener
-closes first (no new connections), every in-flight request finishes,
-SSE subscribers get a final ``: shutdown`` comment frame, and only
-connections still busy after ``drain_timeout`` are cancelled.
+The transport half — lifecycle, the connection loop, head parsing,
+graceful drain and signal handling — is
+:class:`repro.utils.asynchttp.AsyncHTTPTransport`, shared with every
+other server in the repository; this module adds the ``ObservatoryApp``
+dispatch plus SSE streaming on top.  Data requests are answered through
+``ObservatoryApp.respond`` on the executor-thread pool (store reads are
+blocking file I/O) and written back with HTTP/1.1 keep-alive — repeat
+queries skip the connect tax entirely.  Streams never touch the
+executor pool after catch-up: they wait on their hub queue, and a
+draining server sends each subscriber a final ``: shutdown`` comment
+frame before it closes.
 
 ``/stream/outbreaks``, ``/stream/resurrections`` and ``/stream/events``
 serve Server-Sent Events that tail the event store by ``seq``:
@@ -50,11 +43,7 @@ serve Server-Sent Events that tail the event store by ``seq``:
 from __future__ import annotations
 
 import asyncio
-import http.client
-import signal
-import threading
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
 
 from repro.observatory.server import ObservatoryApp, _BadRequest
 from repro.observatory.store import EventStore, TailCursor
@@ -70,8 +59,9 @@ from repro.observatory.stream import (
     parse_token,
     _live_batch,
 )
+from repro.utils.asynchttp import AsyncHTTPTransport
 
-__all__ = ["AsyncHTTPTransport", "AsyncObservatoryServer", "STREAM_PATHS"]
+__all__ = ["AsyncObservatoryServer", "STREAM_PATHS"]
 
 #: Stream endpoint -> event-kind filter (``None`` = every kind).
 STREAM_PATHS: dict[str, Optional[tuple[str, ...]]] = {
@@ -84,275 +74,6 @@ STREAM_PATHS: dict[str, Optional[tuple[str, ...]]] = {
 def _first(params: dict, name: str) -> Optional[str]:
     values = params.get(name)
     return values[0] if values else None
-
-
-class AsyncHTTPTransport:
-    """Asyncio GET-only HTTP/1.1 transport with graceful shutdown.
-
-    Subclasses implement ``async _dispatch(path, params, headers,
-    writer, keep_alive) -> bool`` (the return value decides whether the
-    connection loop continues) plus the optional ``_on_startup`` /
-    ``_on_cleanup`` hooks, which run inside the event loop before the
-    listener opens and after it drains.
-
-    Lifecycle: ``start()`` runs the loop on a daemon thread (ephemeral
-    ``port=0`` readable back after start), ``serve_forever()`` blocks
-    in the foreground and installs SIGTERM/SIGINT handlers for a
-    graceful exit, ``stop()`` is thread-safe.
-
-    Shutdown sequence: close the listener, set ``_draining`` (the
-    connection loop stops accepting follow-up keep-alive requests and
-    SSE tails wind down with a final frame), wait up to
-    ``drain_timeout`` seconds for in-flight connections, cancel
-    whatever is still stuck.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 drain_timeout: float = 5.0, write_buffer: int = 1 << 16):
-        self.drain_timeout = drain_timeout
-        self.write_buffer = write_buffer
-        self._requested = (host, port)
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._draining: Optional[asyncio.Event] = None
-        self._connections: set[asyncio.Task] = set()
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    # -- counters (real implementations live in the app mixin) ------------
-
-    def count_request(self) -> None:
-        pass
-
-    def count_dropped_response(self) -> None:
-        pass
-
-    # -- lifecycle hooks ---------------------------------------------------
-
-    async def _on_startup(self) -> None:
-        pass
-
-    async def _on_cleanup(self) -> None:
-        pass
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        assert self._host is not None, "server not started"
-        return self._host
-
-    @property
-    def port(self) -> int:
-        assert self._port is not None, "server not started"
-        return self._port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "AsyncHTTPTransport":
-        """Run the event loop on a daemon thread; returns self."""
-        self._thread = threading.Thread(target=self._run_loop,
-                                        name="observatory-async", daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("async observatory server failed to start")
-        if self._startup_error is not None:
-            raise RuntimeError("async observatory server failed to start"
-                               ) from self._startup_error
-        return self
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced by start()
-            self._startup_error = exc
-        finally:
-            self._started.set()
-
-    def serve_forever(self, install_signal_handlers: bool = True) -> None:
-        """Blocking serve (the CLI foreground mode).  SIGTERM/SIGINT
-        trigger the graceful drain and this returns normally — the CLI
-        exits 0."""
-        asyncio.run(self._main(
-            install_signal_handlers=install_signal_handlers))
-
-    def stop(self) -> None:
-        loop, shutdown = self._loop, self._shutdown
-        if loop is not None and shutdown is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(shutdown.set)
-            except RuntimeError:
-                pass  # loop shut down in the meantime
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    async def _main(self, install_signal_handlers: bool = False) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        self._draining = asyncio.Event()
-        await self._on_startup()
-        server = await asyncio.start_server(self._on_connection,
-                                            *self._requested)
-        installed: list[int] = []
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._loop.add_signal_handler(signum, self._shutdown.set)
-                    installed.append(signum)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass  # non-main thread or unsupported platform
-        sockname = server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
-        self._started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            for signum in installed:
-                self._loop.remove_signal_handler(signum)
-            # Graceful drain: stop accepting, let in-flight requests
-            # finish (SSE tails see _draining and send a final frame),
-            # cancel only what is still stuck after the timeout.
-            server.close()
-            await server.wait_closed()
-            self._draining.set()
-            if self._connections:
-                await asyncio.wait(set(self._connections),
-                                   timeout=self.drain_timeout)
-            for task in list(self._connections):
-                task.cancel()
-            await self._on_cleanup()
-            await asyncio.gather(*list(self._connections),
-                                 return_exceptions=True)
-
-    # -- connection handling ----------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            writer.transport.set_write_buffer_limits(high=self.write_buffer)
-            await self._serve_connection(reader, writer)
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
-            self.count_dropped_response()
-        except asyncio.CancelledError:
-            # Shutdown is the only canceller; ending cleanly here keeps
-            # the StreamReaderProtocol done-callback from re-raising.
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _next_head(self, reader: asyncio.StreamReader
-                         ) -> Optional[bytes]:
-        """The next request head, or ``None`` once draining begins with
-        no request in flight on this connection.  A head that completes
-        in the cancellation race is rescued, not dropped — the request
-        was received and will be answered before the connection dies."""
-        assert self._draining is not None
-        read_task = asyncio.ensure_future(reader.readuntil(b"\r\n\r\n"))
-        drain_task = asyncio.ensure_future(self._draining.wait())
-        try:
-            await asyncio.wait({read_task, drain_task},
-                               return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            drain_task.cancel()
-        if read_task.done():
-            return read_task.result()
-        read_task.cancel()
-        try:
-            return await read_task
-        except asyncio.CancelledError:
-            return None
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        assert self._draining is not None
-        while True:
-            try:
-                head = await self._next_head(reader)
-            except asyncio.IncompleteReadError:
-                return  # client closed (or sent nothing) between requests
-            except asyncio.LimitOverrunError:
-                await self._send_error(writer, 431,
-                                       "request header section too large")
-                return
-            if head is None:
-                return  # draining, connection idle
-            try:
-                method, target, version, headers = self._parse_head(head)
-            except ValueError as exc:
-                await self._send_error(writer, 400, f"malformed request: "
-                                                    f"{exc}")
-                return
-            if method != "GET":
-                await self._send_error(writer, 405,
-                                       f"method not allowed: {method}")
-                return
-            url = urlsplit(target)
-            params = parse_qs(url.query)
-            keep_alive = (version == "HTTP/1.1"
-                          and headers.get("connection", "").lower() != "close")
-            keep_alive = await self._dispatch(url.path, params, headers,
-                                              writer, keep_alive)
-            if not keep_alive or self._draining.is_set():
-                return
-
-    async def _dispatch(self, path: str, params: dict,
-                        headers: dict[str, str],
-                        writer: asyncio.StreamWriter,
-                        keep_alive: bool) -> bool:
-        raise NotImplementedError
-
-    @staticmethod
-    def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
-        """Parse one request head into (method, target, version, headers);
-        header names are lower-cased, later duplicates win (none of the
-        headers this server reads are list-valued in practice)."""
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split()
-        if len(parts) != 3:
-            raise ValueError(f"bad request line: {lines[0]!r}")
-        method, target, version = parts
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"bad header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        return method, target, version, headers
-
-    @staticmethod
-    def _write_head(writer: asyncio.StreamWriter, status: int,
-                    headers: list[tuple[str, str]], keep_alive: bool) -> None:
-        reason = http.client.responses.get(status, "Unknown")
-        lines = [f"HTTP/1.1 {status} {reason}"]
-        lines += [f"{name}: {value}" for name, value in headers]
-        lines.append("Connection: " + ("keep-alive" if keep_alive
-                                       else "close"))
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-
-    async def _send_error(self, writer: asyncio.StreamWriter, status: int,
-                          message: str) -> None:
-        status, headers, payload = ObservatoryApp._json_response(
-            status, {"error": message})
-        self._write_head(writer, status, headers, keep_alive=False)
-        writer.write(payload)
-        await writer.drain()
 
 
 class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
@@ -411,9 +132,8 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
         loop = asyncio.get_running_loop()
         status, response_headers, payload = await loop.run_in_executor(
             None, self.respond, path, params, headers.get("if-none-match"))
-        self._write_head(writer, status, response_headers, keep_alive)
-        writer.write(payload)
-        await writer.drain()
+        await self._send(writer, status, response_headers, payload,
+                         keep_alive)
         return keep_alive
 
     # -- SSE streaming ----------------------------------------------------

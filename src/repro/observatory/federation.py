@@ -51,7 +51,6 @@ import time
 from typing import Any, Callable, Optional
 from urllib.parse import unquote, urlencode, urlsplit
 
-from repro.observatory.asyncserver import AsyncHTTPTransport
 from repro.observatory.fleet import shard_for, shard_name
 from repro.observatory.forensics import outbreak_prefix
 from repro.observatory.server import (
@@ -65,6 +64,7 @@ from repro.observatory.server import (
     forensics_outbreak_id,
 )
 from repro.observatory.views import CursorError
+from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = ["CircuitBreaker", "FederatedObservatoryServer", "PARTIAL_HEADER",
            "ShardUnavailable"]
@@ -195,9 +195,8 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         self.count_request()
         status, response_headers, payload = await self.respond(
             path, params, headers.get("if-none-match"))
-        self._write_head(writer, status, response_headers, keep_alive)
-        writer.write(payload)
-        await writer.drain()
+        await self._send(writer, status, response_headers, payload,
+                         keep_alive)
         return keep_alive
 
     # -- one-request entry point ------------------------------------------

@@ -35,9 +35,11 @@ shard store from scratch, exactly like the materialized views.
 
 **Fleet.**  :class:`ShardFleet` supervises one worker *subprocess* per
 shard — a real process, so ``kill -9`` chaos tests exercise the real
-failure — with the PR-4 supervisor state machine: seeded-jitter
-exponential backoff between restarts, a consecutive-failure budget,
-and a healthy/degraded/stalled state per shard and fleet-wide.
+failure — restarting each under its own
+:class:`~repro.observatory.restart.RestartPolicy` (the ingest
+supervisor's: seeded-jitter exponential backoff, a consecutive-failure
+budget), with a healthy/degraded/stalled state per shard and
+fleet-wide.
 """
 
 from __future__ import annotations
@@ -58,13 +60,11 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.observatory.asyncserver import AsyncObservatoryServer
+from repro.observatory.restart import STATES, RestartPolicy
 from repro.observatory.store import EventStore, TailCursor
 
 __all__ = ["ShardFleet", "ShardWorker", "partition_store", "pick_free_port",
            "shard_for", "shard_name"]
-
-#: Shard worker states (the supervisor vocabulary, reused fleet-wide).
-STATES = ("healthy", "degraded", "stalled")
 
 SIDECAR_NAME = "shard.json"
 
@@ -241,19 +241,14 @@ class ShardWorker:
         serve until SIGTERM/SIGINT, then drain and exit 0."""
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda *_: self._stop.set())
-        self.server.start()
-        thread = threading.Thread(target=self._tail_loop,
-                                  name=f"{self.name}-tail", daemon=True)
-        thread.start()
+        self.start()
         print(f"{self.name} serving {self.shard_root} on {self.server.url} "
               f"({self.index + 1}/{self.count})", flush=True)
         while not self._stop.is_set():
             # signal.sigwait would miss KeyboardInterrupt on some
             # platforms; a polled Event is portable and cheap.
             self._stop.wait(0.2)
-        thread.join(timeout=10)
-        self.server.stop()
-        self.store.close()
+        self.stop()
         return 0
 
 
@@ -262,10 +257,10 @@ class ShardFleet:
 
     Workers are real processes (``python -m repro observatory fleet
     worker ...``), so a ``kill -9`` in a chaos test dies the way a
-    production worker dies.  The supervisor loop restarts dead workers
-    after an exponential backoff with seeded jitter and gives up on a
-    shard after ``max_restarts`` consecutive failures — the PR-4
-    supervisor state machine, applied fleet-wide:
+    production worker dies.  The monitor loop restarts dead workers
+    when their :class:`RestartPolicy` says so — exponential backoff
+    with seeded jitter, giving up on a shard after ``max_restarts``
+    consecutive failures — and reports the shared health vocabulary:
 
     ``healthy``   every worker running, no restarts;
     ``degraded``  forward progress, but restarts happened (or a worker
@@ -291,14 +286,13 @@ class ShardFleet:
         self.shards = shards
         self.host = host
         self.poll_interval = poll_interval
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
-        self.max_restarts = max_restarts
         self.monitor_interval = monitor_interval
         self.python = python
         self._clock = clock
-        self._rng = random.Random(seed)
+        rng = random.Random(seed)  # one jitter stream for the whole fleet
+        self._policies = [RestartPolicy(backoff, backoff_cap, jitter,
+                                        max_restarts, rng)
+                          for _ in range(shards)]
         self.ports = list(ports) if ports is not None else [
             pick_free_port(host) for _ in range(shards)]
         if len(self.ports) != shards:
@@ -309,9 +303,6 @@ class ShardFleet:
         self.auto_restart = True
         self.restarts = [0] * shards
         self._procs: list[Optional[subprocess.Popen]] = [None] * shards
-        self._consecutive = [0] * shards
-        self._gave_up = [False] * shards
-        self._restart_at: list[Optional[float]] = [None] * shards
         self._last_ok: list[Optional[float]] = [None] * shards
         self._stopping = False
         self._monitor: Optional[threading.Thread] = None
@@ -355,35 +346,27 @@ class ShardFleet:
         self._monitor.start()
         return self
 
-    def _backoff_delay(self, index: int) -> float:
-        base = self.backoff * (2 ** max(0, self._consecutive[index] - 1))
-        return min(self.backoff_cap, base) + self.jitter * self._rng.random()
-
     def _monitor_loop(self) -> None:
         while not self._stopping:
             now = self._clock()
-            for index in range(self.shards):
-                proc = self._procs[index]
-                alive = proc is not None and proc.poll() is None
-                if alive:
-                    self._restart_at[index] = None
+            for index, policy in enumerate(self._policies):
+                if self._alive(index):
                     if self._probe(index):
                         self._last_ok[index] = now
-                        self._consecutive[index] = 0
+                        policy.progressed()
                     continue
-                if self._gave_up[index] or not self.auto_restart:
+                if policy.gave_up or not self.auto_restart:
                     continue
-                if self._restart_at[index] is None:
-                    self._consecutive[index] += 1
-                    if self._consecutive[index] > self.max_restarts:
-                        self._gave_up[index] = True
-                        continue
-                    self._restart_at[index] = now + self._backoff_delay(index)
-                if now >= self._restart_at[index]:
+                if policy.restart_at is None:
+                    policy.failed(now)  # schedules the restart, or gives up
+                if policy.due(now):
                     self._procs[index] = self._spawn(index)
                     self.restarts[index] += 1
-                    self._restart_at[index] = None
             self._wake.wait(self.monitor_interval)
+
+    def _alive(self, index: int) -> bool:
+        proc = self._procs[index]
+        return proc is not None and proc.poll() is None
 
     def _probe(self, index: int) -> bool:
         try:
@@ -402,12 +385,9 @@ class ShardFleet:
 
     def restart_now(self, index: int) -> None:
         """Respawn a dead shard immediately, bypassing the backoff."""
-        proc = self._procs[index]
-        if proc is not None and proc.poll() is None:
+        if self._alive(index):
             return
-        self._gave_up[index] = False
-        self._consecutive[index] = 0
-        self._restart_at[index] = None
+        self._policies[index].reset()
         self._procs[index] = self._spawn(index)
         self.restarts[index] += 1
 
@@ -433,13 +413,10 @@ class ShardFleet:
     # -- health -----------------------------------------------------------
 
     def shard_state(self, index: int) -> str:
-        proc = self._procs[index]
-        alive = proc is not None and proc.poll() is None
-        if self._gave_up[index] or (not alive and not self.auto_restart):
-            return "stalled"
-        if not alive or self.restarts[index] > 0:
-            return "degraded"
-        return "healthy"
+        alive = self._alive(index)
+        return self._policies[index].state(
+            stalled=not alive and not self.auto_restart,
+            degraded=not alive or self.restarts[index] > 0)
 
     @property
     def state(self) -> str:
@@ -458,9 +435,9 @@ class ShardFleet:
                 "state": self.shard_state(index),
                 "url": self.shard_url(index),
                 "pid": proc.pid if proc is not None else None,
-                "alive": proc is not None and proc.poll() is None,
+                "alive": self._alive(index),
                 "restarts": self.restarts[index],
-                "gave_up": self._gave_up[index],
+                "gave_up": self._policies[index].gave_up,
                 "last_ok_age_seconds": (max(0.0, now - last_ok)
                                         if last_ok is not None else None),
             })

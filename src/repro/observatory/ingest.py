@@ -57,8 +57,9 @@ class ObservatoryIngest:
     """One ingest session over the window ``[start, end)``.
 
     Constructing the engine either starts fresh (registering every
-    beacon interval with the detector and the monitor's schedule filter)
-    or — when ``checkpoint_path`` holds a checkpoint — resumes: the
+    beacon interval with the detector and the monitor's schedule filter,
+    and writing the zero-record checkpoint every later restart restores
+    to) or — when ``checkpoint_path`` holds a checkpoint — resumes: the
     detector, monitor and lifespan session are restored from their
     snapshots, the event store is rolled back to the checkpointed event
     count, and the archive streams are re-opened at the watermarks.
@@ -133,6 +134,10 @@ class ObservatoryIngest:
         self.ring = LastAnnouncementRing(
             self.ring_capacity, prefixes=self._watched_prefixes(),
             excluded_peers=self.excluded_peers)
+        # Anchor recovery before the first record: a pass killed ahead
+        # of its first periodic checkpoint must restore to *this* store
+        # position, not start fresh again on top of what it appended.
+        self.checkpoint()
 
     def _watched_prefixes(self) -> set[str]:
         return {str(interval.prefix) for interval in self.intervals}

@@ -56,6 +56,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import unquote
 
 from repro.observatory.forensics import render_forensics
+from repro.observatory.restart import STATES
 from repro.observatory.store import EventStore
 from repro.observatory.views import (
     CursorError,
@@ -520,7 +521,7 @@ class ObservatoryApp:
                    "Raw bytes preserved in quarantine sidecars.")
             metric("observatory_ingest_lag_seconds", sup["ingest_lag_seconds"],
                    "Window time remaining ahead of the update watermark.")
-            for state in ("healthy", "degraded", "stalled"):
+            for state in STATES:
                 metric("observatory_ingest_state",
                        1 if sup["state"] == state else 0,
                        "Supervised ingest health state (one-hot).",

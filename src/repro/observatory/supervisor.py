@@ -11,12 +11,12 @@ driver:
   stamping a watchdog heartbeat (injectable clock, so tests freeze it);
 * a crash — in the engine or in the caller's ``on_batch`` hook — is
   caught, counted and logged; the engine is rebuilt via the caller's
-  factory (which restores from the checkpoint file) after an
-  exponential backoff with seeded jitter, so a flapping archive does
-  not spin a hot crash loop;
-* ``max_restarts`` consecutive failures without forward progress stop
-  the loop — better a dead daemon than one silently rewriting the same
-  poisoned window forever.
+  factory (which restores from the checkpoint file) after the delay
+  :class:`~repro.observatory.restart.RestartPolicy` hands out, so a
+  flapping archive does not spin a hot crash loop;
+* ``max_restarts`` consecutive failures without forward progress
+  exhaust that policy's budget and stop the loop — better a dead daemon
+  than one silently rewriting the same poisoned window forever.
 
 The observable health is a three-state machine:
 
@@ -40,11 +40,9 @@ from typing import Any, Callable, Optional
 
 from repro.mrt.resilient import DecodeStats
 from repro.observatory.ingest import ObservatoryIngest
+from repro.observatory.restart import RestartPolicy
 
 __all__ = ["ObservatorySupervisor"]
-
-#: States :attr:`ObservatorySupervisor.state` can report.
-STATES = ("healthy", "degraded", "stalled")
 
 
 class ObservatorySupervisor:
@@ -75,12 +73,9 @@ class ObservatorySupervisor:
                  sleep: Callable[[float], None] = time.sleep):
         self.ingest_factory = ingest_factory
         self.batch_records = batch_records
-        self.max_restarts = max_restarts
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
         self.heartbeat_timeout = heartbeat_timeout
-        self._rng = random.Random(seed)
+        self._policy = RestartPolicy(backoff, backoff_cap, jitter,
+                                     max_restarts, random.Random(seed))
         self._clock = clock
         self._sleep = sleep
 
@@ -88,16 +83,22 @@ class ObservatorySupervisor:
         self.restarts = 0
         self.crashes = 0
         self.batches = 0
-        self.gave_up = False
         self.finished = False
         self.last_error: Optional[str] = None
         self.last_heartbeat: Optional[float] = None
-        self._consecutive_failures = 0
         #: Decode counters of retired (crashed) engines; the live
         #: engine's are folded in on read, so totals survive restarts.
         self._decode_retired = DecodeStats()
 
     # -- health -----------------------------------------------------------
+
+    @property
+    def gave_up(self) -> bool:
+        return self._policy.gave_up
+
+    @gave_up.setter
+    def gave_up(self, value: bool) -> None:
+        self._policy.gave_up = value
 
     def heartbeat_age(self) -> Optional[float]:
         """Seconds since the last completed batch; None before the
@@ -138,44 +139,25 @@ class ObservatorySupervisor:
 
     @property
     def state(self) -> str:
-        if self.gave_up:
-            return "stalled"
-        if not self.finished:
-            age = self.heartbeat_age()
-            if age is not None and age > self.heartbeat_timeout:
-                return "stalled"
-        if self.restarts > 0 or self.records_skipped > 0 \
-                or self.bytes_quarantined > 0:
-            return "degraded"
-        return "healthy"
+        age = None if self.finished else self.heartbeat_age()
+        return self._policy.state(
+            stalled=age is not None and age > self.heartbeat_timeout,
+            degraded=(self.restarts > 0 or self.records_skipped > 0
+                      or self.bytes_quarantined > 0))
 
     # -- driving ----------------------------------------------------------
 
-    def _backoff_delay(self) -> float:
-        base = self.backoff * (2 ** max(0, self._consecutive_failures - 1))
-        delay = min(self.backoff_cap, base)
-        return delay + self.jitter * self._rng.random()
-
-    def _spawn(self) -> bool:
-        """(Re)build the engine from its checkpoint; a factory crash
-        counts against the restart budget like any other."""
-        try:
-            self.ingest = self.ingest_factory()
-            # Anchor recovery immediately: a crash in the very first
-            # batch must restore to *this* store position, not re-append
-            # on top of it (the engine only rolls the store back when a
-            # checkpoint exists).
-            self.ingest.checkpoint()
-            return True
-        except Exception as exc:
-            self.ingest = None
-            self._record_crash(exc)
-            return False
-
-    def _record_crash(self, exc: Exception) -> None:
+    def _crashed(self, exc: Exception) -> bool:
+        """Count a crash and sit out the backoff; False once the
+        restart budget is spent."""
         self.crashes += 1
-        self._consecutive_failures += 1
         self.last_error = f"{type(exc).__name__}: {exc}"
+        delay = self._policy.failed()
+        if delay is None:
+            return False
+        self._sleep(delay)
+        self.restarts += 1
+        return True
 
     def run(self, on_batch: Optional[
             Callable[[ObservatoryIngest], None]] = None) -> bool:
@@ -186,14 +168,11 @@ class ObservatorySupervisor:
         kept for the post-mortem).
         """
         while True:
-            if self.ingest is None and not self._spawn():
-                if self._consecutive_failures > self.max_restarts:
-                    self.gave_up = True
-                    return False
-                self._sleep(self._backoff_delay())
-                self.restarts += 1
-                continue
             try:
+                if self.ingest is None:
+                    # Rebuilding the engine from its checkpoint *is* the
+                    # recovery; a factory crash counts like any other.
+                    self.ingest = self.ingest_factory()
                 ingested = self.ingest.run(self.batch_records)
                 if ingested > 0:
                     # Make the batch boundary durable before anything
@@ -205,24 +184,19 @@ class ObservatorySupervisor:
                 if on_batch is not None:
                     on_batch(self.ingest)
                 if ingested > 0:
-                    # Forward progress resets the failure streak: a
-                    # crash per million records is weather, not a loop.
-                    self._consecutive_failures = 0
+                    self._policy.progressed()
                 if ingested < self.batch_records:
                     self.ingest.finish()
                     self.finished = True
                     self.last_heartbeat = self._clock()
                     return True
             except Exception as exc:
-                self._record_crash(exc)
-                if self._consecutive_failures > self.max_restarts:
-                    self.gave_up = True
+                if not self._crashed(exc):
                     return False
-                self._sleep(self._backoff_delay())
-                self.restarts += 1
-                self._decode_retired.merge(
-                    self.ingest.archive.decode_stats)
-                self.ingest = None  # rebuild from checkpoint
+                if self.ingest is not None:
+                    self._decode_retired.merge(
+                        self.ingest.archive.decode_stats)
+                    self.ingest = None  # rebuild from checkpoint
 
     # -- reporting --------------------------------------------------------
 

@@ -270,12 +270,6 @@ class MaterializedViews:
         with self._lock:
             return self._forensics.get(outbreak_id)
 
-    def counts(self, prefix: str) -> dict[str, int]:
-        """Per-prefix ``outbreak`` / ``resurrection`` event counts."""
-        _, outbreaks, resurrections = self.zombie(prefix)
-        return {"outbreaks": len(outbreaks),
-                "resurrections": len(resurrections)}
-
     def kind_counts(self) -> dict[str, int]:
         """Events folded so far by kind (``observatory_events{kind=}``
         in ``/metrics``)."""

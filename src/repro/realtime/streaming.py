@@ -286,7 +286,8 @@ class StreamingDetector:
             # been received within this interval.
             if announcement.timestamp < interval.announce_time:
                 continue
-            stale = self._is_stale(announcement, interval)
+            stale = AggregatorClock.is_stale(announcement,
+                                             interval.announce_time)
             if self.dedup and stale:
                 continue
             yield ZombieAlert(
@@ -296,18 +297,6 @@ class StreamingDetector:
                 path=(announcement.attributes.as_path
                       if announcement.attributes else None),
                 stale=stale)
-
-    @staticmethod
-    def _is_stale(announcement: UpdateRecord,
-                  interval: BeaconInterval) -> bool:
-        attrs = announcement.attributes
-        if attrs is None or attrs.aggregator is None:
-            return False
-        address = attrs.aggregator.address
-        if not AggregatorClock.is_clock_address(address):
-            return False
-        origin_time = AggregatorClock.decode(address, announcement.timestamp)
-        return origin_time < interval.announce_time - MINUTE
 
 
 class ResurrectionMonitor:

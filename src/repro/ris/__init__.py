@@ -6,6 +6,7 @@ from repro.ris.archive import (
     UPDATE_BIN_SECONDS,
     Archive,
     ArchiveWriter,
+    reindex_archive,
 )
 from repro.ris.cache import DecodedFileCache
 from repro.ris.chaos import ChaosReport, build_reference_archive, corrupt_archive
@@ -17,7 +18,6 @@ from repro.ris.index import (
     build_rib_index,
     index_path,
     load_index,
-    reindex_archive,
     write_index,
 )
 from repro.ris.pushdown import RecordFilter

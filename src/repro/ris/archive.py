@@ -50,7 +50,7 @@ from repro.ris.pushdown import RecordFilter
 from repro.utils.timeutil import align_down, to_datetime
 
 __all__ = ["Archive", "ArchiveWriter", "UPDATE_BIN_SECONDS",
-           "RIB_DUMP_SECONDS", "DEFAULT_CACHE_FILES"]
+           "RIB_DUMP_SECONDS", "DEFAULT_CACHE_FILES", "reindex_archive"]
 
 UPDATE_BIN_SECONDS = 5 * 60
 RIB_DUMP_SECONDS = 8 * 3600
@@ -70,10 +70,35 @@ class Layout(NamedTuple):
     updates: str      #: updates-file template
     ribs: str         #: RIB-snapshot template
 
+    def files(self, root: Path, template: str,
+              collector: str = "*") -> list[Path]:
+        """Every file under ``root`` that ``template`` (one of this
+        layout's own) names, for one collector or all, sorted."""
+        return sorted(root.glob(template.format(
+            collector=collector, month="*", stamp="*")))
+
 
 RIS_LAYOUT = Layout(UPDATE_BIN_SECONDS, "rrc*",
                     "{collector}/{month}/updates.{stamp}.gz",
                     "{collector}/{month}/bview.{stamp}.gz")
+
+
+def reindex_archive(root: Union[str, Path], rebuild: bool = False,
+                    layout: Layout = RIS_LAYOUT) -> int:
+    """Write sidecars for every update file ``layout`` places under
+    ``root`` that lacks a fresh one (or for all of them with
+    ``rebuild=True``); returns the number of sidecars written."""
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"archive root does not exist: {root}")
+    written = 0
+    for path in layout.files(root, layout.updates):
+        if not rebuild and load_index(path) is not None:
+            continue
+        collector = path.relative_to(root).parts[0]
+        write_index(path, list(read_updates_file(path, collector)))
+        written += 1
+    return written
 
 
 def _parse_file_stamp(name: str) -> int:
@@ -198,8 +223,7 @@ class Archive:
         """Files of ``collector`` matching the layout ``template`` whose
         file stamp falls in [start, end), in (month, stamp) order."""
         out = []
-        for path in sorted(self.root.glob(template.format(
-                collector=collector, month="*", stamp="*"))):
+        for path in self.layout.files(self.root, template, collector):
             try:
                 stamp = _parse_file_stamp(path.name)
             except ValueError:

@@ -46,6 +46,7 @@ from repro.mrt.constants import (
 )
 from repro.mrt.files import create_mrt, iter_raw_records
 from repro.net.prefix import AFI_IPV4
+from repro.ris.archive import RIS_LAYOUT, Layout
 from repro.ris.index import index_path
 
 __all__ = ["ChaosReport", "corrupt_archive", "build_reference_archive"]
@@ -119,9 +120,10 @@ def corrupt_archive(root: Union[str, Path], *,
                     garbage_rate: float = 0.0,
                     truncate_rate: float = 0.0,
                     seed: int = 0,
-                    predicate: Optional[Callable[[Path], bool]] = None
-                    ) -> ChaosReport:
-    """Damage the update files under ``root`` in place, deterministically.
+                    predicate: Optional[Callable[[Path], bool]] = None,
+                    layout: Layout = RIS_LAYOUT) -> ChaosReport:
+    """Damage the update files ``layout`` places under ``root`` in
+    place, deterministically.
 
     ``rate`` is the per-record destruction probability, ``garbage_rate``
     the per-record probability of a garbage run being inserted before
@@ -137,7 +139,7 @@ def corrupt_archive(root: Union[str, Path], *,
     root = Path(root)
     rng = random.Random(seed)
     report = ChaosReport()
-    for path in sorted(root.glob("*/*/updates.*.gz")):
+    for path in layout.files(root, layout.updates):
         if predicate is not None and not predicate(path):
             continue
         report.files_seen += 1

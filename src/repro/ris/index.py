@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Union
 from repro.bgp.messages import Record, StateRecord, UpdateRecord
 
 __all__ = ["FileIndex", "INDEX_SUFFIX", "index_path", "build_index",
-           "build_rib_index", "write_index", "load_index", "reindex_archive"]
+           "build_rib_index", "write_index", "load_index"]
 
 INDEX_SUFFIX = ".idx"
 INDEX_VERSION = 1
@@ -163,22 +163,3 @@ def load_index(data_path: Union[str, Path]) -> Optional[FileIndex]:
         )
     except (OSError, KeyError, TypeError):
         return None
-
-
-def reindex_archive(root: Union[str, Path], rebuild: bool = False) -> int:
-    """Write sidecars for every update file under ``root`` that lacks a
-    fresh one (or for all of them with ``rebuild=True``); returns the
-    number of sidecars written."""
-    from repro.mrt.files import read_updates_file
-
-    root = Path(root)
-    written = 0
-    for collector_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        collector = collector_dir.name
-        for path in sorted(collector_dir.glob("*/updates.*.gz")):
-            if not rebuild and load_index(path) is not None:
-                continue
-            records = list(read_updates_file(path, collector))
-            write_index(path, records)
-            written += 1
-    return written

@@ -9,17 +9,19 @@ remotely:
 * :mod:`repro.transport.manifest` — signed per-collector-month checksum
   manifests plus a signed root index (the trust anchor for every byte
   a mirror accepts);
-* :mod:`repro.transport.server` — :class:`ArchiveServer`, a stdlib
-  threading HTTP server with ``ETag``/``If-None-Match``, ``Range``
-  resume, and gzip passthrough;
+* :mod:`repro.transport.server` — :class:`ArchiveServer`, the mirror
+  server (``ETag``/``If-None-Match``, ``Range`` resume, ``HEAD``, gzip
+  passthrough) on the repository's one asyncio HTTP engine,
+  :class:`repro.utils.asynchttp.AsyncHTTPTransport`;
 * :mod:`repro.transport.client` — :class:`ArchiveMirror`, the
   fault-tolerant sync client: concurrent collector-month workers,
   exponential backoff + jitter, resumable partial downloads, SHA-256
   verification, quarantine of corrupt bytes, and atomic publication so
   concurrent readers never see torn files;
 * :mod:`repro.transport.faults` — :class:`FaultyProxy`, a deterministic
-  fault-injecting proxy (drops, truncations, 5xx, stalls, corruption)
-  so every robustness path is exercised in tests and CI.
+  fault-injecting proxy on the same engine (drops, truncations, 5xx,
+  stalls, corruption) so every robustness path is exercised in tests
+  and CI.
 
 ``python -m repro mirror {serve,sync,watch,verify,proxy}`` drives the
 whole loop from the command line; a synced mirror is a plain archive

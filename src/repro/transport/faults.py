@@ -14,22 +14,28 @@ model the mirror must survive:
 
 Decisions are deterministic: a scripted list of ``(substring, kind)``
 pairs is consumed first (each fires once, on the first matching
-request), then per-kind probabilities drawn from a seeded RNG.  With a
-single-threaded mirror the request order — and therefore the exact
-fault sequence — is reproducible, which is what lets the robustness
-tests assert byte-identical outcomes *through* injected faults.
+request), then per-kind probabilities drawn from a seeded RNG.  The
+plan is consulted on the event loop, once per request in arrival order,
+so with a single-worker mirror the exact fault sequence is
+reproducible, which is what lets the robustness tests assert
+byte-identical outcomes *through* injected faults.
+
+The proxy is an :class:`~repro.utils.asynchttp.AsyncHTTPTransport`
+like every other server here: a fault is what its ``_dispatch`` does
+to the stream writer — nothing, a 503, a sleep, half a body and a
+close, a flipped byte.
 """
 
 from __future__ import annotations
 
-import json
+import asyncio
 import threading
-import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
+
+from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = ["FaultPlan", "FaultyProxy", "FAULT_KINDS"]
 
@@ -87,107 +93,61 @@ class FaultPlan:
             return None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-faulty-proxy"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        proxy: "FaultyProxy" = self.server.proxy  # type: ignore[attr-defined]
-        fault = proxy.plan.decide(self.path)
-        if fault == "drop":
-            self.close_connection = True
-            return
-        if fault == "error":
-            payload = json.dumps({"error": "injected 503"}).encode()
-            self.send_response(503)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            return
-        if fault == "stall":
-            time.sleep(proxy.plan.stall_seconds)
-
-        status, headers, body = proxy.forward(self)
-        if fault == "truncate" and len(body) > 1:
-            self.send_response(status)
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body[:len(body) // 2])
-            self.wfile.flush()
-            self.close_connection = True
-            return
-        if fault == "corrupt" and body:
-            middle = len(body) // 2
-            body = body[:middle] + bytes([body[middle] ^ 0xFF]) \
-                + body[middle + 1:]
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
-
-class FaultyProxy:
+class FaultyProxy(AsyncHTTPTransport):
     """Forward to ``upstream_url``, injecting faults per ``plan``."""
 
     def __init__(self, upstream_url: str, plan: Optional[FaultPlan] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  timeout: float = 30.0):
+        super().__init__(host=host, port=port)
         if "://" not in upstream_url:  # accept bare host:port
             upstream_url = "http://" + upstream_url
         self.upstream_url = upstream_url.rstrip("/")
         self.plan = plan if plan is not None else FaultPlan()
         self.timeout = timeout
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.proxy = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+    async def _dispatch(self, path: str, params: dict,
+                        headers: dict[str, str],
+                        writer: asyncio.StreamWriter,
+                        keep_alive: bool) -> bool:
+        fault = self.plan.decide(path)
+        if fault == "drop":
+            return False  # the loop closes the connection, nothing sent
+        if fault == "error":
+            await self._send_error(writer, 503, "injected 503")
+            return False
+        if fault == "stall":
+            await asyncio.sleep(self.plan.stall_seconds)
+        loop = asyncio.get_running_loop()
+        status, fields, body = await loop.run_in_executor(
+            None, self.forward, path, headers)
+        response_headers = [*fields.items(),
+                            ("Content-Length", str(len(body)))]
+        if fault == "truncate" and len(body) > 1:
+            await self._send(writer, status, response_headers,
+                             body[:len(body) // 2], keep_alive)
+            return False
+        if fault == "corrupt" and body:
+            middle = len(body) // 2
+            body = body[:middle] + bytes([body[middle] ^ 0xFF]) \
+                + body[middle + 1:]
+        await self._send(writer, status, response_headers, body, keep_alive)
+        return keep_alive
 
-    def start(self) -> "FaultyProxy":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="faulty-proxy", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI foreground mode)."""
-        self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def forward(self, handler: _Handler) -> tuple[int, dict[str, str], bytes]:
+    def forward(self, path: str, headers: dict[str, str]
+                ) -> tuple[int, dict[str, str], bytes]:
         """One upstream round-trip; upstream errors pass through as-is."""
-        request = Request(self.upstream_url + handler.path)
+        request = Request(self.upstream_url + path)
         for name in _FORWARD_HEADERS:
-            value = handler.headers.get(name)
+            value = headers.get(name.lower())
             if value is not None:
                 request.add_header(name, value)
         try:
-            with urlopen(request, timeout=self.timeout) as response:
-                body = response.read()
-                headers = {name: response.headers[name]
-                           for name in _RETURN_HEADERS
-                           if response.headers.get(name) is not None}
-                return response.status, headers, body
+            response = urlopen(request, timeout=self.timeout)
         except HTTPError as exc:
-            body = exc.read()
-            headers = {name: exc.headers[name] for name in _RETURN_HEADERS
-                       if exc.headers and exc.headers.get(name) is not None}
-            return exc.code, headers, body
+            response = exc  # an error status is a response like any other
+        with response:
+            fields = {name: response.headers[name]
+                      for name in _RETURN_HEADERS
+                      if response.headers.get(name) is not None}
+            return response.status, fields, response.read()

@@ -1,4 +1,4 @@
-"""RIS-style HTTP mirror server over an on-disk archive (stdlib-only).
+"""RIS-style HTTP mirror server over an on-disk archive.
 
 Exposes an archive root in the exact ``rrcNN/YYYY.MM/updates.*.gz``
 layout the RIPE RIS raw-data service uses, plus the transport metadata
@@ -22,14 +22,19 @@ File responses are production-shaped:
 Manifests and ETags are cached keyed by directory/file fingerprints
 (name, size, mtime), so repeated sync polls are cheap and a rewritten
 archive invalidates naturally.
+
+The wire side is :class:`repro.utils.asynchttp.AsyncHTTPTransport` —
+the same engine as the observatory's, so ``HEAD``, keep-alive and the
+SIGTERM graceful drain come from there; :meth:`ArchiveServer.respond`
+is the synchronous, transport-neutral part and runs on the executor.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -41,6 +46,7 @@ from repro.transport.manifest import (
     build_month_manifest,
     sha256_file,
 )
+from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = ["ArchiveServer"]
 
@@ -78,98 +84,42 @@ def _parse_range(header: str, size: int) -> Optional[tuple[int, int]]:
     return start, end
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-archive"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep the test/CI output clean
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self._serve(head=False)
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib casing
-        self._serve(head=True)
-
-    def _serve(self, head: bool) -> None:
-        archive: "ArchiveServer" = self.server.archive  # type: ignore[attr-defined]
-        archive.requests_served += 1
-        try:
-            status, headers, body = archive.respond(
-                self.path, if_none_match=self.headers.get("If-None-Match"),
-                range_header=self.headers.get("Range"))
-        except FileNotFoundError:
-            status, headers, body = 404, {}, json.dumps(
-                {"error": f"no such resource: {self.path}"}).encode()
-            headers["Content-Type"] = "application/json"
-        except PermissionError:
-            status, headers, body = 403, {}, json.dumps(
-                {"error": "path not allowed"}).encode()
-            headers["Content-Type"] = "application/json"
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if not head and body:
-            self.wfile.write(body)
-            archive.bytes_sent += len(body)
-
-
-class ArchiveServer:
+class ArchiveServer(AsyncHTTPTransport):
     """Serve one archive root; ``port=0`` binds an ephemeral port."""
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
                  port: int = 0, key: bytes = DEFAULT_KEY):
+        super().__init__(host=host, port=port)
         self.root = Path(root)
         if not self.root.is_dir():
             raise FileNotFoundError(f"archive root does not exist: {self.root}")
         self.key = key
         self.requests_served = 0
-        self.bytes_sent = 0
         self._etag_lock = threading.Lock()
         self._etags: dict[tuple[str, int, int], str] = {}
         self._manifest_lock = threading.Lock()
         self._manifests: dict[str, tuple[tuple, bytes]] = {}
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.archive = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ArchiveServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="archive-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI foreground mode)."""
-        self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def stats(self) -> dict[str, Any]:
-        return {"requests_served": self.requests_served,
-                "bytes_sent": self.bytes_sent,
-                "etags_cached": len(self._etags),
-                "manifests_cached": len(self._manifests)}
+    async def _dispatch(self, path: str, params: dict,
+                        headers: dict[str, str],
+                        writer: asyncio.StreamWriter,
+                        keep_alive: bool) -> bool:
+        self.requests_served += 1
+        loop = asyncio.get_running_loop()
+        try:
+            status, fields, body = await loop.run_in_executor(
+                None, self.respond, path, headers.get("if-none-match"),
+                headers.get("range"))
+        except FileNotFoundError:
+            status, fields, body = self._json(
+                {"error": f"no such resource: {path}"}, 404)
+        except PermissionError:
+            status, fields, body = self._json(
+                {"error": "path not allowed"}, 403)
+        await self._send(writer, status, [
+            *fields.items(), ("Content-Length", str(len(body)))], body,
+            keep_alive)
+        return keep_alive
 
     # -- routing ----------------------------------------------------------
 
@@ -177,7 +127,7 @@ class ArchiveServer:
                 range_header: Optional[str] = None
                 ) -> tuple[int, dict[str, str], bytes]:
         """(status, headers, body) for one GET; raises FileNotFoundError /
-        PermissionError for the handler to translate."""
+        PermissionError for ``_dispatch`` to translate."""
         parts = [p for p in path.split("?")[0].split("/") if p]
         if not parts:
             raise FileNotFoundError(path)
@@ -220,9 +170,10 @@ class ArchiveServer:
     # -- responses --------------------------------------------------------
 
     @staticmethod
-    def _json(body: dict[str, Any]) -> tuple[int, dict[str, str], bytes]:
+    def _json(body: dict[str, Any], status: int = 200
+              ) -> tuple[int, dict[str, str], bytes]:
         payload = json.dumps(body, sort_keys=True).encode()
-        return 200, {"Content-Type": "application/json"}, payload
+        return status, {"Content-Type": "application/json"}, payload
 
     def _signed_json(self, cache_key: str, fingerprint: tuple, build
                      ) -> tuple[int, dict[str, str], bytes]:

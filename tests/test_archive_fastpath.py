@@ -255,10 +255,41 @@ class TestFileIndex(RisLayout):
                               Withdrawal(Prefix("2001:db8::/32")))
         (path,) = writer.write_updates("rrc00", [record])
         index_path(path).unlink()
-        assert reindex_archive(tmp_path) == 1
+        layout = self.archive_cls.layout
+        assert reindex_archive(tmp_path, layout=layout) == 1
         assert load_index(path) is not None
-        assert reindex_archive(tmp_path) == 0  # fresh sidecars are kept
-        assert reindex_archive(tmp_path, rebuild=True) == 1
+        # fresh sidecars are kept
+        assert reindex_archive(tmp_path, layout=layout) == 0
+        assert reindex_archive(tmp_path, rebuild=True, layout=layout) == 1
+
+    def test_repro_index_finds_the_layout(self, tmp_path, capsys):
+        from repro.cli import main
+
+        writer = self.writer_cls(tmp_path)
+        (path,) = writer.write_updates("rrc00", [UpdateRecord(
+            BASE, "rrc00", "::1", 1, Withdrawal(Prefix("2001:db8::/32")))])
+        index_path(path).unlink()
+        assert main(["index", str(tmp_path)]) == 0
+        assert "indexed 1 update file(s)" in capsys.readouterr().out
+        assert load_index(path) is not None
+
+    def test_corrupt_archive_walks_the_layout(self, tmp_path):
+        from repro.ris import corrupt_archive
+
+        writer = self.writer_cls(tmp_path)
+        (path,) = writer.write_updates("rrc00", [UpdateRecord(
+            BASE + i, "rrc00", "::1", 1, Withdrawal(Prefix("2001:db8::/32")))
+            for i in range(4)])
+        before = path.read_bytes()
+        report = corrupt_archive(tmp_path, rate=1.0, seed=0,
+                                 layout=self.archive_cls.layout)
+        assert report.files_seen == report.files_corrupted == 1
+        assert report.destroyed == {
+            str(path.relative_to(tmp_path)): [0, 1, 2, 3]}
+        assert path.read_bytes() != before
+        assert not index_path(path).exists()
+        assert list(self.archive_cls(tmp_path, error_policy="skip")
+                    .iter_updates(BASE, BASE + 60)) == []
 
 
 class TestDecodedFileCache(RisLayout):
@@ -426,7 +457,6 @@ class TestParallelEquivalenceRouteViews(TestParallelEquivalence):
 
 class TestFileIndexRouteViews(TestFileIndex):
     writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
-    test_reindex_archive = None  # `repro index` walks the RIS layout only
 
 
 class TestDecodedFileCacheRouteViews(TestDecodedFileCache):

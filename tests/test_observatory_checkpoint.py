@@ -74,6 +74,19 @@ class TestKillResume:
         assert resumed.records_ingested == reference.records_ingested
         assert resumed.dumps_ingested == reference.dumps_ingested
 
+    @pytest.mark.parametrize("kill_at", [1, 99])
+    def test_kill_before_first_periodic_checkpoint(self, scenario, tmp_path,
+                                                   kill_at):
+        """With ``checkpoint_every=100`` no periodic checkpoint exists
+        at the kill, but events do (by record 99): the restart must
+        restore to the zero-record checkpoint the engine wrote when it
+        started fresh, not start fresh again on top of them."""
+        reference = uninterrupted(scenario, tmp_path)
+        resumed = killed_and_resumed(scenario, tmp_path, kill_at,
+                                     checkpoint_every=100)
+        assert resumed.store.raw_bytes() == reference.store.raw_bytes()
+        assert resumed.records_ingested == reference.records_ingested
+
     def test_kill_mid_outbreak(self, scenario, tmp_path):
         """Kill between the final withdrawal and the evaluation deadline:
         the zombie is live detector state, not yet an event."""

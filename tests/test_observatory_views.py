@@ -191,19 +191,6 @@ class TestMaterializedViews:
         assert stats["watermark"] == store.next_seq
         assert views.zombies() == full_scan_zombies(store)
 
-    def test_counts_per_prefix(self, tmp_path):
-        store = EventStore(tmp_path / "s")
-        fill_store(store, prefixes=4, rounds=2)
-        views = MaterializedViews(store)
-        views.refresh()
-        for index in range(4):
-            prefix = f"2001:db8:{index:x}::/48"
-            counts = views.counts(prefix)
-            assert counts["outbreaks"] == len(list(
-                store.events(kinds=("outbreak",), prefix=prefix)))
-            assert counts["resurrections"] == len(list(
-                store.events(kinds=("resurrection",), prefix=prefix)))
-
     def test_truncate_triggers_rebuild(self, tmp_path):
         store = EventStore(tmp_path / "s")
         fill_store(store)
@@ -224,13 +211,13 @@ class TestMaterializedViews:
         store.append("outbreak", 200, {"prefix": "b::/48"})
         views = MaterializedViews(store)
         views.refresh()
-        assert views.counts("b::/48")["outbreaks"] == 1
+        assert len(views.zombie("b::/48")[1]) == 1
         store.truncate(1)
         store.append("outbreak", 300, {"prefix": "c::/48"})
         assert store.next_seq == 2  # same position, different content
         views.refresh()
-        assert views.counts("b::/48")["outbreaks"] == 0
-        assert views.counts("c::/48")["outbreaks"] == 1
+        assert len(views.zombie("b::/48")[1]) == 0
+        assert len(views.zombie("c::/48")[1]) == 1
 
     def test_compact_preserves_view_content(self, tmp_path):
         store = EventStore(tmp_path / "s", segment_max_records=8)
