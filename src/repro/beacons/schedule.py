@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.net.prefix import Prefix
 
@@ -67,6 +67,22 @@ class BeaconInterval:
     def __post_init__(self):
         if self.withdraw_time <= self.announce_time:
             raise ValueError("withdrawal must come after announcement")
+
+    def to_json(self) -> dict[str, Any]:
+        """The interval as it appears in checkpoints and scenario files."""
+        return {"prefix": str(self.prefix),
+                "announce_time": self.announce_time,
+                "withdraw_time": self.withdraw_time,
+                "origin_asn": self.origin_asn,
+                "discarded": self.discarded}
+
+    @classmethod
+    def from_json(cls, payload: dict[str, Any]) -> "BeaconInterval":
+        return cls(prefix=Prefix(payload["prefix"]),
+                   announce_time=payload["announce_time"],
+                   withdraw_time=payload["withdraw_time"],
+                   origin_asn=payload["origin_asn"],
+                   discarded=payload["discarded"])
 
 
 class BeaconSchedule:

@@ -4,6 +4,7 @@ from repro.core.detector import (
     DEFAULT_THRESHOLD,
     DetectionResult,
     DetectorConfig,
+    IntervalEvaluator,
     ZombieDetector,
 )
 from repro.core.legacy import LegacyDetector
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DetectionResult",
     "DetectorConfig",
+    "IntervalEvaluator",
     "ZombieDetector",
     "LegacyDetector",
     "LifespanDelta",

@@ -1,37 +1,48 @@
 """The revised zombie detection methodology (paper §3.1 and §5).
 
-For every beacon interval:
+:class:`IntervalEvaluator` is its one implementation: batch
+:class:`ZombieDetector`, the live ``repro.realtime.StreamingDetector``
+and, through it, the observatory ingest feed it records in
+``record_sort_key`` order and read its verdicts.  For every registered,
+non-discarded beacon interval:
 
-1. collect the interval's records for the beacon prefix (**interval
-   isolation** — no knowledge from earlier intervals leaks in);
-2. reconstruct each peer router's state at the evaluation instant
-   ``withdraw_time + threshold`` (default 90 minutes, as in all prior
-   work);
-3. a peer whose state is PRESENT holds a **zombie route**;
-4. decode the Aggregator clock of the stuck announcement: if it
-   pre-dates this interval's announcement, the zombie is *old* and is
-   dropped (**double-count elimination**) when ``dedup`` is on;
-5. peers in ``excluded_peers`` (noisy peers, §3.2) are ignored.
-
-The detector also tracks per-interval *visibility* (did any peer see the
-announcement at all), which the tables and Fig. 2 use as denominators.
+1. the interval's **window** is ``[announce_time, min(withdraw_time +
+   threshold, next registered announcement of the same prefix - 1)]``;
+   it opens with empty state and only records stamped inside it —
+   *at* its end included — are applied (**interval isolation**);
+2. inside the window each peer router's state for the prefix is rebuilt
+   from raw messages: an announcement makes it PRESENT, a withdrawal or
+   a session up/down STATE record of that peer makes it REMOVED; the
+   first announcement also marks the peer as having **seen** the beacon,
+   under the ASN that record carried (the visibility denominators of
+   the tables and Fig. 2);
+3. once the stream has passed the window's end, a peer that saw the
+   beacon and is still PRESENT holds a **zombie route**, detected at
+   ``withdraw_time + threshold`` (default 90 minutes, as in prior work);
+4. if the Aggregator clock of the stuck announcement pre-dates this
+   interval's announcement the zombie is *old* (``stale``) and is
+   dropped when ``dedup`` is on (**double-count elimination**);
+5. peers in ``excluded_peers`` / ``excluded_peer_asns`` (noisy peers,
+   §3.2) are neither visible nor zombie.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from repro.beacons.aggregator import AggregatorClock
 from repro.beacons.schedule import BeaconInterval
-from repro.bgp.messages import Record, UpdateRecord
+from repro.bgp.jsonio import record_from_json, record_to_json
+from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
 from repro.core.outbreaks import ZombieOutbreak, ZombieRoute
-from repro.core.state import PeerKey, StateReconstructor
+from repro.core.state import PeerKey
 from repro.net.prefix import Prefix
 from repro.utils.timeutil import MINUTE
 
-__all__ = ["DetectorConfig", "DetectionResult", "ZombieDetector",
-           "DEFAULT_THRESHOLD"]
+__all__ = ["DetectorConfig", "DetectionResult", "IntervalEvaluator",
+           "Verdict", "ZombieDetector", "DEFAULT_THRESHOLD"]
 
 DEFAULT_THRESHOLD = 90 * MINUTE
 
@@ -100,89 +111,125 @@ class DetectionResult:
         return v4, v6
 
 
-class ZombieDetector:
-    """Run the revised methodology over a record stream."""
+@dataclass
+class _PeerPrefixState:
+    """One peer router's view of one beacon prefix inside a window."""
 
-    def __init__(self, config: Optional[DetectorConfig] = None):
-        self.config = config or DetectorConfig()
+    #: the announcement that makes the prefix PRESENT; None = REMOVED.
+    last_announcement: Optional[UpdateRecord] = None
+    #: peer ASN of the first announcement inside the window; None until
+    #: the peer has seen the beacon.
+    visible_as: Optional[int] = None
 
-    def detect(self, records: Sequence[Record],
-               intervals: Iterable[BeaconInterval]) -> DetectionResult:
-        """Detect zombie outbreaks for every non-discarded interval.
 
-        ``records`` must cover the intervals' evaluation windows; they
-        are indexed by prefix once, then each interval is processed in
-        isolation.
-        """
-        intervals = [i for i in intervals if not i.discarded]
-        by_prefix = self._index_by_prefix(records)
-        result = DetectionResult(self.config, [], [])
+@dataclass
+class _Window:
+    """An open interval: its heap seq and every peer's state in it."""
 
-        # A prefix's interval ends where its next announcement begins:
-        # records past that instant belong to the next interval and must
-        # not leak in, even under long thresholds.
-        announce_times: dict[Prefix, list[int]] = {}
-        for interval in intervals:
-            announce_times.setdefault(interval.prefix, []).append(
-                interval.announce_time)
-        for times in announce_times.values():
-            times.sort()
+    seq: int
+    interval: BeaconInterval
+    peers: dict[PeerKey, _PeerPrefixState] = field(default_factory=dict)
 
-        for interval in sorted(intervals, key=lambda i: (i.announce_time,
-                                                         str(i.prefix))):
-            times = announce_times[interval.prefix]
-            position = times.index(interval.announce_time)
-            next_announce = (times[position + 1] if position + 1 < len(times)
-                             else None)
-            self._process_interval(interval, by_prefix, result, next_announce)
-        return result
 
-    # -- internals ----------------------------------------------------------
+#: One judged interval: (interval, [(peer, ASN) that saw the beacon],
+#: zombie routes), peers in sorted order.
+Verdict = tuple[BeaconInterval, list[tuple[PeerKey, int]], list[ZombieRoute]]
 
-    @staticmethod
-    def _index_by_prefix(records: Sequence[Record]) -> dict:
-        """Prefix -> its update records; None key -> state records
-        (which affect every prefix)."""
-        index: dict = {None: []}
-        for record in records:
-            if isinstance(record, UpdateRecord):
-                index.setdefault(record.prefix, []).append(record)
-            else:
-                index[None].append(record)
-        return index
 
-    def _interval_records(self, interval: BeaconInterval, by_prefix: dict,
-                          eval_time: int) -> list[Record]:
-        window = [r for r in by_prefix.get(interval.prefix, ())
-                  if interval.announce_time <= r.timestamp <= eval_time]
-        window += [r for r in by_prefix[None]
-                   if interval.announce_time <= r.timestamp <= eval_time]
-        return window
+class IntervalEvaluator:
+    """The incremental core: register intervals, feed records in
+    ``record_sort_key`` order, collect a verdict per interval as the
+    stream passes the end of its window (see the module docstring)."""
 
-    def _process_interval(self, interval: BeaconInterval, by_prefix: dict,
-                          result: DetectionResult,
-                          next_announce: Optional[int] = None) -> None:
-        config = self.config
-        eval_time = interval.withdraw_time + config.threshold
-        window_end = eval_time
-        if next_announce is not None:
-            window_end = min(window_end, next_announce - 1)
-        window = self._interval_records(interval, by_prefix, window_end)
-        state = StateReconstructor(window)
+    def __init__(self, config: DetectorConfig):
+        self.config = config
+        #: (time, seq, interval): an interval waits at ``announce_time -
+        #: 1`` for its window to open, then at its deadline to be judged.
+        self._pending: list[tuple[int, int, BeaconInterval]] = []
+        self._seq = 0
+        #: prefix -> its open window; only these prefixes hold state.
+        self._windows: dict[Prefix, _Window] = {}
 
-        visible_anywhere = False
+    def add_interval(self, interval: BeaconInterval) -> None:
+        """Register an interval (before its announcement is streamed)."""
+        if interval.discarded:
+            return
+        heapq.heappush(self._pending,
+                       (interval.announce_time - 1, self._seq, interval))
+        self._seq += 1
+
+    @property
+    def pending_evaluations(self) -> int:
+        """Registered intervals not yet judged."""
+        return len(self._windows) + sum(
+            time < interval.announce_time
+            for time, _, interval in self._pending)
+
+    def _deadline(self, interval: BeaconInterval) -> int:
+        return interval.withdraw_time + self.config.threshold
+
+    # -- ingestion ---------------------------------------------------------
+
+    def observe(self, record: Record) -> list[Verdict]:
+        """Apply one record; returns the verdicts of every window that
+        ended before it."""
+        verdicts = self.advance(record.timestamp - 1)
+        key: PeerKey = (record.collector, record.peer_address)
+        announcement = None
+        if isinstance(record, StateRecord):
+            if not (record.is_session_down or record.is_session_up):
+                return verdicts
+            # Both directions void what the session taught: on "up" the
+            # peer must re-announce before counting as present.
+            states = [window.peers[key] for window in self._windows.values()
+                      if key in window.peers]
+        else:
+            window = self._windows.get(record.prefix)
+            if window is None:
+                return verdicts
+            states = [window.peers.setdefault(key, _PeerPrefixState())]
+            if record.is_announcement:
+                announcement = record
+        for state in states:
+            state.last_announcement = announcement
+            if announcement is not None and state.visible_as is None:
+                state.visible_as = record.peer_asn
+        return verdicts
+
+    def advance(self, now: int) -> list[Verdict]:
+        """Everything stamped ``<= now`` has been observed: open the
+        windows starting right after ``now``, judge those ending by it."""
+        verdicts: list[Verdict] = []
+        while self._pending and self._pending[0][0] <= now:
+            time, seq, interval = heapq.heappop(self._pending)
+            window = self._windows.get(interval.prefix)
+            if time < interval.announce_time:
+                if window is not None:  # the next announcement ends it
+                    verdicts.append(self._judge(window))
+                self._windows[interval.prefix] = _Window(seq, interval)
+                heapq.heappush(self._pending,
+                               (self._deadline(interval), seq, interval))
+            elif window is not None and window.seq == seq:
+                verdicts.append(self._judge(window))
+            # else: already judged when its successor's window opened
+        return verdicts
+
+    def flush(self) -> list[Verdict]:
+        """Judge everything still registered (end of stream)."""
+        return self.advance(max((self._deadline(interval) for _, _, interval
+                                 in self._pending), default=0))
+
+    def _judge(self, window: _Window) -> Verdict:
+        config, interval = self.config, window.interval
+        del self._windows[interval.prefix]
+        visible: list[tuple[PeerKey, int]] = []
         routes: list[ZombieRoute] = []
-        for key, asn in sorted(state.peers().items()):
-            if config.excludes(key, asn):
+        for key, state in sorted(window.peers.items()):
+            asn = state.visible_as
+            if asn is None or config.excludes(key, asn):
                 continue
-            if not state.ever_announced(interval.prefix, key):
-                continue
-            visible_anywhere = True
-            pair = (interval.prefix, asn)
-            result.visible_pairs[pair] = result.visible_pairs.get(pair, 0) + 1
-            result.router_visible[key] = result.router_visible.get(key, 0) + 1
-
-            announcement = state.last_announcement(key, interval.prefix, eval_time)
+            visible.append((key, asn))
+            announcement = state.last_announcement
             if announcement is None:
                 continue  # withdrawn in time — healthy
             stale = AggregatorClock.is_stale(announcement,
@@ -191,11 +238,95 @@ class ZombieDetector:
                 continue
             routes.append(ZombieRoute(
                 interval=interval, peer=key, peer_asn=asn,
-                detected_at=eval_time, announcement=announcement, stale=stale))
-            result.zombie_pairs[pair] = result.zombie_pairs.get(pair, 0) + 1
-            result.router_zombies[key] = result.router_zombies.get(key, 0) + 1
+                detected_at=self._deadline(interval),
+                announcement=announcement, stale=stale))
+        return interval, visible, routes
 
-        if visible_anywhere:
-            result.visible_intervals.append(interval)
-        if routes:
-            result.outbreaks.append(ZombieOutbreak(interval, tuple(routes)))
+    # -- persistence -------------------------------------------------------
+
+    def snapshot(self) -> dict[str, Any]:
+        """A JSON-safe document of the complete state; restoring it with
+        :meth:`from_snapshot` and continuing the stream yields exactly
+        the verdicts an uninterrupted evaluator would have produced."""
+        config = self.config
+        return {
+            "threshold": config.threshold,
+            "dedup": config.dedup,
+            "excluded_peers": sorted([c, a] for c, a in config.excluded_peers),
+            "excluded_peer_asns": sorted(config.excluded_peer_asns),
+            "pending": [[time, seq, interval.to_json()]
+                        for time, seq, interval in sorted(self._pending)],
+            "seq": self._seq,
+            "windows": [
+                {"seq": window.seq,
+                 "peers": [[collector, address, state.visible_as,
+                            None if state.last_announcement is None
+                            else record_to_json(state.last_announcement)]
+                           for (collector, address), state
+                           in sorted(window.peers.items())]}
+                for window in sorted(self._windows.values(),
+                                     key=lambda w: w.seq)],
+        }
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict[str, Any]) -> "IntervalEvaluator":
+        core = cls(DetectorConfig(
+            threshold=snapshot["threshold"], dedup=snapshot["dedup"],
+            excluded_peers=frozenset(
+                (c, a) for c, a in snapshot["excluded_peers"]),
+            excluded_peer_asns=frozenset(snapshot["excluded_peer_asns"])))
+        core._pending = [(time, seq, BeaconInterval.from_json(payload))
+                         for time, seq, payload in snapshot["pending"]]
+        heapq.heapify(core._pending)
+        core._seq = snapshot["seq"]
+        by_seq = {seq: interval for _, seq, interval in core._pending}
+        for entry in snapshot["windows"]:
+            interval = by_seq[entry["seq"]]
+            core._windows[interval.prefix] = _Window(entry["seq"], interval, {
+                (collector, address): _PeerPrefixState(
+                    None if announcement is None
+                    else record_from_json(announcement), asn)
+                for collector, address, asn, announcement in entry["peers"]})
+        return core
+
+
+def _count(counts: dict, key) -> None:
+    counts[key] = counts.get(key, 0) + 1
+
+
+class ZombieDetector:
+    """Run the revised methodology over a complete record set."""
+
+    def __init__(self, config: Optional[DetectorConfig] = None):
+        self.config = config or DetectorConfig()
+
+    def detect(self, records: Iterable[Record],
+               intervals: Iterable[BeaconInterval]) -> DetectionResult:
+        """Detect zombie outbreaks for every non-discarded interval.
+
+        ``records`` must cover the intervals' windows; they are put in
+        ``record_sort_key`` order and streamed through one
+        :class:`IntervalEvaluator`.
+        """
+        core = IntervalEvaluator(self.config)
+        for interval in intervals:
+            core.add_interval(interval)
+        verdicts: list[Verdict] = []
+        for record in sorted(records, key=record_sort_key):
+            verdicts += core.observe(record)
+        verdicts += core.flush()
+
+        result = DetectionResult(self.config, [], [])
+        verdicts.sort(key=lambda v: (v[0].announce_time, str(v[0].prefix)))
+        for interval, visible, routes in verdicts:
+            for key, asn in visible:
+                _count(result.visible_pairs, (interval.prefix, asn))
+                _count(result.router_visible, key)
+            for route in routes:
+                _count(result.zombie_pairs, (interval.prefix, route.peer_asn))
+                _count(result.router_zombies, route.peer)
+            if visible:
+                result.visible_intervals.append(interval)
+            if routes:
+                result.outbreaks.append(ZombieOutbreak(interval, tuple(routes)))
+        return result

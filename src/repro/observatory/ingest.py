@@ -44,8 +44,6 @@ from repro.realtime.streaming import (
     ResurrectionMonitor,
     StreamingDetector,
     ZombieAlert,
-    _interval_from_json,
-    _interval_to_json,
 )
 from repro.ris.archive import Archive
 from repro.utils.timeutil import DAY, MINUTE
@@ -222,8 +220,9 @@ class ObservatoryIngest:
     def _ingest_record(self, record) -> None:
         # Detector first, ring second: a forensics snapshot reflects
         # every record *before* the one whose arrival triggered the
-        # evaluation — "last path before the outbreak", not including a
-        # same-instant re-announcement of the beacon prefix itself.
+        # evaluation.  That is the interval's whole window — records
+        # stamped at the evaluation instant are inside it, so they are
+        # in the ring — and nothing past it.
         for alert in self.detector.observe(record):
             self._append_outbreak(alert)
         self.ring.observe(record)
@@ -341,7 +340,7 @@ class ObservatoryIngest:
             "window": [self.start, self.end],
             "threshold": self.threshold,
             "quiet": self.quiet,
-            "intervals": [_interval_to_json(i) for i in self.intervals],
+            "intervals": [i.to_json() for i in self.intervals],
             "updates": {"watermark": self._updates_watermark,
                         "at_watermark": self._updates_at_watermark,
                         "ingested": self.records_ingested},
@@ -377,4 +376,4 @@ class ObservatoryIngest:
 def intervals_from_json(payloads: Iterable[dict[str, Any]]
                         ) -> list[BeaconInterval]:
     """Rehydrate intervals persisted by a checkpoint or scenario file."""
-    return [_interval_from_json(payload) for payload in payloads]
+    return [BeaconInterval.from_json(payload) for payload in payloads]

@@ -28,7 +28,6 @@ from repro.beacons.schedule import BeaconInterval
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import Announcement, Record, UpdateRecord, Withdrawal
 from repro.net.prefix import Prefix
-from repro.realtime.streaming import _interval_from_json, _interval_to_json
 from repro.ris.archive import ArchiveWriter
 from repro.simulator.ribgen import generate_rib_dumps
 from repro.utils.timeutil import DAY, HOUR, MINUTE, ts
@@ -160,7 +159,7 @@ def build_synthetic_archive(root: Union[str, Path],
             "threshold": 90 * MINUTE,
             "quiet": 120 * MINUTE,
             "excluded_peers": [],
-            "intervals": [_interval_to_json(i) for i in intervals],
+            "intervals": [i.to_json() for i in intervals],
             "scripted": {"stuck": str(stuck),
                          "resurrection_updates": str(resur_updates),
                          "resurrection_rib": str(resur_rib)},
@@ -181,7 +180,7 @@ def load_scenario(path: Union[str, Path]) -> dict:
     if payload.get("version") != 1:
         raise ValueError(f"unsupported scenario version: "
                          f"{payload.get('version')!r}")
-    payload["intervals"] = [_interval_from_json(entry)
+    payload["intervals"] = [BeaconInterval.from_json(entry)
                             for entry in payload["intervals"]]
     payload["excluded_peers"] = frozenset(
         (c, a) for c, a in payload["excluded_peers"])

@@ -1,16 +1,19 @@
 """Property-based tests on detector invariants and substrate codecs."""
 
 import ipaddress
+import json
 
-from helpers import ann, interval, wd
-from hypothesis import given, settings
+from helpers import ann, interval, sess_down, sess_up, wd
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import ASPath, PathAttributes
-from repro.core import DetectorConfig, ZombieDetector
+from repro.beacons import AggregatorClock
+from repro.bgp import ASPath, PathAttributes, StateRecord, record_sort_key
+from repro.core import DetectorConfig, StateReconstructor, ZombieDetector
 from repro.mrt import RibDump, decode_rib_dump, encode_rib_dump
 from repro.net import Prefix
-from repro.utils.timeutil import HOUR, ts
+from repro.realtime import StreamingDetector
+from repro.utils.timeutil import HOUR, MINUTE, ts
 
 T0 = ts(2024, 6, 5)
 PREFIXES = [f"2a0d:3dc1:{i:x}::/48" for i in range(1, 9)]
@@ -107,6 +110,177 @@ class TestDetectorInvariants:
         result = ZombieDetector(DetectorConfig()).detect(records, intervals)
         assert result.outbreak_count <= result.visible_count
         assert 0.0 <= result.outbreak_fraction() <= 1.0
+
+
+# -- one verdict: batch == streaming == the text of §3.1 --------------------
+
+CYCLE = 4 * HOUR
+P = PREFIXES[0]
+#: (collector, address, ASN): three routers in three ASes.
+PEERS = [("rrc00", f"2001:db8::{i + 1}", 64500 + i) for i in range(3)]
+
+
+@st.composite
+def beacon_streams(draw):
+    """``record_schedules`` over a RIS-shaped schedule (4 h cycle, so a
+    long threshold reaches past the next announcement), with the
+    behaviours that separate one window rule from another: records
+    stamped on, just before and just after the evaluation instant and
+    the next announcement, same-second ties between and within peers,
+    re-announcements carrying a fresh or an old Aggregator clock, and
+    session bounces.  Returns ``(records, intervals, config)``."""
+    threshold = draw(st.integers(min_value=90, max_value=240)) * MINUTE
+    up = draw(st.sampled_from([900, 2 * HOUR]))
+    edges = [threshold, CYCLE - up]
+    offsets = st.one_of(
+        st.integers(min_value=1, max_value=5 * HOUR),
+        st.sampled_from([edge + delta for edge in edges
+                         for delta in (-1, 0, 1)]))
+    n_peers = draw(st.integers(min_value=1, max_value=3))
+    n_cycles = draw(st.integers(min_value=1, max_value=3))
+    intervals, records = [], []
+    for prefix in PREFIXES[:draw(st.integers(min_value=1, max_value=2))]:
+        for cycle in range(n_cycles):
+            start = T0 + cycle * CYCLE
+            iv = interval(prefix, start, start + up, discarded=draw(
+                st.sampled_from([False, False, False, True])))
+            intervals.append(iv)
+            tied = draw(st.booleans())
+            for index, (collector, addr, asn) in enumerate(PEERS[:n_peers]):
+                peer = dict(collector=collector, addr=addr, peer_asn=asn)
+                behaviour = draw(st.sampled_from(
+                    ["clean", "late", "stuck", "invisible", "returns",
+                     "bounce"]))
+                if behaviour == "invisible":
+                    continue
+                records.append(ann(start + 2 + (0 if tied else index), prefix,
+                                   asn, 210312, origin_time=start, **peer))
+                if behaviour == "bounce":
+                    bounce = draw(st.sampled_from([sess_down, sess_up]))
+                    records.append(bounce(iv.withdraw_time + draw(offsets),
+                                          **peer))
+                if behaviour in ("clean", "returns"):
+                    records.append(wd(iv.withdraw_time + 5, prefix, **peer))
+                if behaviour == "late":
+                    records.append(wd(iv.withdraw_time + draw(offsets),
+                                      prefix, **peer))
+                if behaviour == "returns":
+                    records.append(ann(
+                        iv.withdraw_time + draw(offsets), prefix, asn, 4637,
+                        210312, origin_time=draw(st.sampled_from(
+                            [start, start - CYCLE])), **peer))
+    config = DetectorConfig(
+        threshold=threshold, dedup=draw(st.booleans()),
+        excluded_peers=frozenset(
+            {PEERS[0][:2]} if draw(st.booleans()) else ()),
+        excluded_peer_asns=frozenset(
+            {PEERS[1][2]} if draw(st.booleans()) else ()))
+    return records, intervals, config
+
+
+def reference(records, intervals, config):
+    """§3.1 as written: for each interval, rebuild every peer's state
+    from the records of its window alone and read it at the window's
+    end.  Returns (routes, visible intervals)."""
+    intervals = sorted((i for i in intervals if not i.discarded),
+                       key=lambda i: (i.announce_time, str(i.prefix)))
+    routes, visible = set(), []
+    for iv in intervals:
+        end = min([iv.withdraw_time + config.threshold]
+                  + [other.announce_time - 1 for other in intervals
+                     if other.prefix == iv.prefix
+                     and other.announce_time > iv.announce_time])
+        state = StateReconstructor(
+            r for r in records if iv.announce_time <= r.timestamp <= end
+            and (isinstance(r, StateRecord) or r.prefix == iv.prefix))
+        seen = [(key, asn) for key, asn in state.peers().items()
+                if state.ever_announced(iv.prefix, key)
+                and not config.excludes(key, asn)]
+        if seen:
+            visible.append(iv)
+        for key, asn in seen:
+            stuck = state.last_announcement(key, iv.prefix, end)
+            if stuck is None:
+                continue
+            stale = AggregatorClock.is_stale(stuck, iv.announce_time)
+            if not (config.dedup and stale):
+                routes.add((str(iv.prefix), iv.announce_time, key, asn,
+                            iv.withdraw_time + config.threshold, stale))
+    return routes, visible
+
+
+def assert_one_verdict(records, intervals, config):
+    """Batch ``detect()``, a ``StreamingDetector`` (restarted from a
+    JSON snapshot half-way) and the reference agree on every zombie
+    route — peer ASN, ``detected_at`` and ``stale`` included — and on
+    the visible intervals."""
+    expected_routes, expected_visible = reference(records, intervals, config)
+
+    batch = ZombieDetector(config).detect(records, intervals)
+    assert {(str(r.prefix), r.interval.announce_time, r.peer, r.peer_asn,
+             r.detected_at, r.stale)
+            for o in batch.outbreaks for r in o.routes} == expected_routes
+    assert batch.visible_intervals == expected_visible
+    assert sum(batch.router_zombies.values()) == len(expected_routes)
+
+    streaming = StreamingDetector(config.threshold, config.dedup,
+                                  config.excluded_peers)
+    # The live path reads the same DetectorConfig as the batch one, so
+    # AS-level exclusion needs no parameter of its own.
+    streaming.core.config = config
+    streaming.add_intervals(intervals)
+    ordered = sorted(records, key=record_sort_key)
+    alerts = []
+    for index, record in enumerate(ordered):
+        if index == len(ordered) // 2:
+            streaming = StreamingDetector.from_snapshot(
+                json.loads(json.dumps(streaming.snapshot())))
+        alerts += streaming.observe(record)
+    alerts += streaming.flush()
+    assert sorted((str(a.prefix), a.interval.announce_time, a.peer,
+                   a.peer_asn, a.detected_at, a.stale)
+                  for a in alerts) == sorted(expected_routes)
+    assert streaming.pending_evaluations == 0
+
+
+#: The hand-written stream ``tests/test_realtime.py`` used to compare
+#: the two detectors on: one stuck route, two clean intervals.
+FIVE_RECORDS = (
+    [ann(T0 + 2, P, 25091, 210312, origin_time=T0),
+     ann(T0 + 2, PREFIXES[1], 25091, 210312, origin_time=T0),
+     wd(T0 + 905, PREFIXES[1]),
+     ann(T0 + CYCLE + 2, P, 25091, 210312, origin_time=T0 + CYCLE),
+     wd(T0 + CYCLE + 903, P)],
+    [interval(P, T0), interval(P, T0 + CYCLE), interval(PREFIXES[1], T0)],
+    DetectorConfig())
+
+#: The three inputs on which the two detectors used to give two answers.
+NEXT_ANNOUNCEMENT_INSIDE_THRESHOLD = (
+    [record for start in (T0, T0 + CYCLE, T0 + 2 * CYCLE) for record in
+     (ann(start + 2, P, 25091, 12654, origin_time=start),
+      wd(start + 2 * HOUR + 3, P))],
+    [interval(P, start, start + 2 * HOUR)
+     for start in (T0, T0 + CYCLE, T0 + 2 * CYCLE)],
+    DetectorConfig(threshold=3 * HOUR))
+WITHDRAWAL_AT_EVALUATION = (
+    [ann(T0 + 2, P, 25091, 210312, origin_time=T0),
+     wd(T0 + 900 + 90 * MINUTE, P)],
+    [interval(P, T0)], DetectorConfig())
+REANNOUNCEMENT_AT_EVALUATION = (
+    [ann(T0 + 2, P, 25091, 210312, origin_time=T0), wd(T0 + 903, P),
+     ann(T0 + 900 + 90 * MINUTE, P, 25091, 4637, 210312, origin_time=T0)],
+    [interval(P, T0)], DetectorConfig())
+
+
+class TestOneVerdict:
+    @given(beacon_streams())
+    @example(FIVE_RECORDS)
+    @example(NEXT_ANNOUNCEMENT_INSIDE_THRESHOLD)
+    @example(WITHDRAWAL_AT_EVALUATION)
+    @example(REANNOUNCEMENT_AT_EVALUATION)
+    @settings(deadline=None)
+    def test_batch_streaming_and_reference_agree(self, data):
+        assert_one_verdict(*data)
 
 
 @st.composite

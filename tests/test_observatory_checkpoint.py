@@ -173,6 +173,23 @@ class TestCheckpointDocument:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_old_detector_snapshot_rejected(self, scenario, tmp_path):
+        """A checkpoint written before the detectors shared one core
+        (detector document version 1: ever-growing per-prefix state with
+        ``seen_since``) is refused with the typed error, not misread."""
+        ingest = make_ingest(scenario, tmp_path / "store",
+                             tmp_path / "ckpt.json")
+        ingest.run(max_records=10)
+        ingest.checkpoint()
+        ingest.store.close()
+        document = load_checkpoint(tmp_path / "ckpt.json")
+        assert "seen_since" not in json.dumps(document["detector"])
+        document["detector"]["version"] = 1
+        save_checkpoint(tmp_path / "ckpt.json", document)
+        with pytest.raises(ValueError, match="unsupported StreamingDetector "
+                                             "snapshot version: 1"):
+            make_ingest(scenario, tmp_path / "store", tmp_path / "ckpt.json")
+
     def test_window_mismatch_rejected(self, scenario, tmp_path):
         built, config = scenario
         ingest = make_ingest(scenario, tmp_path / "store",

@@ -9,7 +9,7 @@ import json
 from urllib.parse import quote
 
 import pytest
-from helpers import ann, sess_down, wd
+from helpers import ann, interval, sess_down, wd
 
 from repro.bgp import ASPath
 from repro.observatory import (
@@ -31,7 +31,8 @@ from repro.observatory import (
     shard_for,
 )
 from repro.observatory.server import ObservatoryApp, forensics_outbreak_id
-from repro.ris import Archive
+from repro.ris import Archive, ArchiveWriter
+from repro.utils.timeutil import HOUR, MINUTE, ts
 from test_observatory_federation import fetch
 
 ORIGIN = 65000
@@ -236,6 +237,71 @@ class TestSnapshotEvents:
         assert any("unknown outbreak" in issue for issue in report.issues)
         # Semantic drift is reported, never "repaired" away.
         assert report.events_lost == 0
+
+
+class TestWindowBoundariesThroughIngest:
+    """The live service judges an interval on the batch detector's
+    window — through a real archive — and the forensics snapshot holds
+    that window: every record up to and *at* the evaluation instant,
+    none after it."""
+
+    P = "2a0d:3dc1:1145::/48"
+    T0 = ts(2024, 6, 5)
+    EVAL = T0 + 900 + 90 * MINUTE
+    OTHER = "2001:db8::9"
+
+    def ingest(self, tmp_path, records, intervals, threshold=90 * MINUTE):
+        ArchiveWriter(tmp_path / "archive").write_updates("rrc00", records)
+        store = EventStore(tmp_path / "store")
+        ingest = ObservatoryIngest(
+            Archive(tmp_path / "archive"), store, tmp_path / "ckpt.json",
+            intervals, self.T0, self.T0 + 16 * HOUR, threshold=threshold)
+        ingest.finish()
+        events = list(store.events(kinds=("outbreak", "forensics")))
+        store.close()
+        return events
+
+    def test_next_announcement_ends_the_window(self, tmp_path):
+        """RIS-shaped beacon (4 h cycle, 2 h up) at the 3 h threshold,
+        every peer withdrawing within seconds: no outbreak."""
+        intervals, records = [], []
+        for cycle in range(3):
+            start = self.T0 + cycle * 4 * HOUR
+            intervals.append(interval(self.P, start, start + 2 * HOUR))
+            for index, addr in enumerate(["2001:db8::2", self.OTHER]):
+                records += [ann(start + 2 + index, self.P, 25091, 12654,
+                                addr=addr, origin_time=start),
+                            wd(start + 2 * HOUR + 3 + index, self.P,
+                               addr=addr)]
+        assert self.ingest(tmp_path, records, intervals, 3 * HOUR) == []
+
+    def test_withdrawal_at_the_evaluation_instant_is_healthy(self, tmp_path):
+        outbreak, snapshot = self.ingest(tmp_path, [
+            ann(self.T0 + 2, self.P, 25091, 210312, origin_time=self.T0),
+            ann(self.T0 + 3, self.P, 25091, 210312, addr=self.OTHER,
+                origin_time=self.T0),
+            wd(self.EVAL, self.P, addr=self.OTHER),
+            wd(self.EVAL + 1, self.P),  # too late: this one is the zombie
+        ], [interval(self.P, self.T0)])
+        assert outbreak["peer_address"] == "2001:db8::2"
+        assert {entry["peer_address"]: entry["withdrawn_at"]
+                for entry in snapshot["peers"]} \
+            == {"2001:db8::2": None, self.OTHER: self.EVAL}
+
+    def test_reannouncement_at_the_evaluation_instant_is_a_zombie(
+            self, tmp_path):
+        outbreak, snapshot = self.ingest(tmp_path, [
+            ann(self.T0 + 2, self.P, 25091, 210312, origin_time=self.T0),
+            wd(self.T0 + 903, self.P),
+            ann(self.EVAL, self.P, 25091, 4637, 210312, origin_time=self.T0),
+            ann(self.EVAL + 1, self.P, 25091, 1299, 210312,
+                origin_time=self.T0),
+        ], [interval(self.P, self.T0)])
+        assert outbreak["detected_at"] == self.EVAL
+        assert outbreak["path"] == "25091 4637 210312"
+        (entry,) = snapshot["peers"]
+        assert (entry["path"], entry["announced_at"]) \
+            == ("25091 4637 210312", self.EVAL)
 
 
 class TestKillResume:

@@ -7,7 +7,6 @@ import json
 import pytest
 from helpers import ann, interval, sess_down, wd
 
-from repro.core import DetectorConfig, ZombieDetector
 from repro.realtime import (
     AlertDispatcher,
     CallbackSink,
@@ -110,33 +109,55 @@ class TestStreamingDetector:
         assert all(str(a.prefix) == P for a in alerts)
 
 
-class TestStreamingAgreesWithOffline:
-    def _records_and_intervals(self):
-        intervals = [interval(P, T0, T0 + 900),
-                     interval(P, T0 + 4 * HOUR, T0 + 4 * HOUR + 900),
-                     interval("2a0d:3dc1:1200::/48", T0, T0 + 900)]
-        records = [
-            ann(T0 + 2, P, 25091, 210312, origin_time=T0),              # stuck
-            ann(T0 + 2, "2a0d:3dc1:1200::/48", 25091, 210312,
-                origin_time=T0),
-            wd(T0 + 905, "2a0d:3dc1:1200::/48"),                         # clean
-            ann(T0 + 4 * HOUR + 2, P, 25091, 210312,
-                origin_time=T0 + 4 * HOUR),
-            wd(T0 + 4 * HOUR + 903, P),                                  # clean
-        ]
-        return records, intervals
+class TestWindowBoundaries:
+    """The three cases where the streaming detector used to disagree
+    with the batch one; the window is the batch one's in all three."""
 
+    def test_next_announcement_ends_the_window(self):
+        """RIS-shaped beacon (4 h cycle, 2 h up) judged at 3 h: the
+        evaluation instant lies past the next announcement, which must
+        not be read as a stuck route of this interval."""
+        detector = StreamingDetector(threshold=3 * HOUR)
+        records = []
+        for cycle in range(3):
+            announce = T0 + cycle * 4 * HOUR
+            detector.add_interval(interval(P, announce, announce + 2 * HOUR))
+            for index, addr in enumerate(["2001:db8::2", "2001:db8::9"]):
+                records += [
+                    ann(announce + 2 + index, P, 25091, 12654, addr=addr,
+                        origin_time=announce),
+                    wd(announce + 2 * HOUR + 3 + index, P, addr=addr)]
+        assert feed(detector, records) == []
+
+    def test_withdrawal_at_the_evaluation_instant_is_healthy(self):
+        detector = StreamingDetector(threshold=90 * MINUTE)
+        detector.add_interval(interval(P, T0, T0 + 900))
+        alerts = feed(detector, [
+            ann(T0 + 2, P, 25091, 210312, origin_time=T0),
+            wd(T0 + 900 + 90 * MINUTE, P),
+        ])
+        assert alerts == []
+
+    def test_reannouncement_at_the_evaluation_instant_is_a_zombie(self):
+        detector = StreamingDetector(threshold=90 * MINUTE)
+        detector.add_interval(interval(P, T0, T0 + 900))
+        (alert,) = feed(detector, [
+            ann(T0 + 2, P, 25091, 210312, origin_time=T0),
+            wd(T0 + 903, P),
+            ann(T0 + 900 + 90 * MINUTE, P, 25091, 4637, 210312,
+                origin_time=T0),
+        ])
+        assert alert.detected_at == T0 + 900 + 90 * MINUTE
+        assert alert.path.asns == (25091, 4637, 210312)
+
+
+class TestStreamingAgreesWithOffline:
     def test_same_zombies(self):
-        records, intervals = self._records_and_intervals()
-        offline = ZombieDetector(DetectorConfig()).detect(records, intervals)
-        streaming = StreamingDetector()
-        streaming.add_intervals(intervals)
-        alerts = feed(streaming, records)
-        offline_keys = {(str(o.prefix), o.interval.announce_time, r.peer)
-                        for o in offline.outbreaks for r in o.routes}
-        streaming_keys = {(str(a.prefix), a.interval.announce_time, a.peer)
-                          for a in alerts}
-        assert offline_keys == streaming_keys
+        """One input of the three-path property, which replaced this
+        class's own comparison."""
+        from test_core_properties import FIVE_RECORDS, assert_one_verdict
+
+        assert_one_verdict(*FIVE_RECORDS)
 
 
 class TestResurrectionMonitor:
