@@ -1,27 +1,22 @@
 #!/usr/bin/env python
 """Live zombie monitoring (the paper's §6 operator platform).
 
-Replays a simulated campaign's RIS stream *incrementally* through the
-streaming detector and the resurrection monitor, fanning alerts out to
-a counter and a JSON-lines feed — the architecture a real deployment
-would run against live BGPStream.
+Replays a simulated campaign's RIS stream *incrementally*, one record at
+a time, through the streaming zombie detector and the resurrection
+monitor — the two consumers a real deployment runs against live
+BGPStream.  (``python -m repro observatory ingest`` runs the same two
+over an archive and writes their alerts to the event store.)
 
-Run:  python examples/realtime_monitoring.py [alerts.jsonl]
+Run:  python examples/realtime_monitoring.py
 """
 
-import io
-import sys
+from collections import Counter
 
+from repro.bgp import record_sort_key
+from repro.core import ResurrectionMonitor
 from repro.experiments import campaign_run
-from repro.realtime import (
-    AlertDispatcher,
-    CallbackSink,
-    CountingSink,
-    JsonLinesSink,
-    ResurrectionMonitor,
-    StreamingDetector,
-)
-from repro.utils.timeutil import MINUTE, to_iso
+from repro.realtime import StreamingDetector
+from repro.utils.timeutil import MINUTE
 
 
 def main() -> None:
@@ -32,43 +27,39 @@ def main() -> None:
     detector = StreamingDetector(threshold=90 * MINUTE,
                                  excluded_peers=run.noisy_truth)
     detector.add_intervals(run.intervals)
-    # The monitor knows the beacon schedule, so scheduled
-    # re-announcements (e.g. approach-B collision slots) are not
-    # mistaken for resurrections.
-    monitor = ResurrectionMonitor(
-        run.final_withdrawals, quiet=120 * MINUTE,
-        scheduled_announcements=[(iv.prefix, iv.announce_time + 60)
-                                 for iv in run.intervals],
-        schedule_tolerance=10 * MINUTE)
+    # The monitor knows the beacon schedule: a window ends at the
+    # prefix's next announcement, so the beacon's own re-announcements
+    # are never mistaken for resurrections.
+    monitor = ResurrectionMonitor(min_offset=120 * MINUTE)
+    for interval in run.intervals:
+        monitor.add_interval(interval)
 
-    counter = CountingSink()
-    feed = JsonLinesSink(open(sys.argv[1], "a") if len(sys.argv) > 1
-                         else io.StringIO())
-    shown = [0]
+    by_kind: Counter = Counter()
+    by_prefix: Counter = Counter()
 
-    def show(alert):
-        if shown[0] < 8:
-            print(f"  {alert}")
-            shown[0] += 1
+    def emit(kind, alert, text):
+        if sum(by_kind.values()) < 8:
+            print(f"  {text}")
+        by_kind[kind] += 1
+        by_prefix[str(alert.prefix)] += 1
 
-    dispatcher = AlertDispatcher([counter, feed, CallbackSink(show)])
-
-    for record in run.records:
+    for record in sorted(run.records, key=record_sort_key):
         for alert in detector.observe(record):
-            dispatcher.emit(alert)
-        resurrection = monitor.observe(record)
-        if resurrection is not None:
-            dispatcher.emit(resurrection)
+            emit("zombie", alert, alert)
+        late = monitor.observe(record)
+        if late is not None:
+            emit("resurrection", late,
+                 f"ALERT resurrection {late.prefix} @ {late.peer[0]}/"
+                 f"{late.peer[1]} (AS{late.peer_asn}) "
+                 f"+{late.offset_minutes:.0f} min via {late.path}")
     for alert in detector.flush():
-        dispatcher.emit(alert)
-    dispatcher.close()
+        emit("zombie", alert, alert)
 
-    print(f"\nalerts emitted: {counter.total}")
-    for kind, count in sorted(counter.by_kind.items()):
+    print(f"\nalerts emitted: {sum(by_kind.values())}")
+    for kind, count in sorted(by_kind.items()):
         print(f"  {kind}: {count}")
-    top = sorted(counter.by_prefix.items(), key=lambda kv: -kv[1])[:5]
     print("most alerted prefixes:")
-    for prefix, count in top:
+    for prefix, count in by_prefix.most_common(5):
         print(f"  {prefix}: {count}")
 
 

@@ -19,7 +19,7 @@ The package is organised bottom-up:
 Extensions implementing the paper's §6 / future work:
 
 * :mod:`repro.dataplane` — FIBs and packet walks (the Fig. 1 loop).
-* :mod:`repro.realtime` — streaming detection with alert sinks.
+* :mod:`repro.realtime` — the streaming zombie detector's alert face.
 * :mod:`repro.routeviews` — RouteViews archives and merged feeds.
 * :mod:`repro.core.wild` — zombie detection without beacons.
 * :mod:`repro.beacons.ipv4_clock` / :mod:`repro.beacons.service` — the

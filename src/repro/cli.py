@@ -489,7 +489,7 @@ def _cmd_observatory_ingest(args) -> int:
             store, checkpoint, scenario["intervals"],
             scenario["start"], scenario["end"],
             threshold=scenario.get("threshold", 90 * 60),
-            quiet=scenario.get("quiet", 120 * 60),
+            min_offset=scenario.get("min_offset", 120 * 60),
             excluded_peers=scenario.get("excluded_peers", frozenset()),
             checkpoint_every=args.checkpoint_every)
 

@@ -20,6 +20,7 @@ from repro.core.outbreaks import ZombieOutbreak, ZombieRoute
 from repro.core.resurrection import (
     LateAnnouncement,
     ResurrectionEvent,
+    ResurrectionMonitor,
     find_late_announcements,
     find_resurrections,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "ZombieRoute",
     "LateAnnouncement",
     "ResurrectionEvent",
+    "ResurrectionMonitor",
     "find_late_announcements",
     "find_resurrections",
     "PalmTree",

@@ -23,10 +23,25 @@ from repro.net.prefix import Prefix
 from repro.utils.timeutil import DAY, MINUTE
 
 __all__ = ["PresenceSegment", "ZombieLifespan", "LifespanTracker",
-           "LifespanDelta", "LifespanSession"]
+           "LifespanDelta", "LifespanSession", "LATE_FIRST_SEEN",
+           "starts_resurrection"]
 
-#: Session snapshot document version.
-SNAPSHOT_VERSION = 1
+#: Session snapshot document version (2: ``late_first_seen`` became
+#: the constant :data:`LATE_FIRST_SEEN`).
+SNAPSHOT_VERSION = 2
+
+#: A first sighting this long after the final withdrawal means the route
+#: had vanished from every peer and came back.
+LATE_FIRST_SEEN = 2 * DAY
+
+
+def starts_resurrection(withdraw_time: int, earlier_segments: int,
+                        start: int) -> bool:
+    """The dump-scale §5.1 predicate: a presence segment starting at
+    ``start`` is a resurrection when it follows a gap (an earlier
+    segment exists) or is a first sighting later than
+    ``withdraw_time + LATE_FIRST_SEEN``."""
+    return bool(earlier_segments) or start > withdraw_time + LATE_FIRST_SEEN
 
 
 @dataclass(frozen=True)
@@ -127,10 +142,8 @@ class LifespanSession:
 
     def __init__(self, final_withdrawals: dict[Prefix, int],
                  excluded_peers: frozenset[PeerKey] = frozenset(),
-                 min_stuck: int = 90 * MINUTE,
-                 late_first_seen: int = 2 * DAY):
+                 min_stuck: int = 90 * MINUTE):
         self.min_stuck = min_stuck
-        self.late_first_seen = late_first_seen
         self.excluded_peers = excluded_peers
         self._progress: dict[Prefix, _PrefixProgress] = {
             prefix: _PrefixProgress(withdraw_time)
@@ -179,9 +192,8 @@ class LifespanSession:
             holders = self._pending.get(prefix, set())
             if holders:
                 started = progress.run_start is None
-                resurrection = started and (
-                    bool(progress.segments)
-                    or instant > progress.withdraw_time + self.late_first_seen)
+                resurrection = started and starts_resurrection(
+                    progress.withdraw_time, len(progress.segments), instant)
                 if started:
                     progress.run_start = instant
                 progress.run_end = instant
@@ -243,7 +255,6 @@ class LifespanSession:
         return {
             "version": SNAPSHOT_VERSION,
             "min_stuck": self.min_stuck,
-            "late_first_seen": self.late_first_seen,
             "excluded_peers": sorted([c, a] for c, a in self.excluded_peers),
             "pending_instant": self._pending_instant,
             "pending": {str(prefix): sorted([c, a] for c, a in holders)
@@ -261,8 +272,7 @@ class LifespanSession:
         session = cls({},
                       excluded_peers=frozenset(
                           (c, a) for c, a in snapshot["excluded_peers"]),
-                      min_stuck=snapshot["min_stuck"],
-                      late_first_seen=snapshot["late_first_seen"])
+                      min_stuck=snapshot["min_stuck"])
         for text, data in snapshot["prefixes"].items():
             progress = _PrefixProgress(data["withdraw_time"])
             progress.segments = [
@@ -292,12 +302,11 @@ class LifespanTracker:
         self.min_stuck = min_stuck
 
     def session(self, final_withdrawals: dict[Prefix, int],
-                excluded_peers: frozenset[PeerKey] = frozenset(),
-                late_first_seen: int = 2 * DAY) -> LifespanSession:
+                excluded_peers: frozenset[PeerKey] = frozenset()
+                ) -> LifespanSession:
         """An incremental (restart-safe) tracking session."""
         return LifespanSession(final_withdrawals, excluded_peers,
-                               min_stuck=self.min_stuck,
-                               late_first_seen=late_first_seen)
+                               min_stuck=self.min_stuck)
 
     def track(self, dumps: Iterable[RibDump],
               final_withdrawals: dict[Prefix, int],

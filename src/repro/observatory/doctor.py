@@ -51,7 +51,7 @@ from repro.observatory.store import (
     _Segment,
     file_sha256,
 )
-from repro.realtime.sinks import outbreak_prefix
+from repro.observatory.forensics import outbreak_prefix
 
 __all__ = ["FsckReport", "fleet_shard_roots", "fsck", "fsck_fleet"]
 

@@ -32,13 +32,36 @@ from repro.bgp.attributes import ASPath
 from repro.bgp.messages import UpdateRecord
 from repro.core.rootcause import build_palm_tree
 from repro.core.state import PeerKey
-from repro.realtime.sinks import outbreak_id, outbreak_prefix
 
 __all__ = ["LastAnnouncementRing", "render_forensics",
            "outbreak_id", "outbreak_prefix", "RING_SNAPSHOT_VERSION"]
 
 #: Ring snapshot document version (bumped on incompatible changes).
 RING_SNAPSHOT_VERSION = 1
+
+#: Field separator for minted outbreak IDs.  ``~`` is URL-safe (RFC
+#: 3986 unreserved) and cannot appear in a prefix, collector name or
+#: peer address, so the ID parses back unambiguously.
+_ID_SEPARATOR = "~"
+
+
+def outbreak_id(payload: dict) -> str:
+    """Mint the stable ID of one ``outbreak`` event payload.
+
+    Deterministic in the alert's identity fields — the same outbreak
+    gets the same ID across kill-resume, re-ingest and live streaming —
+    and it *leads with the prefix*, so the federation tier can derive
+    the owning shard from the ID alone (the prefix pins the shard).
+    """
+    return _ID_SEPARATOR.join((
+        payload["prefix"], str(payload["announce_time"]),
+        payload["collector"], payload["peer_address"]))
+
+
+def outbreak_prefix(identifier: str) -> str:
+    """The prefix component of a minted outbreak ID ("" if malformed)."""
+    parts = identifier.split(_ID_SEPARATOR)
+    return parts[0] if len(parts) == 4 else ""
 
 #: Default bound on tracked (peer, prefix) entries.  RIS beacon
 #: monitoring is small: #beacon prefixes × #full-feed peers per

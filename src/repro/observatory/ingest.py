@@ -6,8 +6,9 @@ The engine tails an on-disk RIS archive through the indexed read path
 
 * :class:`~repro.realtime.streaming.StreamingDetector` — zombie
   outbreaks at withdrawal + threshold (``outbreak`` events);
-* :class:`~repro.realtime.streaming.ResurrectionMonitor` — update-scale
-  §5.1 resurrections (``resurrection`` events);
+* :class:`~repro.core.resurrection.ResurrectionMonitor` — update-scale
+  §5.1 late announcements (``resurrection`` events), the same core
+  batch ``find_late_announcements`` runs;
 * :class:`~repro.core.lifespan.LifespanSession` — dump-scale presence /
   lifespans (cumulative ``lifespan`` events, resurrections flagged).
 
@@ -19,6 +20,10 @@ checkpoint of (stream watermarks, snapshots, events-appended) plus
 :meth:`EventStore.truncate` back to the checkpoint makes a killed and
 resumed ingest produce a byte-identical store to an uninterrupted one —
 the property the round-trip tests assert.
+
+The engine is also the one writer of alert events: every ``outbreak``
+is appended with the ``forensics`` snapshot that documents it, and
+every late announcement as one ``resurrection`` event.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.beacons.schedule import BeaconInterval
 from repro.core.lifespan import LifespanSession
+from repro.core.resurrection import (
+    DEFAULT_MIN_OFFSET,
+    LateAnnouncement,
+    ResurrectionMonitor,
+)
 from repro.core.state import PeerKey
 from repro.mrt.tabledump import RibDump
 from repro.net.prefix import Prefix
@@ -36,17 +46,12 @@ from repro.observatory.forensics import (
     DEFAULT_RING_CAPACITY,
     LastAnnouncementRing,
     forensics_payload,
+    outbreak_id,
 )
 from repro.observatory.store import EventStore
-from repro.realtime.sinks import serialise_alert
-from repro.realtime.streaming import (
-    ResurrectionAlert,
-    ResurrectionMonitor,
-    StreamingDetector,
-    ZombieAlert,
-)
+from repro.realtime.streaming import StreamingDetector, ZombieAlert
 from repro.ris.archive import Archive
-from repro.utils.timeutil import DAY, MINUTE
+from repro.utils.timeutil import MINUTE
 
 __all__ = ["ObservatoryIngest", "intervals_from_json"]
 
@@ -55,12 +60,12 @@ class ObservatoryIngest:
     """One ingest session over the window ``[start, end)``.
 
     Constructing the engine either starts fresh (registering every
-    beacon interval with the detector and the monitor's schedule filter,
-    and writing the zero-record checkpoint every later restart restores
-    to) or — when ``checkpoint_path`` holds a checkpoint — resumes: the
-    detector, monitor and lifespan session are restored from their
-    snapshots, the event store is rolled back to the checkpointed event
-    count, and the archive streams are re-opened at the watermarks.
+    beacon interval with the detector and the monitor, and writing the
+    zero-record checkpoint every later restart restores to) or — when
+    ``checkpoint_path`` holds a checkpoint — resumes: the detector,
+    monitor and lifespan session are restored from their snapshots, the
+    event store is rolled back to the checkpointed event count, and the
+    archive streams are re-opened at the watermarks.
     """
 
     def __init__(self, archive: Archive, store: EventStore,
@@ -69,8 +74,7 @@ class ObservatoryIngest:
                  start: int, end: int,
                  threshold: int = 90 * MINUTE, dedup: bool = True,
                  excluded_peers: frozenset[PeerKey] = frozenset(),
-                 quiet: int = 120 * MINUTE,
-                 late_first_seen: int = 2 * DAY,
+                 min_offset: int = DEFAULT_MIN_OFFSET,
                  checkpoint_every: int = 1000,
                  ring_capacity: int = DEFAULT_RING_CAPACITY):
         self.archive = archive
@@ -84,8 +88,7 @@ class ObservatoryIngest:
         self.threshold = threshold
         self.dedup = dedup
         self.excluded_peers = excluded_peers
-        self.quiet = quiet
-        self.late_first_seen = late_first_seen
+        self.min_offset = min_offset
         self.checkpoint_every = checkpoint_every
         self.ring_capacity = ring_capacity
 
@@ -121,14 +124,12 @@ class ObservatoryIngest:
             threshold=self.threshold, dedup=self.dedup,
             excluded_peers=self.excluded_peers)
         self.detector.add_intervals(self.intervals)
-        prefixes = {interval.prefix for interval in self.intervals}
-        self.monitor = ResurrectionMonitor(
-            prefixes, quiet=self.quiet,
-            scheduled_announcements=[(i.prefix, i.announce_time)
-                                     for i in self.intervals])
+        self.monitor = ResurrectionMonitor(self.min_offset)
+        for interval in self.intervals:
+            self.monitor.add_interval(interval)
         self.session = LifespanSession(
             self._final_withdrawals(), excluded_peers=self.excluded_peers,
-            min_stuck=self.threshold, late_first_seen=self.late_first_seen)
+            min_stuck=self.threshold)
         self.ring = LastAnnouncementRing(
             self.ring_capacity, prefixes=self._watched_prefixes(),
             excluded_peers=self.excluded_peers)
@@ -226,9 +227,9 @@ class ObservatoryIngest:
         for alert in self.detector.observe(record):
             self._append_outbreak(alert)
         self.ring.observe(record)
-        resurrection = self.monitor.observe(record)
-        if resurrection is not None:
-            self._append_resurrection(resurrection)
+        late = self.monitor.observe(record)
+        if late is not None:
+            self._append_resurrection(late)
         if record.timestamp == self._updates_watermark:
             self._updates_at_watermark += 1
         else:
@@ -247,7 +248,18 @@ class ObservatoryIngest:
         self.dumps_ingested += 1
 
     def _append_outbreak(self, alert: ZombieAlert) -> None:
-        payload = serialise_alert(alert)
+        payload = {
+            "prefix": str(alert.prefix),
+            "collector": alert.peer[0],
+            "peer_address": alert.peer[1],
+            "peer_asn": alert.peer_asn,
+            "announce_time": alert.interval.announce_time,
+            "withdraw_time": alert.interval.withdraw_time,
+            "detected_at": alert.detected_at,
+            "path": str(alert.path) if alert.path is not None else None,
+            "stale": alert.stale,
+        }
+        payload["id"] = outbreak_id(payload)
         self.store.append("outbreak", alert.detected_at, payload)
         self.counters["outbreak_events"] += 1
         # Freeze the pre-outbreak ring state right next to the outbreak
@@ -258,9 +270,17 @@ class ObservatoryIngest:
             forensics_payload(payload, alert.interval.origin_asn, self.ring))
         self.counters["forensics_events"] += 1
 
-    def _append_resurrection(self, alert: ResurrectionAlert) -> None:
-        self.store.append("resurrection", alert.resurrected_at,
-                          serialise_alert(alert))
+    def _append_resurrection(self, late: LateAnnouncement) -> None:
+        self.store.append("resurrection", late.reannounced_at, {
+            "prefix": str(late.prefix),
+            "collector": late.peer[0],
+            "peer_address": late.peer[1],
+            "peer_asn": late.peer_asn,
+            "withdrawn_at": late.withdrawn_at,
+            "resurrected_at": late.reannounced_at,
+            "quiet_seconds": late.quiet_seconds,
+            "path": str(late.path),
+        })
         self.counters["resurrection_events"] += 1
 
     def _append_lifespans(self, deltas) -> None:
@@ -339,7 +359,7 @@ class ObservatoryIngest:
         document = {
             "window": [self.start, self.end],
             "threshold": self.threshold,
-            "quiet": self.quiet,
+            "min_offset": self.min_offset,
             "intervals": [i.to_json() for i in self.intervals],
             "updates": {"watermark": self._updates_watermark,
                         "at_watermark": self._updates_at_watermark,

@@ -439,7 +439,7 @@ class ObservatoryApp:
             lines.append(f"{name}{labels} {value}")
 
         store = self.store.stats()
-        self.views.refresh()
+        self.views.refresh(count=False)
         metric("observatory_events_total", store["next_seq"],
                "Events appended to the store over its lifetime.")
         metric("observatory_store_segments", store["segments"],

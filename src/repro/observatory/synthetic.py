@@ -157,7 +157,7 @@ def build_synthetic_archive(root: Union[str, Path],
             "start": start,
             "end": end,
             "threshold": 90 * MINUTE,
-            "quiet": 120 * MINUTE,
+            "min_offset": 120 * MINUTE,
             "excluded_peers": [],
             "intervals": [i.to_json() for i in intervals],
             "scripted": {"stuck": str(stuck),

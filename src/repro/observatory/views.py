@@ -161,19 +161,22 @@ class MaterializedViews:
         """Events below this seq are folded into the views."""
         return self._tail.seq
 
-    def refresh(self) -> int:
+    def refresh(self, count: bool = True) -> int:
         """Bring the views up to the store's published position.
 
         Reads only events at or above the watermark; a generation bump
         or watermark regression discards everything and rebuilds (the
         first refresh of a fresh instance counts as a rebuild).
-        Returns how many events were folded.
+        Returns how many events were folded.  ``count=False`` leaves
+        ``refreshes`` alone: a ``/metrics`` scrape reports that counter
+        and must not move it.
         """
         with self._lock:
+            if count:
+                self.refreshes += 1
             return self._refresh_locked()
 
     def _refresh_locked(self) -> int:
-        self.refreshes += 1
         folded = 0
         started = time.perf_counter()
         rebuilds_before = self.rebuilds

@@ -1,31 +1,5 @@
 """Real-time zombie detection (the paper's §6 operator platform)."""
 
-from repro.realtime.sinks import (
-    AlertDispatcher,
-    AlertSink,
-    CallbackSink,
-    CountingSink,
-    JsonLinesSink,
-    StoreStreamSink,
-    serialise_alert,
-)
-from repro.realtime.streaming import (
-    ResurrectionAlert,
-    ResurrectionMonitor,
-    StreamingDetector,
-    ZombieAlert,
-)
+from repro.realtime.streaming import StreamingDetector, ZombieAlert
 
-__all__ = [
-    "AlertDispatcher",
-    "AlertSink",
-    "CallbackSink",
-    "CountingSink",
-    "JsonLinesSink",
-    "ResurrectionAlert",
-    "ResurrectionMonitor",
-    "StoreStreamSink",
-    "StreamingDetector",
-    "ZombieAlert",
-    "serialise_alert",
-]
+__all__ = ["StreamingDetector", "ZombieAlert"]

@@ -10,11 +10,17 @@ count maps; ``visible_intervals`` in order — so a detector change that
 moves any number an experiment table is built from moves a digest.
 ``GOLDEN_STORE`` is the same for the live path: the event-store bytes
 after a default-threshold ``ObservatoryIngest`` over the campaign world
-written out as a RIS archive.
+written out as a RIS archive.  It was re-captured when the ingest's
+resurrection monitor moved onto the batch §5.1 rule; the event list
+changed by exactly two ``resurrection`` events (``2a0d:3dc1:43::/48``
+and ``2a0d:3dc1:418::/48`` at ``rrc03/2001:db8:fe4d::feed``, withdrawn
+and re-announced in second 1718695046 — a session reset the old monitor
+read as zero quiet time).
 
-The last class is the three-path agreement ROADMAP 2(c) asks for: batch
+The last two classes are the agreement ROADMAP 2(c) asks for: batch
 ``detect()`` and the ingest's ``outbreak`` events name the same routes
-on the same archive bytes.
+on the same archive bytes, and batch ``find_late_announcements`` +
+``find_resurrections`` give the ingest's ``/resurrections`` rows.
 """
 
 import hashlib
@@ -22,9 +28,21 @@ import json
 
 import pytest
 
-from repro.core import DetectorConfig, ZombieDetector
+from repro.core import (
+    DetectorConfig,
+    LifespanTracker,
+    ZombieDetector,
+    find_late_announcements,
+    find_resurrections,
+)
 from repro.experiments import campaign_run, replication_run
-from repro.observatory import EventStore, ObservatoryIngest
+from repro.observatory import (
+    EventStore,
+    ObservatoryApp,
+    ObservatoryIngest,
+    build_synthetic_archive,
+    load_scenario,
+)
 from repro.ris import Archive, ArchiveWriter
 from repro.utils.timeutil import DAY, MINUTE
 
@@ -169,7 +187,7 @@ GOLDEN = {'campaign-120-dedup-all': 'c4ad54c09017e06f',
  'replication-90-raw-quiet': 'bf26b208cb2765e5'}
 
 GOLDEN_STORE = (
-    "a71ee971773d829b42d409daa603628cca3f3cafa4c4200711634eb3ada63a76")
+    "b01b217c9d1db6fabc45e3aefe4002d94a7f8a21ba295d71c190319ac4bbd024")
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +233,66 @@ class TestThreePathsOneVerdict:
             for p in store.events(kinds=("outbreak",)))
         store.close()
         assert expected and events == expected
+
+
+def resurrection_rows(archive, intervals, start, end, store,
+                      excluded_peers=frozenset()):
+    """(batch, served): batch late announcements over the archive's
+    updates plus batch dump-scale resurrections over its RIB dumps, and
+    the ``/resurrections`` rows of the ingest that wrote ``store``."""
+    late = find_late_announcements(archive.iter_updates(start, end),
+                                   intervals)
+    final_withdrawals = {}
+    for interval in intervals:
+        if not interval.discarded:
+            final_withdrawals[interval.prefix] = max(
+                interval.withdraw_time,
+                final_withdrawals.get(interval.prefix, 0))
+    lifespans = LifespanTracker().track(
+        archive.iter_ribs(start, end), final_withdrawals, excluded_peers)
+    batch = sorted(
+        [("updates", str(e.prefix), e.reannounced_at, e.peer[0], e.peer[1],
+          e.peer_asn, e.withdrawn_at, str(e.path)) for e in late]
+        + [("rib", str(e.prefix), e.resurrected_at)
+           for e in find_resurrections(lifespans.values())])
+    rows = ObservatoryApp(store).handle("/resurrections", {})["resurrections"]
+    served = sorted(
+        (row["scale"], row["prefix"], row["time"], row["collector"],
+         row["peer_address"], row["peer_asn"], row["withdrawn_at"],
+         row["path"]) if row["scale"] == "updates"
+        else ("rib", row["prefix"], row["time"]) for row in rows)
+    return batch, served
+
+
+class TestBatchEqualsIngestResurrections:
+    def test_batch_equals_ingest_resurrection_rows(self, campaign_archive,
+                                                   tmp_path):
+        """The campaign archive: its three days hold late announcements
+        and no dump-scale resurrection, on both sides."""
+        run = campaign_run(quick=True)
+        store = ingest_campaign(campaign_archive, tmp_path)
+        batch, served = resurrection_rows(
+            Archive(campaign_archive), run.intervals, run.config.start,
+            run.config.end + DAY, store)
+        store.close()
+        assert any(row[0] == "updates" for row in batch)
+        assert served == batch
+
+    def test_both_scales_on_the_synthetic_scenario(self, tmp_path):
+        """The scripted observatory world resurrects at both scales."""
+        built = build_synthetic_archive(tmp_path / "archive")
+        config = load_scenario(built.scenario_path)
+        store = EventStore(tmp_path / "store")
+        ObservatoryIngest(
+            Archive(built.root), store, tmp_path / "ckpt.json",
+            config["intervals"], config["start"], config["end"],
+            excluded_peers=config["excluded_peers"]).finish()
+        batch, served = resurrection_rows(
+            Archive(built.root), config["intervals"], config["start"],
+            config["end"], store, config["excluded_peers"])
+        store.close()
+        assert {row[0] for row in batch} == {"updates", "rib"}
+        assert served == batch
 
 
 if __name__ == "__main__":

@@ -119,6 +119,8 @@ class TestLateAnnouncements:
                                        min_offset=120 * MINUTE) == []
 
     def test_max_offset_window(self):
+        """The window a late announcement may fall in ends where the
+        prefix's next registered announcement opens the next one."""
         iv = interval(P, T0, T0 + 900)
         records = [
             ann(T0 + 2, P, 61573, 1299, 25091, 8298, 210312, peer_asn=61573),
@@ -126,12 +128,16 @@ class TestLateAnnouncements:
             ann(iv.withdraw_time + 10 * HOUR, P, 61573, 4637, 1299, 25091,
                 8298, 210312, peer_asn=61573),
         ]
-        within = find_late_announcements(records, [iv], min_offset=2 * HOUR,
-                                         max_offset=12 * HOUR)
-        beyond = find_late_announcements(records, [iv], min_offset=2 * HOUR,
-                                         max_offset=5 * HOUR)
+        within = find_late_announcements(
+            records, [iv, interval(P, T0 + 12 * HOUR)], min_offset=2 * HOUR)
+        beyond = find_late_announcements(
+            records, [iv, interval(P, T0 + 5 * HOUR)], min_offset=2 * HOUR)
         assert len(within) == 1
         assert beyond == []
+        # The re-announcement stamped at the next announcement's instant
+        # already belongs to the next window.
+        capped_at_it = interval(P, iv.withdraw_time + 10 * HOUR)
+        assert find_late_announcements(records, [iv, capped_at_it]) == []
 
     def test_discarded_interval_skipped(self):
         iv = interval(P, T0, T0 + 900, discarded=True)
@@ -143,3 +149,68 @@ class TestLateAnnouncements:
         ]
         assert find_late_announcements(records, [iv],
                                        min_offset=120 * MINUTE) == []
+
+    def test_ris_beacons_on_time_are_not_late(self):
+        """RIS beacons, every peer withdrawing and re-announcing on
+        schedule: each re-announcement is the beacon's next scheduled
+        announcement, which opens the next window — nothing is late."""
+        intervals = [ris_interval(T0 + cycle * 4 * HOUR) for cycle in range(4)]
+        records = [record for iv in intervals
+                   for addr in ("2001:db8::2", "2001:db8::9")
+                   for record in (ann(iv.announce_time + 2, P, 61573, 210312,
+                                      addr=addr, peer_asn=61573),
+                                  wd(iv.withdraw_time + 3, P, addr=addr,
+                                     peer_asn=61573))]
+        assert find_late_announcements(records, intervals) == []
+
+    def test_same_second_session_reset(self):
+        """A session reset withdraws and re-announces the stale route in
+        one second, 170 minutes after the beacon withdrew: late, with no
+        quiet time at the peer at all."""
+        iv = interval(P, T0, T0 + 900)
+        reset = iv.withdraw_time + 170 * MINUTE
+        records = [
+            ann(T0 + 2, P, 61573, 1299, 25091, 8298, 210312, peer_asn=61573),
+            wd(reset, P, peer_asn=61573),
+            ann(reset, P, 61573, 4637, 1299, 25091, 8298, 210312,
+                peer_asn=61573),
+        ]
+        (event,) = find_late_announcements(records, [iv])
+        assert event.withdrawn_at == event.reannounced_at == reset
+        assert event.quiet_seconds == 0
+
+    def test_withdrawal_before_the_beacon_withdrawal(self):
+        """The peer lost the route before the beacon withdrew it; the
+        offset still counts from the beacon's withdrawal and the first
+        withdrawal since the peer's last announcement is reported."""
+        iv = interval(P, T0, T0 + 900)
+        records = [
+            ann(T0 + 2, P, 61573, 210312, peer_asn=61573),
+            wd(T0 + 300, P, peer_asn=61573),
+            wd(T0 + 960, P, peer_asn=61573),
+            ann(iv.withdraw_time + 130 * MINUTE, P, 61573, 4637, 210312,
+                peer_asn=61573),
+        ]
+        (event,) = find_late_announcements(records, [iv])
+        assert event.withdrawn_at == T0 + 300
+        assert event.offset_minutes == 130
+
+    def test_one_late_announcement_per_interval_and_peer(self):
+        """A flapping stale route is reported once per (interval, peer);
+        a prompt re-announcement disarms the peer until it withdraws
+        again."""
+        iv = interval(P, T0, T0 + 900)
+        w = iv.withdraw_time
+        records = [
+            ann(T0 + 2, P, 61573, 210312, peer_asn=61573),
+            wd(w + 10, P, peer_asn=61573),
+            ann(w + 60, P, 61573, 4637, 210312, peer_asn=61573),
+            ann(w + 150 * MINUTE, P, 61573, 4637, 210312, peer_asn=61573),
+            wd(w + 160 * MINUTE, P, peer_asn=61573),
+            ann(w + 170 * MINUTE, P, 61573, 4637, 210312, peer_asn=61573),
+            wd(w + 180 * MINUTE, P, peer_asn=61573),
+            ann(w + 190 * MINUTE, P, 61573, 4637, 210312, peer_asn=61573),
+        ]
+        (event,) = find_late_announcements(records, [iv])
+        assert (event.withdrawn_at, event.reannounced_at) == \
+            (w + 160 * MINUTE, w + 170 * MINUTE)

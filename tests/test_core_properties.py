@@ -8,8 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.beacons import AggregatorClock
-from repro.bgp import ASPath, PathAttributes, StateRecord, record_sort_key
-from repro.core import DetectorConfig, StateReconstructor, ZombieDetector
+from repro.bgp import (
+    ASPath,
+    PathAttributes,
+    StateRecord,
+    UpdateRecord,
+    record_sort_key,
+)
+from repro.core import (
+    DetectorConfig,
+    ResurrectionMonitor,
+    StateReconstructor,
+    ZombieDetector,
+    find_late_announcements,
+)
 from repro.mrt import RibDump, decode_rib_dump, encode_rib_dump
 from repro.net import Prefix
 from repro.realtime import StreamingDetector
@@ -281,6 +293,129 @@ class TestOneVerdict:
     @settings(deadline=None)
     def test_batch_streaming_and_reference_agree(self, data):
         assert_one_verdict(*data)
+
+
+# -- one resurrection verdict: batch == live == the text of §5.1 ------------
+
+@st.composite
+def resurrection_streams(draw):
+    """Beacon prefixes on a 4 h cycle held up 15 min (campaign slot) or
+    2 h (RIS), with peers that withdraw and re-announce at random,
+    around ``withdraw_time + min_offset`` and around the next
+    announcement, flap, reset their session inside one second, or
+    bounce it.  Returns ``(records, intervals, min_offset)``."""
+    min_offset = draw(st.sampled_from([60, 120, 170])) * MINUTE
+    up = draw(st.sampled_from([15 * MINUTE, 2 * HOUR]))
+    edges = [up + min_offset, CYCLE]
+    offsets = st.one_of(
+        st.integers(min_value=1, max_value=CYCLE + HOUR),
+        st.sampled_from([edge + delta for edge in edges
+                         for delta in (-1, 0, 1)]))
+    n_peers = draw(st.integers(min_value=1, max_value=3))
+    intervals, records = [], []
+    for prefix in PREFIXES[:draw(st.integers(min_value=1, max_value=2))]:
+        for cycle in range(draw(st.integers(min_value=1, max_value=3))):
+            start = T0 + cycle * CYCLE
+            intervals.append(interval(prefix, start, start + up, discarded=draw(
+                st.sampled_from([False, False, False, True]))))
+            tied = draw(st.booleans())
+            for index, (collector, addr, asn) in enumerate(PEERS[:n_peers]):
+                peer = dict(collector=collector, addr=addr, peer_asn=asn)
+                records.append(ann(start + 2 + (0 if tied else index),
+                                   prefix, asn, 210312, **peer))
+                for action in draw(st.lists(st.sampled_from(
+                        ["withdraw", "announce", "reset", "bounce"]),
+                        max_size=4)):
+                    at = start + draw(offsets)
+                    if action in ("withdraw", "reset"):
+                        records.append(wd(at, prefix, **peer))
+                    if action in ("announce", "reset"):
+                        records.append(ann(at, prefix, asn, 4637, 210312,
+                                           **peer))
+                    if action == "bounce":
+                        records.append(sess_down(at, **peer))
+    return records, intervals, min_offset
+
+
+def late_reference(records, intervals, min_offset):
+    """§5.1 as written: in each interval's window (its announcement up
+    to the prefix's next one), a peer's first announcement stamped at
+    or after ``withdraw_time + min_offset`` whose predecessor among the
+    peer's updates is a withdrawal; ``withdrawn_at`` opens that run of
+    withdrawals."""
+    intervals = [i for i in intervals if not i.discarded]
+    found = []
+    for iv in intervals:
+        end = min([other.announce_time for other in intervals
+                   if other.prefix == iv.prefix
+                   and other.announce_time > iv.announce_time],
+                  default=float("inf"))
+        per_peer = {}
+        for r in sorted(records, key=record_sort_key):
+            if (isinstance(r, UpdateRecord) and r.prefix == iv.prefix
+                    and iv.announce_time <= r.timestamp < end):
+                per_peer.setdefault((r.collector, r.peer_address), []).append(r)
+        for key, rs in per_peer.items():
+            for i, r in enumerate(rs):
+                if (r.is_announcement and i and rs[i - 1].is_withdrawal
+                        and r.timestamp >= iv.withdraw_time + min_offset):
+                    first = i - 1
+                    while first and rs[first - 1].is_withdrawal:
+                        first -= 1
+                    found.append((str(iv.prefix), iv.announce_time, key,
+                                  r.peer_asn, rs[first].timestamp,
+                                  r.timestamp))
+                    break
+    return sorted(found)
+
+
+def assert_one_resurrection_verdict(records, intervals, min_offset):
+    """Batch ``find_late_announcements``, a ``ResurrectionMonitor``
+    restarted from a JSON snapshot half-way and the reference report
+    the same late announcements."""
+    def rows(events):
+        return sorted((str(e.prefix), e.interval.announce_time, e.peer,
+                       e.peer_asn, e.withdrawn_at, e.reannounced_at)
+                      for e in events)
+
+    expected = late_reference(records, intervals, min_offset)
+    assert rows(find_late_announcements(records, intervals,
+                                        min_offset)) == expected
+    monitor = ResurrectionMonitor(min_offset)
+    for iv in intervals:
+        monitor.add_interval(iv)
+    ordered = sorted(records, key=record_sort_key)
+    live = []
+    for index, record in enumerate(ordered):
+        if index == len(ordered) // 2:
+            monitor = ResurrectionMonitor.from_snapshot(
+                json.loads(json.dumps(monitor.snapshot())))
+        live.append(monitor.observe(record))
+    assert rows(e for e in live if e is not None) == expected
+
+
+#: The paper's example: withdrawn at +100 min, back at +170 min.
+PAPER_EXAMPLE = (
+    [ann(T0 + 2, P, 61573, 1299, 25091, 8298, 210312, peer_asn=61573),
+     wd(T0 + 900 + 100 * MINUTE, P, peer_asn=61573),
+     ann(T0 + 900 + 170 * MINUTE, P, 61573, 4637, 1299, 25091, 8298,
+         210312, peer_asn=61573)],
+    [interval(P, T0)], 120 * MINUTE)
+#: RIS beacons, every re-announcement the beacon's own next one.
+RIS_ON_TIME = (
+    [record for start in (T0, T0 + CYCLE, T0 + 2 * CYCLE) for record in
+     (ann(start + 2, P, 25091, 12654), wd(start + 2 * HOUR + 3, P))],
+    [interval(P, start, start + 2 * HOUR)
+     for start in (T0, T0 + CYCLE, T0 + 2 * CYCLE)], 120 * MINUTE)
+
+
+class TestOneResurrectionVerdict:
+    @given(resurrection_streams())
+    @example(PAPER_EXAMPLE)
+    @example(RIS_ON_TIME)
+    @settings(deadline=None)
+    def test_batch_live_and_reference_agree(self, data):
+        assert_one_resurrection_verdict(*data)
 
 
 @st.composite

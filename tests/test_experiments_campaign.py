@@ -10,7 +10,12 @@ import ipaddress
 
 import pytest
 
-from repro.core import LifespanTracker, NoisyPeerDetector, find_resurrections
+from repro.core import (
+    LifespanTracker,
+    NoisyPeerDetector,
+    find_late_announcements,
+    find_resurrections,
+)
 from repro.experiments import (
     CampaignConfig,
     build_case_study,
@@ -102,6 +107,16 @@ class TestFigure2Shape:
         at_90 = run.detect(threshold=90 * MINUTE, exclude_noisy=True)
         at_180 = run.detect(threshold=180 * MINUTE, exclude_noisy=True)
         assert 0 < at_180.outbreak_count < at_90.outbreak_count
+
+    def test_r1_late_announcements_carry_the_telstra_subpath(self, run):
+        """R1 (§5.1): the update-scale rule finds the +170-minute
+        re-announcements of the scripted Telstra resurrection, over the
+        subpath the paper names."""
+        late = [event for event in find_late_announcements(
+                    run.records, run.intervals)
+                if event.path.has_subpath((4637, 1299, 25091, 8298, 210312))]
+        assert late
+        assert all(170 <= event.offset_minutes < 175 for event in late)
 
 
 class TestNoisyPeers:

@@ -111,8 +111,8 @@ class TestKillResume:
         assert resumed.store.raw_bytes() == reference.store.raw_bytes()
 
     def test_kill_mid_resurrection(self, scenario, tmp_path):
-        """Kill between a withdrawal and its quiet-period re-announcement:
-        the open withdrawal window lives only in the monitor snapshot."""
+        """Kill between a withdrawal and its late re-announcement: the
+        armed peer lives only in the monitor snapshot."""
         built, config = scenario
         reference = uninterrupted(scenario, tmp_path)
         resur_withdraw = max(
@@ -188,6 +188,26 @@ class TestCheckpointDocument:
         save_checkpoint(tmp_path / "ckpt.json", document)
         with pytest.raises(ValueError, match="unsupported StreamingDetector "
                                              "snapshot version: 1"):
+            make_ingest(scenario, tmp_path / "store", tmp_path / "ckpt.json")
+
+    @pytest.mark.parametrize("part, old_version, name", [
+        ("monitor", 2, "ResurrectionMonitor"),
+        ("lifespans", 1, "LifespanSession")])
+    def test_old_resurrection_snapshots_rejected(self, scenario, tmp_path,
+                                                 part, old_version, name):
+        """Monitor documents from before the window-per-interval core
+        and session documents still carrying ``late_first_seen`` are
+        refused with the typed error, not misread."""
+        ingest = make_ingest(scenario, tmp_path / "store",
+                             tmp_path / "ckpt.json")
+        ingest.run(max_records=10)
+        ingest.checkpoint()
+        ingest.store.close()
+        document = load_checkpoint(tmp_path / "ckpt.json")
+        document[part]["version"] = old_version
+        save_checkpoint(tmp_path / "ckpt.json", document)
+        with pytest.raises(ValueError, match=f"unsupported {name} snapshot "
+                                             f"version: {old_version}"):
             make_ingest(scenario, tmp_path / "store", tmp_path / "ckpt.json")
 
     def test_window_mismatch_rejected(self, scenario, tmp_path):

@@ -137,6 +137,16 @@ class TestMetrics:
         first = value()
         assert value() == first + 1
 
+    def test_back_to_back_scrapes_of_an_idle_store_agree(self, world):
+        """A scrape refreshes the views for the per-kind counts, but
+        does not count that refresh: on an idle store two scrapes report
+        the same numbers."""
+        app = ObservatoryApp(world[3])
+        app.handle("/outbreaks", {})
+        first = app.render_metrics()
+        assert app.render_metrics() == first
+        assert "observatory_view_refreshes_total 1" in first.splitlines()
+
 
 class TestLiveIngest:
     def test_queries_during_ingest(self, tmp_path):

@@ -641,55 +641,21 @@ class TestTailCLI:
 
 
 class TestStoreStreamSink:
-    def test_alerts_become_store_events_identical_to_ingest_path(
-            self, tmp_path):
-        from repro.net import Prefix
-        from repro.realtime import (ResurrectionAlert, StoreStreamSink,
-                                    ZombieAlert, serialise_alert)
-        from repro.beacons.schedule import BeaconInterval
-
-        prefix = Prefix("2001:db8:1000::/48")
-        zombie = ZombieAlert(
-            prefix=prefix, peer=("rrc00", "2001:db8::2"), peer_asn=25091,
-            interval=BeaconInterval(prefix, 1_000, 1_900, 210312),
-            detected_at=7_300, path=None, stale=False)
-        resurrection = ResurrectionAlert(
-            prefix=prefix, peer=("rrc00", "2001:db8::2"), peer_asn=25091,
-            withdrawn_at=1_900, resurrected_at=9_100, path=None)
-
-        store = EventStore(tmp_path / "store")
-        sink = StoreStreamSink(store)
-        sink.emit(zombie)
-        sink.emit(resurrection)
-        sink.close()
-        assert sink.appended == 2
-        events = list(store.events())
-        assert [(e["kind"], e["time"]) for e in events] == \
-            [("outbreak", 7_300), ("resurrection", 9_100)]
-        for event, alert in zip(events, (zombie, resurrection)):
-            for key, value in serialise_alert(alert).items():
-                assert event[key] == value
-        store.close()
+    """The event store is the sink every live producer writes to: an
+    ``EventStore.append`` reaches every ``/stream/*`` subscriber."""
 
     def test_sink_feeds_live_stream_end_to_end(self, tmp_path):
-        from repro.net import Prefix
-        from repro.realtime import (AlertDispatcher, StoreStreamSink,
-                                    ZombieAlert)
-        from repro.beacons.schedule import BeaconInterval
-
         store = EventStore(tmp_path / "store")
         server = AsyncObservatoryServer(store, poll_interval=0.005).start()
-        dispatcher = AlertDispatcher([StoreStreamSink(store)])
         try:
             conn, response = sse_connect(server, "/stream/outbreaks")
             assert wait_until(
                 lambda: server.stream_stats.subscribers >= 1, interval=0.001)
-            prefix = Prefix("2001:db8:1000::/48")
-            dispatcher.emit(ZombieAlert(
-                prefix=prefix, peer=("rrc00", "2001:db8::2"),
-                peer_asn=25091,
-                interval=BeaconInterval(prefix, 1_000, 1_900, 210312),
-                detected_at=7_300, path=None, stale=False))
+            store.append("outbreak", 7_300, {
+                "prefix": "2001:db8:1000::/48", "collector": "rrc00",
+                "peer_address": "2001:db8::2", "peer_asn": 25091,
+                "announce_time": 1_000, "withdraw_time": 1_900,
+                "detected_at": 7_300, "path": None, "stale": False})
             frame = read_frames(response, 1)[0]
             conn.close()
             assert frame[1] == "outbreak"

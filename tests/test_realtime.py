@@ -1,22 +1,11 @@
-"""Tests for streaming detection and alert sinks, including agreement
-between the streaming and offline detectors."""
+"""Tests for live detection: the streaming zombie detector, including
+agreement with the offline detector, and the resurrection monitor fed
+one record at a time."""
 
-import io
-import json
-
-import pytest
 from helpers import ann, interval, sess_down, wd
 
-from repro.realtime import (
-    AlertDispatcher,
-    CallbackSink,
-    CountingSink,
-    JsonLinesSink,
-    ResurrectionMonitor,
-    StreamingDetector,
-    ZombieAlert,
-)
-from repro.net import Prefix
+from repro.core import ResurrectionMonitor
+from repro.realtime import StreamingDetector
 from repro.utils.timeutil import HOUR, MINUTE, ts
 
 P = "2a0d:3dc1:1145::/48"
@@ -160,110 +149,67 @@ class TestStreamingAgreesWithOffline:
         assert_one_verdict(*FIVE_RECORDS)
 
 
+def monitor_for(*intervals, min_offset=2 * HOUR):
+    monitor = ResurrectionMonitor(min_offset)
+    for iv in intervals:
+        monitor.add_interval(iv)
+    return monitor
+
+
 class TestResurrectionMonitor:
     def test_alert_after_quiet_period(self):
-        monitor = ResurrectionMonitor([Prefix(P)], quiet=2 * HOUR)
-        assert monitor.observe(ann(T0, P, 25091, 210312)) is None
+        iv = interval(P, T0, T0 + 900)
+        monitor = monitor_for(iv)
+        assert monitor.observe(ann(T0 + 2, P, 25091, 210312)) is None
         assert monitor.observe(wd(T0 + 1000, P)) is None
         alert = monitor.observe(ann(T0 + 3 * HOUR, P, 25091, 4637, 210312))
         assert alert is not None
         assert alert.quiet_seconds == 3 * HOUR - 1000
+        assert alert.offset_minutes == (3 * HOUR - 900) / MINUTE
         assert alert.path.contains(4637)
 
     def test_quick_reannounce_not_flagged(self):
-        monitor = ResurrectionMonitor([Prefix(P)], quiet=2 * HOUR)
-        monitor.observe(wd(T0, P))
-        assert monitor.observe(ann(T0 + 600, P, 25091, 210312)) is None
+        monitor = monitor_for(interval(P, T0, T0 + 900))
+        monitor.observe(wd(T0 + 900, P))
+        assert monitor.observe(ann(T0 + 1500, P, 25091, 210312)) is None
 
     def test_untracked_ignored(self):
-        monitor = ResurrectionMonitor([])
+        """Records of a prefix without a registered interval, or before
+        its first window opens, arm nothing."""
+        monitor = monitor_for(interval(P, T0 + HOUR, T0 + HOUR + 900))
         assert monitor.observe(wd(T0, P)) is None
-        monitor.track(Prefix(P))
-        assert monitor.observe(wd(T0 + 1, P)) is None
+        assert monitor.observe(wd(T0, "2001:db8::/32")) is None
+        assert monitor.observe(ann(T0 + 4 * HOUR, P, 25091, 210312)) is None
+        assert monitor.observe(ann(T0 + 4 * HOUR, "2001:db8::/32", 25091,
+                                   210312)) is None
 
     def test_reannounce_resets_tracking(self):
-        monitor = ResurrectionMonitor([Prefix(P)], quiet=HOUR)
-        monitor.observe(wd(T0, P))
-        monitor.observe(ann(T0 + 2 * HOUR, P, 25091, 210312))  # alert 1
-        # A new withdrawal starts a fresh quiet period.
+        monitor = monitor_for(interval(P, T0, T0 + 900), min_offset=HOUR)
+        monitor.observe(wd(T0 + 900, P))
+        # A prompt re-announcement disarms the peer ...
+        assert monitor.observe(ann(T0 + 960, P, 25091, 210312)) is None
+        # ... and the next withdrawal starts a fresh quiet period.
         monitor.observe(wd(T0 + 3 * HOUR, P))
         alert = monitor.observe(ann(T0 + 5 * HOUR, P, 25091, 210312))
         assert alert is not None
         assert alert.withdrawn_at == T0 + 3 * HOUR
 
 
-def make_alert():
-    iv = interval(P, T0, T0 + 900)
-    record = ann(T0 + 2, P, 25091, 210312, origin_time=T0)
-    return ZombieAlert(prefix=Prefix(P), peer=("rrc00", "2001:db8::2"),
-                       peer_asn=25091, interval=iv,
-                       detected_at=T0 + 900 + 90 * MINUTE,
-                       path=record.attributes.as_path, stale=False)
-
-
-class TestSinks:
-    def test_callback_sink(self):
-        seen = []
-        CallbackSink(seen.append).emit(make_alert())
-        assert len(seen) == 1
-
-    def test_counting_sink(self):
-        sink = CountingSink()
-        sink.emit(make_alert())
-        sink.emit(make_alert())
-        assert sink.total == 2
-        assert sink.by_kind == {"ZombieAlert": 2}
-        assert sink.by_prefix == {P: 2}
-
-    def test_jsonlines_sink(self):
-        buffer = io.StringIO()
-        sink = JsonLinesSink(buffer)
-        sink.emit(make_alert())
-        sink.close()
-        payload = json.loads(buffer.getvalue())
-        assert payload["kind"] == "ZombieAlert"
-        assert payload["prefix"] == P
-        assert payload["peer_asn"] == 25091
-        assert payload["path"] == "25091 210312"
-
-    def test_jsonlines_file(self, tmp_path):
-        path = tmp_path / "alerts.jsonl"
-        sink = JsonLinesSink(path)
-        sink.emit(make_alert())
-        sink.close()
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_dispatcher(self):
-        counting = CountingSink()
-        seen = []
-        dispatcher = AlertDispatcher([counting])
-        dispatcher.add(CallbackSink(seen.append))
-        dispatcher.emit(make_alert())
-        dispatcher.close()
-        assert counting.total == 1
-        assert len(seen) == 1
-
-
 class TestScheduleAwareMonitor:
-    def test_scheduled_reannouncement_suppressed(self):
-        from repro.realtime import ResurrectionMonitor
+    """The beacon's own schedule bounds the window: its next
+    announcement is never a late one."""
 
-        monitor = ResurrectionMonitor(
-            [Prefix(P)], quiet=HOUR,
-            scheduled_announcements=[(Prefix(P), T0 + 3 * HOUR)],
-            schedule_tolerance=5 * MINUTE)
-        monitor.observe(wd(T0, P))
+    def test_scheduled_reannouncement_suppressed(self):
+        monitor = monitor_for(interval(P, T0, T0 + 900),
+                              interval(P, T0 + 3 * HOUR), min_offset=HOUR)
+        monitor.observe(wd(T0 + 903, P))
         # Re-announcement right at the scheduled slot: the beacon spoke.
         assert monitor.observe(ann(T0 + 3 * HOUR + 60, P, 25091,
                                    210312)) is None
 
     def test_unscheduled_reannouncement_still_alerts(self):
-        from repro.realtime import ResurrectionMonitor
-
-        monitor = ResurrectionMonitor(
-            [Prefix(P)], quiet=HOUR,
-            scheduled_announcements=[(Prefix(P), T0 + 10 * HOUR)],
-            schedule_tolerance=5 * MINUTE)
-        monitor.observe(wd(T0, P))
+        monitor = monitor_for(interval(P, T0, T0 + 900),
+                              interval(P, T0 + 10 * HOUR), min_offset=HOUR)
+        monitor.observe(wd(T0 + 903, P))
         alert = monitor.observe(ann(T0 + 3 * HOUR, P, 25091, 210312))
         assert alert is not None

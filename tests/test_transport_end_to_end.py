@@ -22,7 +22,7 @@ def ingest_store(archive_root, store_dir, checkpoint, scenario):
     ingest = ObservatoryIngest(
         archive, store, checkpoint, scenario["intervals"],
         scenario["start"], scenario["end"],
-        threshold=scenario["threshold"], quiet=scenario["quiet"],
+        threshold=scenario["threshold"], min_offset=scenario["min_offset"],
         excluded_peers=scenario["excluded_peers"])
     ingest.run()
     ingest.finish()
@@ -113,7 +113,8 @@ class TestTailingAGrowingMirror:
             ingest = ObservatoryIngest(
                 Archive(tmp_path / "mirror"), store, tmp_path / "ckpt.json",
                 scenario["intervals"], scenario["start"], scenario["end"],
-                threshold=scenario["threshold"], quiet=scenario["quiet"])
+                threshold=scenario["threshold"],
+                min_offset=scenario["min_offset"])
             first_pass = ingest.run()
             assert first_pass > 0
             assert not ingest.finished
