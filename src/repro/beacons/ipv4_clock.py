@@ -74,11 +74,9 @@ class IPv4BeaconClock:
 
     def encode(self, slot_time: int) -> Prefix:
         """The beacon prefix announced at ``slot_time``."""
-        index = self.slot_index(slot_time)
-        base = int(ipaddress.IPv4Address(self.pool.network_address))
-        shift = 32 - self.beacon_prefixlen
-        address = ipaddress.IPv4Address(base | (index << shift))
-        return Prefix(f"{address}/{self.beacon_prefixlen}")
+        address = self.pool.value | (
+            self.slot_index(slot_time) << (32 - self.beacon_prefixlen))
+        return Prefix(ipaddress.IPv4Network((address, self.beacon_prefixlen)))
 
     def decode(self, prefix: Prefix, observed_at: int) -> int:
         """Most recent slot time <= ``observed_at`` that maps to
@@ -86,9 +84,7 @@ class IPv4BeaconClock:
         if prefix.prefixlen != self.beacon_prefixlen \
                 or not self.pool.contains(prefix):
             raise ValueError(f"{prefix} is not a beacon of pool {self.pool}")
-        base = int(ipaddress.IPv4Address(self.pool.network_address))
-        value = int(ipaddress.IPv4Address(prefix.network_address))
-        index = (value - base) >> (32 - self.beacon_prefixlen)
+        index = (prefix.value - self.pool.value) >> (32 - self.beacon_prefixlen)
         observed_slot = observed_at // self.slot_period
         # Largest slot counter <= observed_slot congruent to index.
         remainder = observed_slot % self.capacity

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from repro.net.asn import validate_asn
+from repro.net.prefix import format_address
 
 __all__ = [
     "Origin",
@@ -37,6 +39,14 @@ ATTR_AGGREGATOR = 7
 ATTR_COMMUNITIES = 8
 ATTR_MP_REACH_NLRI = 14
 ATTR_MP_UNREACH_NLRI = 15
+
+
+@lru_cache(maxsize=4096)
+def _check_address(text: str, ipv4_only: bool = False) -> None:
+    """Raise :class:`ValueError` unless ``text`` is an IP address (IPv4
+    with ``ipv4_only``).  Memoised: a decoded archive repeats the same
+    few next hops and aggregator addresses in every attribute bundle."""
+    (ipaddress.IPv4Address if ipv4_only else ipaddress.ip_address)(text)
 
 
 class Origin:
@@ -138,14 +148,14 @@ class Aggregator:
 
     def __post_init__(self):
         validate_asn(self.asn)
-        ipaddress.IPv4Address(self.address)  # validates
+        _check_address(self.address, ipv4_only=True)
 
     def address_bytes(self) -> bytes:
         return ipaddress.IPv4Address(self.address).packed
 
     @classmethod
     def from_bytes(cls, asn: int, data: bytes) -> "Aggregator":
-        return cls(asn, str(ipaddress.IPv4Address(data)))
+        return cls(asn, format_address(data, ipv4_only=True))
 
     def __str__(self) -> str:
         return f"{self.asn} {self.address}"
@@ -162,7 +172,7 @@ class PathAttributes:
     communities: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        ipaddress.ip_address(self.next_hop)  # validates v4 or v6
+        _check_address(self.next_hop)  # v4 or v6
         if self.origin not in (Origin.IGP, Origin.EGP, Origin.INCOMPLETE):
             raise ValueError(f"invalid ORIGIN value {self.origin}")
         for high, low in self.communities:

@@ -14,7 +14,9 @@ detection code ports to live BGPStream unchanged:
 Supported filter terms (a practical subset of the BGPStream filter
 language): ``prefix exact P``, ``prefix more P`` (P and more specifics),
 ``peer A``, ``collector C``, ``ipversion 4|6``, ``type updates|withdrawals
-|announcements``, joined by ``and``.
+|announcements``, joined by ``and``.  Terms of different kinds are
+ANDed; repeated terms of one kind are ORed, so ``prefix exact A and
+prefix exact B`` streams both prefixes.
 """
 
 from __future__ import annotations
@@ -70,88 +72,62 @@ class BGPElem:
         return self.fields.get("as-path")
 
 
-class _Filter:
-    """Parsed filter string.
-
-    ``record_filter`` is the archive-side push-down equivalent, built
-    once; :meth:`match_elem` is the element-level form RIB rows need.
-    """
-
-    def __init__(self, text: Optional[str]):
-        self.prefix_exact: Optional[Prefix] = None
-        self.prefix_more: Optional[Prefix] = None
-        self.peers: set[int] = set()
-        self.collectors: set[str] = set()
-        self.ipversion: Optional[int] = None
-        self.elem_types: set[str] = set()
-        if text:
-            self._parse(text)
-        self.record_filter = RecordFilter(
-            peers=frozenset(self.peers),
-            collectors=frozenset(self.collectors),
-            ipversion=self.ipversion,
-            elem_types=frozenset(self.elem_types),
-            prefix_exact=self.prefix_exact,
-            prefix_more=self.prefix_more,
-        )
-
-    def _parse(self, text: str) -> None:
-        for clause in text.split(" and "):
-            tokens = clause.split()
-            if not tokens:
-                continue
-            keyword = tokens[0]
-            try:
-                if keyword == "prefix":
-                    mode, value = tokens[1], tokens[2]
-                    if mode == "exact":
-                        self.prefix_exact = Prefix(value)
-                    elif mode == "more":
-                        self.prefix_more = Prefix(value)
-                    else:
-                        raise FilterError(f"unknown prefix mode {mode!r}")
-                elif keyword == "peer":
-                    if len(tokens) < 2:
-                        raise FilterError(f"clause {clause!r} needs a value")
-                    self.peers.update(int(t) for t in tokens[1:])
-                elif keyword == "collector":
-                    if len(tokens) < 2:
-                        raise FilterError(f"clause {clause!r} needs a value")
-                    self.collectors.update(tokens[1:])
-                elif keyword == "ipversion":
-                    self.ipversion = int(tokens[1])
-                elif keyword == "type":
-                    mapping = {"updates": {"A", "W"}, "announcements": {"A"},
-                               "withdrawals": {"W"}}
-                    self.elem_types.update(mapping[tokens[1]])
-                else:
-                    raise FilterError(f"unknown filter keyword {keyword!r}")
-            except (IndexError, ValueError, KeyError) as exc:
-                if isinstance(exc, FilterError):
-                    raise
-                raise FilterError(f"cannot parse clause {clause!r}") from exc
-
-    def match_prefix(self, prefix: Prefix) -> bool:
-        return self.record_filter.match_prefix(prefix)
-
-    def match_elem(self, elem: BGPElem) -> bool:
-        if self.elem_types and elem.type not in self.elem_types:
-            return False
-        if self.peers and elem.peer_asn not in self.peers:
-            return False
-        if self.collectors and elem.collector not in self.collectors:
-            return False
-        if elem.type in ("A", "W", "R"):
-            return self.match_prefix(_parse_prefix(elem.fields["prefix"]))
-        # State elems carry no prefix: they cannot match a prefix clause.
-        return not self.record_filter.has_prefix_clause
+_ELEM_TYPES = {"updates": {"A", "W"}, "announcements": {"A"},
+               "withdrawals": {"W"}}
 
 
 def compile_filter(text: Optional[str]) -> RecordFilter:
     """Compile a BGPStream filter string into a pushed-down
     :class:`~repro.ris.pushdown.RecordFilter` usable directly with
-    :meth:`repro.ris.Archive.iter_updates`."""
-    return _Filter(text).record_filter
+    :meth:`repro.ris.Archive.iter_updates`.  Clauses of different types
+    are ANDed; repeated clauses of one type (``prefix exact A and prefix
+    exact B``) are ORed, like repeated ``add_filter`` calls in pybgpstream."""
+    sets: dict[str, set] = {name: set() for name in (
+        "peers", "collectors", "elem_types", "prefix_exact", "prefix_more")}
+    ipversion = None
+    for clause in (text or "").split(" and "):
+        tokens = clause.split()
+        if not tokens:
+            continue
+        keyword, values = tokens[0], tokens[1:]
+        try:
+            if keyword == "prefix":
+                mode, value = values[0], values[1]
+                if mode not in ("exact", "more"):
+                    raise FilterError(f"unknown prefix mode {mode!r}")
+                sets[f"prefix_{mode}"].add(Prefix(value))
+            elif keyword in ("peer", "collector"):
+                if not values:
+                    raise FilterError(f"clause {clause!r} needs a value")
+                sets[f"{keyword}s"].update(
+                    map(int, values) if keyword == "peer" else values)
+            elif keyword == "ipversion":
+                ipversion = int(values[0])
+            elif keyword == "type":
+                sets["elem_types"].update(_ELEM_TYPES[values[0]])
+            else:
+                raise FilterError(f"unknown filter keyword {keyword!r}")
+        except (IndexError, ValueError, KeyError) as exc:
+            if isinstance(exc, FilterError):
+                raise
+            raise FilterError(f"cannot parse clause {clause!r}") from exc
+    return RecordFilter(ipversion=ipversion, **{
+        name: frozenset(values) for name, values in sets.items()})
+
+
+def _match_elem(record_filter: RecordFilter, elem: BGPElem) -> bool:
+    """The filter on one element — RIB rows; updates are filtered below
+    decode in the archive."""
+    if record_filter.elem_types and elem.type not in record_filter.elem_types:
+        return False
+    if record_filter.peers and elem.peer_asn not in record_filter.peers:
+        return False
+    if record_filter.collectors and elem.collector not in record_filter.collectors:
+        return False
+    if elem.type in ("A", "W", "R"):
+        return record_filter.match_prefix(_parse_prefix(elem.fields["prefix"]))
+    # State elems carry no prefix: they cannot match a prefix clause.
+    return not record_filter.has_prefix_clause
 
 
 class BGPStream:
@@ -172,7 +148,7 @@ class BGPStream:
             raise ValueError(f"record_type must be 'updates' or 'ribs', got {record_type!r}")
         self.record_type = record_type
         self.collectors = list(collectors) if collectors else None
-        self._filter = _Filter(filter)
+        self._filter = compile_filter(filter)
         if self.collectors is None and self._filter.collectors:
             self.collectors = sorted(self._filter.collectors)
 
@@ -188,7 +164,7 @@ class BGPStream:
         # every record that comes back is already a match.
         for record in self.archive.iter_updates(
                 self.from_time, self.until_time, self.collectors,
-                record_filter=self._filter.record_filter):
+                record_filter=self._filter):
             yield _record_to_elem(record)
 
     def _iter_ribs(self) -> Iterator[BGPElem]:
@@ -209,7 +185,7 @@ class BGPStream:
                             "originated": entry.originated_time,
                         },
                     )
-                    if self._filter.match_elem(elem):
+                    if _match_elem(self._filter, elem):
                         yield elem
 
 

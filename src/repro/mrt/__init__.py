@@ -1,13 +1,12 @@
 """MRT (RFC 6396) binary format: BGP4MP updates and TABLE_DUMP_V2 RIBs."""
 
 from repro.mrt.bgp4mp import (
+    RecordDecoder,
     decode_bgp4mp,
     decode_mrt_header,
     encode_mrt_record,
     encode_state_record,
     encode_update_record,
-    iter_update_prefixes,
-    prematch_bgp4mp,
 )
 from repro.mrt.files import (
     MRTDecodeError,
@@ -38,8 +37,7 @@ __all__ = [
     "encode_mrt_record",
     "encode_state_record",
     "encode_update_record",
-    "iter_update_prefixes",
-    "prematch_bgp4mp",
+    "RecordDecoder",
     "MRTDecodeError",
     "iter_raw_records",
     "read_updates_file",

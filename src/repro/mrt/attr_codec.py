@@ -4,14 +4,16 @@ Encodes/decodes the attribute block of a BGP UPDATE.  AS paths are
 always encoded 4-byte (AS4); IPv6 reachability travels in
 MP_REACH_NLRI / MP_UNREACH_NLRI as on the real wire.  TABLE_DUMP_V2 RIB
 entries use the RFC 6396 §4.3.4 abbreviated MP_REACH_NLRI (next hop
-only), selected with ``rib_entry=True``.
+only), selected with ``rib_entry=True``.  Decoding goes through an
+:class:`AttributeDecoder`, one per file, which interns what the file
+repeats (see :mod:`repro.mrt.bgp4mp`).
 """
 
 from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.bgp.attributes import (
     ATTR_AGGREGATOR,
@@ -26,9 +28,9 @@ from repro.bgp.attributes import (
     PathAttributes,
 )
 from repro.mrt.constants import SAFI_UNICAST
-from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
+from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix, format_address
 
-__all__ = ["encode_attributes", "decode_attributes", "DecodedUpdateBody"]
+__all__ = ["encode_attributes", "encode_mp_unreach", "AttributeDecoder"]
 
 _FLAG_OPTIONAL = 0x80
 _FLAG_TRANSITIVE = 0x40
@@ -36,6 +38,12 @@ _FLAG_EXTENDED = 0x10
 
 _AS_SEQUENCE = 2
 _AS_SET = 1
+
+_U8_PAIR = struct.Struct("!BB")
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_U16_PAIR = struct.Struct("!HH")
+_U16_U8 = struct.Struct("!HB")
 
 
 def _attribute(flags: int, type_code: int, payload: bytes) -> bytes:
@@ -62,10 +70,9 @@ def _decode_as_path(payload: bytes) -> ASPath:
     asns: list[int] = []
     offset = 0
     while offset < len(payload):
-        seg_type, count = struct.unpack_from("!BB", payload, offset)
+        seg_type, count = _U8_PAIR.unpack_from(payload, offset)
         offset += 2
-        segment = [struct.unpack_from("!I", payload, offset + 4 * i)[0]
-                   for i in range(count)]
+        segment = struct.unpack_from(f"!{count}I", payload, offset)
         offset += 4 * count
         if seg_type not in (_AS_SEQUENCE, _AS_SET):
             raise ValueError(f"unsupported AS_PATH segment type {seg_type}")
@@ -118,112 +125,128 @@ def encode_attributes(attrs: PathAttributes,
         out += _attribute(_FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, bytes(body))
 
     if withdrawn_mp:
-        body = bytearray(struct.pack("!HB", AFI_IPV6, SAFI_UNICAST))
-        for prefix in withdrawn_mp:
-            body += prefix.wire_bytes()
-        out += _attribute(_FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, bytes(body))
-
+        out += encode_mp_unreach(withdrawn_mp)
     return bytes(out)
 
 
-class DecodedUpdateBody:
-    """Result of :func:`decode_attributes`: the attribute bundle plus any
-    NLRI carried inside MP_REACH/MP_UNREACH attributes."""
+def encode_mp_unreach(withdrawn: list[Prefix]) -> bytes:
+    """The MP_UNREACH_NLRI attribute withdrawing IPv6 ``withdrawn``."""
+    body = struct.pack("!HB", AFI_IPV6, SAFI_UNICAST) + b"".join(
+        prefix.wire_bytes() for prefix in withdrawn)
+    return _attribute(_FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, body)
+
+
+class AttributeDecoder:
+    """Decoder of the addresses, NLRI and attribute blocks of one file.
+
+    A file repeats a few peer addresses, next hops, prefixes, AS paths
+    and aggregators thousands of times, so each is decoded and validated
+    once: intern tables map its raw bytes to the decoded value.  They
+    live as long as the decoder, one per file; only successes are kept,
+    so malformed bytes raise on every occurrence.
+    """
 
     def __init__(self):
-        self.origin: int = 0
-        self.as_path: Optional[ASPath] = None
-        self.next_hop: str = "0.0.0.0"
-        self.aggregator: Optional[Aggregator] = None
-        self.communities: tuple[tuple[int, int], ...] = ()
-        self.mp_announced: list[Prefix] = []
-        self.mp_withdrawn: list[Prefix] = []
+        self._addresses: dict[bytes, str] = {}
+        self._prefixes: tuple[dict, dict] = ({}, {})  # IPv6, IPv4
+        self._as_paths: dict[bytes, ASPath] = {}
+        self._aggregators: dict[bytes, Aggregator] = {}
 
-    def to_path_attributes(self) -> PathAttributes:
-        if self.as_path is None:
-            raise ValueError("attribute block carried no AS_PATH")
-        return PathAttributes(
-            as_path=self.as_path,
-            next_hop=self.next_hop,
-            origin=self.origin,
-            aggregator=self.aggregator,
-            communities=self.communities,
-        )
+    def address(self, packed: bytes) -> str:
+        text = self._addresses.get(packed)
+        if text is None:
+            text = self._addresses[packed] = format_address(packed)
+        return text
 
+    def prefix(self, data: bytes, afi: int, pos: int) -> tuple[Prefix, int]:
+        """The NLRI entry at ``data[pos:]``: (prefix, end offset)."""
+        if pos >= len(data):
+            raise ValueError("empty NLRI buffer")
+        end = pos + 1 + (data[pos] + 7) // 8
+        key = data[pos:end]
+        table = self._prefixes[afi == AFI_IPV4]
+        prefix = table.get(key)
+        if prefix is None:
+            prefix = table[key] = Prefix.from_wire(key, afi)[0]
+        return prefix, end
 
-def decode_attributes(data: bytes, rib_entry: bool = False) -> DecodedUpdateBody:
-    """Decode an attribute block (inverse of :func:`encode_attributes`)."""
-    result = DecodedUpdateBody()
-    offset = 0
-    while offset < len(data):
-        flags, type_code = struct.unpack_from("!BB", data, offset)
-        offset += 2
-        if flags & _FLAG_EXTENDED:
-            (length,) = struct.unpack_from("!H", data, offset)
+    def nlri(self, data: bytes, afi: int, start: int = 0,
+             end: Optional[int] = None) -> Iterator[Prefix]:
+        """The NLRI entries of ``data[start:end]`` one at a time, so a
+        caller that stops early never decodes (or trips over) the rest."""
+        run = data[start:end]
+        pos = 0
+        while pos < len(run):
+            prefix, pos = self.prefix(run, afi, pos)
+            yield prefix
+        if end is not None and len(run) < end - start:
+            raise ValueError("truncated NLRI field")
+
+    def attributes(self, data: bytes, rib_entry: bool = False
+                   ) -> tuple[Optional[PathAttributes], list[Prefix], list[Prefix]]:
+        """Decode an attribute block (inverse of :func:`encode_attributes`):
+        its attributes (None without an AS_PATH), then the prefixes of its
+        MP_REACH_NLRI and of its MP_UNREACH_NLRI."""
+        origin, next_hop, communities = 0, "0.0.0.0", ()
+        as_path: Optional[ASPath] = None
+        aggregator: Optional[Aggregator] = None
+        announced: list[Prefix] = []
+        withdrawn: list[Prefix] = []
+        offset = 0
+        while offset < len(data):
+            flags, type_code = _U8_PAIR.unpack_from(data, offset)
             offset += 2
-        else:
-            length = data[offset]
-            offset += 1
-        payload = data[offset:offset + length]
-        if len(payload) != length:
-            raise ValueError("truncated path attribute")
-        offset += length
+            if flags & _FLAG_EXTENDED:
+                (length,) = _U16.unpack_from(data, offset)
+                offset += 2
+            else:
+                length = data[offset]
+                offset += 1
+            payload = data[offset:offset + length]
+            if len(payload) != length:
+                raise ValueError("truncated path attribute")
+            offset += length
 
-        if type_code == ATTR_ORIGIN:
-            result.origin = payload[0]
-        elif type_code == ATTR_AS_PATH:
-            result.as_path = _decode_as_path(payload)
-        elif type_code == ATTR_NEXT_HOP:
-            result.next_hop = str(ipaddress.IPv4Address(payload))
-        elif type_code == ATTR_AGGREGATOR:
-            asn = struct.unpack("!I", payload[:4])[0]
-            result.aggregator = Aggregator.from_bytes(asn, payload[4:8])
-        elif type_code == ATTR_COMMUNITIES:
-            count = len(payload) // 4
-            result.communities = tuple(
-                struct.unpack_from("!HH", payload, 4 * i) for i in range(count))
-        elif type_code == ATTR_MP_REACH_NLRI:
-            result.next_hop, nlri = _decode_mp_reach(payload, rib_entry)
-            result.mp_announced.extend(nlri)
-        elif type_code == ATTR_MP_UNREACH_NLRI:
-            result.mp_withdrawn.extend(_decode_mp_unreach(payload))
-        else:
-            raise ValueError(f"unsupported attribute type {type_code}")
-    return result
-
-
-def _decode_mp_reach(payload: bytes, rib_entry: bool) -> tuple[str, list[Prefix]]:
-    offset = 0
-    if not rib_entry:
-        afi, safi = struct.unpack_from("!HB", payload, 0)
-        if safi != SAFI_UNICAST:
-            raise ValueError(f"unsupported SAFI {safi}")
-        offset = 3
-    else:
-        afi = AFI_IPV6
-    nh_len = payload[offset]
-    offset += 1
-    nh_bytes = payload[offset:offset + nh_len]
-    offset += nh_len
-    next_hop = str(ipaddress.ip_address(nh_bytes[:16] if nh_len >= 16 else nh_bytes))
-    prefixes: list[Prefix] = []
-    if not rib_entry:
-        offset += 1  # reserved byte
-        while offset < len(payload):
-            prefix, consumed = Prefix.from_wire(payload[offset:], afi)
-            prefixes.append(prefix)
-            offset += consumed
-    return next_hop, prefixes
+            if type_code == ATTR_ORIGIN:
+                origin = payload[0]
+            elif type_code == ATTR_AS_PATH:
+                as_path = self._as_paths.get(payload)
+                if as_path is None:
+                    as_path = self._as_paths[payload] = _decode_as_path(payload)
+            elif type_code == ATTR_NEXT_HOP:
+                next_hop = format_address(payload, ipv4_only=True)
+            elif type_code == ATTR_AGGREGATOR:
+                aggregator = self._aggregators.get(payload)
+                if aggregator is None:
+                    (asn,) = _U32.unpack(payload[:4])
+                    aggregator = self._aggregators[payload] = \
+                        Aggregator.from_bytes(asn, payload[4:8])
+            elif type_code == ATTR_COMMUNITIES:
+                communities = tuple(_U16_PAIR.iter_unpack(
+                    payload[:len(payload) // 4 * 4]))
+            elif type_code == ATTR_MP_REACH_NLRI:
+                afi, pos = AFI_IPV6, 0
+                if not rib_entry:
+                    afi, safi = _U16_U8.unpack_from(payload, 0)
+                    _check_safi(safi)
+                    pos = 3
+                nh_len = payload[pos]
+                hop = payload[pos + 1:pos + 1 + nh_len]
+                next_hop = self.address(hop[:16] if nh_len >= 16 else hop)
+                if not rib_entry:  # NLRI after the reserved byte
+                    announced += self.nlri(payload[pos + 2 + nh_len:], afi)
+            elif type_code == ATTR_MP_UNREACH_NLRI:
+                afi, safi = _U16_U8.unpack_from(payload, 0)
+                _check_safi(safi)
+                withdrawn += self.nlri(payload[3:], afi)
+            else:
+                raise ValueError(f"unsupported attribute type {type_code}")
+        if as_path is None:
+            return None, announced, withdrawn
+        return (PathAttributes(as_path, next_hop, origin, aggregator, communities),
+                announced, withdrawn)
 
 
-def _decode_mp_unreach(payload: bytes) -> list[Prefix]:
-    afi, safi = struct.unpack_from("!HB", payload, 0)
+def _check_safi(safi: int) -> None:
     if safi != SAFI_UNICAST:
         raise ValueError(f"unsupported SAFI {safi}")
-    offset = 3
-    prefixes: list[Prefix] = []
-    while offset < len(payload):
-        prefix, consumed = Prefix.from_wire(payload[offset:], afi)
-        prefixes.append(prefix)
-        offset += consumed
-    return prefixes

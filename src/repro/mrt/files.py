@@ -5,8 +5,9 @@ records, RouteViews as bzip2.  This module owns that container — one
 read opener (:func:`open_mrt`) and one deterministic writer
 (:func:`create_mrt`), codec picked from the file suffix — and the
 **one** loop that decodes an updates file into records
-(:func:`read_updates_file`); every archive layout, error policy and
-filter goes through it.
+(:func:`read_updates_file`, with one
+:class:`~repro.mrt.bgp4mp.RecordDecoder` per file); every archive
+layout, error policy and filter goes through it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
 from repro.mrt.bgp4mp import (
-    decode_bgp4mp,
+    RecordDecoder,
     decode_mrt_header,
     encode_state_record,
     encode_update_record,
-    prematch_bgp4mp,
 )
 from repro.mrt.constants import MRT_BGP4MP
 from repro.mrt.resilient import DecodeStats, ErrorPolicy, ResilientReader
@@ -169,15 +169,16 @@ def read_updates_file(path: Union[str, Path], collector: str,
         else:
             raws, caught = iter_raw_records(path), _RECORD_ERRORS
             reject = _ignore if policy is None else partial(_fail, path)
+        decoder = RecordDecoder()
         for header, body in raws:
             if header.mrt_type != MRT_BGP4MP:
                 reject(header, body)
                 continue
             try:
-                if record_filter is not None and not prematch_bgp4mp(
+                if record_filter is not None and not decoder.prematch(
                         header, body, record_filter):
                     continue
-                records = decode_bgp4mp(header, body, collector)
+                records = decoder.decode(header, body, collector)
             except caught as exc:
                 reject(header, body, exc)
                 continue

@@ -11,10 +11,10 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from repro.bgp.attributes import PathAttributes
-from repro.mrt.attr_codec import decode_attributes, encode_attributes
+from repro.mrt.attr_codec import AttributeDecoder, encode_attributes
 from repro.mrt.bgp4mp import decode_mrt_header, encode_mrt_record
 from repro.mrt.constants import (
     MRT_TABLE_DUMP_V2,
@@ -35,10 +35,6 @@ class RibPeer:
 
     asn: int
     address: str
-
-    @property
-    def is_ipv6(self) -> bool:
-        return ipaddress.ip_address(self.address).version == 6
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,8 @@ def encode_rib_dump(dump: RibDump) -> bytes:
     return bytes(out)
 
 
-def _decode_peer_index(body: bytes) -> tuple[str, list[RibPeer]]:
+def _decode_peer_index(body: bytes,
+                       decoder: AttributeDecoder) -> tuple[str, list[RibPeer]]:
     offset = 4  # skip collector BGP ID
     (name_len,) = struct.unpack_from("!H", body, offset)
     offset += 2
@@ -136,7 +133,7 @@ def _decode_peer_index(body: bytes) -> tuple[str, list[RibPeer]]:
         peer_type = body[offset]
         offset += 1 + 4  # type + BGP ID
         addr_len = 16 if peer_type & PEER_TYPE_IPV6 else 4
-        address = str(ipaddress.ip_address(body[offset:offset + addr_len]))
+        address = decoder.address(body[offset:offset + addr_len])
         offset += addr_len
         if peer_type & PEER_TYPE_AS4:
             (asn,) = struct.unpack_from("!I", body, offset)
@@ -149,7 +146,9 @@ def _decode_peer_index(body: bytes) -> tuple[str, list[RibPeer]]:
 
 
 def decode_rib_dump(data: bytes) -> RibDump:
-    """Parse a full bview byte blob back into a :class:`RibDump`."""
+    """Parse a full bview byte blob back into a :class:`RibDump`; one
+    :class:`~repro.mrt.attr_codec.AttributeDecoder` serves the file."""
+    decoder = AttributeDecoder()
     offset = 0
     dump: Optional[RibDump] = None
     while offset < len(data):
@@ -159,7 +158,7 @@ def decode_rib_dump(data: bytes) -> RibDump:
         if header.mrt_type != MRT_TABLE_DUMP_V2:
             raise ValueError(f"unexpected MRT type {header.mrt_type} in RIB dump")
         if header.subtype == TDV2_PEER_INDEX_TABLE:
-            collector, peers = _decode_peer_index(body)
+            collector, peers = _decode_peer_index(body, decoder)
             dump = RibDump(header.timestamp, collector, peers)
             continue
         if dump is None:
@@ -167,19 +166,19 @@ def decode_rib_dump(data: bytes) -> RibDump:
         if header.subtype not in (TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST):
             raise ValueError(f"unsupported TABLE_DUMP_V2 subtype {header.subtype}")
         afi = (AFI_IPV4 if header.subtype == TDV2_RIB_IPV4_UNICAST else AFI_IPV6)
-        pos = 4  # skip sequence number
-        prefix, consumed = Prefix.from_wire(body[pos:], afi)
-        pos += consumed
+        prefix, pos = decoder.prefix(body, afi, 4)  # after the sequence number
         (count,) = struct.unpack_from("!H", body, pos)
         pos += 2
         entries: list[RibEntry] = []
         for _ in range(count):
             peer_index, originated, attr_len = struct.unpack_from("!HIH", body, pos)
             pos += 8
-            decoded = decode_attributes(body[pos:pos + attr_len], rib_entry=True)
+            attributes = decoder.attributes(body[pos:pos + attr_len],
+                                            rib_entry=True)[0]
+            if attributes is None:
+                raise ValueError("RIB entry carried no AS_PATH")
             pos += attr_len
-            entries.append(RibEntry(peer_index, originated,
-                                    decoded.to_path_attributes()))
+            entries.append(RibEntry(peer_index, originated, attributes))
         dump.entries[prefix] = entries
     if dump is None:
         raise ValueError("empty RIB dump")

@@ -32,8 +32,8 @@ The read path is built for throughput:
 
 from __future__ import annotations
 
+import calendar
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
@@ -108,11 +108,16 @@ def _parse_file_stamp(name: str) -> int:
     convention (temp files, index sidecars, foreign drops).
     """
     parts = name.split(".")
-    if len(parts) != 4:
+    stamp = "".join(parts[1:3])
+    if (len(parts) != 4 or len(parts[1]) != 8 or len(stamp) != 12
+            or not (stamp.isascii() and stamp.isdigit())):
         raise ValueError(f"not an archive file name: {name!r}")
-    date_part, time_part = parts[1], parts[2]
-    dt = datetime.strptime(date_part + time_part, "%Y%m%d%H%M")
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+    year, month, day = int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8])
+    hour, minute = int(stamp[8:10]), int(stamp[10:])
+    if not (year and 1 <= month <= 12 and hour < 24 and minute < 60
+            and 1 <= day <= calendar.monthrange(year, month)[1]):
+        raise ValueError(f"not an archive file name: {name!r}")
+    return calendar.timegm((year, month, day, hour, minute, 0))
 
 
 def _warn_foreign_file(path: Path) -> None:

@@ -30,38 +30,41 @@ __all__ = ["RecordFilter"]
 class RecordFilter:
     """Pushed-down filter clauses, ANDed together (empty clause = pass).
 
+    Every clause but ``ipversion`` is a set whose members are ORed:
+    ``prefix_exact`` holds the prefixes wanted exactly, ``prefix_more``
+    the prefixes wanted with their more specifics — as repeated
+    ``add_filter('prefix-exact', p)`` calls do in pybgpstream.
     ``elem_types`` uses the stream element letters (``"A"``/``"W"``);
     state records never carry one, so any ``type`` clause excludes them —
     exactly as the element-level oracle
-    (``repro.bgpstream.stream._Filter.match_elem``) treats ``"S"`` elements.
+    (``repro.bgpstream.stream._match_elem``) treats ``"S"`` elements.
     """
 
     peers: frozenset = frozenset()
     collectors: frozenset = frozenset()
     ipversion: Optional[int] = None
     elem_types: frozenset = frozenset()
-    prefix_exact: Optional[Prefix] = None
-    prefix_more: Optional[Prefix] = None
+    prefix_exact: frozenset = frozenset()
+    prefix_more: frozenset = frozenset()
 
     def __bool__(self) -> bool:
         return bool(self.peers or self.collectors or self.elem_types
-                    or self.ipversion is not None
-                    or self.prefix_exact is not None
-                    or self.prefix_more is not None)
+                    or self.has_prefix_clause)
 
     @property
     def has_prefix_clause(self) -> bool:
-        return (self.prefix_exact is not None or self.prefix_more is not None
-                or self.ipversion is not None)
+        return bool(self.prefix_exact or self.prefix_more
+                    or self.ipversion is not None)
 
     def match_prefix(self, prefix: Prefix) -> bool:
         if self.ipversion == 4 and not prefix.is_ipv4:
             return False
         if self.ipversion == 6 and not prefix.is_ipv6:
             return False
-        if self.prefix_exact is not None and prefix != self.prefix_exact:
+        if self.prefix_exact and prefix not in self.prefix_exact:
             return False
-        if self.prefix_more is not None and not self.prefix_more.contains(prefix):
+        if self.prefix_more and not any(
+                wanted.contains(prefix) for wanted in self.prefix_more):
             return False
         return True
 
@@ -96,16 +99,14 @@ class RecordFilter:
             counts = {"A": index.announce_count, "W": index.withdraw_count}
             route_possible = any(counts.get(t, 0) > 0 for t in self.elem_types)
         if route_possible:
-            wanted_afis = set()
+            # Every prefix clause must be satisfiable by the file: one of
+            # the families it names must be present.
+            clauses = [{p.afi for p in self.prefix_exact},
+                       {p.afi for p in self.prefix_more}]
             if self.ipversion is not None:
-                wanted_afis.add(AFI_IPV4 if self.ipversion == 4 else AFI_IPV6)
-            if self.prefix_exact is not None:
-                wanted_afis.add(self.prefix_exact.afi)
-            if self.prefix_more is not None:
-                wanted_afis.add(self.prefix_more.afi)
-            if wanted_afis and not wanted_afis <= index.afis:
-                # Every prefix clause must be satisfiable by the file.
-                route_possible = False
+                clauses.append({AFI_IPV4 if self.ipversion == 4 else AFI_IPV6})
+            route_possible = all(not afis or afis & index.afis
+                                 for afis in clauses)
 
         state_possible = (index.state_count > 0 and not self.elem_types
                           and not self.has_prefix_clause)

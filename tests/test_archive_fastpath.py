@@ -15,7 +15,8 @@ from repro.bgp import (
     Withdrawal,
 )
 from repro.bgpstream import BGPStream, compile_filter
-from repro.mrt import iter_update_prefixes, iter_raw_records
+from repro.bgpstream.stream import _match_elem
+from repro.mrt import RecordDecoder, iter_raw_records
 from repro.mrt.files import create_mrt
 from repro.net import Prefix
 from repro.ris import (
@@ -106,6 +107,9 @@ FILTERS = [
     "peer 25091 and type withdrawals",
     "collector rrc01",
     "peer 64999",  # matches nothing
+    # Repeated clauses of one type are ORed.
+    "prefix exact 84.205.7.0/24 and prefix exact 2a0d:3dc1:1105::/48",
+    "prefix more 2a0d:3dc1:1100::/44 and prefix more 84.205.8.0/21",
 ]
 
 
@@ -133,9 +137,9 @@ class TestParallelEquivalence(RisLayout):
         for filter_text in FILTERS[1:]:
             archive = self.archive_cls(populated_root, cache_size=0)
             elems = list(BGPStream(archive, *WINDOW, filter=filter_text))
-            stream = BGPStream(archive, *WINDOW)
-            baseline = [e for e in stream
-                        if stream._filter.__class__(filter_text).match_elem(e)]
+            record_filter = compile_filter(filter_text)
+            baseline = [e for e in BGPStream(archive, *WINDOW)
+                        if _match_elem(record_filter, e)]
             assert elems == baseline
 
 
@@ -396,7 +400,7 @@ class TestPrematchWalker:
                     decoded_prefixes.add(record.prefix)
             walked = set()
             for header, body in iter_raw_records(path):
-                walked.update(iter_update_prefixes(header, body))
+                walked.update(RecordDecoder().update_prefixes(header, body))
             # The walker is a (cheap) superset of the decoded prefixes.
             assert decoded_prefixes <= walked
 

@@ -104,6 +104,25 @@ class TestFilters:
                                filter="prefix exact 2a0d:3dc1:1215::/48"))
         assert len(elems) == 1
 
+    @pytest.mark.parametrize("clauses", [
+        ("prefix exact 2a0d:3dc1:1200::/48", "prefix exact 2a0d:3dc1:1215::/48"),
+        # rrc01's file holds IPv6 only: it must not be skipped for the v4 clause.
+        ("prefix exact 84.205.64.0/24", "prefix exact 2a0d:3dc1:1215::/48"),
+        ("prefix more 2a0d:3dc1:1200::/40", "prefix more 84.205.0.0/16"),
+    ])
+    def test_repeated_prefix_clauses_are_a_union(self, archive_root, clauses):
+        """A second clause of one type adds to the first (pybgpstream's
+        repeated ``add_filter``) instead of replacing it."""
+        def elems(text):
+            return [(e.type, e.time, e.collector, e.fields["prefix"])
+                    for e in BGPStream(str(archive_root), BASE, BASE + 300,
+                                       filter=text)]
+
+        singles = [set(elems(clause)) for clause in clauses]
+        assert all(singles) and singles[0] != singles[1]
+        union = sorted(set().union(*singles), key=lambda e: e[1])
+        assert elems(" and ".join(clauses)) == union
+
     def test_ipversion(self, archive_root):
         elems = list(BGPStream(str(archive_root), BASE, BASE + 300,
                                filter="ipversion 4"))

@@ -8,6 +8,9 @@ Each digest is the sha256 of a canonical rendering of the complete
 ``detected_at``, announcement timestamp and path, ``stale``; the four
 count maps; ``visible_intervals`` in order — so a detector change that
 moves any number an experiment table is built from moves a digest.
+``GOLDEN_ARCHIVE`` pins the encoder side under both: the sha256 of the
+campaign archive's ``.gz`` files and ``.idx`` sidecars (less their
+``file_mtime_ns``), captured before ``Prefix`` moved onto integers.
 ``GOLDEN_STORE`` is the same for the live path: the event-store bytes
 after a default-threshold ``ObservatoryIngest`` over the campaign world
 written out as a RIS archive.  It was re-captured when the ingest's
@@ -25,6 +28,7 @@ on the same archive bytes, and batch ``find_late_announcements`` +
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,22 @@ def write_campaign_archive(root):
         writer.write_rib(dump)
 
 
+def archive_digest(root):
+    """sha256 over the archive's files in path order: each ``.gz`` as
+    written, each ``.idx`` sidecar without its ``file_mtime_ns``."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(root).rglob("*")):
+        if path.suffix not in (".gz", ".idx"):
+            continue
+        data = path.read_bytes()
+        if path.suffix == ".idx":
+            payload = json.loads(data)
+            del payload["file_mtime_ns"]
+            data = json.dumps(payload, sort_keys=True).encode()
+        digest.update(str(path.relative_to(root)).encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
 def ingest_campaign(archive_root, work, threshold=90 * MINUTE):
     run = campaign_run(quick=True)
     store = EventStore(work / "store")
@@ -189,6 +209,9 @@ GOLDEN = {'campaign-120-dedup-all': 'c4ad54c09017e06f',
 GOLDEN_STORE = (
     "b01b217c9d1db6fabc45e3aefe4002d94a7f8a21ba295d71c190319ac4bbd024")
 
+GOLDEN_ARCHIVE = (
+    "5dc20b6b23aedb96f149d4efb63dfb2b02b4b20e312404ec29c84dbaa181ada5")
+
 
 @pytest.fixture(scope="module")
 def campaign_archive(tmp_path_factory):
@@ -202,6 +225,11 @@ class TestGoldenDetectionResult:
                              ids=lambda case: case_name(*case))
     def test_digest(self, case):
         assert digest(render(detect(*case))) == GOLDEN[case_name(*case)]
+
+
+class TestGoldenArchiveBytes:
+    def test_archive_bytes(self, campaign_archive):
+        assert archive_digest(campaign_archive) == GOLDEN_ARCHIVE
 
 
 class TestGoldenIngestStore:
@@ -307,6 +335,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         write_campaign_archive(scratch / "archive")
+        print(f'GOLDEN_ARCHIVE = "{archive_digest(scratch / "archive")}"')
         store = ingest_campaign(scratch / "archive", scratch)
         print(f'GOLDEN_STORE = "'
               f'{hashlib.sha256(store.raw_bytes()).hexdigest()}"')

@@ -1,0 +1,114 @@
+"""Structural invariants of ``src/``: the "one of each" guards.
+
+Each merge of two mechanisms into one left a guard that the second
+mechanism does not come back.  They read the code of ``src/`` through
+:func:`code_of`, which blanks comments and docstrings first, so a
+sentence *about* a removed mechanism never trips a guard — only code
+does.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+
+def code_of(path: Path) -> str:
+    """The source of ``path`` with every comment and docstring replaced
+    by spaces (line structure kept)."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add((first.lineno, first.col_offset))
+    lines = source.splitlines(keepends=True)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT or (
+                token.type == tokenize.STRING and token.start in docstrings):
+            (row, col), (end_row, end_col) = token.start, token.end
+            for number in range(row, end_row + 1):
+                line = lines[number - 1]
+                start = col if number == row else 0
+                stop = end_col if number == end_row else len(line.rstrip("\n"))
+                lines[number - 1] = line[:start] + " " * (stop - start) + line[stop:]
+    return "".join(lines)
+
+
+def matches(pattern: str, *paths: Path) -> list[str]:
+    """``file:line`` of every code line under ``paths`` (files, or
+    directories searched for ``*.py``) that ``pattern`` matches."""
+    hits = []
+    for root in paths:
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            for number, line in enumerate(code_of(path).splitlines(), 1):
+                if re.search(pattern, line):
+                    hits.append(f"{path.relative_to(ROOT)}:{number}")
+    return hits
+
+
+class TestCodeOf:
+    def test_comments_and_docstrings_are_blanked(self, tmp_path):
+        path = tmp_path / "sample.py"
+        path.write_text('"""hedge in a docstring."""\n'
+                        "x = 1  # hedge in a comment\n"
+                        "def f():\n"
+                        "    '''hedge\n    over lines'''\n"
+                        "    return 'hedge in code'\n")
+        assert [n for n, line in enumerate(code_of(path).splitlines(), 1)
+                if "hedge" in line] == [6]
+
+
+class TestOneReadModel:
+    def test_routes_never_scan_the_store(self):
+        assert matches(r"store\.events\(",
+                       SRC / "observatory" / "server.py") == []
+
+    def test_no_request_hedging(self):
+        assert matches(r"hedge", SRC) == []
+
+
+class TestOneServerStack:
+    def test_no_stdlib_http_server(self):
+        assert matches(
+            r"http\.server|ThreadingHTTPServer|BaseHTTPRequestHandler",
+            SRC) == []
+
+    def test_one_listening_socket_and_one_backoff(self):
+        assert len(matches(r"asyncio\.start_server", SRC)) == 1
+        assert len(matches(r"def _backoff_delay", SRC)) <= 1
+
+    def test_deleted_mirror_benchmark_stays_deleted(self):
+        texts = [ROOT / "README.md", ROOT / "DESIGN.md",
+                 *sorted((ROOT / "scripts").rglob("*")),
+                 *sorted((ROOT / ".github").rglob("*"))]
+        assert [str(path) for path in texts if path.is_file()
+                and "bench_mirror" in path.read_text(encoding="utf-8")] == []
+
+
+class TestOneZombieVerdict:
+    def test_one_double_count_test(self):
+        assert len(matches(r"is_stale\(", SRC / "core" / "detector.py",
+                           SRC / "realtime" / "streaming.py")) == 1
+
+    def test_batch_detector_is_not_a_state_replay(self):
+        assert matches(r"StateReconstructor",
+                       SRC / "core" / "detector.py") == []
+
+    def test_one_interval_codec(self):
+        assert matches(r"_interval_to_json|_interval_from_json", SRC) == []
+
+
+class TestOneResurrectionVerdict:
+    def test_no_second_rule_or_alert_sink(self):
+        assert matches(r"schedule_tolerance|max_offset|"
+                       r"scheduled_announcements|class \w+Sink", SRC) == []
+        assert not (SRC / "realtime" / "sinks.py").exists()

@@ -18,14 +18,20 @@ from repro.bgp import (
 )
 from repro.mrt import (
     MRTDecodeError,
+    RibDump,
+    RibPeer,
     decode_bgp4mp,
     decode_mrt_header,
+    decode_rib_dump,
+    encode_mrt_record,
+    encode_rib_dump,
     encode_state_record,
     encode_update_record,
     read_updates_file,
     write_updates_file,
 )
-from repro.mrt.attr_codec import decode_attributes, encode_attributes
+from repro.mrt.attr_codec import AttributeDecoder, encode_attributes
+from repro.mrt.constants import MRT_TABLE_DUMP_V2, TDV2_RIB_IPV6_UNICAST
 from repro.net import Prefix
 
 
@@ -132,27 +138,36 @@ class TestAttrCodec:
     def test_rib_entry_mode_roundtrip(self):
         attrs = v6_attrs(9304, 6939, 43100, 25091, 8298, 210312)
         blob = encode_attributes(attrs, rib_entry=True)
-        decoded = decode_attributes(blob, rib_entry=True)
-        assert decoded.to_path_attributes().as_path == attrs.as_path
-        assert decoded.next_hop == attrs.next_hop
+        decoded, _, _ = AttributeDecoder().attributes(blob, rib_entry=True)
+        assert decoded == attrs
 
     def test_missing_as_path_raises(self):
-        with pytest.raises(ValueError):
-            decode_attributes(b"").to_path_attributes()
+        """An update may carry no AS_PATH (a pure MP_UNREACH); a RIB
+        entry may not."""
+        assert AttributeDecoder().attributes(b"") == (None, [], [])
+        origin_only = bytes([0x40, 1, 1, 0])
+        entry = (bytes(4) + Prefix("2001:db8::/32").wire_bytes()
+                 + bytes([0, 1, 0, 0, 0, 0, 0, 0, 0, len(origin_only)])
+                 + origin_only)
+        blob = encode_rib_dump(RibDump(1, "rrc00", [RibPeer(1, "::1")]))
+        blob += encode_mrt_record(1, MRT_TABLE_DUMP_V2, TDV2_RIB_IPV6_UNICAST,
+                                  entry)
+        with pytest.raises(ValueError, match="AS_PATH"):
+            decode_rib_dump(blob)
 
     def test_unknown_attribute_raises(self):
         # flags=0xC0, type=99, len=0
         with pytest.raises(ValueError):
-            decode_attributes(bytes([0xC0, 99, 0]))
+            AttributeDecoder().attributes(bytes([0xC0, 99, 0]))
 
     @given(st.lists(st.integers(min_value=1, max_value=2**32 - 1),
                     min_size=1, max_size=40))
     def test_as_path_roundtrip_property(self, asns):
         attrs = PathAttributes(as_path=ASPath(tuple(asns)), next_hop="2001:db8::1")
         blob = encode_attributes(attrs, announced=[Prefix("2001:db8:1::/48")])
-        decoded = decode_attributes(blob)
+        decoded, announced, _ = AttributeDecoder().attributes(blob)
         assert decoded.as_path.asns == tuple(asns)
-        assert decoded.mp_announced == [Prefix("2001:db8:1::/48")]
+        assert announced == [Prefix("2001:db8:1::/48")]
 
 
 class TestFiles:
