@@ -2,10 +2,10 @@
 """Live zombie monitoring (the paper's §6 operator platform).
 
 Replays a simulated campaign's RIS stream *incrementally*, one record at
-a time, through the streaming zombie detector and the resurrection
+a time, through the zombie evaluation core and the resurrection
 monitor — the two consumers a real deployment runs against live
 BGPStream.  (``python -m repro observatory ingest`` runs the same two
-over an archive and writes their alerts to the event store.)
+over an archive and writes their verdicts to the event store.)
 
 Run:  python examples/realtime_monitoring.py
 """
@@ -13,9 +13,8 @@ Run:  python examples/realtime_monitoring.py
 from collections import Counter
 
 from repro.bgp import record_sort_key
-from repro.core import ResurrectionMonitor
+from repro.core import DetectorConfig, IntervalEvaluator, ResurrectionMonitor
 from repro.experiments import campaign_run
-from repro.realtime import StreamingDetector
 from repro.utils.timeutil import MINUTE
 
 
@@ -24,18 +23,23 @@ def main() -> None:
     print(f"replaying {len(run.records)} records from "
           f"{run.announcement_count} beacon announcements...\n")
 
-    detector = StreamingDetector(threshold=90 * MINUTE,
-                                 excluded_peers=run.noisy_truth)
-    detector.add_intervals(run.intervals)
+    detector = IntervalEvaluator(DetectorConfig(
+        threshold=90 * MINUTE, excluded_peers=run.noisy_truth))
     # The monitor knows the beacon schedule: a window ends at the
     # prefix's next announcement, so the beacon's own re-announcements
     # are never mistaken for resurrections.
     monitor = ResurrectionMonitor(min_offset=120 * MINUTE)
     for interval in run.intervals:
+        detector.add_interval(interval)
         monitor.add_interval(interval)
 
     by_kind: Counter = Counter()
     by_prefix: Counter = Counter()
+
+    def zombies(verdicts):
+        for _, _, routes in verdicts:
+            for route in routes:
+                emit("zombie", route, f"ALERT {route} at {route.detected_at}")
 
     def emit(kind, alert, text):
         if sum(by_kind.values()) < 8:
@@ -44,16 +48,14 @@ def main() -> None:
         by_prefix[str(alert.prefix)] += 1
 
     for record in sorted(run.records, key=record_sort_key):
-        for alert in detector.observe(record):
-            emit("zombie", alert, alert)
+        zombies(detector.observe(record))
         late = monitor.observe(record)
         if late is not None:
             emit("resurrection", late,
                  f"ALERT resurrection {late.prefix} @ {late.peer[0]}/"
                  f"{late.peer[1]} (AS{late.peer_asn}) "
                  f"+{late.offset_minutes:.0f} min via {late.path}")
-    for alert in detector.flush():
-        emit("zombie", alert, alert)
+    zombies(detector.flush())
 
     print(f"\nalerts emitted: {sum(by_kind.values())}")
     for kind, count in sorted(by_kind.items()):

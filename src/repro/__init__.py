@@ -19,7 +19,9 @@ The package is organised bottom-up:
 Extensions implementing the paper's §6 / future work:
 
 * :mod:`repro.dataplane` — FIBs and packet walks (the Fig. 1 loop).
-* :mod:`repro.realtime` — the streaming zombie detector's alert face.
+* :mod:`repro.observatory` — live detection: the ingest feeds the §3.1
+  and §5.1 cores one record at a time and writes their verdicts to an
+  event store served over HTTP/SSE.
 * :mod:`repro.routeviews` — RouteViews archives and merged feeds.
 * :mod:`repro.core.wild` — zombie detection without beacons.
 * :mod:`repro.beacons.ipv4_clock` / :mod:`repro.beacons.service` — the

@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--threshold-minutes", type=int, default=90)
     detect.add_argument("--no-dedup", action="store_true",
                         help="disable Aggregator double-count elimination")
-    detect.add_argument("--workers", type=int, default=1,
-                        help="decode archive files on N worker processes")
     detect.add_argument("--filter", default=None,
                         help="BGPStream filter pushed down into the read "
                              "path, e.g. 'peer 25091 and ipversion 6'")
@@ -109,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--checkpoint-every", type=int, default=1000,
                         help="records between periodic checkpoints")
     ingest.add_argument("--max-records", type=int, default=None,
-                        help="stop after N records (resume later)")
-    ingest.add_argument("--workers", type=int, default=1,
-                        help="decode archive files on N worker processes")
+                        help="stop after N records (resume later); not "
+                             "with --supervise")
     ingest.add_argument("--on-error",
                         choices=["strict", "skip", "quarantine"],
                         default=None,
@@ -119,9 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--supervise", action="store_true",
                         help="run under the crash-restarting supervisor "
                              "(restores from the checkpoint after a crash)")
-    ingest.add_argument("--max-restarts", type=int, default=5,
-                        help="consecutive crashes tolerated before the "
-                             "supervisor gives up")
+    ingest.add_argument("--max-restarts", type=int, default=None,
+                        help="with --supervise: consecutive crashes "
+                             "tolerated before the supervisor gives up "
+                             "(default 5)")
     ingest.add_argument("--serve-port", type=int, default=None,
                         help="with --supervise: also serve /healthz and "
                              "/metrics on this port while ingesting")
@@ -392,8 +390,7 @@ def _cmd_detect(args) -> int:
         except FilterError as exc:
             print(f"bad --filter: {exc}", file=sys.stderr)
             return 2
-    archive = Archive(args.archive, workers=args.workers,
-                      error_policy=args.on_error)
+    archive = Archive(args.archive, error_policy=args.on_error)
     records = list(archive.iter_updates(
         start, end + args.threshold_minutes * MINUTE + 3600,
         record_filter=record_filter))
@@ -478,6 +475,17 @@ def _cmd_observatory_ingest(args) -> int:
     from repro.observatory import EventStore, ObservatoryIngest
     from repro.ris import Archive
 
+    # A flag of the other mode would be silently ignored: refuse it.
+    if args.supervise and args.max_records is not None:
+        print("ingest: --max-records does not combine with --supervise",
+              file=sys.stderr)
+        return 2
+    if not args.supervise:
+        for flag, value in (("--serve-port", args.serve_port),
+                            ("--max-restarts", args.max_restarts)):
+            if value is not None:
+                print(f"ingest: {flag} needs --supervise", file=sys.stderr)
+                return 2
     scenario = _load_scenario_for(args)
     checkpoint = Path(args.checkpoint) if args.checkpoint \
         else Path(args.store) / "checkpoint.json"
@@ -485,8 +493,7 @@ def _cmd_observatory_ingest(args) -> int:
 
     def make_ingest() -> ObservatoryIngest:
         return ObservatoryIngest(
-            Archive(args.archive, workers=args.workers,
-                    error_policy=args.on_error),
+            Archive(args.archive, error_policy=args.on_error),
             store, checkpoint, scenario["intervals"],
             scenario["start"], scenario["end"],
             threshold=scenario.get("threshold", 90 * 60),
@@ -527,8 +534,9 @@ def _run_supervised(args, store, make_ingest) -> int:
     from repro.observatory import ObservatorySupervisor
     from repro.observatory.asyncserver import AsyncObservatoryServer
 
-    supervisor = ObservatorySupervisor(make_ingest,
-                                       max_restarts=args.max_restarts)
+    options = {} if args.max_restarts is None \
+        else {"max_restarts": args.max_restarts}
+    supervisor = ObservatorySupervisor(make_ingest, **options)
     server = None
     if args.serve_port is not None:
         # /healthz + /metrics, plus live /stream/* of exactly what

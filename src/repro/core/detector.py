@@ -1,8 +1,8 @@
 """The revised zombie detection methodology (paper §3.1 and §5).
 
 :class:`IntervalEvaluator` is its one implementation: batch
-:class:`ZombieDetector`, the live ``repro.realtime.StreamingDetector``
-and, through it, the observatory ingest feed it records in
+:class:`ZombieDetector` and the live observatory ingest
+(``repro.observatory.ObservatoryIngest``) feed it records in
 ``record_sort_key`` order and read its verdicts.  For every registered,
 non-discarded beacon interval:
 
@@ -45,6 +45,11 @@ __all__ = ["DetectorConfig", "DetectionResult", "IntervalEvaluator",
            "Verdict", "ZombieDetector", "DEFAULT_THRESHOLD"]
 
 DEFAULT_THRESHOLD = 90 * MINUTE
+
+#: :meth:`IntervalEvaluator.snapshot` document version.  It is 2 because
+#: the detector documents already in checkpoints carry 2 and must still
+#: restore; version 1 (per-prefix state, before this core) is refused.
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,7 @@ class IntervalEvaluator:
         the verdicts an uninterrupted evaluator would have produced."""
         config = self.config
         return {
+            "version": SNAPSHOT_VERSION,
             "threshold": config.threshold,
             "dedup": config.dedup,
             "excluded_peers": sorted([c, a] for c, a in config.excluded_peers),
@@ -270,6 +276,12 @@ class IntervalEvaluator:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict[str, Any]) -> "IntervalEvaluator":
+        """Rebuild an evaluator from a :meth:`snapshot` document; keys
+        it does not know are ignored."""
+        if snapshot.get("version") != SNAPSHOT_VERSION:
+            raise ValueError(
+                f"unsupported IntervalEvaluator snapshot version: "
+                f"{snapshot.get('version')!r}")
         core = cls(DetectorConfig(
             threshold=snapshot["threshold"], dedup=snapshot["dedup"],
             excluded_peers=frozenset(

@@ -81,13 +81,6 @@ class ReplicationRun:
                                   excluded_peers=self.noisy_truth)
         return detector.detect(self.records, self.intervals)
 
-    def visible_prefix_count(self, result: Optional[DetectionResult] = None
-                             ) -> int:
-        """The paper's "#visible prefixes" denominator: beacon
-        announcements observed at >= 1 peer."""
-        result = result if result is not None else self.detect()
-        return result.visible_count
-
 
 def run_replication(config: ReplicationConfig) -> ReplicationRun:
     """Build and execute one replication period."""
@@ -271,22 +264,3 @@ def _geometric_length(rng: random.Random, mean: float) -> int:
     while rng.random() < extend_prob:
         length += 1
     return length
-
-
-def _schedule_freezes(plan: FaultPlan, rng: random.Random, slots: list[int],
-                      link: tuple[int, int], prefixes: frozenset[Prefix],
-                      target_fraction: float, mean_intervals: float) -> None:
-    """Freeze windows on one link covering roughly ``target_fraction`` of
-    beacon intervals."""
-    index = 0
-    while index < len(slots):
-        if rng.random() < target_fraction / mean_intervals:
-            length = _geometric_length(rng, mean_intervals)
-            start = slots[index] + rng.uniform(0, HOUR)
-            end = slots[index] + length * BEACON_INTERVAL
-            plan.add_link_fault(LinkFreeze(src=link[0], dst=link[1],
-                                           start=start, end=end,
-                                           prefixes=prefixes))
-            index += length
-        else:
-            index += 1

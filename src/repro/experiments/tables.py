@@ -57,12 +57,6 @@ class Table1Row:
             return 0.0
         return 1.0 - self.without_dc_v6 / self.with_dc_v6
 
-    @property
-    def reduction_total(self) -> float:
-        with_dc = self.with_dc_v4 + self.with_dc_v6
-        without = self.without_dc_v4 + self.without_dc_v6
-        return 1.0 - without / with_dc if with_dc else 0.0
-
 
 def build_table1(runs: Iterable[ReplicationRun]) -> list[Table1Row]:
     """Zombie outbreaks with vs without double-counting, noisy peer

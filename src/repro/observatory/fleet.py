@@ -67,6 +67,8 @@ __all__ = ["ShardFleet", "ShardWorker", "partition_store", "pick_free_port",
            "shard_for", "shard_name"]
 
 SIDECAR_NAME = "shard.json"
+#: Seconds between two passes of :class:`ShardFleet`'s monitor loop.
+MONITOR_INTERVAL = 0.2
 
 
 def shard_for(prefix: str, count: int) -> int:
@@ -276,7 +278,7 @@ class ShardFleet:
                  poll_interval: float = 0.05,
                  backoff: float = 0.2, backoff_cap: float = 5.0,
                  jitter: float = 0.2, seed: int = 0,
-                 max_restarts: int = 5, monitor_interval: float = 0.2,
+                 max_restarts: int = 5,
                  python: str = sys.executable,
                  clock: Callable[[], float] = time.monotonic):
         if shards <= 0:
@@ -286,7 +288,6 @@ class ShardFleet:
         self.shards = shards
         self.host = host
         self.poll_interval = poll_interval
-        self.monitor_interval = monitor_interval
         self.python = python
         self._clock = clock
         rng = random.Random(seed)  # one jitter stream for the whole fleet
@@ -362,7 +363,7 @@ class ShardFleet:
                 if policy.due(now):
                     self._procs[index] = self._spawn(index)
                     self.restarts[index] += 1
-            self._wake.wait(self.monitor_interval)
+            self._wake.wait(MONITOR_INTERVAL)
 
     def _alive(self, index: int) -> bool:
         proc = self._procs[index]
@@ -382,14 +383,6 @@ class ShardFleet:
         if proc is not None and proc.poll() is None:
             proc.send_signal(sig)
             proc.wait(timeout=10)
-
-    def restart_now(self, index: int) -> None:
-        """Respawn a dead shard immediately, bypassing the backoff."""
-        if self._alive(index):
-            return
-        self._policies[index].reset()
-        self._procs[index] = self._spawn(index)
-        self.restarts[index] += 1
 
     def stop(self) -> None:
         self._stopping = True

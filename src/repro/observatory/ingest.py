@@ -4,8 +4,9 @@ The engine tails an on-disk RIS archive through the indexed read path
 (:class:`repro.ris.Archive`), interleaves the update stream with the
 8-hourly RIB dump stream, and feeds three incremental consumers:
 
-* :class:`~repro.realtime.streaming.StreamingDetector` — zombie
-  outbreaks at withdrawal + threshold (``outbreak`` events);
+* :class:`~repro.core.detector.IntervalEvaluator` — §3.1 zombie
+  routes at withdrawal + threshold (``outbreak`` events), read straight
+  from its verdicts: the same core batch ``ZombieDetector`` runs;
 * :class:`~repro.core.resurrection.ResurrectionMonitor` — update-scale
   §5.1 late announcements (``resurrection`` events), the same core
   batch ``find_late_announcements`` runs;
@@ -32,7 +33,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.beacons.schedule import BeaconInterval
+from repro.core.detector import DetectorConfig, IntervalEvaluator
 from repro.core.lifespan import LifespanSession
+from repro.core.outbreaks import ZombieRoute
 from repro.core.resurrection import (
     DEFAULT_MIN_OFFSET,
     LateAnnouncement,
@@ -43,13 +46,11 @@ from repro.mrt.tabledump import RibDump
 from repro.net.prefix import Prefix
 from repro.observatory.checkpoint import load_checkpoint, save_checkpoint
 from repro.observatory.forensics import (
-    DEFAULT_RING_CAPACITY,
     LastAnnouncementRing,
     forensics_payload,
     outbreak_id,
 )
 from repro.observatory.store import EventStore
-from repro.realtime.streaming import StreamingDetector, ZombieAlert
 from repro.ris.archive import Archive
 from repro.utils.timeutil import MINUTE
 
@@ -75,8 +76,7 @@ class ObservatoryIngest:
                  threshold: int = 90 * MINUTE, dedup: bool = True,
                  excluded_peers: frozenset[PeerKey] = frozenset(),
                  min_offset: int = DEFAULT_MIN_OFFSET,
-                 checkpoint_every: int = 1000,
-                 ring_capacity: int = DEFAULT_RING_CAPACITY):
+                 checkpoint_every: int = 1000):
         self.archive = archive
         self.store = store
         self.checkpoint_path = Path(checkpoint_path)
@@ -90,7 +90,6 @@ class ObservatoryIngest:
         self.excluded_peers = excluded_peers
         self.min_offset = min_offset
         self.checkpoint_every = checkpoint_every
-        self.ring_capacity = ring_capacity
 
         self.records_ingested = 0
         self.dumps_ingested = 0
@@ -120,18 +119,18 @@ class ObservatoryIngest:
     # -- construction -----------------------------------------------------
 
     def _fresh(self) -> None:
-        self.detector = StreamingDetector(
+        self.detector = IntervalEvaluator(DetectorConfig(
             threshold=self.threshold, dedup=self.dedup,
-            excluded_peers=self.excluded_peers)
-        self.detector.add_intervals(self.intervals)
+            excluded_peers=self.excluded_peers))
         self.monitor = ResurrectionMonitor(self.min_offset)
         for interval in self.intervals:
+            self.detector.add_interval(interval)
             self.monitor.add_interval(interval)
         self.session = LifespanSession(
             self._final_withdrawals(), excluded_peers=self.excluded_peers,
             min_stuck=self.threshold)
         self.ring = LastAnnouncementRing(
-            self.ring_capacity, prefixes=self._watched_prefixes(),
+            prefixes=self._watched_prefixes(),
             excluded_peers=self.excluded_peers)
         # Anchor recovery before the first record: a pass killed ahead
         # of its first periodic checkpoint must restore to *this* store
@@ -153,7 +152,7 @@ class ObservatoryIngest:
             raise ValueError(
                 f"checkpoint window {document['window']} does not match "
                 f"configured window {[self.start, self.end]}")
-        self.detector = StreamingDetector.from_snapshot(document["detector"])
+        self.detector = IntervalEvaluator.from_snapshot(document["detector"])
         self.monitor = ResurrectionMonitor.from_snapshot(document["monitor"])
         self.session = LifespanSession.from_snapshot(document["lifespans"])
         updates = document["updates"]
@@ -173,7 +172,7 @@ class ObservatoryIngest:
                 excluded_peers=self.excluded_peers)
         else:
             self.ring = LastAnnouncementRing(
-                self.ring_capacity, prefixes=self._watched_prefixes(),
+                prefixes=self._watched_prefixes(),
                 excluded_peers=self.excluded_peers)
         # Roll the store back to the exact checkpointed position; the
         # re-ingested suffix then re-emits the dropped events verbatim.
@@ -224,8 +223,9 @@ class ObservatoryIngest:
         # evaluation.  That is the interval's whole window — records
         # stamped at the evaluation instant are inside it, so they are
         # in the ring — and nothing past it.
-        for alert in self.detector.observe(record):
-            self._append_outbreak(alert)
+        for _, _, routes in self.detector.observe(record):
+            for route in routes:
+                self._append_outbreak(route)
         self.ring.observe(record)
         late = self.monitor.observe(record)
         if late is not None:
@@ -247,27 +247,28 @@ class ObservatoryIngest:
             self._ribs_at_watermark = 1
         self.dumps_ingested += 1
 
-    def _append_outbreak(self, alert: ZombieAlert) -> None:
+    def _append_outbreak(self, route: ZombieRoute) -> None:
+        path = route.zombie_path
         payload = {
-            "prefix": str(alert.prefix),
-            "collector": alert.peer[0],
-            "peer_address": alert.peer[1],
-            "peer_asn": alert.peer_asn,
-            "announce_time": alert.interval.announce_time,
-            "withdraw_time": alert.interval.withdraw_time,
-            "detected_at": alert.detected_at,
-            "path": str(alert.path) if alert.path is not None else None,
-            "stale": alert.stale,
+            "prefix": str(route.prefix),
+            "collector": route.peer[0],
+            "peer_address": route.peer[1],
+            "peer_asn": route.peer_asn,
+            "announce_time": route.interval.announce_time,
+            "withdraw_time": route.interval.withdraw_time,
+            "detected_at": route.detected_at,
+            "path": str(path) if path is not None else None,
+            "stale": route.stale,
         }
         payload["id"] = outbreak_id(payload)
-        self.store.append("outbreak", alert.detected_at, payload)
+        self.store.append("outbreak", route.detected_at, payload)
         self.counters["outbreak_events"] += 1
         # Freeze the pre-outbreak ring state right next to the outbreak
         # it documents: same deterministic stream position, so the
         # kill-resume byte-identity proof covers it unchanged.
         self.store.append(
-            "forensics", alert.detected_at,
-            forensics_payload(payload, alert.interval.origin_asn, self.ring))
+            "forensics", route.detected_at,
+            forensics_payload(payload, route.interval.origin_asn, self.ring))
         self.counters["forensics_events"] += 1
 
     def _append_resurrection(self, late: LateAnnouncement) -> None:
@@ -349,8 +350,9 @@ class ObservatoryIngest:
         self.run()
         self._feed_dumps(None)
         self._append_lifespans(self.session.finalize())
-        for alert in self.detector.advance(self.end):
-            self._append_outbreak(alert)
+        for _, _, routes in self.detector.advance(self.end):
+            for route in routes:
+                self._append_outbreak(route)
         self.finished = True
         self.checkpoint()
 

@@ -237,14 +237,12 @@ class EventStore:
 
     def __init__(self, root: Union[str, Path],
                  segment_max_records: int = DEFAULT_SEGMENT_RECORDS,
-                 readonly: bool = False,
-                 columnar_cache_segments: int = DEFAULT_COLUMNAR_CACHE):
+                 readonly: bool = False):
         if segment_max_records <= 0:
             raise ValueError("segment_max_records must be positive")
         self.root = Path(root)
         self.segment_max_records = segment_max_records
         self.readonly = readonly
-        self.columnar_cache_segments = max(1, columnar_cache_segments)
         self._segments: list[_Segment] = []
         self._next_seq = 0
         self._generation = 0
@@ -496,7 +494,7 @@ class EventStore:
             reader.close()
         reader = ColumnarSegment(self.root / segment.name)
         self._columnar_cache[segment.name] = (segment.sha256, reader)
-        while len(self._columnar_cache) > self.columnar_cache_segments:
+        while len(self._columnar_cache) > DEFAULT_COLUMNAR_CACHE:
             _, (_, evicted) = self._columnar_cache.popitem(last=False)
             evicted.close()
         return reader

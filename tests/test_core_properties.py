@@ -17,6 +17,7 @@ from repro.bgp import (
 )
 from repro.core import (
     DetectorConfig,
+    IntervalEvaluator,
     ResurrectionMonitor,
     StateReconstructor,
     ZombieDetector,
@@ -24,7 +25,6 @@ from repro.core import (
 )
 from repro.mrt import RibDump, decode_rib_dump, encode_rib_dump
 from repro.net import Prefix
-from repro.realtime import StreamingDetector
 from repro.utils.timeutil import HOUR, MINUTE, ts
 
 T0 = ts(2024, 6, 5)
@@ -222,8 +222,8 @@ def reference(records, intervals, config):
 
 
 def assert_one_verdict(records, intervals, config):
-    """Batch ``detect()``, a ``StreamingDetector`` (restarted from a
-    JSON snapshot half-way) and the reference agree on every zombie
+    """Batch ``detect()``, the live ``IntervalEvaluator`` (restarted
+    from a JSON snapshot half-way) and the reference agree on every zombie
     route — peer ASN, ``detected_at`` and ``stale`` included — and on
     the visible intervals."""
     expected_routes, expected_visible = reference(records, intervals, config)
@@ -235,24 +235,22 @@ def assert_one_verdict(records, intervals, config):
     assert batch.visible_intervals == expected_visible
     assert sum(batch.router_zombies.values()) == len(expected_routes)
 
-    streaming = StreamingDetector(config.threshold, config.dedup,
-                                  config.excluded_peers)
-    # The live path reads the same DetectorConfig as the batch one, so
-    # AS-level exclusion needs no parameter of its own.
-    streaming.core.config = config
-    streaming.add_intervals(intervals)
+    live = IntervalEvaluator(config)
+    for iv in intervals:
+        live.add_interval(iv)
     ordered = sorted(records, key=record_sort_key)
-    alerts = []
+    verdicts = []
     for index, record in enumerate(ordered):
         if index == len(ordered) // 2:
-            streaming = StreamingDetector.from_snapshot(
-                json.loads(json.dumps(streaming.snapshot())))
-        alerts += streaming.observe(record)
-    alerts += streaming.flush()
-    assert sorted((str(a.prefix), a.interval.announce_time, a.peer,
-                   a.peer_asn, a.detected_at, a.stale)
-                  for a in alerts) == sorted(expected_routes)
-    assert streaming.pending_evaluations == 0
+            live = IntervalEvaluator.from_snapshot(
+                json.loads(json.dumps(live.snapshot())))
+        verdicts += live.observe(record)
+    verdicts += live.flush()
+    assert sorted((str(r.prefix), r.interval.announce_time, r.peer,
+                   r.peer_asn, r.detected_at, r.stale)
+                  for _, _, routes in verdicts
+                  for r in routes) == sorted(expected_routes)
+    assert live.pending_evaluations == 0
 
 
 #: The hand-written stream ``tests/test_realtime.py`` used to compare

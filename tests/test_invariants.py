@@ -96,8 +96,7 @@ class TestOneServerStack:
 
 class TestOneZombieVerdict:
     def test_one_double_count_test(self):
-        assert len(matches(r"is_stale\(", SRC / "core" / "detector.py",
-                           SRC / "realtime" / "streaming.py")) == 1
+        assert len(matches(r"is_stale\(", SRC / "core" / "detector.py")) == 1
 
     def test_batch_detector_is_not_a_state_replay(self):
         assert matches(r"StateReconstructor",
@@ -112,6 +111,13 @@ class TestOneResurrectionVerdict:
         assert matches(r"schedule_tolerance|max_offset|"
                        r"scheduled_announcements|class \w+Sink", SRC) == []
         assert not (SRC / "realtime" / "sinks.py").exists()
+
+
+def test_one_live_face():
+    """The observatory ingest reads ``IntervalEvaluator`` verdicts
+    directly: no second live face wraps the §3.1 core."""
+    assert not (SRC / "realtime").exists()
+    assert matches(r"StreamingDetector|ZombieAlert|repro\.realtime", SRC) == []
 
 
 def test_one_query_path():

@@ -186,9 +186,32 @@ class TestCheckpointDocument:
         assert "seen_since" not in json.dumps(document["detector"])
         document["detector"]["version"] = 1
         save_checkpoint(tmp_path / "ckpt.json", document)
-        with pytest.raises(ValueError, match="unsupported StreamingDetector "
+        with pytest.raises(ValueError, match="unsupported IntervalEvaluator "
                                              "snapshot version: 1"):
             make_ingest(scenario, tmp_path / "store", tmp_path / "ckpt.json")
+
+    def test_alert_counting_detector_snapshot_resumes(self, scenario,
+                                                      tmp_path):
+        """A checkpoint whose detector document still carries the
+        ``alert_count`` of the former alert face (same version 2, one key
+        more) resumes to a byte-identical store."""
+        reference = uninterrupted(scenario, tmp_path)
+        first = make_ingest(scenario, tmp_path / "store",
+                            tmp_path / "ckpt.json")
+        first.run(max_records=42)
+        first.checkpoint()
+        first.store.close()
+        document = load_checkpoint(tmp_path / "ckpt.json")
+        assert document["detector"]["version"] == 2
+        document["detector"]["alert_count"] = 1
+        save_checkpoint(tmp_path / "ckpt.json", document)
+        resumed = make_ingest(scenario, tmp_path / "store",
+                              tmp_path / "ckpt.json")
+        assert resumed.records_ingested == 42
+        resumed.run()
+        resumed.finish()
+        resumed.store.close()
+        assert resumed.store.raw_bytes() == reference.store.raw_bytes()
 
     @pytest.mark.parametrize("part, old_version, name", [
         ("monitor", 2, "ResurrectionMonitor"),

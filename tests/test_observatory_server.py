@@ -212,6 +212,24 @@ class TestObservatoryCli:
         assert "compacted" not in captured.out
         assert not absent.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--serve-port", "8599", "--max-records", "5"], "--serve-port"),
+        (["--max-restarts", "3"], "--max-restarts"),
+        (["--supervise", "--max-records", "5"], "--max-records")])
+    def test_flag_of_the_other_mode_exits_2(self, tmp_path, capsys, flags,
+                                            named):
+        """``--serve-port`` / ``--max-restarts`` need ``--supervise`` and
+        ``--max-records`` does not combine with it: each is refused by
+        name instead of silently ignored, before anything is ingested."""
+        archive, store = tmp_path / "archive", tmp_path / "store"
+        assert main(["observatory", "synth", str(archive), "--days", "1"]) == 0
+        capsys.readouterr()
+        code = main(["observatory", "ingest", str(archive), str(store),
+                     *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not store.exists()
+
     def test_missing_archive_exits_2(self, tmp_path, capsys):
         code = main(["observatory", "ingest", str(tmp_path / "absent"),
                      str(tmp_path / "store")])

@@ -1,11 +1,10 @@
-"""Tests for live detection: the streaming zombie detector, including
-agreement with the offline detector, and the resurrection monitor fed
-one record at a time."""
+"""Tests for live detection: the zombie evaluation core fed one record
+at a time, including agreement with the offline detector, and the
+resurrection monitor fed the same way."""
 
 from helpers import ann, interval, sess_down, wd
 
-from repro.core import ResurrectionMonitor
-from repro.realtime import StreamingDetector
+from repro.core import DetectorConfig, IntervalEvaluator, ResurrectionMonitor
 from repro.utils.timeutil import HOUR, MINUTE, ts
 
 P = "2a0d:3dc1:1145::/48"
@@ -13,16 +12,20 @@ T0 = ts(2024, 6, 5)
 
 
 def feed(detector, records):
-    alerts = []
+    """The zombie routes of every verdict, in emission order."""
+    verdicts = []
     for record in sorted(records, key=lambda r: r.timestamp):
-        alerts.extend(detector.observe(record))
-    alerts.extend(detector.flush())
-    return alerts
+        verdicts.extend(detector.observe(record))
+    verdicts.extend(detector.flush())
+    return [route for _, _, routes in verdicts for route in routes]
 
 
 class TestStreamingDetector:
+    """The evaluation core as a live detector: records one at a time,
+    zombie routes out as the stream passes each window."""
+
     def test_zombie_alert_emitted(self):
-        detector = StreamingDetector(threshold=90 * MINUTE)
+        detector = IntervalEvaluator(DetectorConfig(threshold=90 * MINUTE))
         detector.add_interval(interval(P, T0, T0 + 900))
         records = [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -34,10 +37,10 @@ class TestStreamingDetector:
         zombie = [a for a in alerts if str(a.prefix) == P]
         assert len(zombie) == 1
         assert zombie[0].detected_at == T0 + 900 + 90 * MINUTE
-        assert zombie[0].path.asns == (25091, 210312)
+        assert zombie[0].zombie_path.asns == (25091, 210312)
 
     def test_clean_withdrawal_no_alert(self):
-        detector = StreamingDetector()
+        detector = IntervalEvaluator(DetectorConfig())
         detector.add_interval(interval(P, T0, T0 + 900))
         alerts = feed(detector, [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -46,7 +49,7 @@ class TestStreamingDetector:
         assert alerts == []
 
     def test_session_down_clears_state(self):
-        detector = StreamingDetector()
+        detector = IntervalEvaluator(DetectorConfig())
         detector.add_interval(interval(P, T0, T0 + 900))
         alerts = feed(detector, [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -55,9 +58,10 @@ class TestStreamingDetector:
         assert alerts == []
 
     def test_dedup_filters_stale_announcements(self):
-        detector = StreamingDetector(dedup=True)
+        detector = IntervalEvaluator(DetectorConfig(dedup=True))
         iv2 = interval(P, T0 + 4 * HOUR, T0 + 4 * HOUR + 900)
-        detector.add_intervals([interval(P, T0, T0 + 900), iv2])
+        detector.add_interval(interval(P, T0, T0 + 900))
+        detector.add_interval(iv2)
         records = [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
             ann(T0 + 4 * HOUR + 2, P, 25091, 210312, origin_time=T0 + 4 * HOUR),
@@ -70,26 +74,20 @@ class TestStreamingDetector:
         assert alerts[0].interval.announce_time == T0
 
     def test_excluded_peers_silent(self):
-        detector = StreamingDetector(
-            excluded_peers=frozenset({("rrc00", "2001:db8::2")}))
+        detector = IntervalEvaluator(DetectorConfig(
+            excluded_peers=frozenset({("rrc00", "2001:db8::2")})))
         detector.add_interval(interval(P, T0, T0 + 900))
         alerts = feed(detector, [ann(T0 + 2, P, 25091, 210312,
                                      origin_time=T0)])
         assert alerts == []
 
     def test_discarded_interval_ignored(self):
-        detector = StreamingDetector()
+        detector = IntervalEvaluator(DetectorConfig())
         detector.add_interval(interval(P, T0, T0 + 900, discarded=True))
         assert detector.pending_evaluations == 0
 
-    def test_alert_counter(self):
-        detector = StreamingDetector()
-        detector.add_interval(interval(P, T0, T0 + 900))
-        feed(detector, [ann(T0 + 2, P, 25091, 210312, origin_time=T0)])
-        assert detector.alerts_emitted == 1
-
     def test_untracked_prefix_ignored(self):
-        detector = StreamingDetector()
+        detector = IntervalEvaluator(DetectorConfig())
         detector.add_interval(interval(P, T0, T0 + 900))
         alerts = feed(detector, [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -106,7 +104,7 @@ class TestWindowBoundaries:
         """RIS-shaped beacon (4 h cycle, 2 h up) judged at 3 h: the
         evaluation instant lies past the next announcement, which must
         not be read as a stuck route of this interval."""
-        detector = StreamingDetector(threshold=3 * HOUR)
+        detector = IntervalEvaluator(DetectorConfig(threshold=3 * HOUR))
         records = []
         for cycle in range(3):
             announce = T0 + cycle * 4 * HOUR
@@ -119,7 +117,7 @@ class TestWindowBoundaries:
         assert feed(detector, records) == []
 
     def test_withdrawal_at_the_evaluation_instant_is_healthy(self):
-        detector = StreamingDetector(threshold=90 * MINUTE)
+        detector = IntervalEvaluator(DetectorConfig(threshold=90 * MINUTE))
         detector.add_interval(interval(P, T0, T0 + 900))
         alerts = feed(detector, [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -128,7 +126,7 @@ class TestWindowBoundaries:
         assert alerts == []
 
     def test_reannouncement_at_the_evaluation_instant_is_a_zombie(self):
-        detector = StreamingDetector(threshold=90 * MINUTE)
+        detector = IntervalEvaluator(DetectorConfig(threshold=90 * MINUTE))
         detector.add_interval(interval(P, T0, T0 + 900))
         (alert,) = feed(detector, [
             ann(T0 + 2, P, 25091, 210312, origin_time=T0),
@@ -137,7 +135,7 @@ class TestWindowBoundaries:
                 origin_time=T0),
         ])
         assert alert.detected_at == T0 + 900 + 90 * MINUTE
-        assert alert.path.asns == (25091, 4637, 210312)
+        assert alert.zombie_path.asns == (25091, 4637, 210312)
 
 
 class TestStreamingAgreesWithOffline:
