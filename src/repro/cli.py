@@ -125,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "/metrics on this port while ingesting")
 
     doctor = obs.add_parser(
-        "doctor", help="fsck an event store: verify and repair segments "
-                       "(a fleet root fans out over every shard store)")
-    doctor.add_argument("store", help="event store directory, or a fleet "
-                                      "root holding shard-NN stores")
+        "doctor", help="fsck an event store: verify and repair segments")
+    doctor.add_argument("store", help="event store directory")
     doctor.add_argument("--check", action="store_true",
                         help="report only; do not repair anything")
 
@@ -208,11 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     flt = fleet.add_subparsers(dest="fleet_command", required=True)
 
     fserve = flt.add_parser(
-        "serve", help="partition a store over N shard workers and serve "
-                      "the federated scatter-gather API in front of them")
-    fserve.add_argument("store", help="source event store to shard")
-    fserve.add_argument("fleet_root",
-                        help="directory for shard stores and worker logs")
+        "serve", help="serve a store from N shard workers and the "
+                      "federated scatter-gather API in front of them")
+    fserve.add_argument("store", help="event store every shard reads")
+    fserve.add_argument("fleet_root", help="directory for worker logs")
     fserve.add_argument("--shards", type=int, default=3)
     fserve.add_argument("--host", default="127.0.0.1")
     fserve.add_argument("--port", type=int, default=8490,
@@ -237,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     fworker = flt.add_parser(
         "worker", help="one shard worker (normally spawned by the fleet "
                        "supervisor, not by hand)")
-    fworker.add_argument("store", help="source event store")
-    fworker.add_argument("shard_root", help="this shard's store directory")
+    fworker.add_argument("store", help="event store to serve a slice of")
     fworker.add_argument("--index", type=int, required=True)
     fworker.add_argument("--count", type=int, required=True)
     fworker.add_argument("--host", default="127.0.0.1")
     fworker.add_argument("--port", type=int, default=0)
-    fworker.add_argument("--poll-interval", type=float, default=0.05)
 
     mirror = sub.add_parser(
         "mirror", help="HTTP archive transport (serve / sync / verify)")
@@ -563,18 +558,17 @@ def _run_supervised(args, store, make_ingest) -> int:
     return 0 if ok else 1
 
 
-def _doctor_exit(report, check: bool, label: str = "store") -> int:
+def _doctor_exit(report, check: bool) -> int:
     """Print one fsck report and return its exit code."""
     mode = "check" if check else "repair"
     print(f"doctor ({mode}): {report.segments_checked} segment(s), "
-          f"{report.events_checked} event(s) checked"
-          + (f" [{label}]" if label != "store" else ""))
+          f"{report.events_checked} event(s) checked")
     for issue in report.issues:
         print(f"  ISSUE: {issue}", file=sys.stderr)
     for action in report.actions:
         print(f"  fixed: {action}")
     if report.clean:
-        print(f"{label} is clean")
+        print("store is clean")
         return 0
     if report.unrecoverable:
         print(f"unrecoverable damage: {report.events_lost} event(s) lost",
@@ -586,21 +580,8 @@ def _doctor_exit(report, check: bool, label: str = "store") -> int:
 
 
 def _cmd_observatory_doctor(args) -> int:
-    from pathlib import Path
+    from repro.observatory import fsck
 
-    from repro.observatory import fsck, fsck_fleet
-    from repro.observatory.doctor import fleet_shard_roots
-
-    root = Path(args.store)
-    if not (root / "manifest.json").exists() and fleet_shard_roots(root):
-        # A fleet root: fan the fsck out over every shard store; the
-        # exit code is the worst of the per-shard verdicts.
-        reports = fsck_fleet(root, repair=not args.check)
-        worst = 0
-        for name, report in sorted(reports.items()):
-            worst = max(worst, _doctor_exit(report, args.check, label=name))
-        print(f"fleet: {len(reports)} shard store(s) checked")
-        return worst
     return _doctor_exit(fsck(args.store, repair=not args.check), args.check)
 
 
@@ -643,8 +624,8 @@ def _cmd_observatory_fleet_serve(args) -> int:
                        backoff=args.restart_backoff,
                        backoff_cap=max(5.0, args.restart_backoff))
     fleet.start()
-    print(f"fleet: {args.shards} shard worker(s) under {args.fleet_root}",
-          flush=True)
+    print(f"fleet: {args.shards} shard worker(s) over {args.store}, "
+          f"logs under {args.fleet_root}", flush=True)
     server = FederatedObservatoryServer(
         fleet.shard_urls(), host=args.host, port=args.port,
         retries=args.retries,
@@ -674,9 +655,8 @@ def _cmd_observatory_fleet_status(args) -> int:
 def _cmd_observatory_fleet_worker(args) -> int:
     from repro.observatory.fleet import ShardWorker
 
-    worker = ShardWorker(args.store, args.shard_root, args.index,
-                         args.count, host=args.host, port=args.port,
-                         poll_interval=args.poll_interval)
+    worker = ShardWorker(args.store, args.index, args.count,
+                         host=args.host, port=args.port)
     return worker.run_forever()
 
 

@@ -37,8 +37,9 @@ miniature:
   ``observatory doctor``: torn/bit-rotted/orphaned segment detection
   and manifest repair;
 * :mod:`repro.observatory.fleet` /
-  :mod:`repro.observatory.federation` shard the store by prefix over a
-  supervised worker fleet and scatter-gather queries across it with
+  :mod:`repro.observatory.federation` split serving of the one store
+  by prefix over a supervised worker fleet (each worker folds only the
+  prefixes it owns) and scatter-gather queries across it with
   per-shard deadlines, retries, circuit breakers, and explicit partial
   results (DESIGN.md §15);
 * :mod:`repro.observatory.synthetic` builds a small scripted campaign
@@ -58,7 +59,7 @@ from repro.observatory.client import (
 )
 from repro.observatory.asyncserver import AsyncObservatoryServer
 from repro.observatory.colseg import ColsegError, ColumnarSegment
-from repro.observatory.doctor import FsckReport, fsck, fsck_fleet
+from repro.observatory.doctor import FsckReport, fsck
 from repro.observatory.federation import (
     PARTIAL_HEADER,
     CircuitBreaker,
@@ -68,7 +69,6 @@ from repro.observatory.fleet import (
     ShardFleet,
     ShardWorker,
     partition_store,
-    shard_for,
 )
 from repro.observatory.forensics import (
     LastAnnouncementRing,
@@ -86,7 +86,7 @@ from repro.observatory.synthetic import (
     load_scenario,
 )
 from repro.observatory.stream import StreamHub, StreamStats
-from repro.observatory.views import MaterializedViews
+from repro.observatory.views import MaterializedViews, shard_for
 from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = [
@@ -117,7 +117,6 @@ __all__ = [
     "build_synthetic_archive",
     "file_sha256",
     "fsck",
-    "fsck_fleet",
     "load_checkpoint",
     "load_scenario",
     "outbreak_id",

@@ -86,16 +86,19 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
     keepalive comments; ``write_buffer`` caps the per-connection kernel
     send buffer so slow consumers backpressure instead of growing heap;
     ``drain_timeout`` bounds the graceful-shutdown wait for in-flight
-    connections.
+    connections.  ``shard=(index, count)`` makes a shard worker: the
+    data routes answer for that shard's prefixes only, while
+    ``/stream/*`` still streams the whole store.
     """
 
     def __init__(self, store: EventStore, host: str = "127.0.0.1",
                  port: int = 0, ingest=None, archive=None, supervisor=None,
                  poll_interval: float = 0.05, queue_events: int = 256,
                  heartbeat: float = 15.0, write_buffer: int = 1 << 16,
-                 batch_events: int = 1024, drain_timeout: float = 5.0):
+                 batch_events: int = 1024, drain_timeout: float = 5.0,
+                 shard: Optional[tuple[int, int]] = None):
         ObservatoryApp.__init__(self, store, ingest=ingest, archive=archive,
-                                supervisor=supervisor)
+                                supervisor=supervisor, shard=shard)
         AsyncHTTPTransport.__init__(self, host=host, port=port,
                                     drain_timeout=drain_timeout,
                                     write_buffer=write_buffer)

@@ -54,7 +54,7 @@ from repro.observatory.store import (
 )
 from repro.observatory.forensics import outbreak_prefix
 
-__all__ = ["FsckReport", "fleet_shard_roots", "fsck", "fsck_fleet"]
+__all__ = ["FsckReport", "fsck"]
 
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.(jsonl|colseg)$")
 
@@ -208,7 +208,7 @@ def _load_manifest(root: Path, report: FsckReport
         report.issue("manifest.json is missing")
         return None
     try:
-        return read_manifest(root)
+        return read_manifest((root / "manifest.json").read_bytes())
     except (ValueError, KeyError, TypeError) as exc:
         report.issue(f"manifest.json is unreadable: {exc}")
         return None
@@ -220,13 +220,19 @@ def fsck(root: Union[str, Path], repair: bool = False) -> FsckReport:
     Always safe on a store no writer currently has open.  Check mode
     never touches the disk; repair mode performs the policy described
     in the module docstring and leaves a store that
-    :class:`~repro.observatory.store.EventStore` opens cleanly.
+    :class:`~repro.observatory.store.EventStore` opens cleanly.  A
+    directory with neither a manifest nor a segment file is not a store:
+    ``FileNotFoundError``, and nothing is written.
     """
     root = Path(root)
     report = FsckReport(root=str(root), repair=repair)
     if not root.is_dir():
         report.issue(f"not a directory: {root}")
         return report
+    if not (root / "manifest.json").exists() and not _segment_files(root):
+        # Nothing to check or rebuild from: repairing would make up an
+        # empty store where there never was one.
+        raise FileNotFoundError(f"not an event store (no manifest): {root}")
 
     loaded = _load_manifest(root, report)
     if loaded is None:
@@ -534,32 +540,3 @@ def _salvage_generation(root: Path) -> int:
         return best + 1
     import time
     return int(time.time())
-
-
-def fleet_shard_roots(root: Union[str, Path]) -> list[Path]:
-    """Shard store roots under a fleet directory, shard-index order.
-
-    A directory counts as a shard store when it matches the fleet's
-    ``shard-NN`` naming and holds either a ``shard.json`` sidecar (a
-    routed shard) or a store manifest (a shard mid-initialization).
-    An empty list means ``root`` is not a fleet root.
-    """
-    root = Path(root)
-    return sorted(path for path in root.glob("shard-*")
-                  if path.is_dir() and ((path / "shard.json").exists()
-                                        or (path / "manifest.json").exists()))
-
-
-def fsck_fleet(root: Union[str, Path],
-               repair: bool = False) -> dict[str, FsckReport]:
-    """Run :func:`fsck` over every shard store of a fleet root.
-
-    Shards are independent stores with independent failure domains, so
-    the fan-out is just one report per shard, keyed by shard name —
-    damage in one shard never blocks checking (or repairing) the rest.
-    """
-    shard_roots = fleet_shard_roots(root)
-    if not shard_roots:
-        raise FileNotFoundError(f"{root}: no shard stores (shard-*/ "
-                                f"directories) found")
-    return {path.name: fsck(path, repair=repair) for path in shard_roots}

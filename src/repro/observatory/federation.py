@@ -3,8 +3,9 @@
 One :class:`FederatedObservatoryServer` fronts N shard observatories
 (:mod:`repro.observatory.fleet`) and answers the same API a monolithic
 observatory answers — and, when every shard is healthy, answers it
-**byte-identically**: shard stores preserve global seqs, every listing
-has a deterministic total order (seq / prefix / ``(time, seq)``), and a
+**byte-identically**: every shard reads the one event store, so seqs
+and positions are global by construction, every listing has a
+deterministic total order (seq / prefix / ``(time, seq)``), and a
 k-way merge of per-shard pages reconstructs exactly the page a single
 store would have served, ``next_cursor`` included.  The pagination
 algebra is the reason the identity holds under paging: every shard is
@@ -32,7 +33,7 @@ answer.  Degradation is graceful and explicit, never silent:
 Revalidation survives all of that because the **ETag is a vector** of
 per-shard ``(generation, next_seq)`` positions — ``"0:1-52|1:down|2:1-48-<digest>"``
 — so a shard restart (same position), a shard death (``down`` component)
-and a shard catch-up (position advance) each change exactly the
+and a store append (position advance) each change exactly the
 component they should: a 304 is only served when every shard that
 contributed to the cached answer is in the same logical position, and a
 partial answer can never revalidate against a complete one.  Cursors
@@ -51,7 +52,6 @@ import time
 from typing import Any, Callable, Optional
 from urllib.parse import unquote, urlencode, urlsplit
 
-from repro.observatory.fleet import shard_for, shard_name
 from repro.observatory.forensics import outbreak_prefix
 from repro.observatory.server import (
     CACHE_CONTROL,
@@ -63,7 +63,7 @@ from repro.observatory.server import (
     _etag_matches,
     forensics_outbreak_id,
 )
-from repro.observatory.views import CursorError
+from repro.observatory.views import CursorError, shard_for, shard_name
 from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = ["CircuitBreaker", "FederatedObservatoryServer", "PARTIAL_HEADER",
@@ -454,7 +454,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         ``/outbreaks/<id>/forensics``) lives on exactly one shard —
         the one ``pin_prefix`` hashes to: forward the request verbatim
         and pass the answer through byte-for-byte (the shard's scalar
-        ETag is already restart-stable)."""
+        ETag names the store's own position — the monolith's ETag)."""
         owner = shard_for(pin_prefix, len(self.shard_urls))
         try:
             status, headers, payload = await self._ask_shard(

@@ -64,6 +64,7 @@ from repro.observatory.views import (
     paginate,
     pair_cursor,
     seq_cursor,
+    shard_name,
 )
 
 __all__ = ["LISTINGS", "Listing", "ObservatoryApp", "forensics_outbreak_id"]
@@ -190,12 +191,15 @@ class ObservatoryApp:
     """
 
     def __init__(self, store: EventStore, ingest=None, archive=None,
-                 supervisor=None):
+                 supervisor=None, shard: Optional[tuple[int, int]] = None):
         self.store = store
         self.ingest = ingest
         self.archive = archive
         self.supervisor = supervisor
-        self.views = MaterializedViews(store)
+        #: ``(index, count)`` of a shard worker, which answers for the
+        #: prefixes that shard owns (``None``: the whole store).
+        self.shard = shard
+        self.views = MaterializedViews(store, shard=shard)
         #: Requests run concurrently; all request counters share
         #: one lock so none of them undercount.
         self._counter_lock = threading.Lock()
@@ -212,9 +216,6 @@ class ObservatoryApp:
         #: Attached by the async transport's stream hub; when present,
         #: ``render_metrics`` folds the ``observatory_stream_*`` series.
         self.stream_stats = None
-        #: Extra keys merged into the ``/healthz`` body — shard workers
-        #: use this to announce their fleet identity.
-        self.healthz_extra: Optional[dict[str, Any]] = None
 
     # -- one-request entry point ------------------------------------------
 
@@ -385,8 +386,10 @@ class ObservatoryApp:
                 # Liveness stays "ok" while degraded (the daemon is
                 # making progress); a stalled ingest is a real outage.
                 body["status"] = "ok" if state == "degraded" else "stalled"
-        if self.healthz_extra:
-            body.update(self.healthz_extra)
+        if self.shard is not None:
+            index, count = self.shard
+            body["shard"] = {"name": shard_name(index), "index": index,
+                             "count": count}
         return body
 
     def _listing(self, spec: Listing, params: dict) -> dict[str, Any]:

@@ -41,8 +41,8 @@ behind my watermark changed": an unchanged generation plus a higher
 ``next_seq`` means everything below the watermark is exactly as it was,
 so reading ``events(min_seq=...)`` is a complete delta.
 :class:`TailCursor` is that protocol, written once — the materialized
-views, the SSE hub and its subscribers' catch-up, the shard workers and
-``partition_store`` all follow a store through it.
+views (one per shard worker too), the SSE hub and its subscribers'
+catch-up all follow a store through it.
 """
 
 from __future__ import annotations
@@ -184,13 +184,12 @@ def file_sha256(path: Union[str, Path]) -> str:
     return digest.hexdigest()
 
 
-def read_manifest(root: Path) -> tuple[list[_Segment], int, int]:
-    """``(segments, next_seq, generation)`` of the manifest under
-    ``root``.  Raises ``OSError`` when it cannot be read and
-    ``ValueError`` / ``KeyError`` / ``TypeError`` when it is not a
+def read_manifest(data: bytes) -> tuple[list[_Segment], int, int]:
+    """``(segments, next_seq, generation)`` of the manifest bytes
+    ``data`` (the caller reads ``manifest.json``).  Raises
+    ``ValueError`` / ``KeyError`` / ``TypeError`` when they are not a
     manifest this version understands."""
-    with open(root / "manifest.json", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = json.loads(data)
     if payload.get("version") != MANIFEST_VERSION:
         raise ValueError(
             f"unsupported event store manifest version: "
@@ -230,9 +229,9 @@ class EventStore:
     """Segmented JSON-lines event store (see module docstring).
 
     ``readonly=True`` opens the store for querying while another process
-    appends: every query re-reads the manifest and re-scans unsealed
-    segments, so newly appended events become visible without any
-    coordination.
+    appends: every query re-reads the manifest (re-parsing it only when
+    its bytes changed) and re-scans unsealed segments, so newly appended
+    events become visible without any coordination.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -247,6 +246,11 @@ class EventStore:
         self._next_seq = 0
         self._generation = 0
         self._handle = None
+        #: The manifest bytes a readonly store last parsed.
+        self._manifest_bytes: Optional[bytes] = None
+        #: ``(name, {seq: (start, end)})``: byte spans of the lines read
+        #: so far from the unsealed segment (see ``_iter_segment``).
+        self._active_lines: Optional[tuple[str, dict[int, tuple[int, int]]]] = None
         #: name -> (seal sha256, open ColumnarSegment); LRU-bounded.
         self._columnar_cache: "OrderedDict[str, tuple[Optional[str], ColumnarSegment]]" = OrderedDict()
         if readonly:
@@ -265,8 +269,18 @@ class EventStore:
     # -- manifest ---------------------------------------------------------
 
     def _load_manifest(self) -> None:
+        data = (self.root / "manifest.json").read_bytes()
+        # Identical bytes parse to identical state, so a reader polling
+        # an unchanged store skips the parse.  A writer's in-memory
+        # state is authoritative and never reloaded.
+        if self.readonly and data == self._manifest_bytes:
+            return
         self._segments, self._next_seq, self._generation = \
-            read_manifest(self.root)
+            read_manifest(data)
+        if self.readonly:
+            # Only after the state: a concurrent reader that sees these
+            # bytes must also see what they parse to.
+            self._manifest_bytes = data
 
     def _sync_manifest(self) -> None:
         write_manifest(self.root, self._segments, self._next_seq,
@@ -389,54 +403,24 @@ class EventStore:
             return None  # torn/garbled tail
         return event if isinstance(event, dict) else None
 
-    def _open_segment(self, first_seq: int) -> None:
-        # Named by the seq of the first event it will hold — for plain
-        # appends that is ``next_seq``; a pinned append names it after
-        # the pinned seq so the on-disk invariant every reader and the
-        # doctor rely on (first event seq == first_seq) still holds.
-        segment = _Segment(name=_segment_name(first_seq),
-                           first_seq=first_seq)
+    def _open_segment(self) -> None:
+        # Named by the seq of the first event it will hold.
+        segment = _Segment(name=_segment_name(self._next_seq),
+                           first_seq=self._next_seq)
         self._segments.append(segment)
         self._sync_manifest()
         self._handle = open(self.root / segment.name, "ab")
 
-    def append(self, kind: str, time: int, payload: dict[str, Any],
-               seq: Optional[int] = None) -> int:
-        """Append one event; returns its seq.  Flushed immediately.
-
-        ``seq`` pins the event's seq explicitly instead of taking the
-        next one; it must be ``>= next_seq``.  Shard stores use this to
-        keep the *source* store's global seqs while holding only a
-        routed subset of its events — the resulting gapped-but-ascending
-        histories are already first-class here (compaction folds events
-        in place and leaves the same shape).
-        """
+    def append(self, kind: str, time: int, payload: dict[str, Any]) -> int:
+        """Append one event; returns its seq.  Flushed immediately."""
         if self.readonly:
             raise RuntimeError("store opened readonly")
-        if seq is None:
-            seq = self._next_seq
-        elif seq < self._next_seq:
-            raise ValueError(f"cannot append seq {seq}: the store is "
-                             f"already at {self._next_seq}")
+        seq = self._next_seq
         event = {"seq": seq, "time": time, "kind": kind}
         for key, value in payload.items():
             if key not in event:
                 event[key] = value
         active = self._segments[-1] if self._segments else None
-        if active is not None and not active.sealed and active.count == 0 \
-                and seq != active.first_seq:
-            # An empty active segment left by a crash between a roll and
-            # its first append: re-open it under the pinned seq so the
-            # first-event-matches-first_seq invariant readers and the
-            # doctor check still holds.
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            stale = self.root / active.name
-            if stale.exists():
-                stale.unlink()
-            self._segments.pop()
-            active = self._segments[-1] if self._segments else None
         if active is None or active.sealed \
                 or active.count >= self.segment_max_records:
             if self._handle is not None:
@@ -447,7 +431,7 @@ class EventStore:
                 path = self.root / active.name
                 if path.exists():
                     active.sha256 = file_sha256(path)
-            self._open_segment(seq)
+            self._open_segment()
             active = self._segments[-1]
         elif self._handle is None:
             self._handle = open(self.root / active.name, "ab")
@@ -456,7 +440,7 @@ class EventStore:
         self._handle.flush()
         active.note(event)
         self._next_seq = seq + 1
-        return event["seq"]
+        return seq
 
     def sync(self) -> None:
         """Flush the active segment and persist the manifest."""
@@ -523,16 +507,54 @@ class EventStore:
             yield from self._columnar(segment).scan(kinds=kind_set,
                                                     min_seq=min_seq)
             return
+        # Lines of the unsealed segment are indexed as they are read,
+        # so a follower resumes after the line just below its watermark
+        # instead of decoding the segment from its first line again.
+        lines = None
+        if not segment.sealed and min_seq is not None:
+            indexed = self._active_lines
+            if indexed is None or indexed[0] != segment.name:
+                indexed = self._active_lines = (segment.name, {})
+            lines = indexed[1]
         with open(path, "rb") as handle:
+            offset = self._resume_offset(handle, lines, min_seq) \
+                if lines else 0
+            handle.seek(offset)
             for line in handle:
                 if not line.endswith(b"\n"):
                     break  # partial trailing line: crash or live writer
                 event = json.loads(line)
+                start, offset = offset, offset + len(line)
+                if lines is not None:
+                    lines[event["seq"]] = (start, offset)
                 if min_seq is not None and event["seq"] < min_seq:
                     continue
                 if kind_set is not None and event["kind"] not in kind_set:
                     continue
                 yield event
+
+    @staticmethod
+    def _resume_offset(handle, lines: dict[int, tuple[int, int]],
+                       min_seq: int) -> int:
+        """Where a scan for ``seq >= min_seq`` may start in an indexed
+        segment file: right after the line holding ``min_seq - 1`` if
+        the indexed span still holds one whole line with that seq —
+        lines are in seq order, so none before it is wanted.  Anything
+        else (not indexed, or the file was rewritten under the same
+        name by a truncate this reader has not seen yet) starts at 0."""
+        span = lines.get(min_seq - 1)
+        if span is None:
+            return 0
+        start, end = span
+        handle.seek(start)
+        line = handle.read(end - start)
+        try:
+            event = json.loads(line) if line.endswith(b"\n") else None
+        except ValueError:
+            event = None
+        if not isinstance(event, dict) or event.get("seq") != min_seq - 1:
+            return 0
+        return end
 
     def events(self, kinds: Optional[Sequence[str]] = None,
                min_seq: Optional[int] = None) -> Iterator[dict[str, Any]]:

@@ -35,6 +35,11 @@ This works identically for a shared-process store and a readonly
 store tailing a concurrent writer — the readonly store re-reads its
 manifest inside ``position()`` / ``events()``.
 
+A shard worker's views are the same views over the same one store,
+built with ``shard=(index, count)``: the fold skips every event whose
+prefix :func:`shard_for` routes elsewhere, so the worker answers for
+exactly its slice while seqs, positions and ETags stay the store's own.
+
 The module also hosts the cursor pagination helpers of the listings
 (served over HTTP, and offline by ``observatory query`` through the
 same ``ObservatoryApp.respond``): pages are slices of a
@@ -48,12 +53,26 @@ from __future__ import annotations
 import bisect
 import threading
 import time
+import zlib
 from typing import Any, Callable, Optional
 
 from repro.observatory.store import EventStore, TailCursor
 
 __all__ = ["CursorError", "MaterializedViews", "paginate",
-           "pair_cursor", "seq_cursor"]
+           "pair_cursor", "seq_cursor", "shard_for", "shard_name"]
+
+
+def shard_for(prefix: str, count: int) -> int:
+    """Which of ``count`` shards owns ``prefix`` — stable across
+    processes and Python versions (crc32, not the salted ``hash``)."""
+    if count <= 0:
+        raise ValueError("shard count must be positive")
+    return zlib.crc32(prefix.encode("utf-8")) % count
+
+
+def shard_name(index: int) -> str:
+    """Canonical shard display name (``shard-00`` ...)."""
+    return f"shard-{index:02d}"
 
 
 class CursorError(ValueError):
@@ -121,8 +140,12 @@ class MaterializedViews:
     #: after folding and rebuilds when a truncate/compact raced it.
     _MAX_SETTLE = 3
 
-    def __init__(self, store: EventStore):
+    def __init__(self, store: EventStore,
+                 shard: Optional[tuple[int, int]] = None):
         self.store = store
+        #: ``(index, count)``: fold only the events whose prefix routes
+        #: to shard ``index`` of ``count`` (``None`` folds everything).
+        self.shard = shard
         self.refreshes = 0
         self.rebuilds = 0
         self.events_folded = 0
@@ -199,6 +222,12 @@ class MaterializedViews:
         return folded
 
     def _fold(self, event: dict[str, Any]) -> None:
+        if self.shard is not None:
+            index, count = self.shard
+            # Every event kind carries a prefix; one without still
+            # needs exactly one deterministic owner.
+            if shard_for(event.get("prefix") or "", count) != index:
+                return
         kind = event["kind"]
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         if kind == "lifespan":

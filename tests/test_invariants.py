@@ -137,3 +137,37 @@ def test_one_query_path():
                     & {keyword.arg for keyword in node.keywords}):
                 filtered.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert filtered == []
+
+
+def test_one_store_behind_the_fleet():
+    """A shard is a filtered read of the one event store: the fleet
+    writes nothing, opens the store readonly only, and neither pinned
+    seqs nor the shard-store machinery (sidecars, re-tail loop, fleet
+    fsck) come back."""
+    fleet = SRC / "observatory" / "fleet.py"
+    tree = ast.parse(fleet.read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [node.lineno for node in calls
+            if isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append"] == []
+    opens = [node for node in calls
+             if isinstance(node.func, ast.Name)
+             and node.func.id == "EventStore"]
+    assert opens
+    for node in opens:
+        assert any(keyword.arg == "readonly"
+                   and isinstance(keyword.value, ast.Constant)
+                   and keyword.value.value is True
+                   for keyword in node.keywords), node.lineno
+    store = ast.parse((SRC / "observatory" / "store.py")
+                      .read_text(encoding="utf-8"))
+    event_store = next(node for node in ast.walk(store)
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "EventStore")
+    append = next(node for node in event_store.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "append")
+    assert "seq" not in {argument.arg for argument in
+                         append.args.args + append.args.kwonlyargs}
+    assert matches(r"\b(fsck_fleet|fleet_shard_roots|sync_once|"
+                   r"SIDECAR_NAME)\b", SRC) == []

@@ -205,3 +205,18 @@ class TestDoctorCLI:
 
     def test_missing_store_exits_nonzero(self, tmp_path):
         assert main(["observatory", "doctor", str(tmp_path / "nope")]) != 0
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_directory_without_a_store_is_refused(self, tmp_path, capsys,
+                                                  check):
+        """A directory with neither a manifest nor a segment file — an
+        empty one, or a fleet root holding only worker logs — is not a
+        store: exit 2, and no manifest is made up there."""
+        fleet_root = tmp_path / "fleet"
+        fleet_root.mkdir()
+        (fleet_root / "shard-00.log").write_text("shard-00 serving\n")
+        argv = ["observatory", "doctor", str(fleet_root)]
+        assert main(argv + (["--check"] if check else [])) == 2
+        assert "not an event store (no manifest)" in capsys.readouterr().err
+        assert sorted(path.name for path in fleet_root.iterdir()) == \
+            ["shard-00.log"]

@@ -1,8 +1,9 @@
-"""Tests for the sharded observatory: prefix routing and store
-partitioning, the federated scatter-gather query tier (byte-identity
-with the monolithic server, vector ETags, explicit partial answers,
-circuit breakers), the subprocess shard fleet under chaos, client
-retry behaviour, and graceful shutdown of both serve engines."""
+"""Tests for the sharded observatory: prefix routing and each shard's
+slice of the one store, the federated scatter-gather query tier
+(byte-identity with the monolithic server, vector ETags, explicit
+partial answers, circuit breakers), the subprocess shard fleet under
+chaos, client retry behaviour, and graceful shutdown of both serve
+engines."""
 
 import json
 import os
@@ -14,7 +15,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import quote
 
 import pytest
 
@@ -23,15 +26,16 @@ from repro.observatory import (
     CircuitBreaker,
     EventStore,
     FederatedObservatoryServer,
+    MaterializedViews,
     ObservatoryClient,
     PARTIAL_HEADER,
     ShardFleet,
     ShardWorker,
-    fsck_fleet,
     partition_store,
     shard_for,
 )
-from repro.observatory.fleet import pick_free_port, shard_name
+from repro.observatory.fleet import pick_free_port
+from repro.observatory.forensics import outbreak_id, outbreak_prefix
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -55,6 +59,27 @@ def build_store(root, events=120, seed=7):
         store.append(kind, 1_700_000_000 + i * 30, payload)
     store.sync()
     return store
+
+
+def add_snapshots(store):
+    """One ``forensics`` snapshot per outbreak prefix (what the ingest
+    writes beside an outbreak); returns the snapshot outbreak IDs."""
+    ids = []
+    for prefix in sorted({event["prefix"] for event in
+                          store.events(kinds=("outbreak",))}):
+        payload = {"prefix": prefix, "announce_time": 1_700_000_000,
+                   "collector": "rrc00", "peer_address": "2001:db8::1"}
+        ids.append(outbreak_id(payload))
+        store.append("forensics", 1_700_010_000, dict(
+            payload, outbreak_id=ids[-1], origin_asn=1, peer_asn=3,
+            withdraw_time=1_700_000_900, detected_at=1_700_007_200,
+            peers=[{"prefix": prefix, "collector": "rrc00",
+                    "peer_address": "2001:db8::1", "peer_asn": 3,
+                    "path": "3 2 1", "announced_at": 1_700_000_000,
+                    "withdrawn_at": None, "aggregator_asn": None,
+                    "aggregator_address": None}]))
+    store.sync()
+    return ids
 
 
 def fetch(base, path, headers=None):
@@ -87,61 +112,65 @@ class TestSharding:
         assert shard_for("anything", 1) == 0
 
     def test_partition_preserves_seqs_and_covers_everything(self, tmp_path):
-        source = build_store(tmp_path / "store")
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        assert [r.name for r in roots] == ["shard-00", "shard-01", "shard-02"]
-        merged = []
-        for index, root in enumerate(roots):
-            shard = EventStore(root, readonly=True)
-            for event in shard.events():
-                prefix = event.get("prefix") or ""
-                assert shard_for(prefix, 3) == index
-                merged.append(event)
-            sidecar = json.loads((root / "shard.json").read_text())
-            assert sidecar["index"] == index
-            assert sidecar["count"] == 3
-        merged.sort(key=lambda e: e["seq"])
-        assert merged == list(source.events())
+        """Each shard's views hold exactly the events ``shard_for`` gives
+        that shard, under the store's own seqs, and the shards together
+        fold every event of ``store.events()`` exactly once."""
+        store = build_store(tmp_path / "store")
+        events = list(store.events())
+        prefixes = sorted({event["prefix"] for event in events})
+        folded = Counter()
+        for index in range(3):
+            views = MaterializedViews(
+                EventStore(tmp_path / "store", readonly=True),
+                shard=(index, 3))
+            views.refresh()
+            owned = [event for event in events
+                     if shard_for(event["prefix"], 3) == index]
+            assert owned, f"shard {index} owns nothing"
+            for prefix in prefixes:
+                mine = [event for event in owned if event["prefix"] == prefix]
+                lifespans = [event for event in mine
+                             if event["kind"] == "lifespan"]
+                assert views.zombie(prefix) == (
+                    lifespans[-1] if lifespans else None,
+                    [event for event in mine if event["kind"] == "outbreak"],
+                    [event for event in mine
+                     if event["kind"] == "resurrection"])
+            assert views.kind_counts() == Counter(
+                event["kind"] for event in owned)
+            folded.update(views.kind_counts())
+        assert folded == Counter(event["kind"] for event in events)
+        store.close()
 
-    def test_partition_creates_empty_shards(self, tmp_path):
-        store = EventStore(tmp_path / "store")
-        store.append("outbreak", 1.0, {"prefix": "10.0.0.0/16"})
-        store.sync()
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 4)
-        counts = [sum(1 for _ in EventStore(r, readonly=True).events())
-                  for r in roots]
-        assert sum(counts) == 1
-        assert len(roots) == 4  # the empty ones exist and open cleanly
+    def test_worker_refuses_an_index_out_of_range(self, tmp_path):
+        build_store(tmp_path / "store", events=9).close()
+        for index, count in ((3, 3), (-1, 3), (0, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                ShardWorker(tmp_path / "store", index, count)
 
-    def test_worker_refuses_wrong_geometry(self, tmp_path):
-        build_store(tmp_path / "store", events=9)
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        with pytest.raises(ValueError, match="belongs to shard"):
-            ShardWorker(tmp_path / "store", roots[0], index=1, count=3)
-        with pytest.raises(ValueError, match="belongs to shard"):
-            ShardWorker(tmp_path / "store", roots[0], index=0, count=5)
-
-    def test_fsck_fleet_checks_every_shard(self, tmp_path):
-        build_store(tmp_path / "store", events=30)
-        partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        reports = fsck_fleet(tmp_path / "fleet")
-        assert sorted(reports) == ["shard-00", "shard-01", "shard-02"]
-        assert all(report.clean for report in reports.values())
+    def test_partition_store_only_prepares_the_fleet_root(self, tmp_path):
+        build_store(tmp_path / "store", events=9).close()
+        root = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
+        assert root == tmp_path / "fleet" and list(root.iterdir()) == []
+        with pytest.raises(ValueError):
+            partition_store(tmp_path / "store", tmp_path / "fleet", 0)
 
 
 @pytest.fixture(scope="module")
 def fedworld(tmp_path_factory):
     """Monolithic server and a 3-shard federation over the same data."""
     root = tmp_path_factory.mktemp("fed")
-    build_store(root / "store")
+    store = build_store(root / "store")
+    snapshot_ids = add_snapshots(store)
+    store.close()
     mono = AsyncObservatoryServer(
         EventStore(root / "store", readonly=True)).start()
-    roots = partition_store(root / "store", root / "fleet", 3)
-    workers = [ShardWorker(root / "store", shard_root, index, 3).start()
-               for index, shard_root in enumerate(roots)]
+    workers = [ShardWorker(root / "store", index, 3).start()
+               for index in range(3)]
     fed = FederatedObservatoryServer(
         [worker.url for worker in workers]).start()
-    yield {"root": root, "mono": mono, "workers": workers, "fed": fed}
+    yield {"root": root, "mono": mono, "workers": workers, "fed": fed,
+           "snapshot_ids": snapshot_ids}
     fed.stop()
     for worker in workers:
         worker.stop()
@@ -215,6 +244,29 @@ class TestFederationParity:
         assert (fed_status, fed_body) == (mono_status, mono_body) \
             and fed_status == 404
 
+    def test_routed_answers_carry_the_monolith_etag(self, fedworld):
+        """A shard names the store's own position, so a single-owner
+        answer passes through the edge with the monolith's ETag — and
+        that ETag revalidates against either server."""
+        listing = json.loads(fetch(fedworld["mono"].url, "/zombies")[2])
+        routes = [("/zombies/" + quote(row["prefix"], safe=""),
+                   row["prefix"]) for row in listing["zombies"]]
+        routes += [("/outbreaks/" + quote(identifier, safe="")
+                    + "/forensics", outbreak_prefix(identifier))
+                   for identifier in fedworld["snapshot_ids"]]
+        owners = set()
+        for path, prefix in routes:
+            owners.add(shard_for(prefix, 3))
+            mono = fetch(fedworld["mono"].url, path)
+            fed = fetch(fedworld["fed"].url, path)
+            assert mono[0] == 200
+            assert (fed[0], fed[2]) == (mono[0], mono[2])
+            assert fed[1]["ETag"] == mono[1]["ETag"]
+            for base in (fedworld["mono"].url, fedworld["fed"].url):
+                assert fetch(base, path,
+                             {"If-None-Match": mono[1]["ETag"]})[0] == 304
+        assert owners == {0, 1, 2}
+
     @pytest.mark.parametrize("path", [
         "/outbreaks?limit=0",
         "/outbreaks?cursor=notanumber",
@@ -286,12 +338,10 @@ class TestDegradedMode:
     @pytest.fixture()
     def world(self, tmp_path):
         build_store(tmp_path / "store", events=60)
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        ports = [pick_free_port() for _ in roots]
-        workers = [
-            ShardWorker(tmp_path / "store", shard_root, index, 3,
-                        port=ports[index]).start()
-            for index, shard_root in enumerate(roots)]
+        ports = [pick_free_port() for _ in range(3)]
+        workers = [ShardWorker(tmp_path / "store", index, 3,
+                               port=ports[index]).start()
+                   for index in range(3)]
         fed = FederatedObservatoryServer(
             [worker.url for worker in workers],
             deadline=2.0, retries=0, breaker_threshold=100).start()
@@ -334,9 +384,8 @@ class TestDegradedMode:
         degraded = fetch(fed.url, "/resurrections")
         assert degraded[1][PARTIAL_HEADER] == "shard-02"
         # Restart the worker on the same port the federation dials.
-        workers[2] = ShardWorker(
-            tmp_path / "store", tmp_path / "fleet" / "shard-02", 2, 3,
-            port=ports[2]).start()
+        workers[2] = ShardWorker(tmp_path / "store", 2, 3,
+                                 port=ports[2]).start()
         assert wait_until(
             lambda: PARTIAL_HEADER not in fetch(fed.url, "/resurrections")[1])
         after = fetch(fed.url, "/resurrections")
@@ -383,9 +432,8 @@ class TestCircuitBreaker:
 
     def test_breaker_sheds_load_after_shard_death(self, tmp_path):
         build_store(tmp_path / "store", events=30)
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 2)
-        workers = [ShardWorker(tmp_path / "store", root, index, 2).start()
-                   for index, root in enumerate(roots)]
+        workers = [ShardWorker(tmp_path / "store", index, 2).start()
+                   for index in range(2)]
         fed = FederatedObservatoryServer(
             [worker.url for worker in workers], retries=0, deadline=1.0,
             breaker_threshold=2, breaker_open_seconds=60.0).start()
@@ -410,9 +458,8 @@ class TestCircuitBreaker:
 
     def test_etag_invalidated_by_new_events(self, tmp_path):
         store = build_store(tmp_path / "store", events=30)
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 2)
-        workers = [ShardWorker(tmp_path / "store", root, index, 2).start()
-                   for index, root in enumerate(roots)]
+        workers = [ShardWorker(tmp_path / "store", index, 2).start()
+                   for index in range(2)]
         fed = FederatedObservatoryServer(
             [worker.url for worker in workers]).start()
         try:
@@ -422,13 +469,12 @@ class TestCircuitBreaker:
             store.append("outbreak", 1_700_100_000,
                          {"prefix": "10.9.0.0/16", "peers": 5})
             store.sync()
-            owner = shard_for("10.9.0.0/16", 2)
-            assert wait_until(lambda: fetch(
-                fed.url, "/outbreaks", {"If-None-Match": etag})[0] == 200)
+            # Shards read the store on every request: no catch-up wait.
+            assert fetch(fed.url, "/outbreaks",
+                         {"If-None-Match": etag})[0] == 200
             body = json.loads(fetch(fed.url, "/outbreaks")[2])
             assert any(row["prefix"] == "10.9.0.0/16"
                        for row in body["outbreaks"])
-            assert workers[owner].store.next_seq == store.next_seq
         finally:
             fed.stop()
             for worker in workers:

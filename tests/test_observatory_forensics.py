@@ -17,6 +17,7 @@ from repro.observatory import (
     EventStore,
     FederatedObservatoryServer,
     LastAnnouncementRing,
+    MaterializedViews,
     ObservatoryIngest,
     ObservatoryClient,
     PARTIAL_HEADER,
@@ -26,7 +27,6 @@ from repro.observatory import (
     load_scenario,
     outbreak_id,
     outbreak_prefix,
-    partition_store,
     render_forensics,
     shard_for,
 )
@@ -534,9 +534,8 @@ class TestFederation:
         store, ids = seed_federated_store(tmp_path / "store")
         mono = AsyncObservatoryServer(
             EventStore(tmp_path / "store", readonly=True)).start()
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        workers = [ShardWorker(tmp_path / "store", shard_root, index, 3)
-                   .start() for index, shard_root in enumerate(roots)]
+        workers = [ShardWorker(tmp_path / "store", index, 3).start()
+                   for index in range(3)]
         fed = FederatedObservatoryServer(
             [worker.url for worker in workers],
             deadline=2.0, retries=0, breaker_threshold=100).start()
@@ -548,15 +547,23 @@ class TestFederation:
         store.close()
 
     def test_snapshot_is_colocated_with_its_outbreak(self, tmp_path):
+        """The snapshot's own prefix and the prefix its outbreak ID leads
+        with route to the same shard, and that shard's views are the
+        only ones holding it."""
         store, ids = seed_federated_store(tmp_path / "store")
-        roots = partition_store(tmp_path / "store", tmp_path / "fleet", 3)
-        for index, root in enumerate(roots):
-            shard = EventStore(root, readonly=True)
-            for event in shard.events(kinds=("forensics",)):
-                assert shard_for(event["prefix"], 3) == index
-                assert shard_for(outbreak_prefix(event["outbreak_id"]), 3) \
-                    == index
-            shard.close()
+        shards = [MaterializedViews(store, shard=(index, 3))
+                  for index in range(3)]
+        for views in shards:
+            views.refresh()
+        snapshots = list(store.events(kinds=("forensics",)))
+        assert [event["outbreak_id"] for event in snapshots] == ids
+        for event in snapshots:
+            owner = shard_for(event["prefix"], 3)
+            assert shard_for(outbreak_prefix(event["outbreak_id"]), 3) \
+                == owner
+            assert [views.forensics(event["outbreak_id"]) is not None
+                    for views in shards] == [index == owner
+                                             for index in range(3)]
         store.close()
 
     def test_routed_byte_identity_on_every_shard(self, world):
@@ -569,9 +576,8 @@ class TestFederation:
             fed_status, fed_headers, fed_body = fetch(fed.url, path)
             assert (fed_status, fed_body) == (mono_status, mono_body)
             assert fed_status == 200
-            # The ETag's watermark component is shard-local (the owner
-            # has fewer events than the monolith) but revalidation
-            # against the federation must still 304.
+            # The owner names the store's own position, so revalidation
+            # against the federation 304s.
             status, _, body = fetch(
                 fed.url, path, {"If-None-Match": fed_headers["ETag"]})
             assert status == 304 and body == b""

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.observatory import EventStore
+from repro.observatory import store as store_module
 from repro.observatory.store import INDEX_VALUE_CAP, TailCursor
 
 
@@ -188,6 +189,68 @@ class TestConcurrentReader:
         fill(writer, 5, t0=7000)  # rolls a segment, appends to a new one
         writer.sync()
         assert len(list(reader.events())) == 7
+
+    def test_readonly_reparses_the_manifest_only_when_it_changes(
+            self, tmp_path, monkeypatch):
+        writer = EventStore(tmp_path / "store", segment_max_records=3)
+        fill(writer, 2)
+        writer.sync()
+        reader = EventStore(tmp_path / "store", readonly=True)
+        parsed = []
+        real = store_module.read_manifest
+        monkeypatch.setattr(store_module, "read_manifest",
+                            lambda data: parsed.append(data) or real(data))
+        assert reader.position() == reader.position() == (0, 2)
+        assert parsed == []
+        fill(writer, 2, t0=7000)  # rolls a segment: the manifest moves
+        assert reader.position() == (0, 4)
+        assert len(parsed) == 1
+        writer.truncate(1)
+        assert reader.position() == (1, 1)
+        assert len(parsed) == 2
+
+    def test_follower_decodes_only_the_delta_of_the_active_segment(
+            self, tmp_path, monkeypatch):
+        writer = EventStore(tmp_path / "store", segment_max_records=50)
+        fill(writer, 20)
+        writer.sync()
+        reader = EventStore(tmp_path / "store", readonly=True)
+        assert [e["seq"] for e in reader.events(min_seq=0)] == \
+            list(range(20))
+        fill(writer, 3, t0=7000)
+        writer.sync()
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(
+            store_module.json, "loads",
+            lambda data, **kw: decoded.append(data) or real(data, **kw))
+        delta = list(reader.events(min_seq=20))
+        assert [e["seq"] for e in delta] == [20, 21, 22]
+        # The manifest, the line below the watermark, the three new ones.
+        assert len(decoded) == 5
+        monkeypatch.undo()
+        assert delta == list(EventStore(tmp_path / "store",
+                                        readonly=True).events(min_seq=20))
+
+    def test_follower_resumes_correctly_after_a_same_name_rewrite(
+            self, tmp_path):
+        writer = EventStore(tmp_path / "store", segment_max_records=50)
+        fill(writer, 10)
+        writer.sync()
+        reader = EventStore(tmp_path / "store", readonly=True)
+        list(reader.events(min_seq=0))  # indexes seqs 0..9
+        # Rewrite the active segment under its own name with longer
+        # lines, so the indexed span of seq 9 now cuts through another
+        # line, and read before the reader has seen the new manifest.
+        writer.truncate(4)
+        fill(writer, 8, kind="resurrection", t0=9000)
+        writer.sync()
+        reader._load_manifest = lambda: None
+        got = list(reader.events(min_seq=10))
+        fresh = EventStore(tmp_path / "store", readonly=True)
+        assert got == list(fresh.events(min_seq=10))
+        assert [(e["seq"], e["kind"]) for e in got] == \
+            [(10, "resurrection"), (11, "resurrection")]
 
     def test_readonly_rejects_writes(self, tmp_path):
         EventStore(tmp_path / "store").close()
