@@ -45,7 +45,7 @@ import time
 from typing import Any, Callable, Iterator, Optional
 from urllib.parse import quote, urlencode, urlsplit
 
-from repro.observatory.stream import encode_token
+from repro.utils.backoff import backoff_delay
 
 __all__ = ["ObservatoryClient", "ObservatoryError",
            "ObservatoryProtocolError", "ObservatoryUnreachable"]
@@ -150,7 +150,17 @@ class ObservatoryClient:
                 return min(self.backoff_cap, max(0.0, float(retry_after)))
             except ValueError:
                 pass  # HTTP-date form: fall back to computed backoff
-        return min(self.backoff_cap, self.backoff * (2 ** attempt))
+        return backoff_delay(attempt, self.backoff, self.backoff_cap)
+
+    @staticmethod
+    def _api_error(status: int, body: str) -> ObservatoryError:
+        """The error an answer ``status`` with ``body`` raises: the
+        JSON body's ``error`` field, else the body itself."""
+        try:
+            detail = json.loads(body).get("error", body)
+        except ValueError:
+            detail = body
+        return ObservatoryError(status, detail)
 
     def _remember(self, url: str, etag: str, body: str) -> None:
         self._etag_cache.pop(url, None)
@@ -177,10 +187,8 @@ class ObservatoryClient:
     def _get(self, path: str, params: Optional[dict[str, Any]] = None,
              raw: bool = False):
         query = {k: v for k, v in (params or {}).items() if v is not None}
-        url = self.base_url + path
         target = path + ("?" + urlencode(query) if query else "")
-        if query:
-            url += "?" + urlencode(query)
+        url = self.base_url + target
         cached = self._etag_cache.get(url) if not raw else None
         last: Optional[Exception] = None
         for attempt in range(self.retries + 1):
@@ -202,7 +210,8 @@ class ObservatoryClient:
                 status = response.status
                 etag = response.getheader("ETag")
                 retry_after = response.getheader("Retry-After")
-                partial = response.getheader("X-Observatory-Partial")
+                header = response.getheader("X-Observatory-Partial")
+                partial = tuple(header.split(",")) if header else None
                 body = response.read().decode("utf-8", "replace")
             except (OSError, http.client.HTTPException) as exc:
                 # Mid-request/mid-read death: the server may have acted
@@ -215,25 +224,19 @@ class ObservatoryClient:
                     # Fresh parse per call so a caller mutating the
                     # result cannot poison the cache.
                     self.revalidations += 1
-                    self.last_partial = (tuple(partial.split(","))
-                                         if partial else None)
+                    self.last_partial = partial
                     return json.loads(cached[1])
                 raise ObservatoryProtocolError(
                     url, "", ValueError("304 without a cached body")
                 ) from None
             if status >= 400:
-                try:
-                    detail = json.loads(body).get("error", body)
-                except ValueError:
-                    detail = body
+                last = self._api_error(status, body)
                 if status < 500:
-                    raise ObservatoryError(status, detail) from None
-                last = ObservatoryError(status, detail)
+                    raise last from None
                 if attempt < self.retries:
                     self._sleep(self._delay(attempt, retry_after))
                 continue
-            self.last_partial = (tuple(partial.split(","))
-                                 if partial else None)
+            self.last_partial = partial
             if raw:
                 return body
             try:
@@ -364,12 +367,8 @@ class ObservatoryClient:
                 conn.request("GET", target, headers=headers)
                 response = conn.getresponse()
                 if response.status != 200:
-                    body = response.read().decode("utf-8", "replace")
-                    try:
-                        detail = json.loads(body).get("error", body)
-                    except ValueError:
-                        detail = body
-                    raise ObservatoryError(response.status, detail)
+                    raise self._api_error(response.status, response.read(
+                        ).decode("utf-8", "replace"))
                 first = False
                 for frame_id, kind, data in self._read_frames(response):
                     failures = 0  # a live connection resets the budget
@@ -425,9 +424,3 @@ class ObservatoryClient:
                 kind = value
             elif name == "data":
                 data.append(value)
-
-    @staticmethod
-    def resume_token(generation: int, next_seq: int) -> str:
-        """The token that resumes a stream at ``(generation, next_seq)``
-        — what a consumer should persist alongside processed events."""
-        return encode_token(generation, next_seq)

@@ -20,12 +20,15 @@ answer.  Degradation is graceful and explicit, never silent:
 * every shard fetch runs under a hard per-request **deadline**; connect
   errors (and only connect errors — an accepted request may have side
   effects some day) are retried with jittered exponential backoff
-  inside that deadline;
+  inside that deadline; shard connections are **kept alive** in a
+  per-shard pool, and a reused one that dies before the response
+  begins (the shard restarted meanwhile) is re-dialled once, uncounted;
 * per-shard **circuit breakers** stop hammering a dead shard: after
   ``breaker_threshold`` consecutive failures the circuit opens and the
   shard is declared down for ``breaker_open_seconds`` without paying
   the deadline, then a single half-open probe decides between closing
-  the circuit and re-opening it;
+  the circuit and re-opening it — the state a breaker starts in and
+  keeps until its shard first answers;
 * a missing shard removes its rows from the merged answer, sets the
   ``X-Observatory-Partial`` header to the missing shard names, and the
   answer still returns within the deadline.
@@ -64,13 +67,24 @@ from repro.observatory.server import (
     forensics_outbreak_id,
 )
 from repro.observatory.views import CursorError, shard_for, shard_name
-from repro.utils.asynchttp import AsyncHTTPTransport
+from repro.utils.asynchttp import AsyncHTTPTransport, parse_status_head
+from repro.utils.backoff import backoff_delay
 
 __all__ = ["CircuitBreaker", "FederatedObservatoryServer", "PARTIAL_HEADER",
            "ShardUnavailable"]
 
 #: Names the shards missing from a degraded merged answer.
 PARTIAL_HEADER = "X-Observatory-Partial"
+
+#: Connect-retry schedule (seconds): the first retry waits 0.05 s plus
+#: up to 0.025 s of jitter from an RNG seeded with ``JITTER_SEED``.
+BACKOFF, BACKOFF_CAP, JITTER, JITTER_SEED = 0.05, 1.0, 0.025, 0
+
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class _Stale(Exception):
+    """A reused keep-alive connection died before the response began."""
 
 
 class ShardUnavailable(Exception):
@@ -86,7 +100,8 @@ class CircuitBreaker:
     ``open_seconds`` — a dead shard costs nothing instead of a deadline
     per query.  Half-open: exactly one probe request is let through;
     success closes the circuit, failure re-opens it for another
-    ``open_seconds``.
+    ``open_seconds``.  A breaker starts half-open and stays there until
+    its shard first answers: failures before that never open it.
 
     Confined to the server's event loop, so no locking.
     """
@@ -97,11 +112,14 @@ class CircuitBreaker:
         self.open_seconds = open_seconds
         self._clock = clock
         self.failures = 0
+        self._answered = False
         self._opened_at: Optional[float] = None
         self._probing = False
 
     @property
     def state(self) -> str:
+        if not self._answered:
+            return "half-open"
         if self._opened_at is None:
             return "closed"
         if self._clock() - self._opened_at >= self.open_seconds:
@@ -121,6 +139,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         self.failures = 0
+        self._answered = True
         self._opened_at = None
         self._probing = False
 
@@ -145,28 +164,20 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
     CACHE_ENTRIES = 128
 
     def __init__(self, shard_urls: list[str], host: str = "127.0.0.1",
-                 port: int = 0, *, shard_names: Optional[list[str]] = None,
-                 deadline: float = 2.0, retries: int = 1,
-                 backoff: float = 0.05, backoff_cap: float = 1.0,
-                 jitter: float = 0.5, seed: int = 0,
+                 port: int = 0, *, deadline: float = 2.0, retries: int = 1,
                  breaker_threshold: int = 3, breaker_open_seconds: float = 5.0,
                  fleet=None, drain_timeout: float = 5.0):
         super().__init__(host=host, port=port, drain_timeout=drain_timeout)
         if not shard_urls:
             raise ValueError("need at least one shard URL")
         self.shard_urls = list(shard_urls)
-        self.shard_names = (list(shard_names) if shard_names is not None
-                            else [shard_name(index)
-                                  for index in range(len(shard_urls))])
-        if len(self.shard_names) != len(self.shard_urls):
-            raise ValueError("need one shard name per shard URL")
+        self.shard_names = list(map(shard_name, range(len(shard_urls))))
+        self._addresses = [(split.hostname, split.port) for split
+                           in map(urlsplit, self.shard_urls)]
         self.deadline = deadline
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
+        self.retries = max(0, retries)
         self.fleet = fleet
-        self._rng = random.Random(seed)
+        self._rng = random.Random(JITTER_SEED)
         self.breakers = [CircuitBreaker(breaker_threshold,
                                         breaker_open_seconds)
                          for _ in shard_urls]
@@ -178,21 +189,25 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         self.partial_responses = 0
         self.retried_connects = 0
         self.shard_failures = [0] * len(shard_urls)
-        self._shard_up = [True] * len(shard_urls)
+        #: Per shard, idle keep-alive connections; the last one in is
+        #: the next one out.
+        self._idle: list[list[_Connection]] = [[] for _ in shard_urls]
 
     # -- transport hooks ---------------------------------------------------
 
-    def count_request(self) -> None:
-        self.requests_served += 1
-
     def count_dropped_response(self) -> None:
         self.responses_dropped += 1
+
+    async def _on_cleanup(self) -> None:
+        for idle in self._idle:
+            while idle:
+                idle.pop()[1].close()
 
     async def _dispatch(self, path: str, params: dict,
                         headers: dict[str, str],
                         writer: asyncio.StreamWriter,
                         keep_alive: bool) -> bool:
-        self.count_request()
+        self.requests_served += 1
         status, response_headers, payload = await self.respond(
             path, params, headers.get("if-none-match"))
         await self._send(writer, status, response_headers, payload,
@@ -236,60 +251,68 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
     async def _http_get(self, index: int, target: str,
                         if_none_match: Optional[str]
                         ) -> tuple[int, dict[str, str], bytes]:
-        """One raw HTTP GET to one shard; connect errors are retried
-        with jittered exponential backoff, anything after the connect
-        is not (the shard may already be acting on the request)."""
-        split = urlsplit(self.shard_urls[index])
-        attempt = 0
-        while True:
+        """One GET to one shard, on the last idle connection to it when
+        there is one.  A reused connection that fails before the first
+        response byte is re-dialled once; on a fresh one, connect errors
+        are retried with backoff and anything after the connect is not
+        (the shard may already be acting on the request)."""
+        if self._idle[index]:
             try:
-                reader, writer = await asyncio.open_connection(
-                    split.hostname, split.port)
+                return await self._exchange(index, self._idle[index].pop(),
+                                            target, if_none_match,
+                                            reused=True)
+            except _Stale:
+                pass
+        return await self._exchange(index, await self._dial(index), target,
+                                    if_none_match)
+
+    async def _dial(self, index: int) -> _Connection:
+        for attempt in range(self.retries + 1):
+            try:
+                return await asyncio.open_connection(*self._addresses[index])
             except OSError:
-                if attempt >= self.retries:
+                if attempt == self.retries:
                     raise
                 self.retried_connects += 1
-                delay = min(self.backoff_cap,
-                            self.backoff * (2 ** attempt))
-                await asyncio.sleep(
-                    delay + self.jitter * delay * self._rng.random())
-                attempt += 1
-                continue
+                await asyncio.sleep(backoff_delay(
+                    attempt, BACKOFF, BACKOFF_CAP, JITTER, self._rng))
+        raise AssertionError("unreachable")
+
+    async def _exchange(self, index: int, connection: _Connection,
+                        target: str, if_none_match: Optional[str],
+                        reused: bool = False
+                        ) -> tuple[int, dict[str, str], bytes]:
+        """Send one request and read its response.  The connection goes
+        back to the idle pool only after a whole ``Content-Length``
+        body from a shard that said ``keep-alive``; any failure,
+        timeout or cancellation closes it."""
+        reader, writer = connection
+        keep = False
+        try:
+            host, port = self._addresses[index]
+            lines = [f"GET {target} HTTP/1.1", f"Host: {host}:{port}"]
+            if if_none_match is not None:
+                lines.append(f"If-None-Match: {if_none_match}")
+            writer.write(("\r\n".join(lines) + "\r\n\r\n"
+                          ).encode("latin-1"))
             try:
-                lines = [f"GET {target} HTTP/1.1",
-                         f"Host: {split.hostname}:{split.port}",
-                         "Connection: close"]
-                if if_none_match is not None:
-                    lines.append(f"If-None-Match: {if_none_match}")
-                writer.write(("\r\n".join(lines) + "\r\n\r\n"
-                              ).encode("latin-1"))
                 await writer.drain()
                 head = await reader.readuntil(b"\r\n\r\n")
-                status, headers = self._parse_response_head(head)
-                length = int(headers.get("content-length", "0") or "0")
-                body = await reader.readexactly(length) if length else b""
-                return status, headers, body
-            finally:
+            except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                if reused and not getattr(exc, "partial", b""):
+                    raise _Stale() from exc
+                raise
+            status, headers = parse_status_head(head)
+            length = headers.get("content-length")
+            body = await reader.readexactly(int(length)) if length else b""
+            keep = (length is not None and
+                    headers.get("connection", "").lower() == "keep-alive")
+            return status, headers, body
+        finally:
+            if keep:
+                self._idle[index].append(connection)
+            else:
                 writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, asyncio.CancelledError):
-                    pass
-
-    @staticmethod
-    def _parse_response_head(head: bytes) -> tuple[int, dict[str, str]]:
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ValueError(f"bad status line: {lines[0]!r}")
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        return int(parts[1]), headers
 
     async def _ask_shard(self, index: int, target: str,
                          if_none_match: Optional[str] = None
@@ -303,17 +326,13 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
             result = await asyncio.wait_for(
                 self._http_get(index, target, if_none_match),
                 timeout=self.deadline)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
+        except Exception as exc:  # CancelledError is not an Exception
             breaker.record_failure()
             self.shard_failures[index] += 1
-            self._shard_up[index] = False
             raise ShardUnavailable(
                 f"{self.shard_names[index]}: {type(exc).__name__}: {exc}"
                 ) from exc
         breaker.record_success()
-        self._shard_up[index] = True
         return result
 
     async def _scatter(self, target: str,
@@ -325,12 +344,8 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         tasks = [self._ask_shard(index, target, conditions.get(index))
                  for index in range(len(self.shard_urls))]
         settled = await asyncio.gather(*tasks, return_exceptions=True)
-        results: dict[int, tuple[int, dict[str, str], bytes]] = {}
-        for index, outcome in enumerate(settled):
-            if isinstance(outcome, BaseException):
-                continue
-            results[index] = outcome
-        return results
+        return {index: outcome for index, outcome in enumerate(settled)
+                if not isinstance(outcome, BaseException)}
 
     # -- vector ETags ------------------------------------------------------
 
@@ -469,12 +484,9 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                 (PARTIAL_HEADER, self.shard_names[owner])], payload
         if status == 304:
             self.not_modified_served += 1
-        passthrough = [(header_name, headers[header_key])
-                       for header_name, header_key in
-                       (("Content-Type", "content-type"),
-                        ("ETag", "etag"),
-                        ("Cache-Control", "cache-control"))
-                       if header_key in headers]
+        passthrough = [(name, headers[name.lower()])
+                       for name in ("Content-Type", "ETag", "Cache-Control")
+                       if name.lower() in headers]
         passthrough.append(("Content-Length", str(len(payload))))
         return status, passthrough, payload
 
@@ -482,15 +494,11 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
 
     async def _healthz(self) -> tuple[int, list[tuple[str, str]], bytes]:
         results = await self._scatter("/healthz")
-        shards: dict[str, Any] = {}
-        for index in range(len(self.shard_urls)):
-            answer = results.get(index)
-            if answer is None or answer[0] != 200:
-                shards[self.shard_names[index]] = None
-            else:
-                shards[self.shard_names[index]] = json.loads(answer[2])
         missing = {index for index in range(len(self.shard_urls))
-                   if shards[self.shard_names[index]] is None}
+                   if results.get(index, (None,))[0] != 200}
+        shards: dict[str, Any] = {
+            name: None if index in missing else json.loads(results[index][2])
+            for index, name in enumerate(self.shard_names)}
         if not missing:
             status_word = "ok"
         elif len(missing) < len(self.shard_urls):
@@ -556,7 +564,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                "Shard connect attempts retried after a connect error.")
         for index, name in enumerate(self.shard_names):
             metric("observatory_federation_shard_up",
-                   1 if self._shard_up[index] else 0,
+                   1 if self.breakers[index].failures == 0 else 0,
                    "Whether the last exchange with the shard succeeded.",
                    labels=f'{{shard="{name}"}}')
             metric("observatory_federation_shard_failures_total",

@@ -5,9 +5,10 @@ in-process ingest engine) and :class:`~repro.observatory.fleet.
 ShardFleet` (one worker subprocess per shard) restart what they watch
 the same way, written here once:
 
-* restart *n* of a failure streak waits ``min(backoff_cap, backoff *
-  2**(n-1))`` plus ``jitter`` times a draw from a seeded RNG — the same
-  crash history always gives the same schedule, and a flapping
+* restart *n* of a failure streak waits :func:`~repro.utils.backoff.
+  backoff_delay` of attempt *n − 1* — ``min(backoff_cap, backoff *
+  2**(n-1))`` plus ``jitter`` times a draw from a seeded RNG — so the
+  same crash history always gives the same schedule, and a flapping
   dependency does not spin a hot crash loop;
 * ``max_restarts`` consecutive failures without forward progress
   exhaust the budget: the policy gives up until :meth:`~RestartPolicy.
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import random
 from typing import Optional
+
+from repro.utils.backoff import backoff_delay
 
 __all__ = ["RestartPolicy", "STATES"]
 
@@ -52,8 +55,8 @@ class RestartPolicy:
         if self.consecutive_failures > self.max_restarts:
             self.gave_up = True
             return None
-        base = self.backoff * (2 ** (self.consecutive_failures - 1))
-        delay = min(self.backoff_cap, base) + self.jitter * self._rng.random()
+        delay = backoff_delay(self.consecutive_failures - 1, self.backoff,
+                              self.backoff_cap, self.jitter, self._rng)
         self.restart_at = now + delay
         return delay
 

@@ -8,8 +8,8 @@ part real archive mirroring needs:
 
 * **concurrency** — a thread pool over collector-months; files within a
   month download sequentially so resume bookkeeping stays simple;
-* **retries** — exponential backoff with deterministic jitter (seeded
-  RNG) around every request; 5xx, timeouts, connection drops and
+* **retries** — :func:`~repro.utils.backoff.backoff_delay` with seeded
+  jitter between attempts; 5xx, timeouts, connection drops and
   truncated bodies are retryable, 4xx is not;
 * **resume** — interrupted downloads leave a partial file under
   ``.mirror/partial/`` and the next attempt continues it with a
@@ -40,7 +40,7 @@ import random
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
 from urllib.error import HTTPError, URLError
@@ -55,10 +55,16 @@ from repro.transport.manifest import (
     parse_document,
     sha256_file,
 )
+from repro.utils.backoff import backoff_delay
 
 __all__ = ["ArchiveMirror", "SyncReport", "TransportError", "IntegrityError"]
 
 _CHUNK = 1 << 16
+
+#: Longest wait between two attempts, in seconds.
+BACKOFF_CAP = 4.0
+#: Seed of the jitter RNG: the same faults give the same pauses.
+JITTER_SEED = 0
 
 
 class TransportError(Exception):
@@ -90,31 +96,10 @@ class SyncReport:
 
     def merge(self, other: "SyncReport") -> None:
         """Fold a per-month report into this aggregate (single-threaded:
-        each worker fills its own report, the coordinator merges)."""
-        self.months_synced += other.months_synced
-        self.files_checked += other.files_checked
-        self.files_downloaded += other.files_downloaded
-        self.files_skipped += other.files_skipped
-        self.files_refreshed += other.files_refreshed
-        self.bytes_downloaded += other.bytes_downloaded
-        self.bytes_resumed += other.bytes_resumed
-        self.retries += other.retries
-        self.quarantined += other.quarantined
-        self.failures.extend(other.failures)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "months_synced": self.months_synced,
-            "files_checked": self.files_checked,
-            "files_downloaded": self.files_downloaded,
-            "files_skipped": self.files_skipped,
-            "files_refreshed": self.files_refreshed,
-            "bytes_downloaded": self.bytes_downloaded,
-            "bytes_resumed": self.bytes_resumed,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-            "failures": list(self.failures),
-        }
+        each worker fills its own report, the coordinator merges): every
+        counter adds, the failure lists concatenate."""
+        for name in (f.name for f in fields(self)):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class _Truncated(Exception):
@@ -126,8 +111,7 @@ class ArchiveMirror:
 
     def __init__(self, base_url: str, dest: Union[str, Path],
                  workers: int = 4, timeout: float = 10.0, retries: int = 4,
-                 backoff: float = 0.25, backoff_cap: float = 4.0,
-                 jitter_seed: int = 0, key: bytes = DEFAULT_KEY,
+                 backoff: float = 0.25, key: bytes = DEFAULT_KEY,
                  collectors: Optional[Iterable[str]] = None,
                  sleep: Callable[[float], None] = time.sleep):
         if "://" not in base_url:  # accept bare host:port
@@ -138,11 +122,10 @@ class ArchiveMirror:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self.key = key
         self.collectors = frozenset(collectors) if collectors else None
         self._sleep = sleep
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
         self.mirror_dir = self.dest / ".mirror"
         self.state_dir = self.mirror_dir / "state"
         self.partial_dir = self.mirror_dir / "partial"
@@ -155,13 +138,15 @@ class ArchiveMirror:
 
     def _pause(self, attempt: int, report: SyncReport) -> None:
         report.retries += 1
-        delay = min(self.backoff_cap, self.backoff * (2 ** attempt))
-        self._sleep(delay + self._rng.uniform(0, self.backoff))
+        self._sleep(backoff_delay(attempt, self.backoff, BACKOFF_CAP,
+                                  self.backoff, self._rng))
 
     def _fetch_json(self, url: str, report: SyncReport) -> dict[str, Any]:
         """GET + parse + verify a signed document, with retries."""
         last: Exception = TransportError(url)
         for attempt in range(self.retries + 1):
+            if attempt:
+                self._pause(attempt - 1, report)
             try:
                 with urlopen(Request(url), timeout=self.timeout) as response:
                     payload = response.read()
@@ -174,8 +159,6 @@ class ArchiveMirror:
             except (URLError, OSError, http.client.HTTPException,
                     ManifestError, socket.timeout) as exc:
                 last = exc
-            if attempt < self.retries:
-                self._pause(attempt, report)
         raise TransportError(f"{url}: {last}") from None
 
     def _fetch_to(self, url: str, handle, offset: int) -> tuple[int, int]:
@@ -229,16 +212,6 @@ class ArchiveMirror:
                 return
         partial.unlink()  # pragma: no cover - pathological
 
-    def _download_file(self, collector: str, month: str, name: str,
-                       entry: dict[str, Any], report: SyncReport) -> None:
-        """Fetch one month file with resume/verify/quarantine, then
-        publish it atomically into the archive tree."""
-        self._download_via(_Target(
-            url=self._url(collector, month, name),
-            final=self.dest / collector / month / name,
-            partial=self.partial_dir / collector / month / name,
-            label=f"{collector}-{month}-{name}"), entry, report)
-
     def _sync_entry(self, collector: str, month: str, name: str,
                     entry: dict[str, Any], cached: Optional[dict[str, Any]],
                     report: SyncReport) -> None:
@@ -255,7 +228,7 @@ class ArchiveMirror:
                 report.files_refreshed += 1
             report.files_skipped += 1
             return
-        self._download_file(collector, month, name, entry, report)
+        self._download((collector, month, name), entry, report)
 
     # -- per-month sync ---------------------------------------------------
 
@@ -305,58 +278,54 @@ class ArchiveMirror:
                 and sha256_file(final) == entry["sha256"]:
             report.files_skipped += 1
             return
-        self._download_file_flat(name, entry, report)
+        self._download((name,), entry, report)
 
-    def _download_file_flat(self, name: str, entry: dict[str, Any],
-                            report: SyncReport) -> None:
-        """Extras live at the archive root; same pipeline, flat paths."""
-        self._download_via(_Target(
-            url=self._url(name), final=self.dest / name,
-            partial=self.partial_dir / name, label=name), entry, report)
-
-    def _download_via(self, target: "_Target", entry: dict[str, Any],
-                      report: SyncReport) -> None:
-        target.partial.parent.mkdir(parents=True, exist_ok=True)
-        last: Exception = TransportError(target.url)
+    def _download(self, parts: tuple[str, ...], entry: dict[str, Any],
+                  report: SyncReport) -> None:
+        """Fetch the file at ``parts`` under the archive root (a month
+        file, or an extra at the root) with resume/verify/quarantine,
+        then publish it atomically into the archive tree."""
+        url = self._url(*parts)
+        final = self.dest.joinpath(*parts)
+        partial = self.partial_dir.joinpath(*parts)
+        partial.parent.mkdir(parents=True, exist_ok=True)
+        last: Exception = TransportError(url)
         for attempt in range(self.retries + 1):
-            offset = target.partial.stat().st_size \
-                if target.partial.exists() else 0
+            if attempt:
+                self._pause(attempt - 1, report)
+            offset = partial.stat().st_size if partial.exists() else 0
             if offset > entry["size"]:
                 # Garbage partial (e.g. from an older manifest): restart.
-                target.partial.unlink()
+                partial.unlink()
                 offset = 0
             try:
-                with open(target.partial, "ab") as handle:
-                    self._fetch_to(target.url, handle, offset)
+                with open(partial, "ab") as handle:
+                    self._fetch_to(url, handle, offset)
                     os.fsync(handle.fileno())
             except HTTPError as exc:
                 exc.read()
                 if exc.code < 500:
-                    raise TransportError(
-                        f"{target.url}: HTTP {exc.code}") from None
+                    raise TransportError(f"{url}: HTTP {exc.code}") from None
                 last = exc
-                self._pause(attempt, report)
                 continue
             except (_Truncated, URLError, OSError,
                     http.client.HTTPException, socket.timeout) as exc:
                 last = exc
-                self._pause(attempt, report)
                 continue
             if offset:
                 report.bytes_resumed += offset
-            if sha256_file(target.partial) != entry["sha256"]:
-                self._quarantine(target.partial, target.label)
+            if sha256_file(partial) != entry["sha256"]:
+                self._quarantine(partial, "-".join(parts))
                 report.quarantined += 1
-                last = IntegrityError(f"{target.url}: checksum mismatch")
-                self._pause(attempt, report)
+                last = IntegrityError(f"{url}: checksum mismatch")
                 continue
-            target.final.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(target.partial, target.final)
-            os.utime(target.final, ns=(entry["mtime_ns"], entry["mtime_ns"]))
+            final.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(partial, final)
+            os.utime(final, ns=(entry["mtime_ns"], entry["mtime_ns"]))
             report.files_downloaded += 1
             report.bytes_downloaded += entry["size"] - offset
             return
-        raise TransportError(f"{target.url}: giving up after "
+        raise TransportError(f"{url}: giving up after "
                              f"{self.retries + 1} attempt(s): {last}")
 
     # -- public API -------------------------------------------------------
@@ -443,13 +412,3 @@ class ArchiveMirror:
                 else:
                     verified.append(rel)
         return {"verified": verified, "missing": missing, "corrupt": corrupt}
-
-
-@dataclass
-class _Target:
-    """Where one download comes from and goes to."""
-
-    url: str
-    final: Path
-    partial: Path
-    label: str

@@ -6,6 +6,8 @@ shard worker, federation edge — is a subclass of
 owns what they share: lifecycle (daemon thread or foreground), the
 connection loop with HTTP/1.1 keep-alive, the request-head parser and
 its 400/405/431 answers, ``HEAD``, the SIGTERM/SIGINT graceful drain.
+The same header-line code reads response heads for the one client
+built on raw streams, the federation edge (:func:`parse_status_head`).
 It imports nothing from the packages that build on it.
 
 Why asyncio: a thread per connection would make ten thousand idle SSE
@@ -24,7 +26,31 @@ import threading
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-__all__ = ["AsyncHTTPTransport"]
+__all__ = ["AsyncHTTPTransport", "parse_status_head"]
+
+
+def _header_fields(lines: list[str]) -> dict[str, str]:
+    """Header lines into a dict; names are lower-cased, later
+    duplicates win (none of the headers read here are list-valued in
+    practice)."""
+    headers: dict[str, str] = {}
+    for line in lines:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad header line: {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    return headers
+
+
+def parse_status_head(head: bytes) -> tuple[int, dict[str, str]]:
+    """Parse one response head into (status, headers)."""
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split(None, 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ValueError(f"bad status line: {lines[0]!r}")
+    return int(parts[1]), _header_fields(lines[1:])
 
 
 class _HeadOnly:
@@ -279,23 +305,13 @@ class AsyncHTTPTransport:
 
     @staticmethod
     def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
-        """Parse one request head into (method, target, version, headers);
-        header names are lower-cased, later duplicates win (none of the
-        headers this server reads are list-valued in practice)."""
+        """Parse one request head into (method, target, version, headers)."""
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
             raise ValueError(f"bad request line: {lines[0]!r}")
         method, target, version = parts
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"bad header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        return method, target, version, headers
+        return method, target, version, _header_fields(lines[1:])
 
     @staticmethod
     def _write_head(writer: asyncio.StreamWriter, status: int,

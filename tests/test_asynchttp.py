@@ -1,6 +1,7 @@
 """The one HTTP engine on its own: ``HEAD``, the error answers of the
-connection loop, and a fuzz of the request-head parser against a live
-server — asserted here once for every server that subclasses it."""
+connection loop, a fuzz of the request-head parser against a live
+server — asserted here once for every server that subclasses it — and
+the response-head reader that shares its header-line loop."""
 
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.asynchttp import AsyncHTTPTransport
+from repro.utils.asynchttp import AsyncHTTPTransport, parse_status_head
 
 BODY = json.dumps({"status": "ok"}).encode()
 
@@ -102,6 +103,23 @@ class TestConnectionLoop:
     def test_unparseable_target_is_400(self, server):
         raw = exchange(server, b"GET //[ HTTP/1.1\r\n\r\n")
         assert split_response(raw)[0] == 400
+
+
+class TestResponseHead:
+    def test_reads_what_the_transport_writes(self, server):
+        raw = exchange(server, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        status, headers = parse_status_head(head + b"\r\n\r\n")
+        assert status == 404
+        assert headers["connection"] == "keep-alive"
+        assert int(headers["content-length"]) == len(body)
+
+    @pytest.mark.parametrize("head", [
+        b"HTTP/1.1\r\n\r\n", b"HTTP/1.1 OK 200\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n"])
+    def test_malformed_heads_raise(self, head):
+        with pytest.raises(ValueError):
+            parse_status_head(head)
 
 
 def either(*samples, size):

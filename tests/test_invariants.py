@@ -84,7 +84,15 @@ class TestOneServerStack:
 
     def test_one_listening_socket_and_one_backoff(self):
         assert len(matches(r"asyncio\.start_server", SRC)) == 1
-        assert len(matches(r"def _backoff_delay", SRC)) <= 1
+        backoffs = matches(r"\*\s*\(?\s*2\s*\*\*", SRC)
+        assert [hit.partition(":")[0] for hit in backoffs] == [
+            "src/repro/utils/backoff.py"]
+
+    def test_one_response_head_parser(self):
+        federation = (SRC / "observatory" / "federation.py").read_text(
+            encoding="utf-8")
+        assert "Connection: close" not in federation
+        assert "_parse_response_head" not in federation
 
     def test_deleted_mirror_benchmark_stays_deleted(self):
         texts = [ROOT / "README.md", ROOT / "DESIGN.md",

@@ -5,8 +5,10 @@ partial answers, circuit breakers), the subprocess shard fleet under
 chaos, client retry behaviour, and graceful shutdown of both serve
 engines."""
 
+import asyncio
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -34,8 +36,11 @@ from repro.observatory import (
     partition_store,
     shard_for,
 )
+from repro.observatory import federation
 from repro.observatory.fleet import pick_free_port
 from repro.observatory.forensics import outbreak_id, outbreak_prefix
+from repro.utils.asynchttp import AsyncHTTPTransport
+from repro.utils.backoff import backoff_delay
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -411,6 +416,7 @@ class TestCircuitBreaker:
         clock = [0.0]
         breaker = CircuitBreaker(threshold=2, open_seconds=5.0,
                                  clock=lambda: clock[0])
+        breaker.record_success()
         assert breaker.state == "closed" and breaker.allow()
         breaker.record_failure()
         assert breaker.state == "closed" and breaker.allow()
@@ -479,6 +485,146 @@ class TestCircuitBreaker:
             fed.stop()
             for worker in workers:
                 worker.stop()
+
+
+def counted_worker(store_root, index, count, port=0):
+    """A started :class:`ShardWorker` whose server counts the
+    connections it accepts in ``server.accepted``."""
+    worker = ShardWorker(store_root, index, count, port=port)
+    server = worker.server
+    accept = server._on_connection
+
+    async def counting(reader, writer):
+        server.accepted += 1
+        await accept(reader, writer)
+
+    server.accepted = 0
+    server._on_connection = counting
+    return worker.start()
+
+
+class _ScriptedShard(AsyncHTTPTransport):
+    """Answers every request with one fixed raw response and keeps the
+    connection open whatever the response says; counts connections."""
+
+    def __init__(self, response: bytes):
+        super().__init__()
+        self.response = response
+        self.accepted = 0
+
+    async def _on_connection(self, reader, writer):
+        self.accepted += 1
+        await super()._on_connection(reader, writer)
+
+    async def _dispatch(self, path, params, headers, writer, keep_alive):
+        writer.write(self.response)
+        await writer.drain()
+        return True
+
+
+class TestShardConnections:
+    def test_sequential_reads_reuse_one_connection_per_shard(self,
+                                                             tmp_path):
+        build_store(tmp_path / "store", events=60)
+        workers = [counted_worker(tmp_path / "store", index, 3)
+                   for index in range(3)]
+        fed = FederatedObservatoryServer(
+            [worker.url for worker in workers]).start()
+        try:
+            bodies = {fetch(fed.url, "/outbreaks")[2] for _ in range(20)}
+            assert len(bodies) == 1
+            assert [worker.server.accepted for worker in workers] == [1, 1, 1]
+        finally:
+            fed.stop()
+            for worker in workers:
+                worker.stop()
+
+    def test_restarted_shard_is_redialled_uncounted(self, tmp_path):
+        build_store(tmp_path / "store", events=60)
+        ports = [pick_free_port() for _ in range(3)]
+        workers = [counted_worker(tmp_path / "store", index, 3,
+                                  port=ports[index])
+                   for index in range(3)]
+        fed = FederatedObservatoryServer(
+            [worker.url for worker in workers]).start()
+        try:
+            complete = fetch(fed.url, "/outbreaks")
+            workers[1].stop()
+            workers[1] = counted_worker(tmp_path / "store", 1, 3,
+                                        port=ports[1])
+            status, headers, body = fetch(fed.url, "/outbreaks")
+            assert status == 200 and PARTIAL_HEADER not in headers
+            assert body == complete[2]
+            assert headers["ETag"] == complete[1]["ETag"]
+            assert workers[1].server.accepted == 1
+            assert fed.retried_connects == 0
+            assert fed.shard_failures == [0, 0, 0]
+        finally:
+            fed.stop()
+            for worker in workers:
+                worker.stop()
+
+    @pytest.mark.parametrize("response, dials", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+         b"Connection: keep-alive\r\n\r\n{}", 1),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+         b"Connection: close\r\n\r\n{}", 2),
+        (b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\n", 2),
+    ], ids=["keep-alive", "close", "no-length"])
+    def test_only_complete_keep_alive_answers_are_pooled(self, response,
+                                                          dials):
+        shard = _ScriptedShard(response).start()
+        fed = FederatedObservatoryServer([shard.url]).start()
+        try:
+            for _ in range(2):
+                assert fetch(fed.url, "/metrics")[0] == 200
+            assert shard.accepted == dials
+        finally:
+            fed.stop()
+            shard.stop()
+
+    def test_breakers_wait_for_shards_that_never_answered(self, tmp_path):
+        build_store(tmp_path / "store", events=60)
+        ports = [pick_free_port() for _ in range(3)]
+        fed = FederatedObservatoryServer(
+            [f"http://127.0.0.1:{port}" for port in ports]).start()
+        workers = []
+        try:
+            for _ in range(5):
+                status, headers, _ = fetch(fed.url, "/outbreaks")
+                assert headers[PARTIAL_HEADER] == "shard-00,shard-01,shard-02"
+            assert [breaker.state for breaker in fed.breakers] == \
+                ["half-open"] * 3
+            workers = [ShardWorker(tmp_path / "store", index, 3,
+                                   port=ports[index]).start()
+                       for index in range(3)]
+            status, headers, _ = fetch(fed.url, "/outbreaks")
+            assert status == 200 and PARTIAL_HEADER not in headers
+            assert [breaker.state for breaker in fed.breakers] == \
+                ["closed"] * 3
+        finally:
+            fed.stop()
+            for worker in workers:
+                worker.stop()
+
+    def test_first_connect_retry_waits_the_pinned_delay(self, monkeypatch):
+        delays = []
+
+        def record(*args):
+            delays.append(backoff_delay(*args))
+            return 0.0  # the delay is what is pinned; do not wait it
+
+        monkeypatch.setattr(federation, "backoff_delay", record)
+        fed = FederatedObservatoryServer(
+            [f"http://127.0.0.1:{pick_free_port()}"])
+        with pytest.raises(OSError):
+            asyncio.run(fed._dial(0))
+        draw = random.Random(0).random()
+        # The parent's expression, ``delay + jitter * delay * U`` with
+        # delay 0.05 and jitter 0.5, to the last bit.
+        assert delays == [0.05 + 0.5 * 0.05 * draw]
+        assert delays[0] == pytest.approx(0.05 * (1 + 0.5 * draw))
+        assert fed.retried_connects == 1
 
 
 @pytest.mark.slow

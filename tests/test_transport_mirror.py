@@ -224,6 +224,23 @@ class TestFaultInjection:
         finally:
             proxy.stop()
 
+    def test_no_pause_after_the_last_attempt(self, source, tmp_path):
+        _, server = source
+        plan = FaultPlan(script=[("updates.", "error")])
+        proxy = FaultyProxy(server.url, plan).start()
+        try:
+            sleeps = []
+            mirror = make_mirror(proxy.url, tmp_path / "dst", retries=0,
+                                 sleep=sleeps.append)
+            report = mirror.sync()
+            assert plan.injected["error"] == 1
+            assert sleeps == []
+            assert report.retries == 0
+            assert len(report.failures) == 1
+            assert "giving up" in report.failures[0]
+        finally:
+            proxy.stop()
+
     def test_strict_sync_raises(self, source, tmp_path):
         _, server = source
         plan = FaultPlan(script=[("updates.", "drop")] * 5)
