@@ -74,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="BGPStream filter pushed down into the read "
                              "path, e.g. 'peer 25091 and ipversion 6'")
     detect.add_argument("--on-error", choices=["strict", "skip", "quarantine"],
-                        default=None,
+                        default="skip",
                         help="poison-record policy: fail fast, skip and "
-                             "count, or skip and preserve raw bytes in a "
-                             ".quarantine sidecar")
+                             "count (default), or skip and preserve raw "
+                             "bytes in a .quarantine sidecar")
 
     index = sub.add_parser(
         "index", help="write sidecar file indexes for an existing archive")
@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "with --supervise")
     ingest.add_argument("--on-error",
                         choices=["strict", "skip", "quarantine"],
-                        default=None,
-                        help="poison-record policy for the decode path")
+                        default="skip",
+                        help="poison-record policy for the decode path "
+                             "(default skip)")
     ingest.add_argument("--supervise", action="store_true",
                         help="run under the crash-restarting supervisor "
                              "(restores from the checkpoint after a crash)")
@@ -389,12 +390,7 @@ def _cmd_detect(args) -> int:
     records = list(archive.iter_updates(
         start, end + args.threshold_minutes * MINUTE + 3600,
         record_filter=record_filter))
-    decode = archive.decode_stats
-    if not decode.clean:
-        print(f"decode: {decode.records_skipped} record(s) skipped, "
-              f"{decode.bytes_quarantined} byte(s) quarantined, "
-              f"{decode.files_with_errors} file(s) with errors",
-              file=sys.stderr)
+    _print_decode_stats(archive)
     config = DetectorConfig(threshold=args.threshold_minutes * MINUTE,
                             dedup=not args.no_dedup)
     result = ZombieDetector(config).detect(records, intervals)

@@ -10,7 +10,7 @@ from repro.mrt.bgp4mp import (
 )
 from repro.mrt.files import (
     MRTDecodeError,
-    iter_raw_records,
+    read_rib_file,
     read_updates_file,
     write_updates_file,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "encode_update_record",
     "RecordDecoder",
     "MRTDecodeError",
-    "iter_raw_records",
+    "read_rib_file",
     "read_updates_file",
     "write_updates_file",
     "DecodeStats",

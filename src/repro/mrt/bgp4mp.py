@@ -61,7 +61,10 @@ COLLECTOR_ASN = 12654  # RIPE NCC RIS AS
 
 # Precompiled wire codecs — the decode path runs once per record of
 # every archive file, so repeated format-string parsing is measurable.
-_MRT_HDR = struct.Struct("!IHHI")
+#: The MRT common header (timestamp, type, subtype, body length).
+MRT_HEADER = struct.Struct("!IHHI")
+#: What malformed record bytes raise out of the BGP4MP and TDV2 decoders.
+DECODE_ERRORS = (ValueError, IndexError, struct.error)
 _ASN_PAIR_AS4 = struct.Struct("!II")
 _ASN_PAIR_AS2 = struct.Struct("!HH")
 _U16_PAIR = struct.Struct("!HH")
@@ -89,11 +92,11 @@ class MRTRecordHeader:
 def encode_mrt_record(timestamp: int, mrt_type: int, subtype: int,
                       body: bytes) -> bytes:
     """Wrap a record body in the MRT common header."""
-    return _MRT_HDR.pack(timestamp, mrt_type, subtype, len(body)) + body
+    return MRT_HEADER.pack(timestamp, mrt_type, subtype, len(body)) + body
 
 
 def decode_mrt_header(data: bytes, offset: int = 0) -> MRTRecordHeader:
-    timestamp, mrt_type, subtype, length = _MRT_HDR.unpack_from(data, offset)
+    timestamp, mrt_type, subtype, length = MRT_HEADER.unpack_from(data, offset)
     return MRTRecordHeader(timestamp, mrt_type, subtype, length)
 
 

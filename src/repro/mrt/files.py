@@ -3,43 +3,35 @@
 RIPE RIS publishes updates as gzip-compressed concatenations of MRT
 records, RouteViews as bzip2.  This module owns that container — one
 read opener (:func:`open_mrt`) and one deterministic writer
-(:func:`create_mrt`), codec picked from the file suffix — and the
-**one** loop that decodes an updates file into records
-(:func:`read_updates_file`, with one
-:class:`~repro.mrt.bgp4mp.RecordDecoder` per file); every archive
-layout, error policy and filter goes through it.
+(:func:`create_mrt`), codec picked from the file suffix — and the two
+file readers, :func:`read_updates_file` and :func:`read_rib_file`, both
+on :class:`~repro.mrt.resilient.ResilientReader` under one
+:class:`~repro.mrt.resilient.ErrorPolicy`; every archive layout, error
+policy and filter goes through them.
 """
 
 from __future__ import annotations
 
 import bz2
 import gzip
-import struct
-import zlib
-from contextlib import ExitStack, contextmanager
-from functools import partial
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.bgp.messages import Record, StateRecord, UpdateRecord, record_sort_key
 from repro.mrt.bgp4mp import (
+    DECODE_ERRORS,
     RecordDecoder,
-    decode_mrt_header,
     encode_state_record,
     encode_update_record,
 )
 from repro.mrt.constants import MRT_BGP4MP
-from repro.mrt.resilient import DecodeStats, ErrorPolicy, ResilientReader
+from repro.mrt.resilient import (DecodeStats, ErrorPolicy, MRTDecodeError,
+                                 ResilientReader)
+from repro.mrt.tabledump import RibDump, decode_rib_stream
 
 __all__ = ["open_mrt", "create_mrt", "write_updates_file", "read_updates_file",
-           "iter_raw_records", "MRTDecodeError"]
-
-#: What a malformed BGP4MP body raises out of the decoder.
-_RECORD_ERRORS = (ValueError, struct.error)
-
-
-class MRTDecodeError(ValueError):
-    """A record could not be decoded (corruption, unsupported feature)."""
+           "read_rib_file", "MRTDecodeError"]
 
 
 def open_mrt(path: Union[str, Path]):
@@ -87,66 +79,17 @@ def write_updates_file(path: Union[str, Path], records: Iterable[Record],
     return len(items)
 
 
-def iter_raw_records(path: Union[str, Path]) -> Iterator[tuple]:
-    """Yield ``(header, body)`` pairs from an MRT file, strictly.
-
-    Records are read *streaming* from the decompressor — header, then
-    body — so a multi-megabyte archive file never has to be held in
-    memory as one contiguous buffer.  Structural damage raises
-    :class:`MRTDecodeError`; :class:`~repro.mrt.resilient.ResilientReader`
-    is the source that resyncs instead.
-    """
-    try:
-        with open_mrt(path) as handle:
-            while True:
-                head = handle.read(12)
-                if not head:
-                    return
-                if len(head) < 12:
-                    raise MRTDecodeError(
-                        f"{path}: trailing garbage ({len(head)} bytes)")
-                header = decode_mrt_header(head)
-                body = handle.read(header.length)
-                if len(body) != header.length:
-                    raise MRTDecodeError(f"{path}: truncated record")
-                yield header, body
-    except (EOFError, OSError, zlib.error) as exc:
-        # Corrupted/foreign compressed stream: carry the file path so
-        # the serial and process-pool paths report identically.
-        raise MRTDecodeError(f"{path}: {exc}") from exc
-
-
-def _ignore(header, body, exc=None) -> None:
-    """The default policy: an undecodable record is dropped silently."""
-
-
-def _fail(path, header, body, exc=None) -> None:
-    """The strict policy: an undecodable record aborts the file."""
-    reason = exc if exc is not None else (
-        f"unexpected MRT type {header.mrt_type} in updates file")
-    raise MRTDecodeError(f"{path}: {reason}") from exc
-
-
 def read_updates_file(path: Union[str, Path], collector: str,
                       record_filter=None,
-                      error_policy: Optional[str] = None,
+                      error_policy: str = ErrorPolicy.SKIP,
                       stats: Optional[DecodeStats] = None
                       ) -> Iterator[Record]:
     """Decode an MRT updates file into Update/State records.
 
-    ``error_policy`` (:class:`~repro.mrt.resilient.ErrorPolicy`) picks,
-    once per file, where raw records come from and what a bad one costs:
-
-    ``None``          (default) records that fail to decode — and
-                      non-BGP4MP records — are skipped silently; a
-                      corrupt compressed stream or torn record raises
-                      :class:`MRTDecodeError`;
-    ``"strict"``      any of the above raises :class:`MRTDecodeError`
-                      with file context (fail-fast batch mode);
-    ``"skip"``        bad records and garbage runs are contained via
-                      header resync and counted into ``stats``;
-    ``"quarantine"``  like ``skip``, plus the raw bad bytes are
-                      preserved in a ``<name>.quarantine`` sidecar.
+    A record that is not BGP4MP or fails to decode is rejected through
+    the file's :class:`~repro.mrt.resilient.ResilientReader`: under
+    ``strict`` that raises :class:`MRTDecodeError`, otherwise it costs
+    exactly that record and is counted into ``stats``.
 
     ``record_filter`` (a :class:`repro.ris.pushdown.RecordFilter`) pushes
     stream-level filtering down to decode time: peer clauses are tested
@@ -154,39 +97,36 @@ def read_updates_file(path: Union[str, Path], collector: str,
     fields *before* path attributes are decoded, and only records for
     which ``record_filter.matches_record`` holds are yielded.
     """
-    policy = (ErrorPolicy.validate(error_policy)
-              if error_policy is not None else None)
-    with ExitStack() as stack:
-        if policy in (ErrorPolicy.SKIP, ErrorPolicy.QUARANTINE):
-            # Containment is the point: any decode failure — struct
-            # underrun, bad marker, invalid enum, short body — and any
-            # RIB or foreign record costs exactly that record.
-            reader = stack.enter_context(
-                ResilientReader(path, policy, stats=stats))
-            raws = reader.iter_raw(stack.enter_context(open_mrt(path)))
-            stats, caught, reject = (reader.stats, Exception,
-                                     reader.quarantine_record)
-        else:
-            raws, caught = iter_raw_records(path), _RECORD_ERRORS
-            reject = _ignore if policy is None else partial(_fail, path)
+    with ResilientReader(path, error_policy, stats) as reader, \
+            open_mrt(path) as handle:
+        stats = reader.stats
         decoder = RecordDecoder()
-        for header, body in raws:
+        for header, body in reader.iter_raw(handle):
             if header.mrt_type != MRT_BGP4MP:
-                reject(header, body)
+                reader.quarantine_record(header, body)
                 continue
             try:
                 if record_filter is not None and not decoder.prematch(
                         header, body, record_filter):
                     continue
                 records = decoder.decode(header, body, collector)
-            except caught as exc:
-                reject(header, body, exc)
+            except DECODE_ERRORS as exc:
+                reader.quarantine_record(header, body, exc)
                 continue
-            if stats is not None:
-                stats.records_decoded += 1
+            stats.records_decoded += 1
             if record_filter is None:
                 yield from records
             else:
                 for record in records:
                     if record_filter.matches_record(record):
                         yield record
+
+
+def read_rib_file(path: Union[str, Path],
+                  error_policy: str = ErrorPolicy.SKIP,
+                  stats: Optional[DecodeStats] = None) -> Optional[RibDump]:
+    """Decode one bview; None when the policy contained it as a whole
+    (:func:`~repro.mrt.tabledump.decode_rib_stream`)."""
+    with ResilientReader(path, error_policy, stats) as reader, \
+            open_mrt(path) as handle:
+        return decode_rib_stream(reader, handle)

@@ -8,14 +8,15 @@ and the attributes of that route.  The lifespan analysis
 
 from __future__ import annotations
 
+import io
 import ipaddress
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from repro.bgp.attributes import PathAttributes
 from repro.mrt.attr_codec import AttributeDecoder, encode_attributes
-from repro.mrt.bgp4mp import decode_mrt_header, encode_mrt_record
+from repro.mrt.bgp4mp import DECODE_ERRORS, MRTRecordHeader, encode_mrt_record
 from repro.mrt.constants import (
     MRT_TABLE_DUMP_V2,
     PEER_TYPE_AS4,
@@ -24,9 +25,11 @@ from repro.mrt.constants import (
     TDV2_RIB_IPV4_UNICAST,
     TDV2_RIB_IPV6_UNICAST,
 )
+from repro.mrt.resilient import ErrorPolicy, ResilientReader
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
-__all__ = ["RibPeer", "RibEntry", "RibDump", "encode_rib_dump", "decode_rib_dump"]
+__all__ = ["RibPeer", "RibEntry", "RibDump", "encode_rib_dump",
+           "decode_rib_stream", "decode_rib_dump"]
 
 
 @dataclass(frozen=True)
@@ -145,41 +148,65 @@ def _decode_peer_index(body: bytes,
     return collector, peers
 
 
-def decode_rib_dump(data: bytes) -> RibDump:
-    """Parse a full bview byte blob back into a :class:`RibDump`; one
-    :class:`~repro.mrt.attr_codec.AttributeDecoder` serves the file."""
+def _decode_rib_entries(header: MRTRecordHeader, body: bytes,
+                        decoder: AttributeDecoder) -> tuple[Prefix, list[RibEntry]]:
+    if header.subtype not in (TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST):
+        raise ValueError(f"unsupported TABLE_DUMP_V2 subtype {header.subtype}")
+    afi = (AFI_IPV4 if header.subtype == TDV2_RIB_IPV4_UNICAST else AFI_IPV6)
+    prefix, pos = decoder.prefix(body, afi, 4)  # after the sequence number
+    (count,) = struct.unpack_from("!H", body, pos)
+    pos += 2
+    entries: list[RibEntry] = []
+    for _ in range(count):
+        peer_index, originated, attr_len = struct.unpack_from("!HIH", body, pos)
+        pos += 8
+        attributes = decoder.attributes(body[pos:pos + attr_len],
+                                        rib_entry=True)[0]
+        if attributes is None:
+            raise ValueError("RIB entry carried no AS_PATH")
+        pos += attr_len
+        entries.append(RibEntry(peer_index, originated, attributes))
+    return prefix, entries
+
+
+def decode_rib_stream(reader: ResilientReader,
+                      handle: BinaryIO) -> Optional[RibDump]:
+    """The bview decode loop, one :class:`AttributeDecoder` per file.
+
+    A bview is contained **as a whole**: once ``reader`` met any damage
+    (``strict`` raises instead) the dump is dropped — None — and every
+    record it held counts as skipped, since a partial table would end
+    presence segments and fabricate §5.1 resurrections."""
     decoder = AttributeDecoder()
-    offset = 0
     dump: Optional[RibDump] = None
-    while offset < len(data):
-        header = decode_mrt_header(data, offset)
-        body = data[offset + 12:offset + 12 + header.length]
-        offset += 12 + header.length
-        if header.mrt_type != MRT_TABLE_DUMP_V2:
-            raise ValueError(f"unexpected MRT type {header.mrt_type} in RIB dump")
-        if header.subtype == TDV2_PEER_INDEX_TABLE:
-            collector, peers = _decode_peer_index(body, decoder)
-            dump = RibDump(header.timestamp, collector, peers)
+    decoded = 0
+    for header, body in reader.iter_raw(handle):
+        try:
+            if header.mrt_type != MRT_TABLE_DUMP_V2:
+                raise ValueError(
+                    f"unexpected MRT type {header.mrt_type} in RIB dump")
+            if header.subtype == TDV2_PEER_INDEX_TABLE:
+                dump = RibDump(header.timestamp, *_decode_peer_index(body, decoder))
+            elif dump is None:
+                raise ValueError("RIB record before PEER_INDEX_TABLE")
+            else:
+                prefix, entries = _decode_rib_entries(header, body, decoder)
+                dump.entries[prefix] = entries
+        except DECODE_ERRORS as exc:
+            reader.quarantine_record(header, body, exc)
             continue
-        if dump is None:
-            raise ValueError("RIB record before PEER_INDEX_TABLE")
-        if header.subtype not in (TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST):
-            raise ValueError(f"unsupported TABLE_DUMP_V2 subtype {header.subtype}")
-        afi = (AFI_IPV4 if header.subtype == TDV2_RIB_IPV4_UNICAST else AFI_IPV6)
-        prefix, pos = decoder.prefix(body, afi, 4)  # after the sequence number
-        (count,) = struct.unpack_from("!H", body, pos)
-        pos += 2
-        entries: list[RibEntry] = []
-        for _ in range(count):
-            peer_index, originated, attr_len = struct.unpack_from("!HIH", body, pos)
-            pos += 8
-            attributes = decoder.attributes(body[pos:pos + attr_len],
-                                            rib_entry=True)[0]
-            if attributes is None:
-                raise ValueError("RIB entry carried no AS_PATH")
-            pos += attr_len
-            entries.append(RibEntry(peer_index, originated, attributes))
-        dump.entries[prefix] = entries
-    if dump is None:
-        raise ValueError("empty RIB dump")
+        decoded += 1
+    if dump is None and not reader.had_errors:
+        reader.reject_file("empty RIB dump")
+    if reader.had_errors:
+        reader.stats.records_skipped += decoded
+        return None
+    reader.stats.records_decoded += decoded
     return dump
+
+
+def decode_rib_dump(data: bytes) -> RibDump:
+    """Parse a full bview byte blob back into a :class:`RibDump`, under
+    ``strict``."""
+    with ResilientReader("<bview bytes>", ErrorPolicy.STRICT) as reader:
+        return decode_rib_stream(reader, io.BytesIO(data))

@@ -1,7 +1,7 @@
 """Seeded corruption of on-disk archives, for chaos testing the ingest.
 
-The chaos harness (``scripts/chaos_ingest.py``, the chaos-smoke CI job
-and the resilience tests) needs to damage archive files the way real
+The chaos-smoke CI job and the resilience tests
+(``tests/test_ris_chaos.py``) need to damage archive files the way real
 collectors do — flipped bytes inside records, garbage runs between
 records, files torn mid-record — while knowing *exactly* which records
 were destroyed, so a supervised tolerant ingest can be asserted
@@ -38,20 +38,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.mrt.bgp4mp import MRTRecordHeader
+from repro.mrt.bgp4mp import MRTRecordHeader, encode_mrt_record
 from repro.mrt.constants import (
     BGP4MP_MESSAGE_AS4,
     BGP4MP_STATE_CHANGE,
     BGP4MP_STATE_CHANGE_AS4,
 )
-from repro.mrt.files import create_mrt, iter_raw_records
+from repro.mrt.files import create_mrt, open_mrt
+from repro.mrt.resilient import ErrorPolicy, ResilientReader
 from repro.net.prefix import AFI_IPV4
 from repro.ris.archive import RIS_LAYOUT, Layout
 from repro.ris.index import index_path
 
 __all__ = ["ChaosReport", "corrupt_archive", "build_reference_archive"]
 
-_MRT_HDR = struct.Struct("!IHHI")
 _U16_PAIR = struct.Struct("!HH")
 
 #: Garbage filler; no 12-byte window over it is a plausible MRT header.
@@ -84,6 +84,13 @@ class ChaosReport:
         for rel, indexes in other.destroyed.items():
             merged = sorted(set(self.destroyed.get(rel, [])) | set(indexes))
             self.destroyed[rel] = merged
+
+
+def _raw_records(path: Path) -> list[tuple[MRTRecordHeader, bytes]]:
+    """Every record of a clean file, read strictly."""
+    with ResilientReader(path, ErrorPolicy.STRICT) as reader, \
+            open_mrt(path) as handle:
+        return list(reader.iter_raw(handle))
 
 
 def _poison_record(header: MRTRecordHeader, body: bytes) -> bytes:
@@ -129,8 +136,9 @@ def corrupt_archive(root: Union[str, Path], *,
     the per-record probability of a garbage run being inserted before
     it, ``truncate_rate`` the per-file probability of tearing the file
     mid-way through its final record.  ``predicate`` (on the file path)
-    restricts which files are eligible — the chaos harness uses it to
-    corrupt the not-yet-ingested half of a window mid-run.
+    restricts which files are eligible — the chaos tests use it to
+    corrupt the not-yet-ingested half of a window mid-run.  Eligible
+    files must be clean: they are read under ``strict``.
 
     Returns a :class:`ChaosReport`; ``report.destroyed`` is exactly what
     :func:`build_reference_archive` needs to construct the clean archive
@@ -143,7 +151,7 @@ def corrupt_archive(root: Union[str, Path], *,
         if predicate is not None and not predicate(path):
             continue
         report.files_seen += 1
-        raws = [(header, body) for header, body in iter_raw_records(path)]
+        raws = _raw_records(path)
         report.records_total += len(raws)
         destroyed: list[int] = []
         pieces: list[bytes] = []
@@ -159,8 +167,8 @@ def corrupt_archive(root: Union[str, Path], *,
                 body = _poison_record(header, body)
                 destroyed.append(position)
                 damaged = True
-            pieces.append(_MRT_HDR.pack(header.timestamp, header.mrt_type,
-                                        header.subtype, header.length) + body)
+            pieces.append(encode_mrt_record(
+                header.timestamp, header.mrt_type, header.subtype, body))
         if truncate_rate and raws and rng.random() < truncate_rate:
             final = len(raws) - 1
             if final not in destroyed:
@@ -187,7 +195,7 @@ def build_reference_archive(clean_root: Union[str, Path],
 
     A tolerant ingest of the corrupted archive must observe exactly the
     record stream this archive decodes to — which is what lets the chaos
-    harness assert byte-identical event stores.
+    tests assert byte-identical event stores.
     """
     clean_root = Path(clean_root)
     dest_root = Path(dest_root)
@@ -199,10 +207,9 @@ def build_reference_archive(clean_root: Union[str, Path],
         drop = set(indexes)
         kept: list[bytes] = []
         for position, (header, body) in enumerate(
-                iter_raw_records(clean_root / rel)):
-            if position in drop:
-                continue
-            kept.append(_MRT_HDR.pack(header.timestamp, header.mrt_type,
-                                      header.subtype, header.length) + body)
+                _raw_records(clean_root / rel)):
+            if position not in drop:
+                kept.append(encode_mrt_record(
+                    header.timestamp, header.mrt_type, header.subtype, body))
         _rewrite(path, b"".join(kept))
     return dest_root

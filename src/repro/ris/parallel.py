@@ -16,9 +16,10 @@ Worker failures carry context: every exception escaping a worker is
 wrapped in :class:`~repro.mrt.files.MRTDecodeError` tagged with the
 source file path, so the parallel and serial paths report identically
 and a crashed pool never hides *which* archive file was poisoned.
-Under a tolerant :class:`~repro.mrt.resilient.ErrorPolicy` the workers
-additionally ship their per-file :class:`~repro.mrt.resilient.
-DecodeStats` back to the parent for aggregation.
+Each worker reads its file under the archive's
+:class:`~repro.mrt.resilient.ErrorPolicy` and ships its per-file
+:class:`~repro.mrt.resilient.DecodeStats` back to the parent for
+aggregation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.bgp.messages import Record, merge_records
 from repro.mrt.files import MRTDecodeError, read_updates_file
-from repro.mrt.resilient import DecodeStats
+from repro.mrt.resilient import DecodeStats, ErrorPolicy
 from repro.ris.cache import DecodedFileCache
 from repro.ris.pushdown import RecordFilter
 
@@ -43,14 +44,14 @@ PREFETCH_PER_COLLECTOR = 2
 
 def decode_file(path: str, collector: str,
                 record_filter: Optional[RecordFilter] = None,
-                error_policy: Optional[str] = None
+                error_policy: str = ErrorPolicy.SKIP
                 ) -> tuple[list[Record], dict]:
     """Worker entry point: fully decode one update file.
 
     Module-level so it pickles; returns ``(records, stats_dict)`` —
     records cross the process boundary in one batch per file, and the
-    stats dict carries the tolerant-decode counters (all zero when the
-    file was clean or the policy is strict/legacy).
+    stats dict carries the decode counters (containment counters all
+    zero when the file was clean).
     """
     stats = DecodeStats()
     try:
@@ -87,7 +88,7 @@ def worker_pool(workers: int):
 def _collector_stream(pool: Executor, collector: str, paths: Sequence[Path],
                       record_filter: Optional[RecordFilter],
                       cache: Optional[DecodedFileCache],
-                      error_policy: Optional[str],
+                      error_policy: str,
                       stats: Optional[DecodeStats]) -> Iterator[Record]:
     """Records of one collector, files decoded ahead out-of-process but
     yielded strictly in file order."""
@@ -127,7 +128,7 @@ def iter_plan_parallel(pool: Executor,
                        plan: Sequence[tuple[str, Sequence[Path]]],
                        record_filter: Optional[RecordFilter] = None,
                        cache: Optional[DecodedFileCache] = None,
-                       error_policy: Optional[str] = None,
+                       error_policy: str = ErrorPolicy.SKIP,
                        stats: Optional[DecodeStats] = None
                        ) -> Iterator[Record]:
     """Decode a ``[(collector, paths), ...]`` plan on ``pool`` and merge

@@ -8,8 +8,11 @@ with :class:`repro.mrt.bgp4mp.RecordDecoder`.  The differential
 properties in ``test_mrt_differential.py`` hold the decoder to it.
 """
 
+import bz2
+import gzip
 import ipaddress
 import struct
+from collections import namedtuple
 
 from repro.bgp import (
     Aggregator,
@@ -31,6 +34,26 @@ from repro.mrt.constants import (
     SAFI_UNICAST,
 )
 from repro.net import AFI_IPV4, Prefix
+
+
+RawHeader = namedtuple("RawHeader", "timestamp mrt_type subtype length")
+
+
+def split_mrt(path):
+    """The ``(header, body)`` records of a clean MRT file (bzip2 by the
+    ``.bz2`` suffix, else gzip), framed by the standard library alone."""
+    opener = bz2.open if str(path).endswith(".bz2") else gzip.open
+    with opener(path, "rb") as handle:
+        data = handle.read()
+    records, offset = [], 0
+    while offset < len(data):
+        header = RawHeader(*struct.unpack_from("!IHHI", data, offset))
+        body = data[offset + 12:offset + 12 + header.length]
+        if len(body) != header.length:
+            raise ValueError(f"{path}: truncated record at {offset}")
+        records.append((header, body))
+        offset += 12 + header.length
+    return records
 
 
 def prefix_from_wire(data, afi):

@@ -5,6 +5,7 @@ cache — held to the same oracle in both on-disk layouts (the
 
 import pytest
 
+from mrt_reference import split_mrt
 from repro.bgp import (
     Announcement,
     ASPath,
@@ -16,7 +17,7 @@ from repro.bgp import (
 )
 from repro.bgpstream import BGPStream, compile_filter
 from repro.bgpstream.stream import _match_elem
-from repro.mrt import RecordDecoder, iter_raw_records
+from repro.mrt import RecordDecoder
 from repro.mrt.files import create_mrt
 from repro.net import Prefix
 from repro.ris import (
@@ -399,7 +400,7 @@ class TestPrematchWalker:
                 if isinstance(record, UpdateRecord):
                     decoded_prefixes.add(record.prefix)
             walked = set()
-            for header, body in iter_raw_records(path):
+            for header, body in split_mrt(path):
                 walked.update(RecordDecoder().update_prefixes(header, body))
             # The walker is a (cheap) superset of the decoded prefixes.
             assert decoded_prefixes <= walked

@@ -179,3 +179,22 @@ def test_one_store_behind_the_fleet():
                          append.args.args + append.args.kwonlyargs}
     assert matches(r"\b(fsck_fleet|fleet_shard_roots|sync_once|"
                    r"SIDECAR_NAME)\b", SRC) == []
+
+
+class TestOneRecordSource:
+    """Every updates file and bview is split into records by
+    ``ResilientReader`` under one of three policies."""
+
+    def test_one_header_decode_site(self):
+        assert [hit.partition(":")[0] for hit in matches(
+            r"(?<!def )\bdecode_mrt_header\(", SRC)] == [
+            "src/repro/mrt/resilient.py"]
+
+    def test_one_header_struct(self):
+        assert [hit.partition(":")[0] for hit in matches(
+            r"Struct\(\s*[\"']!IHHI[\"']", SRC)] == [
+            "src/repro/mrt/bgp4mp.py"]
+
+    def test_no_fourth_policy(self):
+        assert matches(r"error_policy\s*:\s*Optional|policy is None",
+                       SRC / "mrt", SRC / "ris") == []

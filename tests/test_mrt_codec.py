@@ -1,6 +1,7 @@
 """Round-trip tests for the MRT binary codec."""
 
 import gzip
+import struct
 
 import pytest
 from hypothesis import given
@@ -170,6 +171,63 @@ class TestAttrCodec:
         assert announced == [Prefix("2001:db8:1::/48")]
 
 
+def splice_attribute(blob, attribute):
+    """``blob`` — one BGP4MP_MESSAGE_AS4 UPDATE record as
+    ``encode_update_record`` writes it — with ``attribute`` appended to
+    its path-attribute block, and the attribute-block, BGP message and
+    MRT lengths fixed to match."""
+    (afi,) = struct.unpack_from("!H", blob, 12 + 10)
+    bgp = 12 + 12 + 2 * (4 if afi == 1 else 16)  # after the BGP4MP header
+    (withdrawn,) = struct.unpack_from("!H", blob, bgp + 19)
+    block_at = bgp + 21 + withdrawn
+    (block,) = struct.unpack_from("!H", blob, block_at)
+    end = block_at + 2 + block
+    out = bytearray(blob[:end] + attribute + blob[end:])
+    struct.pack_into("!H", out, block_at, block + len(attribute))
+    (message,) = struct.unpack_from("!H", blob, bgp + 16)
+    struct.pack_into("!H", out, bgp + 16, message + len(attribute))
+    struct.pack_into("!I", out, 8, len(out) - 12)
+    return bytes(out)
+
+
+UNUSED_ATTRIBUTES = {
+    "med": struct.pack("!BBBI", 0x80, 4, 4, 100),
+    "local_pref": struct.pack("!BBBI", 0x40, 5, 4, 200),
+    "atomic_aggregate": struct.pack("!BBB", 0x40, 6, 0),
+    "large_community": struct.pack("!BBB3I", 0xC0, 32, 12, 25091, 1, 2),
+    "large_community_extended": struct.pack("!BBH6I", 0xD0, 32, 24,
+                                            25091, 1, 2, 8298, 3, 4),
+}
+
+
+class TestUnusedAttributes:
+    """Attributes the decoder reads nothing from are skipped by their
+    length: the record decodes, strictly, as if they were absent."""
+
+    @pytest.mark.parametrize("name", sorted(UNUSED_ATTRIBUTES))
+    @pytest.mark.parametrize("record", [
+        UpdateRecord(1717500000, "rrc00", "2001:db8::2", 25091,
+                     Announcement(Prefix("2a0d:3dc1:1145::/48"),
+                                  v6_attrs(25091, 8298, 210312))),
+        UpdateRecord(1717500000, "rrc00", "192.0.2.9", 25091,
+                     Announcement(Prefix("93.175.149.0/24"),
+                                  v4_attrs(25091, 12654))),
+    ], ids=["v6", "v4"])
+    def test_skipped_under_strict(self, tmp_path, name, record):
+        path = tmp_path / "updates.gz"
+        blob = splice_attribute(encode_update_record(record),
+                                UNUSED_ATTRIBUTES[name])
+        with gzip.open(path, "wb") as handle:
+            handle.write(blob)
+        assert list(read_updates_file(path, "rrc00",
+                                      error_policy="strict")) == [record]
+
+    @pytest.mark.parametrize("type_code", [17, 18])
+    def test_as4_attributes_still_raise(self, type_code):
+        with pytest.raises(ValueError, match="unsupported attribute"):
+            AttributeDecoder().attributes(bytes([0xC0, type_code, 0]))
+
+
 class TestFiles:
     def _records(self):
         return [
@@ -216,7 +274,7 @@ class TestFiles:
         with gzip.open(path, "wb") as handle:
             handle.write(struct.pack("!IHHI", 999, 16, 4, 100) + b"\x00" * 10)
         with pytest.raises(MRTDecodeError):
-            list(read_updates_file(path, "rrc00"))
+            list(read_updates_file(path, "rrc00", error_policy="strict"))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "updates.gz"

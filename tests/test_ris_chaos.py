@@ -11,6 +11,7 @@ from repro.observatory import (
     ObservatoryIngest,
     ObservatorySupervisor,
     build_synthetic_archive,
+    fsck,
 )
 from repro.ris import (
     Archive,
@@ -18,6 +19,7 @@ from repro.ris import (
     build_reference_archive,
     corrupt_archive,
 )
+from repro.ris.archive import _parse_file_stamp
 
 RATE = 0.08
 GARBAGE = 0.05
@@ -154,5 +156,66 @@ class TestSupervisedChaosIngest:
         assert supervisor.restarts == 0  # tolerant decode, no crashes
         assert supervisor.state == "degraded"  # ...but poison was skipped
         assert supervisor.records_skipped > 0
+        assert EventStore(chaos_dir, readonly=True).raw_bytes() == \
+            EventStore(ref_dir, readonly=True).raw_bytes()
+
+    def test_mid_run_corruption_crash_and_resume_converge(self, clean,
+                                                          tmp_path):
+        """Damage the first half of the updates files up front, then —
+        once the ingest's watermark crosses the midpoint — damage only
+        files strictly past the watermark and crash the ingest.  The
+        resumed quarantine ingest must converge on the store of a clean
+        ingest of exactly the surviving records, and pass the doctor."""
+        root, scen = clean
+        dirty = tmp_path / "dirty"
+        shutil.copytree(scen.root, dirty)
+        stamps = sorted(_parse_file_stamp(path.name)
+                        for path in dirty.glob("*/*/updates.*.gz"))
+        midpoint = stamps[len(stamps) // 2]
+        report = corrupt_archive(
+            dirty, rate=RATE, garbage_rate=GARBAGE, truncate_rate=TRUNCATE,
+            seed=11, predicate=lambda p: _parse_file_stamp(p.name) < midpoint)
+
+        chaos_dir = tmp_path / "store-chaos"
+        store = EventStore(chaos_dir)
+
+        def factory():
+            return ObservatoryIngest(
+                Archive(dirty, error_policy="quarantine"), store,
+                chaos_dir / "ckpt.json", scen.intervals,
+                scen.start, scen.end, checkpoint_every=100)
+
+        fired = []
+
+        def mid_run_chaos(ingest):
+            watermark = ingest._updates_watermark
+            if fired or watermark is None or watermark < midpoint:
+                return
+            late = corrupt_archive(
+                dirty, rate=RATE, garbage_rate=GARBAGE,
+                truncate_rate=TRUNCATE, seed=12,
+                predicate=lambda p: _parse_file_stamp(p.name) > watermark)
+            fired.append(late)
+            report.merge(late)
+            raise RuntimeError("chaos: injected mid-ingest crash")
+
+        supervisor = ObservatorySupervisor(factory, batch_records=10,
+                                           sleep=lambda s: None)
+        assert supervisor.run(on_batch=mid_run_chaos) is True
+        store.close()
+        (late,) = fired
+        assert late.records_destroyed > 0 and supervisor.restarts == 1
+        assert supervisor.records_skipped >= \
+            report.records_destroyed - report.truncations
+        assert fsck(chaos_dir).clean
+
+        reference = build_reference_archive(scen.root, tmp_path / "ref",
+                                            report.destroyed)
+        ref_dir = tmp_path / "store-ref"
+        ref_store = EventStore(ref_dir)
+        ObservatoryIngest(Archive(reference), ref_store,
+                          ref_dir / "ckpt.json", scen.intervals,
+                          scen.start, scen.end).finish()
+        ref_store.close()
         assert EventStore(chaos_dir, readonly=True).raw_bytes() == \
             EventStore(ref_dir, readonly=True).raw_bytes()
