@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = obs.add_parser(
         "serve", help="serve the JSON/metrics API over an event store")
     serve.add_argument("store", help="event store directory")
-    serve.add_argument("--archive", default=None,
-                       help="archive root (adds read-path metrics)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8480)
 
@@ -216,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--port", type=int, default=8490,
                         help="federated query port (shard worker ports "
                              "are OS-assigned)")
-    fserve.add_argument("--retries", type=int, default=1,
-                        help="extra connect attempts per shard request")
-    fserve.add_argument("--breaker-open-seconds", type=float, default=5.0,
-                        help="seconds an open circuit refuses requests "
-                             "before its half-open probe")
-    fserve.add_argument("--max-restarts", type=int, default=5,
-                        help="consecutive crashes tolerated per shard "
-                             "before the supervisor gives up on it")
     fserve.add_argument("--restart-backoff", type=float, default=0.2,
                         help="base delay before respawning a dead shard "
                              "(doubles per consecutive crash)")
@@ -584,12 +574,9 @@ def _cmd_observatory_doctor(args) -> int:
 def _cmd_observatory_serve(args) -> int:
     from repro.observatory import EventStore
     from repro.observatory.asyncserver import AsyncObservatoryServer
-    from repro.ris import Archive
 
     store = EventStore(args.store, readonly=True)
-    archive = Archive(args.archive) if args.archive else None
-    server = AsyncObservatoryServer(store, host=args.host, port=args.port,
-                                    archive=archive)
+    server = AsyncObservatoryServer(store, host=args.host, port=args.port)
     print(f"observatory listening on http://{args.host}:{args.port} "
           f"(streaming on /stream/*)", flush=True)
     try:
@@ -616,16 +603,12 @@ def _cmd_observatory_fleet_serve(args) -> int:
     from repro.observatory.fleet import ShardFleet
 
     fleet = ShardFleet(args.store, args.fleet_root, shards=args.shards,
-                       host=args.host, max_restarts=args.max_restarts,
-                       backoff=args.restart_backoff,
-                       backoff_cap=max(5.0, args.restart_backoff))
+                       host=args.host, backoff=args.restart_backoff)
     fleet.start()
     print(f"fleet: {args.shards} shard worker(s) over {args.store}, "
           f"logs under {args.fleet_root}", flush=True)
     server = FederatedObservatoryServer(
-        fleet.shard_urls(), host=args.host, port=args.port,
-        retries=args.retries,
-        breaker_open_seconds=args.breaker_open_seconds, fleet=fleet)
+        fleet.shard_urls(), host=args.host, port=args.port, fleet=fleet)
     print(f"federated observatory listening on "
           f"http://{args.host}:{args.port}", flush=True)
     try:

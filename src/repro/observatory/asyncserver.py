@@ -63,6 +63,9 @@ from repro.utils.asynchttp import AsyncHTTPTransport
 
 __all__ = ["AsyncObservatoryServer", "STREAM_PATHS"]
 
+#: Seconds an idle stream waits before a keepalive comment frame.
+HEARTBEAT = 15.0
+
 #: Stream endpoint -> event-kind filter (``None`` = every kind).
 STREAM_PATHS: dict[str, Optional[tuple[str, ...]]] = {
     "/stream/events": None,
@@ -79,43 +82,31 @@ def _first(params: dict, name: str) -> Optional[str]:
 class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
     """Asyncio transport over :class:`ObservatoryApp` + SSE streaming.
 
-    Tuning knobs (all with production-shaped defaults): ``poll_interval``
-    is the hub's store-poll cadence and therefore the floor on
-    append-to-deliver latency; ``queue_events`` bounds each subscriber's
-    live queue (overflow = drop-to-cursor); ``heartbeat`` spaces SSE
-    keepalive comments; ``write_buffer`` caps the per-connection kernel
-    send buffer so slow consumers backpressure instead of growing heap;
-    ``drain_timeout`` bounds the graceful-shutdown wait for in-flight
-    connections.  ``shard=(index, count)`` makes a shard worker: the
-    data routes answer for that shard's prefixes only, while
-    ``/stream/*`` still streams the whole store.
+    ``supervisor`` is the live engine a supervised ingest daemon serves
+    beside (``/healthz`` and ``/metrics`` read its counters and those of
+    the engine it runs); ``shard=(index, count)`` makes a shard worker:
+    the data routes answer for that shard's prefixes only, while
+    ``/stream/*`` still streams the whole store.  Nothing else is
+    settable: the stream constants (poll cadence, queue bound, batch
+    size) live in :mod:`repro.observatory.stream`, the keepalive
+    spacing is :data:`HEARTBEAT`, and the drain and write-buffer bounds
+    are :mod:`repro.utils.asynchttp`'s.
     """
 
     def __init__(self, store: EventStore, host: str = "127.0.0.1",
-                 port: int = 0, ingest=None, archive=None, supervisor=None,
-                 poll_interval: float = 0.05, queue_events: int = 256,
-                 heartbeat: float = 15.0, write_buffer: int = 1 << 16,
-                 batch_events: int = 1024, drain_timeout: float = 5.0,
+                 port: int = 0, supervisor=None,
                  shard: Optional[tuple[int, int]] = None):
-        ObservatoryApp.__init__(self, store, ingest=ingest, archive=archive,
-                                supervisor=supervisor, shard=shard)
-        AsyncHTTPTransport.__init__(self, host=host, port=port,
-                                    drain_timeout=drain_timeout,
-                                    write_buffer=write_buffer)
+        ObservatoryApp.__init__(self, store, supervisor=supervisor,
+                                shard=shard)
+        AsyncHTTPTransport.__init__(self, host=host, port=port)
         self.stream_stats = StreamStats()
-        self.poll_interval = poll_interval
-        self.queue_events = queue_events
-        self.heartbeat = heartbeat
-        self.batch_events = batch_events
         self.hub: Optional[StreamHub] = None
         self._watcher: Optional[asyncio.Task] = None
 
     # -- transport hooks ---------------------------------------------------
 
     async def _on_startup(self) -> None:
-        self.hub = StreamHub(self.store, self.stream_stats,
-                             poll_interval=self.poll_interval,
-                             batch_events=self.batch_events)
+        self.hub = StreamHub(self.store, self.stream_stats)
         self._watcher = asyncio.create_task(self.hub.run())
 
     async def _on_cleanup(self) -> None:
@@ -192,7 +183,7 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
         self.stream_stats.subscribers += 1
         try:
             while not self._draining.is_set():
-                subscription = Subscription(self.queue_events)
+                subscription = Subscription()
                 self.hub.attach(subscription)
                 try:
                     await self._catch_up(writer, kinds, tail)
@@ -228,7 +219,7 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
         loop = asyncio.get_running_loop()
         while not self._draining.is_set():
             reset, batch = await loop.run_in_executor(
-                None, _live_batch, tail, kinds, self.batch_events)
+                None, _live_batch, tail, kinds)
             if reset:
                 self.stream_stats.resets += 1
                 writer.write(format_reset(tail.generation, tail.seq))
@@ -252,7 +243,7 @@ class AsyncObservatoryServer(ObservatoryApp, AsyncHTTPTransport):
             while not subscription.lagged:
                 get_task = asyncio.ensure_future(subscription.queue.get())
                 await asyncio.wait({get_task, drain_task},
-                                   timeout=self.heartbeat,
+                                   timeout=HEARTBEAT,
                                    return_when=asyncio.FIRST_COMPLETED)
                 if not get_task.done():
                     get_task.cancel()

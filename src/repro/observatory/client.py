@@ -93,9 +93,8 @@ class ObservatoryClient:
     """Thin JSON client: one method per endpoint.
 
     ``connect_timeout`` bounds TCP connection establishment,
-    ``read_timeout`` bounds each socket read of a response; the legacy
-    ``timeout`` argument sets whichever of the two was not given
-    explicitly.  ``retries`` extra attempts are made on connect
+    ``read_timeout`` bounds each socket read of a response.
+    ``retries`` extra attempts are made on connect
     failures and 5xx responses, sleeping ``backoff * 2**attempt``
     between them, never more than ``backoff_cap`` seconds (``sleep`` is
     injectable for tests).  A numeric ``Retry-After`` on a 5xx answer
@@ -111,11 +110,9 @@ class ObservatoryClient:
     #: Most-recently validated (etag, body) pairs kept per URL.
     CACHE_ENTRIES = 256
 
-    def __init__(self, base_url: str, timeout: Optional[float] = None,
-                 retries: int = 2, backoff: float = 0.2,
+    def __init__(self, base_url: str, retries: int = 2, backoff: float = 0.2,
                  sleep: Callable[[float], None] = time.sleep,
-                 connect_timeout: Optional[float] = None,
-                 read_timeout: Optional[float] = None,
+                 connect_timeout: float = 5.0, read_timeout: float = 10.0,
                  backoff_cap: float = 30.0):
         self.base_url = base_url.rstrip("/")
         split = urlsplit(self.base_url)
@@ -123,10 +120,8 @@ class ObservatoryClient:
             raise ValueError(f"not an observatory URL: {base_url!r}")
         self._scheme = split.scheme
         self._netloc = split.netloc
-        self.connect_timeout = (connect_timeout if connect_timeout is not None
-                                else timeout if timeout is not None else 5.0)
-        self.read_timeout = (read_timeout if read_timeout is not None
-                             else timeout if timeout is not None else 10.0)
+        self.connect_timeout = connect_timeout
+        self.read_timeout = read_timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.backoff_cap = backoff_cap

@@ -17,16 +17,17 @@ overflows the limit or any shard reported a ``next_cursor`` of its own.
 The point of the tier, though, is how it behaves when shards *don't*
 answer.  Degradation is graceful and explicit, never silent:
 
-* every shard fetch runs under a hard per-request **deadline**; connect
-  errors (and only connect errors — an accepted request may have side
-  effects some day) are retried with jittered exponential backoff
-  inside that deadline; shard connections are **kept alive** in a
+* every shard fetch runs under a hard per-request **deadline**
+  (:data:`DEADLINE`); connect errors (and only connect errors — an
+  accepted request may have side effects some day) are retried
+  :data:`RETRIES` times with jittered exponential backoff inside that
+  deadline; shard connections are **kept alive** in a
   per-shard pool, and a reused one that dies before the response
   begins (the shard restarted meanwhile) is re-dialled once, uncounted;
 * per-shard **circuit breakers** stop hammering a dead shard: after
-  ``breaker_threshold`` consecutive failures the circuit opens and the
-  shard is declared down for ``breaker_open_seconds`` without paying
-  the deadline, then a single half-open probe decides between closing
+  :data:`BREAKER_THRESHOLD` consecutive failures the circuit opens and
+  the shard is declared down for :data:`BREAKER_OPEN_SECONDS` without
+  paying the deadline, then a single half-open probe decides between closing
   the circuit and re-opening it — the state a breaker starts in and
   keeps until its shard first answers;
 * a missing shard removes its rows from the merged answer, sets the
@@ -76,9 +77,16 @@ __all__ = ["CircuitBreaker", "FederatedObservatoryServer", "PARTIAL_HEADER",
 #: Names the shards missing from a degraded merged answer.
 PARTIAL_HEADER = "X-Observatory-Partial"
 
+#: Seconds one shard exchange may take, connect retries included.
+DEADLINE = 2.0
+#: Extra connect attempts per shard exchange.
+RETRIES = 1
 #: Connect-retry schedule (seconds): the first retry waits 0.05 s plus
 #: up to 0.025 s of jitter from an RNG seeded with ``JITTER_SEED``.
 BACKOFF, BACKOFF_CAP, JITTER, JITTER_SEED = 0.05, 1.0, 0.025, 0
+#: Consecutive failures that open a shard's circuit, and the seconds
+#: it then stays open before its half-open probe.
+BREAKER_THRESHOLD, BREAKER_OPEN_SECONDS = 3, 5.0
 
 _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
@@ -95,21 +103,18 @@ class ShardUnavailable(Exception):
 class CircuitBreaker:
     """Per-shard circuit breaker: closed → open → half-open.
 
-    Closed: requests flow; ``threshold`` *consecutive* failures open
-    the circuit.  Open: requests are refused outright for
-    ``open_seconds`` — a dead shard costs nothing instead of a deadline
-    per query.  Half-open: exactly one probe request is let through;
-    success closes the circuit, failure re-opens it for another
-    ``open_seconds``.  A breaker starts half-open and stays there until
-    its shard first answers: failures before that never open it.
+    Closed: requests flow; :data:`BREAKER_THRESHOLD` *consecutive*
+    failures open the circuit.  Open: requests are refused outright for
+    :data:`BREAKER_OPEN_SECONDS` — a dead shard costs nothing instead
+    of a deadline per query.  Half-open: exactly one probe request is
+    let through; success closes the circuit, failure re-opens it for
+    another open period.  A breaker starts half-open and stays there
+    until its shard first answers: failures before that never open it.
 
     Confined to the server's event loop, so no locking.
     """
 
-    def __init__(self, threshold: int = 3, open_seconds: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic):
-        self.threshold = threshold
-        self.open_seconds = open_seconds
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self.failures = 0
         self._answered = False
@@ -122,7 +127,7 @@ class CircuitBreaker:
             return "half-open"
         if self._opened_at is None:
             return "closed"
-        if self._clock() - self._opened_at >= self.open_seconds:
+        if self._clock() - self._opened_at >= BREAKER_OPEN_SECONDS:
             return "half-open"
         return "open"
 
@@ -146,7 +151,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.failures += 1
         self._probing = False
-        if self.failures >= self.threshold:
+        if self.failures >= BREAKER_THRESHOLD:
             self._opened_at = self._clock()
 
 
@@ -164,23 +169,17 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
     CACHE_ENTRIES = 128
 
     def __init__(self, shard_urls: list[str], host: str = "127.0.0.1",
-                 port: int = 0, *, deadline: float = 2.0, retries: int = 1,
-                 breaker_threshold: int = 3, breaker_open_seconds: float = 5.0,
-                 fleet=None, drain_timeout: float = 5.0):
-        super().__init__(host=host, port=port, drain_timeout=drain_timeout)
+                 port: int = 0, *, fleet=None):
+        super().__init__(host=host, port=port)
         if not shard_urls:
             raise ValueError("need at least one shard URL")
         self.shard_urls = list(shard_urls)
         self.shard_names = list(map(shard_name, range(len(shard_urls))))
         self._addresses = [(split.hostname, split.port) for split
                            in map(urlsplit, self.shard_urls)]
-        self.deadline = deadline
-        self.retries = max(0, retries)
         self.fleet = fleet
         self._rng = random.Random(JITTER_SEED)
-        self.breakers = [CircuitBreaker(breaker_threshold,
-                                        breaker_open_seconds)
-                         for _ in shard_urls]
+        self.breakers = [CircuitBreaker() for _ in shard_urls]
         # All state below is event-loop-confined: no locks.
         self._cache: dict[str, dict[str, Any]] = {}
         self.requests_served = 0
@@ -267,11 +266,11 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                                     if_none_match)
 
     async def _dial(self, index: int) -> _Connection:
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 return await asyncio.open_connection(*self._addresses[index])
             except OSError:
-                if attempt == self.retries:
+                if attempt == RETRIES:
                     raise
                 self.retried_connects += 1
                 await asyncio.sleep(backoff_delay(
@@ -325,7 +324,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
         try:
             result = await asyncio.wait_for(
                 self._http_get(index, target, if_none_match),
-                timeout=self.deadline)
+                timeout=DEADLINE)
         except Exception as exc:  # CancelledError is not an Exception
             breaker.record_failure()
             self.shard_failures[index] += 1
@@ -476,7 +475,7 @@ class FederatedObservatoryServer(AsyncHTTPTransport):
                 owner, path, if_none_match)
         except ShardUnavailable as exc:
             self.partial_responses += 1
-            retry_after = max(1, math.ceil(self.breakers[owner].open_seconds))
+            retry_after = max(1, math.ceil(BREAKER_OPEN_SECONDS))
             status, error_headers, payload = ObservatoryApp._json_response(
                 503, {"error": f"shard unavailable: {exc}"})
             return status, error_headers + [

@@ -56,6 +56,12 @@ __all__ = ["ShardFleet", "ShardWorker", "partition_store", "pick_free_port"]
 
 #: Seconds between two passes of :class:`ShardFleet`'s monitor loop.
 MONITOR_INTERVAL = 0.2
+#: Restart jitter (seconds, times a draw from one RNG seeded with
+#: ``JITTER_SEED`` for the whole fleet), and the consecutive crashes a
+#: shard may have before the fleet gives up on it.
+JITTER, JITTER_SEED, MAX_RESTARTS = 0.2, 0, 5
+#: The shortest cap on one restart delay, in seconds.
+MIN_BACKOFF_CAP = 5.0
 
 
 def pick_free_port(host: str = "127.0.0.1") -> int:
@@ -133,11 +139,13 @@ class ShardFleet:
     """Supervise one :class:`ShardWorker` subprocess per shard.
 
     Workers are real processes (``python -m repro observatory fleet
-    worker ...``), so a ``kill -9`` in a chaos test dies the way a
-    production worker dies.  The monitor loop restarts dead workers
-    when their :class:`RestartPolicy` says so — exponential backoff
-    with seeded jitter, giving up on a shard after ``max_restarts``
-    consecutive failures — and reports the shared health vocabulary:
+    worker ...``, on this interpreter), so a ``kill -9`` in a chaos
+    test dies the way a production worker dies.  The monitor loop
+    restarts dead workers when their :class:`RestartPolicy` says so —
+    exponential backoff from ``backoff`` seconds, capped at
+    ``max(MIN_BACKOFF_CAP, backoff)``, with seeded jitter, giving up on
+    a shard after :data:`MAX_RESTARTS` consecutive failures — and
+    reports the shared health vocabulary:
 
     ``healthy``   every worker running, no restarts;
     ``degraded``  forward progress, but restarts happened (or a worker
@@ -150,10 +158,7 @@ class ShardFleet:
                  fleet_root: Union[str, Path], shards: int = 3,
                  host: str = "127.0.0.1",
                  ports: Optional[list[int]] = None,
-                 backoff: float = 0.2, backoff_cap: float = 5.0,
-                 jitter: float = 0.2, seed: int = 0,
-                 max_restarts: int = 5,
-                 python: str = sys.executable,
+                 backoff: float = 0.2,
                  clock: Callable[[], float] = time.monotonic):
         if shards <= 0:
             raise ValueError("need at least one shard")
@@ -161,11 +166,11 @@ class ShardFleet:
         self.fleet_root = Path(fleet_root)
         self.shards = shards
         self.host = host
-        self.python = python
         self._clock = clock
-        rng = random.Random(seed)  # one jitter stream for the whole fleet
-        self._policies = [RestartPolicy(backoff, backoff_cap, jitter,
-                                        max_restarts, rng)
+        rng = random.Random(JITTER_SEED)  # one jitter stream for the fleet
+        self._policies = [RestartPolicy(backoff,
+                                        max(MIN_BACKOFF_CAP, backoff),
+                                        JITTER, MAX_RESTARTS, rng)
                           for _ in range(shards)]
         self.ports = list(ports) if ports is not None else [
             pick_free_port(host) for _ in range(shards)]
@@ -201,7 +206,7 @@ class ShardFleet:
         env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
         with open(log_path, "ab") as log:
             return subprocess.Popen(
-                [self.python, "-m", "repro", "observatory", "fleet",
+                [sys.executable, "-m", "repro", "observatory", "fleet",
                  "worker", str(self.source_root),
                  "--index", str(index), "--count", str(self.shards),
                  "--host", self.host, "--port", str(self.ports[index])],

@@ -14,9 +14,11 @@ Endpoints::
 The server can share an in-process :class:`EventStore` with a running
 ingest, or open a store ``readonly`` and serve while a *separate*
 process appends to it (the store's recovery rules make concurrent reads
-safe).  ``/metrics`` folds in the ingest counters and the archive
-read-path counters (decoded-file cache hits/misses/evictions, index
-skip-scan) when those objects are attached.
+safe).  The one live-engine input is an
+:class:`~repro.observatory.supervisor.ObservatorySupervisor`: while it
+runs an engine, ``/healthz`` and ``/metrics`` fold in that engine's
+ingest and forensics-ring counters and its archive's read-path
+counters (decoded-file cache hits/misses/evictions, index skip-scan).
 
 This module is transport-neutral: :class:`ObservatoryApp` holds
 routing, ETags, pagination, counters and metrics rendering, and answers
@@ -190,11 +192,9 @@ class ObservatoryApp:
     lock-guarded here.
     """
 
-    def __init__(self, store: EventStore, ingest=None, archive=None,
-                 supervisor=None, shard: Optional[tuple[int, int]] = None):
+    def __init__(self, store: EventStore, supervisor=None,
+                 shard: Optional[tuple[int, int]] = None):
         self.store = store
-        self.ingest = ingest
-        self.archive = archive
         self.supervisor = supervisor
         #: ``(index, count)`` of a shard worker, which answers for the
         #: prefixes that shard owns (``None``: the whole store).
@@ -369,14 +369,20 @@ class ObservatoryApp:
             return self._zombie(unquote(path[len("/zombies/"):]))
         raise _NotFound(path)
 
+    def _engine(self):
+        """The supervisor's live ingest engine (None without one)."""
+        return self.supervisor.ingest if self.supervisor is not None \
+            else None
+
     def _healthz(self) -> dict[str, Any]:
         stats = self.store.stats()
+        engine = self._engine()
         body = {"status": "ok", "events": stats["next_seq"],
                 "segments": stats["segments"],
                 "segment_formats": stats["by_format"],
                 "generation": stats["generation"],
-                "ingest_finished": (self.ingest.finished
-                                    if self.ingest is not None else None),
+                "ingest_finished": (engine.finished
+                                    if engine is not None else None),
                 "view": self.views.stats()}
         if self.supervisor is not None:
             state = self.supervisor.state
@@ -494,24 +500,6 @@ class ObservatoryApp:
         metric("observatory_view_events_folded_total",
                view["events_folded"],
                "Events folded into the views incrementally.")
-        if self.ingest is not None:
-            ingest = self.ingest.stats()
-            metric("observatory_ingest_records_total",
-                   ingest["records_ingested"],
-                   "Update records consumed from the archive.")
-            metric("observatory_ingest_dumps_total", ingest["dumps_ingested"],
-                   "RIB dumps consumed from the archive.")
-            metric("observatory_ingest_checkpoints_total",
-                   ingest["checkpoints_written"], "Checkpoints persisted.")
-            metric("observatory_ingest_pending_evaluations",
-                   ingest["pending_evaluations"],
-                   "Beacon intervals awaiting their evaluation deadline.")
-            metric("observatory_forensics_ring_entries",
-                   ingest.get("ring_entries"),
-                   "(peer, prefix) entries in the last-announcement ring.")
-            metric("observatory_forensics_ring_evictions_total",
-                   ingest.get("ring_evictions"),
-                   "Ring entries evicted at the capacity bound.")
         if self.supervisor is not None:
             sup = self.supervisor.stats()
             metric("observatory_supervisor_restarts_total", sup["restarts"],
@@ -529,8 +517,26 @@ class ObservatoryApp:
                        1 if sup["state"] == state else 0,
                        "Supervised ingest health state (one-hot).",
                        labels=f'{{state="{state}"}}')
-        if self.archive is not None:
-            stats = self.archive.stats()
+        engine = self._engine()
+        if engine is not None:
+            ingest = engine.stats()
+            metric("observatory_ingest_records_total",
+                   ingest["records_ingested"],
+                   "Update records consumed from the archive.")
+            metric("observatory_ingest_dumps_total", ingest["dumps_ingested"],
+                   "RIB dumps consumed from the archive.")
+            metric("observatory_ingest_checkpoints_total",
+                   ingest["checkpoints_written"], "Checkpoints persisted.")
+            metric("observatory_ingest_pending_evaluations",
+                   ingest["pending_evaluations"],
+                   "Beacon intervals awaiting their evaluation deadline.")
+            metric("observatory_forensics_ring_entries",
+                   ingest["ring_entries"],
+                   "(peer, prefix) entries in the last-announcement ring.")
+            metric("observatory_forensics_ring_evictions_total",
+                   ingest["ring_evictions"],
+                   "Ring entries evicted at the capacity bound.")
+            stats = engine.archive.stats()
             cache = stats["cache"]
             if cache is not None:
                 metric("observatory_archive_cache_hits_total", cache["hits"],

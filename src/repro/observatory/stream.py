@@ -55,6 +55,16 @@ __all__ = ["StreamHub", "StreamStats", "Subscription", "TokenError",
 #: next_seq)``.  A plain marker object — event dicts never collide.
 RESET = "__reset__"
 
+#: Seconds between two hub polls of an idle store: the floor on
+#: append-to-deliver latency.
+POLL_INTERVAL = 0.05
+#: Live entries one subscriber's queue holds; overflow drops that
+#: subscriber to its cursor.
+QUEUE_EVENTS = 256
+#: Events one store read hands a follower (the hub, or one catch-up
+#: pass of a subscriber).
+BATCH_EVENTS = 1024
+
 
 class TokenError(ValueError):
     """A resume token that cannot be parsed."""
@@ -136,22 +146,22 @@ class Subscription:
     store, not the queue, is the source of truth for catch-up.
     """
 
-    def __init__(self, queue_events: int):
-        self.queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=queue_events)
+    def __init__(self) -> None:
+        self.queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=QUEUE_EVENTS)
         self.lagged = False
 
 
-def _live_batch(tail: TailCursor, kinds: Optional[tuple[str, ...]],
-                limit: int) -> tuple[bool, list[dict[str, Any]]]:
+def _live_batch(tail: TailCursor, kinds: Optional[tuple[str, ...]]
+                ) -> tuple[bool, list[dict[str, Any]]]:
     """One pass of a live follower (the hub, a subscriber's catch-up) —
     blocking store I/O, for an executor thread.  Returns whether
     history was rewritten under the follower, which then continues at
-    the new tail rather than replaying, else up to ``limit`` events it
-    is owed."""
+    the new tail rather than replaying, else up to :data:`BATCH_EVENTS`
+    events it is owed."""
     if tail.poll():
         tail.seq = tail.end
         return True, []
-    return False, list(tail.read(kinds, limit))
+    return False, list(tail.read(kinds, BATCH_EVENTS))
 
 
 class StreamHub:
@@ -167,12 +177,9 @@ class StreamHub:
     guessing what survived the rewrite.
     """
 
-    def __init__(self, store, stats: StreamStats,
-                 poll_interval: float = 0.05, batch_events: int = 1024):
+    def __init__(self, store, stats: StreamStats):
         self.store = store
         self.stats = stats
-        self.poll_interval = poll_interval
-        self.batch_events = batch_events
         self._subscriptions: set[Subscription] = set()
         self._tail = TailCursor(store)
 
@@ -211,12 +218,12 @@ class StreamHub:
             # The first pass attaches at the tail without announcing.
             attached = self._tail.generation is not None
             reset, batch = await loop.run_in_executor(
-                None, _live_batch, self._tail, None, self.batch_events)
+                None, _live_batch, self._tail, None)
             if reset and attached:
                 self._broadcast((RESET, self._tail.generation,
                                  self._tail.seq))
             for event in batch:
                 self._broadcast(event)
-            if len(batch) >= self.batch_events:
+            if len(batch) >= BATCH_EVENTS:
                 continue  # more to drain: go again without sleeping
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)

@@ -7,8 +7,9 @@ the ingest loop, and whatever drove it has to notice, rebuild the
 engine from the last checkpoint and resume.  The supervisor is that
 driver:
 
-* batches of ``batch_records`` are pulled through the engine, each one
-  stamping a watchdog heartbeat (injectable clock, so tests freeze it);
+* batches of :data:`BATCH_RECORDS` are pulled through the engine, each
+  one stamping a watchdog heartbeat (injectable clock, so tests freeze
+  it);
 * a crash — in the engine or in the caller's ``on_batch`` hook — is
   caught, counted and logged; the engine is rebuilt via the caller's
   factory (which restores from the checkpoint file) after the delay
@@ -24,12 +25,14 @@ The observable health is a three-state machine:
                 skipped by the tolerant decoder;
 ``degraded``    forward progress, but the run has survived restarts
                 and/or the decoder has skipped or quarantined records;
-``stalled``     the heartbeat is older than ``heartbeat_timeout``, or
-                the supervisor exhausted its restart budget.
+``stalled``     the heartbeat is older than :data:`HEARTBEAT_TIMEOUT`,
+                or the supervisor exhausted its restart budget.
 
-:class:`~repro.observatory.server.ObservatoryApp` surfaces the state
-in ``/healthz`` and exports the counters (records skipped, bytes
-quarantined, restarts, ingest lag) on ``/metrics``.
+A supervisor is what :class:`~repro.observatory.server.ObservatoryApp`
+takes as its live engine: it surfaces the state in ``/healthz`` and
+exports the supervisor's counters (records skipped, bytes quarantined,
+restarts, ingest lag) on ``/metrics``, plus the live engine's own
+ingest, forensics-ring and archive read-path counters.
 """
 
 from __future__ import annotations
@@ -44,6 +47,17 @@ from repro.observatory.restart import RestartPolicy
 
 __all__ = ["ObservatorySupervisor"]
 
+#: Records pulled through the engine per batch (one durable checkpoint
+#: and one heartbeat each).
+BATCH_RECORDS = 500
+#: Restart schedule (seconds): restart *n* of a streak waits
+#: ``min(BACKOFF_CAP, BACKOFF * 2**(n-1))`` plus up to ``JITTER`` from
+#: an RNG seeded with ``JITTER_SEED``.
+BACKOFF, BACKOFF_CAP, JITTER, JITTER_SEED = 1.0, 60.0, 0.5, 0
+#: Seconds without a completed batch before an unfinished run is
+#: ``stalled``.
+HEARTBEAT_TIMEOUT = 300.0
+
 
 class ObservatorySupervisor:
     """Run an ingest to completion, restarting it across crashes.
@@ -56,26 +70,19 @@ class ObservatorySupervisor:
     raises are treated exactly like engine crashes (the chaos harness
     uses this to corrupt archive files mid-run and to force restarts).
 
-    ``clock`` and ``sleep`` are injectable for tests; the jitter RNG is
-    seeded, so a given crash history always produces the same backoff
-    schedule.
+    ``max_restarts`` is the consecutive-crash budget (``ingest
+    --max-restarts``).  ``clock`` and ``sleep`` are injectable for
+    tests; the jitter RNG is seeded, so a given crash history always
+    produces the same backoff schedule.
     """
 
     def __init__(self, ingest_factory: Callable[[], ObservatoryIngest], *,
-                 batch_records: int = 500,
                  max_restarts: int = 5,
-                 backoff: float = 1.0,
-                 backoff_cap: float = 60.0,
-                 jitter: float = 0.5,
-                 heartbeat_timeout: float = 300.0,
-                 seed: int = 0,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
         self.ingest_factory = ingest_factory
-        self.batch_records = batch_records
-        self.heartbeat_timeout = heartbeat_timeout
-        self._policy = RestartPolicy(backoff, backoff_cap, jitter,
-                                     max_restarts, random.Random(seed))
+        self._policy = RestartPolicy(BACKOFF, BACKOFF_CAP, JITTER,
+                                     max_restarts, random.Random(JITTER_SEED))
         self._clock = clock
         self._sleep = sleep
 
@@ -95,10 +102,6 @@ class ObservatorySupervisor:
     @property
     def gave_up(self) -> bool:
         return self._policy.gave_up
-
-    @gave_up.setter
-    def gave_up(self, value: bool) -> None:
-        self._policy.gave_up = value
 
     def heartbeat_age(self) -> Optional[float]:
         """Seconds since the last completed batch; None before the
@@ -141,7 +144,7 @@ class ObservatorySupervisor:
     def state(self) -> str:
         age = None if self.finished else self.heartbeat_age()
         return self._policy.state(
-            stalled=age is not None and age > self.heartbeat_timeout,
+            stalled=age is not None and age > HEARTBEAT_TIMEOUT,
             degraded=(self.restarts > 0 or self.records_skipped > 0
                       or self.bytes_quarantined > 0))
 
@@ -173,7 +176,7 @@ class ObservatorySupervisor:
                     # Rebuilding the engine from its checkpoint *is* the
                     # recovery; a factory crash counts like any other.
                     self.ingest = self.ingest_factory()
-                ingested = self.ingest.run(self.batch_records)
+                ingested = self.ingest.run(BATCH_RECORDS)
                 if ingested > 0:
                     # Make the batch boundary durable before anything
                     # else can crash; recovery then replays at most one
@@ -185,7 +188,7 @@ class ObservatorySupervisor:
                     on_batch(self.ingest)
                 if ingested > 0:
                     self._policy.progressed()
-                if ingested < self.batch_records:
+                if ingested < BATCH_RECORDS:
                     self.ingest.finish()
                     self.finished = True
                     self.last_heartbeat = self._clock()

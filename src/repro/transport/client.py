@@ -61,8 +61,11 @@ __all__ = ["ArchiveMirror", "SyncReport", "TransportError", "IntegrityError"]
 
 _CHUNK = 1 << 16
 
-#: Longest wait between two attempts, in seconds.
-BACKOFF_CAP = 4.0
+#: Seconds one request may wait on the server (connect, then each read).
+TIMEOUT = 10.0
+#: Retry schedule (seconds): attempt *n* waits ``min(BACKOFF_CAP,
+#: BACKOFF * 2**n)`` plus up to ``BACKOFF`` of jitter.
+BACKOFF, BACKOFF_CAP = 0.25, 4.0
 #: Seed of the jitter RNG: the same faults give the same pauses.
 JITTER_SEED = 0
 
@@ -110,8 +113,7 @@ class ArchiveMirror:
     """Mirror ``base_url`` into ``dest`` (both survive re-use)."""
 
     def __init__(self, base_url: str, dest: Union[str, Path],
-                 workers: int = 4, timeout: float = 10.0, retries: int = 4,
-                 backoff: float = 0.25, key: bytes = DEFAULT_KEY,
+                 workers: int = 4, retries: int = 4, key: bytes = DEFAULT_KEY,
                  collectors: Optional[Iterable[str]] = None,
                  sleep: Callable[[float], None] = time.sleep):
         if "://" not in base_url:  # accept bare host:port
@@ -119,9 +121,7 @@ class ArchiveMirror:
         self.base_url = base_url.rstrip("/")
         self.dest = Path(dest)
         self.workers = max(1, int(workers))
-        self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.backoff = backoff
         self.key = key
         self.collectors = frozenset(collectors) if collectors else None
         self._sleep = sleep
@@ -138,8 +138,8 @@ class ArchiveMirror:
 
     def _pause(self, attempt: int, report: SyncReport) -> None:
         report.retries += 1
-        self._sleep(backoff_delay(attempt, self.backoff, BACKOFF_CAP,
-                                  self.backoff, self._rng))
+        self._sleep(backoff_delay(attempt, BACKOFF, BACKOFF_CAP, BACKOFF,
+                                  self._rng))
 
     def _fetch_json(self, url: str, report: SyncReport) -> dict[str, Any]:
         """GET + parse + verify a signed document, with retries."""
@@ -148,7 +148,7 @@ class ArchiveMirror:
             if attempt:
                 self._pause(attempt - 1, report)
             try:
-                with urlopen(Request(url), timeout=self.timeout) as response:
+                with urlopen(Request(url), timeout=TIMEOUT) as response:
                     payload = response.read()
                 return parse_document(payload, self.key)
             except HTTPError as exc:
@@ -172,7 +172,7 @@ class ArchiveMirror:
         request = Request(url)
         if offset:
             request.add_header("Range", f"bytes={offset}-")
-        with urlopen(request, timeout=self.timeout) as response:
+        with urlopen(request, timeout=TIMEOUT) as response:
             status = response.status
             length = response.headers.get("Content-Length")
             expected_body = int(length) if length is not None else None

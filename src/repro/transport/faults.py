@@ -45,6 +45,8 @@ FAULT_KINDS = ("drop", "error", "stall", "truncate", "corrupt")
 _FORWARD_HEADERS = ("Range", "If-None-Match")
 #: Response headers forwarded back to the client.
 _RETURN_HEADERS = ("Content-Type", "ETag", "Accept-Ranges", "Content-Range")
+#: Seconds one upstream round-trip may take.
+UPSTREAM_TIMEOUT = 30.0
 
 
 @dataclass
@@ -97,14 +99,12 @@ class FaultyProxy(AsyncHTTPTransport):
     """Forward to ``upstream_url``, injecting faults per ``plan``."""
 
     def __init__(self, upstream_url: str, plan: Optional[FaultPlan] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = 30.0):
+                 host: str = "127.0.0.1", port: int = 0):
         super().__init__(host=host, port=port)
         if "://" not in upstream_url:  # accept bare host:port
             upstream_url = "http://" + upstream_url
         self.upstream_url = upstream_url.rstrip("/")
         self.plan = plan if plan is not None else FaultPlan()
-        self.timeout = timeout
 
     async def _dispatch(self, path: str, params: dict,
                         headers: dict[str, str],
@@ -143,7 +143,7 @@ class FaultyProxy(AsyncHTTPTransport):
             if value is not None:
                 request.add_header(name, value)
         try:
-            response = urlopen(request, timeout=self.timeout)
+            response = urlopen(request, timeout=UPSTREAM_TIMEOUT)
         except HTTPError as exc:
             response = exc  # an error status is a response like any other
         with response:

@@ -28,6 +28,14 @@ from urllib.parse import parse_qs, urlsplit
 
 __all__ = ["AsyncHTTPTransport", "parse_status_head"]
 
+#: Seconds a draining server waits for in-flight connections before it
+#: cancels them.
+DRAIN_TIMEOUT = 5.0
+#: Per-connection high-water mark of the transport's write buffer, in
+#: bytes: a slow consumer backpressures its coroutine instead of
+#: growing the heap.
+WRITE_BUFFER = 1 << 16
+
 
 def _header_fields(lines: list[str]) -> dict[str, str]:
     """Header lines into a dict; names are lower-cased, later
@@ -90,14 +98,11 @@ class AsyncHTTPTransport:
     Shutdown sequence: close the listener, set ``_draining`` (the
     connection loop stops accepting follow-up keep-alive requests and
     SSE tails wind down with a final frame), wait up to
-    ``drain_timeout`` seconds for in-flight connections, cancel
+    :data:`DRAIN_TIMEOUT` seconds for in-flight connections, cancel
     whatever is still stuck.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 drain_timeout: float = 5.0, write_buffer: int = 1 << 16):
-        self.drain_timeout = drain_timeout
-        self.write_buffer = write_buffer
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._requested = (host, port)
         self._host: Optional[str] = None
         self._port: Optional[int] = None
@@ -207,7 +212,7 @@ class AsyncHTTPTransport:
             self._draining.set()
             if self._connections:
                 await asyncio.wait(set(self._connections),
-                                   timeout=self.drain_timeout)
+                                   timeout=DRAIN_TIMEOUT)
             for task in list(self._connections):
                 task.cancel()
             await self._on_cleanup()
@@ -222,7 +227,7 @@ class AsyncHTTPTransport:
         if task is not None:
             self._connections.add(task)
         try:
-            writer.transport.set_write_buffer_limits(high=self.write_buffer)
+            writer.transport.set_write_buffer_limits(high=WRITE_BUFFER)
             await self._serve_connection(reader, writer)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             self.count_dropped_response()

@@ -198,3 +198,33 @@ class TestOneRecordSource:
     def test_no_fourth_policy(self):
         assert matches(r"error_policy\s*:\s*Optional|policy is None",
                        SRC / "mrt", SRC / "ris") == []
+
+
+class TestOneLiveEngine:
+    """The supervisor is the server's one live-engine input, and the
+    service tier's one-value settings are constants, not options."""
+
+    #: Settings that became module constants; no call passes them.
+    CONSTANTS = ("poll_interval", "queue_events", "heartbeat",
+                 "batch_events", "drain_timeout", "write_buffer",
+                 "deadline", "breaker_threshold", "breaker_open_seconds",
+                 "heartbeat_timeout")
+
+    def test_servers_take_no_ingest_or_archive(self):
+        for path, name in (("server.py", "ObservatoryApp"),
+                           ("asyncserver.py", "AsyncObservatoryServer")):
+            tree = ast.parse((SRC / "observatory" / path)
+                             .read_text(encoding="utf-8"))
+            body = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef)
+                        and node.name == name).body
+            init = next(node for node in body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "__init__")
+            arguments = {argument.arg for argument in
+                         init.args.args + init.args.kwonlyargs}
+            assert not {"ingest", "archive"} & arguments, name
+
+    def test_no_call_passes_a_retired_setting(self):
+        assert matches(r"\b(%s)=(?!=)" % "|".join(self.CONSTANTS),
+                       SRC) == []

@@ -5,6 +5,7 @@ layouts (the ``*RouteViews`` classes rerun the RIS cases on bzip2)."""
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ann, attrs, sess_down, wd
 from mrt_reference import split_mrt
@@ -27,7 +28,7 @@ from repro.mrt.bgp4mp import MRTRecordHeader
 from repro.mrt.constants import MRT_BGP4MP
 from repro.net import Prefix
 from repro.mrt.files import create_mrt, open_mrt
-from repro.ris import Archive, ArchiveWriter
+from repro.ris import Archive, ArchiveWriter, RecordFilter
 from repro.ris.chaos import _poison_record
 from repro.ris.parallel import decode_file
 from repro.routeviews import RouteViewsArchive, RouteViewsWriter
@@ -497,3 +498,66 @@ class TestBoundaryTimestampRouteViews(TestBoundaryTimestamp):
 
 class TestBviewContainmentRouteViews(TestBviewContainment):
     writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+#: One byte mutation: flip (xor a byte), insert a run, or truncate.
+#: Positions are taken modulo the length of the bytes they apply to.
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16),
+              st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16),
+              st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16), st.none()))
+
+
+def mutate(data, mutations):
+    for kind, where, argument in mutations:
+        if kind == "flip" and data:
+            where %= len(data)
+            data = data[:where] + bytes([data[where] ^ argument]) \
+                + data[where + 1:]
+        elif kind == "insert":
+            where %= len(data) + 1
+            data = data[:where] + argument + data[where:]
+        elif kind == "truncate":
+            data = data[:where % (len(data) + 1)]
+    return data
+
+
+class TestByteMutation:
+    """Flipped, inserted and truncated bytes — in the MRT stream or in
+    its gzip container — never escape ``read_updates_file`` as anything
+    but :class:`MRTDecodeError`, and nothing at all under the tolerant
+    policies."""
+
+    FILTER = RecordFilter(prefix_more=frozenset({Prefix("2a0d:3dc1::/32")}))
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutation")
+        path = root / "updates.20240604.0800.gz"
+        write_updates_file(path, records_for_file())
+        with open(path, "rb") as handle:
+            container = handle.read()
+        return path, raw_stream(path), container
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(in_container=st.booleans(), filtered=st.booleans(),
+           mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+    def test_only_typed_errors_escape(self, valid, in_container, filtered,
+                                      mutations):
+        path, stream, container = valid
+        if in_container:
+            with open(path, "wb") as handle:
+                handle.write(mutate(container, mutations))
+        else:
+            rewrite(path, mutate(stream, mutations))
+        record_filter = self.FILTER if filtered else None
+        for policy in (ErrorPolicy.SKIP, ErrorPolicy.QUARANTINE):
+            list(read_updates_file(path, "rrc00", record_filter,
+                                   error_policy=policy))
+        try:
+            list(read_updates_file(path, "rrc00", record_filter,
+                                   error_policy=ErrorPolicy.STRICT))
+        except MRTDecodeError:
+            pass

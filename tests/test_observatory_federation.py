@@ -36,7 +36,7 @@ from repro.observatory import (
     partition_store,
     shard_for,
 )
-from repro.observatory import federation
+from repro.observatory import federation, fleet as fleet_module
 from repro.observatory.fleet import pick_free_port
 from repro.observatory.forensics import outbreak_id, outbreak_prefix
 from repro.utils.asynchttp import AsyncHTTPTransport
@@ -339,17 +339,24 @@ class TestFederationParity:
         assert fetch(fedworld["fed"].url, "/nope")[0] == 404
 
 
+def no_retries_no_breaker(monkeypatch):
+    """Shard exchanges without connect retries, and breakers that never
+    open: every request probes every shard."""
+    monkeypatch.setattr(federation, "RETRIES", 0)
+    monkeypatch.setattr(federation, "BREAKER_THRESHOLD", 100)
+
+
 class TestDegradedMode:
     @pytest.fixture()
-    def world(self, tmp_path):
+    def world(self, tmp_path, monkeypatch):
+        no_retries_no_breaker(monkeypatch)
         build_store(tmp_path / "store", events=60)
         ports = [pick_free_port() for _ in range(3)]
         workers = [ShardWorker(tmp_path / "store", index, 3,
                                port=ports[index]).start()
                    for index in range(3)]
         fed = FederatedObservatoryServer(
-            [worker.url for worker in workers],
-            deadline=2.0, retries=0, breaker_threshold=100).start()
+            [worker.url for worker in workers]).start()
         yield tmp_path, workers, fed, ports
         fed.stop()
         for worker in workers:
@@ -365,7 +372,7 @@ class TestDegradedMode:
         elapsed = time.monotonic() - start
         assert status == 200
         assert headers[PARTIAL_HEADER] == "shard-01"
-        assert elapsed < fed.deadline + 2.0  # bounded, not hung
+        assert elapsed < federation.DEADLINE + 2.0  # bounded, not hung
         survivors = json.loads(body)["outbreaks"]
         expected = [row for row in complete["outbreaks"]
                     if shard_for(row["prefix"], 3) != 1]
@@ -412,10 +419,10 @@ class TestDegradedMode:
 
 
 class TestCircuitBreaker:
-    def test_transitions(self):
+    def test_transitions(self, monkeypatch):
+        monkeypatch.setattr(federation, "BREAKER_THRESHOLD", 2)
         clock = [0.0]
-        breaker = CircuitBreaker(threshold=2, open_seconds=5.0,
-                                 clock=lambda: clock[0])
+        breaker = CircuitBreaker(clock=lambda: clock[0])
         breaker.record_success()
         assert breaker.state == "closed" and breaker.allow()
         breaker.record_failure()
@@ -436,13 +443,17 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert breaker.allow() and breaker.allow()
 
-    def test_breaker_sheds_load_after_shard_death(self, tmp_path):
+    def test_breaker_sheds_load_after_shard_death(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(federation, "RETRIES", 0)
+        monkeypatch.setattr(federation, "DEADLINE", 1.0)
+        monkeypatch.setattr(federation, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(federation, "BREAKER_OPEN_SECONDS", 60.0)
         build_store(tmp_path / "store", events=30)
         workers = [ShardWorker(tmp_path / "store", index, 2).start()
                    for index in range(2)]
         fed = FederatedObservatoryServer(
-            [worker.url for worker in workers], retries=0, deadline=1.0,
-            breaker_threshold=2, breaker_open_seconds=60.0).start()
+            [worker.url for worker in workers]).start()
         try:
             assert fetch(fed.url, "/outbreaks")[0] == 200
             workers[1].stop()
@@ -629,13 +640,15 @@ class TestShardConnections:
 
 @pytest.mark.slow
 class TestFleetChaos:
-    def test_kill9_mid_walk_loses_nothing_from_survivors(self, tmp_path):
+    def test_kill9_mid_walk_loses_nothing_from_survivors(self, tmp_path,
+                                                         monkeypatch):
         """Satellite: paginate /outbreaks through the federation, kill -9
         one shard between pages — the rest of the walk returns every
         survivor row exactly once and the partial header flips on."""
+        monkeypatch.setattr(fleet_module, "MAX_RESTARTS", 3)
+        monkeypatch.setattr(federation, "RETRIES", 0)
         build_store(tmp_path / "store", events=90)
-        fleet = ShardFleet(tmp_path / "store", tmp_path / "fleet", shards=3,
-                           max_restarts=3)
+        fleet = ShardFleet(tmp_path / "store", tmp_path / "fleet", shards=3)
         fleet.auto_restart = False
         fleet.start()
         fed = None
@@ -644,8 +657,7 @@ class TestFleetChaos:
                 assert wait_until(lambda i=index: fleet._probe(i)), \
                     f"shard {index} never came up"
             fed = FederatedObservatoryServer(
-                fleet.shard_urls(), retries=0, deadline=2.0,
-                fleet=fleet).start()
+                fleet.shard_urls(), fleet=fleet).start()
             assert wait_until(lambda: json.loads(
                 fetch(fed.url, "/outbreaks")[2])["count"] == 30)
             complete = json.loads(fetch(fed.url, "/outbreaks")[2])

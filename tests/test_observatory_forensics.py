@@ -33,7 +33,7 @@ from repro.observatory import (
 from repro.observatory.server import ObservatoryApp, forensics_outbreak_id
 from repro.ris import Archive, ArchiveWriter
 from repro.utils.timeutil import HOUR, MINUTE, ts
-from test_observatory_federation import fetch
+from test_observatory_federation import fetch, no_retries_no_breaker
 
 ORIGIN = 65000
 
@@ -530,15 +530,15 @@ def seed_federated_store(root, prefixes_per_shard=2, shards=3):
 
 class TestFederation:
     @pytest.fixture()
-    def world(self, tmp_path):
+    def world(self, tmp_path, monkeypatch):
+        no_retries_no_breaker(monkeypatch)
         store, ids = seed_federated_store(tmp_path / "store")
         mono = AsyncObservatoryServer(
             EventStore(tmp_path / "store", readonly=True)).start()
         workers = [ShardWorker(tmp_path / "store", index, 3).start()
                    for index in range(3)]
         fed = FederatedObservatoryServer(
-            [worker.url for worker in workers],
-            deadline=2.0, retries=0, breaker_threshold=100).start()
+            [worker.url for worker in workers]).start()
         yield ids, mono, workers, fed
         fed.stop()
         for worker in workers:

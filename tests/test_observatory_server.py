@@ -12,6 +12,7 @@ from repro.observatory import (
     ObservatoryApp,
     ObservatoryClient,
     ObservatoryIngest,
+    ObservatorySupervisor,
     build_synthetic_archive,
     load_scenario,
 )
@@ -21,25 +22,24 @@ from repro.ris import Archive
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A fully ingested synthetic observatory: archive, store, ingest."""
+    """A fully ingested synthetic observatory: archive, store, and the
+    supervisor whose live engine ingested it."""
     root = tmp_path_factory.mktemp("obs-world")
     built = build_synthetic_archive(root / "archive")
     config = load_scenario(built.scenario_path)
     archive = Archive(built.root)
     store = EventStore(root / "store")
-    ingest = ObservatoryIngest(
+    supervisor = ObservatorySupervisor(lambda: ObservatoryIngest(
         archive, store, root / "ckpt.json", config["intervals"],
-        config["start"], config["end"])
-    ingest.run()
-    ingest.finish()
-    return built, config, archive, store, ingest
+        config["start"], config["end"]))
+    assert supervisor.run()
+    return built, config, archive, store, supervisor
 
 
 @pytest.fixture()
 def server(world):
-    built, config, archive, store, ingest = world
-    server = AsyncObservatoryServer(store, ingest=ingest,
-                                    archive=archive).start()
+    built, config, archive, store, supervisor = world
+    server = AsyncObservatoryServer(store, supervisor=supervisor).start()
     yield server
     server.stop()
 
@@ -158,7 +158,7 @@ class TestLiveIngest:
         ingest = ObservatoryIngest(
             Archive(built.root), store, tmp_path / "ckpt.json",
             config["intervals"], config["start"], config["end"])
-        app = ObservatoryApp(store, ingest=ingest)
+        app = ObservatoryApp(store)
 
         def get(path):
             return json.loads(app.respond(path, {})[2])
@@ -246,7 +246,8 @@ class TestClientRobustness:
         from repro.observatory import ObservatoryUnreachable
 
         sleeps = []
-        client = ObservatoryClient("http://127.0.0.1:9", timeout=0.5,
+        client = ObservatoryClient("http://127.0.0.1:9",
+                                   connect_timeout=0.5,
                                    retries=2, backoff=0.1,
                                    sleep=sleeps.append)
         with pytest.raises(ObservatoryUnreachable) as excinfo:

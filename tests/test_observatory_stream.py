@@ -22,6 +22,7 @@ from repro.observatory import (
     build_synthetic_archive,
     load_scenario,
 )
+from repro.observatory import stream as stream_module
 from repro.observatory.server import ObservatoryApp
 from repro.observatory.stream import (
     RESET,
@@ -55,11 +56,16 @@ def world(tmp_path_factory):
     return built, config, archive, store, ingest
 
 
+@pytest.fixture(autouse=True)
+def fast_poll(monkeypatch):
+    """Servers in this module poll the store every 5 ms, not 50 ms."""
+    monkeypatch.setattr(stream_module, "POLL_INTERVAL", 0.005)
+
+
 @pytest.fixture()
 def aserver(world):
     built, config, archive, store, ingest = world
-    server = AsyncObservatoryServer(store, ingest=ingest, archive=archive,
-                                    poll_interval=0.02).start()
+    server = AsyncObservatoryServer(store).start()
     yield server
     server.stop()
 
@@ -159,6 +165,15 @@ class FakeStore:
 class TestStreamHub:
     """The fan-out hub in isolation: one poll feeding N queues."""
 
+    @pytest.fixture(autouse=True)
+    def faster_poll(self, monkeypatch):
+        monkeypatch.setattr(stream_module, "POLL_INTERVAL", 0.001)
+
+    @staticmethod
+    def subscription(monkeypatch, queue_events):
+        monkeypatch.setattr(stream_module, "QUEUE_EVENTS", queue_events)
+        return Subscription()
+
     def run_hub(self, coro):
         return asyncio.run(coro)
 
@@ -173,12 +188,12 @@ class TestStreamHub:
         except asyncio.CancelledError:
             pass
 
-    def test_broadcast_reaches_every_subscriber(self):
+    def test_broadcast_reaches_every_subscriber(self, monkeypatch):
         async def scenario():
             store = FakeStore()
             stats = StreamStats()
-            hub = StreamHub(store, stats, poll_interval=0.001)
-            subs = [Subscription(16) for _ in range(3)]
+            hub = StreamHub(store, stats)
+            subs = [self.subscription(monkeypatch, 16) for _ in range(3)]
             start = asyncio.create_task(self.drive(hub, passes=5))
             await asyncio.sleep(0.004)  # hub establishes its watermark
             for sub in subs:
@@ -199,12 +214,14 @@ class TestStreamHub:
             entries.append(sub.queue.get_nowait())
         return entries
 
-    def test_slow_subscriber_marked_lagged_not_blocking_others(self):
+    def test_slow_subscriber_marked_lagged_not_blocking_others(
+            self, monkeypatch):
         async def scenario():
             store = FakeStore()
             stats = StreamStats()
-            hub = StreamHub(store, stats, poll_interval=0.001)
-            slow, fast = Subscription(2), Subscription(64)
+            hub = StreamHub(store, stats)
+            slow = self.subscription(monkeypatch, 2)
+            fast = self.subscription(monkeypatch, 64)
             start = asyncio.create_task(self.drive(hub, passes=8))
             await asyncio.sleep(0.004)
             hub.attach(slow)
@@ -222,13 +239,13 @@ class TestStreamHub:
         # subscriber resumes from its cursor, no event is lost.
         assert [e["seq"] for e in self._drain(slow)] == [0, 1]
 
-    def test_generation_bump_broadcasts_reset(self):
+    def test_generation_bump_broadcasts_reset(self, monkeypatch):
         async def scenario():
             store = FakeStore()
             store.append("outbreak", 0)
             stats = StreamStats()
-            hub = StreamHub(store, stats, poll_interval=0.001)
-            sub = Subscription(16)
+            hub = StreamHub(store, stats)
+            sub = self.subscription(monkeypatch, 16)
             start = asyncio.create_task(self.drive(hub, passes=8))
             await asyncio.sleep(0.004)
             hub.attach(sub)
@@ -243,8 +260,11 @@ class TestStreamHub:
 #: path -> (query digest of its ETag ``"0-16-<digest>"``, or None;
 #: sha256(body)[:16]), captured from the commit (90de47d) that still had
 #: the threaded engine and the scan path: retiring them changed no byte.
+#: ``/healthz`` is served without a live engine, so its body says
+#: ``"ingest_finished": null``; with ``true`` in that place it hashes to
+#: the 90de47d capture, ``60af9fe790354440``.
 PARITY_PATHS = {
-    "/healthz": (None, "60af9fe790354440"),
+    "/healthz": (None, "32ee554c8f370790"),
     "/outbreaks": ("d1dd3abf80bf7594", "743cb68434499f65"),
     "/outbreaks?limit=2": ("b148c45a06e88f29", "f9b01b5a09b2b445"),
     "/outbreaks?prefix=2a0d:3dc1:1000::/48":
@@ -272,10 +292,8 @@ class TestEngineParity:
     @pytest.fixture()
     def engines(self, world):
         built, config, archive, store, ingest = world
-        oracle = ObservatoryApp(store, ingest=ingest, archive=archive)
-        asynced = AsyncObservatoryServer(store, ingest=ingest,
-                                         archive=archive,
-                                         poll_interval=0.02).start()
+        oracle = ObservatoryApp(store)
+        asynced = AsyncObservatoryServer(store).start()
         yield oracle, asynced
         asynced.stop()
 
@@ -443,13 +461,18 @@ class TestBackpressure:
     """Slow consumers are dropped to their cursor: the lag counter
     moves, and the consumer still sees every event exactly once."""
 
-    def test_slow_consumer_zero_loss_zero_duplication(self, tmp_path):
+    def test_slow_consumer_zero_loss_zero_duplication(self, tmp_path,
+                                                      monkeypatch):
+        from repro.observatory import asyncserver
+        from repro.utils import asynchttp
+
+        monkeypatch.setattr(stream_module, "QUEUE_EVENTS", 8)
+        monkeypatch.setattr(asynchttp, "WRITE_BUFFER", 1024)
+        monkeypatch.setattr(asyncserver, "HEARTBEAT", 0.5)
         store = EventStore(tmp_path / "store")
         for seq in range(50):
             store.append("outbreak", 1_000 + seq, {"n": seq})
-        server = AsyncObservatoryServer(
-            store, poll_interval=0.005, queue_events=8,
-            write_buffer=1024, heartbeat=0.5).start()
+        server = AsyncObservatoryServer(store).start()
         try:
             # A deliberately tiny receive window: the subscriber's TCP
             # backpressure stalls the server's writes almost at once.
@@ -507,7 +530,7 @@ class TestGenerationBump:
         for n in range(6):
             store.append("lifespan", 1_000 + n,
                          {"prefix": "2001:db8::/32", "segment_count": n})
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         try:
             conn, response = sse_connect(server, "/stream/events")
             generation = store.position()[0]
@@ -530,7 +553,7 @@ class TestGenerationBump:
         for n in range(6):
             store.append("lifespan", 1_000 + n,
                          {"prefix": "2001:db8::/32", "segment_count": n})
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         try:
             client = ObservatoryClient(server.url)
             stream = client.stream("events", reconnect=False)
@@ -557,7 +580,7 @@ class TestClientStreaming:
         store = EventStore(tmp_path / "store")
         for n in range(10):
             store.append("outbreak", 1_000 + n, {"n": n})
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         port = server.port
         # The restart waits for the client's first back-off, so the
         # client has seen the outage before the server is back.
@@ -572,8 +595,7 @@ class TestClientStreaming:
         def restart():
             assert backed_off.wait(timeout=20)
             self.server2 = AsyncObservatoryServer(
-                store, host="127.0.0.1", port=port,
-                poll_interval=0.005).start()
+                store, host="127.0.0.1", port=port).start()
             for n in range(10, 14):
                 store.append("outbreak", 1_000 + n, {"n": n})
 
@@ -591,7 +613,7 @@ class TestClientStreaming:
     def test_no_reconnect_stops_at_disconnect(self, tmp_path):
         store = EventStore(tmp_path / "store")
         store.append("outbreak", 1_000, {"n": 0})
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         client = ObservatoryClient(server.url)
         stream = client.stream("events", from_seq=0, reconnect=False)
         assert next(stream)["seq"] == 0
@@ -611,7 +633,7 @@ class TestTailCLI:
         store = EventStore(tmp_path / "store")
         for n in range(8):
             store.append("outbreak", 1_000 + n, {"n": n})
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         state = tmp_path / "tail.state"
         try:
             assert main(["observatory", "tail", server.url,
@@ -646,7 +668,7 @@ class TestStoreStreamSink:
 
     def test_sink_feeds_live_stream_end_to_end(self, tmp_path):
         store = EventStore(tmp_path / "store")
-        server = AsyncObservatoryServer(store, poll_interval=0.005).start()
+        server = AsyncObservatoryServer(store).start()
         try:
             conn, response = sse_connect(server, "/stream/outbreaks")
             assert wait_until(
@@ -666,17 +688,12 @@ class TestStoreStreamSink:
 
 
 class TestClientTimeoutSplit:
-    def test_split_and_legacy_defaults(self):
+    def test_split_defaults(self):
         client = ObservatoryClient("http://127.0.0.1:9")
         assert (client.connect_timeout, client.read_timeout) == (5.0, 10.0)
-        legacy = ObservatoryClient("http://127.0.0.1:9", timeout=0.5)
-        assert (legacy.connect_timeout, legacy.read_timeout) == (0.5, 0.5)
         split = ObservatoryClient("http://127.0.0.1:9",
                                   connect_timeout=0.1, read_timeout=33.0)
         assert (split.connect_timeout, split.read_timeout) == (0.1, 33.0)
-        mixed = ObservatoryClient("http://127.0.0.1:9", timeout=2.0,
-                                  read_timeout=44.0)
-        assert (mixed.connect_timeout, mixed.read_timeout) == (2.0, 44.0)
 
     def test_connect_failures_are_retried(self):
         from repro.observatory import ObservatoryUnreachable

@@ -2,18 +2,29 @@
 ingest, and its surfacing through the observatory HTTP API."""
 
 import json
+import urllib.request
 
 import pytest
 
 from repro.mrt import DecodeStats
 from repro.observatory import (
+    AsyncObservatoryServer,
     EventStore,
     ObservatoryApp,
     ObservatoryIngest,
     ObservatorySupervisor,
     build_synthetic_archive,
 )
+from repro.observatory import supervisor as supervisor_module
 from repro.ris import Archive
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_batches():
+    """Batches of 10 records, so the synthetic window takes several."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(supervisor_module, "BATCH_RECORDS", 10)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +70,7 @@ def crashed(world, baseline):
     """A supervised run that survived two injected on_batch crashes."""
     root, scen = world
     supervisor, store, store_dir = make_supervisor(
-        root, scen, "store-crashed", batch_records=10)
+        root, scen, "store-crashed")
     remaining = {"crashes": 2}
 
     def boom(ingest):
@@ -76,7 +87,7 @@ class TestCleanRun:
     def test_healthy_and_byte_identical(self, world, baseline):
         root, scen = world
         supervisor, store, store_dir = make_supervisor(
-            root, scen, "store-clean", batch_records=10)
+            root, scen, "store-clean")
         assert supervisor.run() is True
         store.close()
         assert supervisor.finished
@@ -88,8 +99,7 @@ class TestCleanRun:
 
     def test_stats_shape(self, world):
         root, scen = world
-        supervisor, store, _ = make_supervisor(root, scen, "store-stats",
-                                               batch_records=10)
+        supervisor, store, _ = make_supervisor(root, scen, "store-stats")
         supervisor.run()
         store.close()
         stats = supervisor.stats()
@@ -104,8 +114,8 @@ class TestCleanRun:
 
     def test_skipped_records_degrade_state(self, world):
         root, scen = world
-        supervisor, store, _ = make_supervisor(root, scen, "store-degrade",
-                                               batch_records=10)
+        supervisor, store, _ = make_supervisor(root, scen,
+                                               "store-degrade")
         supervisor.run()
         store.close()
         assert supervisor.state == "healthy"
@@ -132,7 +142,7 @@ class TestCrashRecovery:
     def test_restart_budget_exhaustion_stalls(self, world):
         root, scen = world
         supervisor, store, _ = make_supervisor(
-            root, scen, "store-exhaust", batch_records=10, max_restarts=2)
+            root, scen, "store-exhaust", max_restarts=2)
 
         def always_boom(ingest):
             raise RuntimeError("poison window")
@@ -159,12 +169,14 @@ class TestCrashRecovery:
         assert supervisor.ingest is None
         assert "archive unreachable" in supervisor.last_error
 
-    def test_backoff_is_seeded_and_capped(self, world):
+    def test_backoff_is_seeded_and_capped(self, world, monkeypatch):
         root, scen = world
         delays = []
+        monkeypatch.setattr(supervisor_module, "BACKOFF", 1.0)
+        monkeypatch.setattr(supervisor_module, "BACKOFF_CAP", 2.5)
+        monkeypatch.setattr(supervisor_module, "JITTER", 0.0)
         supervisor, store, _ = make_supervisor(
-            root, scen, "store-backoff", batch_records=10, max_restarts=3,
-            backoff=1.0, backoff_cap=2.5, jitter=0.0,
+            root, scen, "store-backoff", max_restarts=3,
             sleep=delays.append)
 
         def always_boom(ingest):
@@ -177,12 +189,13 @@ class TestCrashRecovery:
 
 
 class TestHeartbeat:
-    def test_stale_heartbeat_stalls_unfinished_run(self, world):
+    def test_stale_heartbeat_stalls_unfinished_run(self, world,
+                                                   monkeypatch):
         root, scen = world
         now = {"t": 0.0}
+        monkeypatch.setattr(supervisor_module, "HEARTBEAT_TIMEOUT", 300.0)
         supervisor, store, _ = make_supervisor(
-            root, scen, "store-heartbeat", heartbeat_timeout=300.0,
-            clock=lambda: now["t"])
+            root, scen, "store-heartbeat", clock=lambda: now["t"])
         assert supervisor.heartbeat_age() is None
         assert supervisor.state == "healthy"
         supervisor.last_heartbeat = now["t"]
@@ -216,9 +229,71 @@ class TestServerIntegration:
     def test_stalled_supervisor_fails_healthz(self, world):
         root, scen = world
         supervisor, store, _ = make_supervisor(root, scen, "store-stalled")
-        supervisor.gave_up = True
+        supervisor._policy.gave_up = True
         app = ObservatoryApp(store, supervisor=supervisor)
         body = json.loads(app.respond("/healthz", {})[2])
         store.close()
         assert body["status"] == "stalled"
         assert body["ingest_state"] == "stalled"
+
+
+def series(metrics: str) -> dict[str, str]:
+    """Unlabelled samples of one exposition: name -> value text."""
+    return dict(line.split(" ", 1) for line in metrics.splitlines()
+                if line and not line.startswith("#") and "{" not in line)
+
+
+class TestDaemonReportsItsEngine:
+    """A supervised daemon serves the counters of the engine it runs:
+    the supervisor is the server's one live-engine input."""
+
+    @staticmethod
+    def get(server, path):
+        with urllib.request.urlopen(server.url + path, timeout=10) as resp:
+            return resp.read().decode()
+
+    def test_metrics_and_healthz_follow_the_live_engine(self, world):
+        root, scen = world
+        supervisor, store, _ = make_supervisor(root, scen, "store-daemon")
+        server = AsyncObservatoryServer(store, supervisor=supervisor).start()
+        try:
+            # No live engine yet: both render, the engine series are
+            # left out and nothing claims the ingest finished.
+            idle = series(self.get(server, "/metrics"))
+            assert "observatory_supervisor_restarts_total" in idle
+            assert not {"observatory_ingest_records_total",
+                        "observatory_forensics_ring_entries",
+                        "observatory_archive_files_considered_total"} & \
+                set(idle)
+            health = json.loads(self.get(server, "/healthz"))
+            assert health["ingest_finished"] is None
+            assert health["ingest_state"] == "healthy"
+
+            mid_run = []
+
+            def scrape(engine):
+                # The engine waits for this hook, so what the server
+                # renders now is exactly the engine's own count.
+                if not mid_run:
+                    mid_run.append((engine.records_ingested,
+                                    series(self.get(server, "/metrics")),
+                                    json.loads(self.get(server, "/healthz"))))
+
+            assert supervisor.run(on_batch=scrape)
+            consumed, live, live_health = mid_run[0]
+            assert int(live["observatory_ingest_records_total"]) == \
+                consumed > 0
+            assert live_health["ingest_finished"] is False
+            engine = supervisor.ingest.stats()
+            assert engine["records_ingested"] == scen.record_count
+            done = series(self.get(server, "/metrics"))
+            assert int(done["observatory_ingest_records_total"]) == \
+                engine["records_ingested"]
+            assert int(done["observatory_forensics_ring_entries"]) == \
+                engine["ring_entries"]
+            assert int(done["observatory_archive_files_considered_total"]) > 0
+            assert json.loads(
+                self.get(server, "/healthz"))["ingest_finished"] is True
+        finally:
+            server.stop()
+            store.close()

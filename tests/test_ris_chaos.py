@@ -13,6 +13,7 @@ from repro.observatory import (
     build_synthetic_archive,
     fsck,
 )
+from repro.observatory import supervisor as supervisor_module
 from repro.ris import (
     Archive,
     ChaosReport,
@@ -127,7 +128,8 @@ class TestTolerantReadEquivalence:
 
 
 class TestSupervisedChaosIngest:
-    def test_degraded_but_converged(self, clean, corrupted, tmp_path):
+    def test_degraded_but_converged(self, clean, corrupted, tmp_path,
+                                    monkeypatch):
         root, scen = clean
         dirty, report = corrupted
         reference = build_reference_archive(scen.root, tmp_path / "ref",
@@ -149,8 +151,8 @@ class TestSupervisedChaosIngest:
                 chaos_dir / "ckpt.json", scen.intervals,
                 scen.start, scen.end)
 
-        supervisor = ObservatorySupervisor(factory, batch_records=25,
-                                           sleep=lambda s: None)
+        monkeypatch.setattr(supervisor_module, "BATCH_RECORDS", 25)
+        supervisor = ObservatorySupervisor(factory, sleep=lambda s: None)
         assert supervisor.run() is True
         store.close()
         assert supervisor.restarts == 0  # tolerant decode, no crashes
@@ -160,7 +162,8 @@ class TestSupervisedChaosIngest:
             EventStore(ref_dir, readonly=True).raw_bytes()
 
     def test_mid_run_corruption_crash_and_resume_converge(self, clean,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          monkeypatch):
         """Damage the first half of the updates files up front, then —
         once the ingest's watermark crosses the midpoint — damage only
         files strictly past the watermark and crash the ingest.  The
@@ -199,8 +202,8 @@ class TestSupervisedChaosIngest:
             report.merge(late)
             raise RuntimeError("chaos: injected mid-ingest crash")
 
-        supervisor = ObservatorySupervisor(factory, batch_records=10,
-                                           sleep=lambda s: None)
+        monkeypatch.setattr(supervisor_module, "BATCH_RECORDS", 10)
+        supervisor = ObservatorySupervisor(factory, sleep=lambda s: None)
         assert supervisor.run(on_batch=mid_run_chaos) is True
         store.close()
         (late,) = fired

@@ -38,7 +38,7 @@ def world(tmp_path_factory):
                             "corrupt": 0.03}, seed=20240601)
     proxy = FaultyProxy(server.url, plan).start()
     mirror = ArchiveMirror(proxy.url, root / "mirror", workers=1, retries=8,
-                           backoff=0.001, sleep=lambda seconds: None)
+                           sleep=lambda seconds: None)
     report = mirror.sync()
     yield root, built, plan, report
     proxy.stop()
@@ -105,7 +105,7 @@ class TestTailingAGrowingMirror:
         server = ArchiveServer(staged).start()
         try:
             mirror = ArchiveMirror(server.url, tmp_path / "mirror",
-                                   workers=1, retries=2, backoff=0.001,
+                                   workers=1, retries=2,
                                    sleep=lambda seconds: None)
             assert mirror.sync().ok
 

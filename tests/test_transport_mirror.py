@@ -16,6 +16,7 @@ from repro.transport import (
     sha256_file,
 )
 from repro.observatory import build_synthetic_archive
+from repro.transport import client as transport_client
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,6 @@ def source(tmp_path_factory):
 def make_mirror(url, dest, **kwargs):
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("retries", 4)
-    kwargs.setdefault("backoff", 0.001)
     kwargs.setdefault("sleep", lambda seconds: None)
     return ArchiveMirror(url, dest, **kwargs)
 
@@ -91,9 +91,11 @@ class TestSync:
         assert (tmp_path / "dst" / "rrc00").exists()
         assert not (tmp_path / "dst" / "rrc01").exists()
 
-    def test_unreachable_server_raises_transport_error(self, tmp_path):
+    def test_unreachable_server_raises_transport_error(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(transport_client, "TIMEOUT", 0.5)
         mirror = make_mirror("http://127.0.0.1:9", tmp_path / "dst",
-                             retries=1, timeout=0.5)
+                             retries=1)
         with pytest.raises(TransportError):
             mirror.sync()
 
