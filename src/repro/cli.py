@@ -10,10 +10,8 @@ Commands
 ``index``        write sidecar file indexes for an existing archive
 ``observatory``  the long-running detection service (§6):
                  ``synth`` / ``ingest`` / ``serve`` / ``tail`` /
-                 ``query`` / ``compact`` / ``doctor`` /
+                 ``query`` / ``forensics`` / ``compact`` / ``doctor`` /
                  ``fleet {serve,status,worker}``
-``mirror``       the archive transport layer:
-                 ``serve`` / ``sync`` / ``watch`` / ``verify`` / ``proxy``
 
 Anticipated operator errors (missing paths, malformed times, bad
 filters) exit with code 2 and a one-line message, never a traceback.
@@ -231,63 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     fworker.add_argument("--host", default="127.0.0.1")
     fworker.add_argument("--port", type=int, default=0)
 
-    mirror = sub.add_parser(
-        "mirror", help="HTTP archive transport (serve / sync / verify)")
-    mir = mirror.add_subparsers(dest="mirror_command", required=True)
-
-    mserve = mir.add_parser(
-        "serve", help="serve an archive root over HTTP (RIS-style)")
-    mserve.add_argument("archive", help="archive root directory")
-    mserve.add_argument("--host", default="127.0.0.1")
-    mserve.add_argument("--port", type=int, default=8470)
-    mserve.add_argument("--key", default=None,
-                        help="manifest signing key (default: built-in)")
-
-    msync = mir.add_parser(
-        "sync", help="mirror a served archive into a local directory")
-    msync.add_argument("url", help="archive server base URL")
-    msync.add_argument("dest", help="local mirror directory")
-    msync.add_argument("--workers", type=int, default=4,
-                       help="concurrent collector-month downloads")
-    msync.add_argument("--retries", type=int, default=4,
-                       help="extra attempts per request")
-    msync.add_argument("--collectors", default=None,
-                       help="comma-separated collector subset, e.g. rrc00,rrc01")
-    msync.add_argument("--key", default=None,
-                       help="manifest signing key (default: built-in)")
-    msync.add_argument("--strict", action="store_true",
-                       help="exit non-zero when any file failed to sync")
-
-    mwatch = mir.add_parser(
-        "watch", help="continuously re-sync a mirror on an interval")
-    mwatch.add_argument("url", help="archive server base URL")
-    mwatch.add_argument("dest", help="local mirror directory")
-    mwatch.add_argument("--interval", type=float, default=60.0,
-                        help="seconds between sync passes")
-    mwatch.add_argument("--cycles", type=int, default=None,
-                        help="stop after N passes (default: forever)")
-    mwatch.add_argument("--workers", type=int, default=4)
-    mwatch.add_argument("--retries", type=int, default=4)
-    mwatch.add_argument("--key", default=None)
-
-    mverify = mir.add_parser(
-        "verify", help="re-hash a mirror against its cached manifests")
-    mverify.add_argument("dest", help="local mirror directory")
-    mverify.add_argument("--repair", action="store_true",
-                         help="quarantine corrupt files so the next sync "
-                              "refetches them")
-
-    mproxy = mir.add_parser(
-        "proxy", help="fault-injecting proxy in front of an archive server")
-    mproxy.add_argument("upstream", help="upstream archive server URL")
-    mproxy.add_argument("--host", default="127.0.0.1")
-    mproxy.add_argument("--port", type=int, default=8471)
-    mproxy.add_argument("--drop", type=float, default=0.0)
-    mproxy.add_argument("--error", type=float, default=0.0)
-    mproxy.add_argument("--stall", type=float, default=0.0)
-    mproxy.add_argument("--truncate", type=float, default=0.0)
-    mproxy.add_argument("--corrupt", type=float, default=0.0)
-    mproxy.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -512,6 +453,9 @@ def _print_decode_stats(archive) -> None:
 
 
 def _run_supervised(args, store, make_ingest) -> int:
+    import signal
+    import threading
+
     from repro.observatory import ObservatorySupervisor
     from repro.observatory.asyncserver import AsyncObservatoryServer
 
@@ -519,28 +463,48 @@ def _run_supervised(args, store, make_ingest) -> int:
         else {"max_restarts": args.max_restarts}
     supervisor = ObservatorySupervisor(make_ingest, **options)
     server = None
+    stop = threading.Event()
     if args.serve_port is not None:
         # /healthz + /metrics, plus live /stream/* of exactly what
-        # this supervised ingest appends.
+        # this supervised ingest appends; served until SIGTERM/SIGINT,
+        # so the finished state stays readable.
         server = AsyncObservatoryServer(store, port=args.serve_port,
                                         supervisor=supervisor).start()
-        print(f"observatory daemon serving on {server.url}")
+        print(f"observatory daemon serving on {server.url}", flush=True)
+
+        def on_signal(signum, frame):
+            stop.set()
+            if not supervisor.finished:
+                raise KeyboardInterrupt  # stop the ingest where it is
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, on_signal)
     try:
-        ok = supervisor.run()
+        try:
+            ok = supervisor.run()
+        except KeyboardInterrupt:
+            if server is None:
+                raise
+            ok = False
+        stats = supervisor.stats()
+        records = supervisor.ingest.records_ingested \
+            if supervisor.ingest is not None else 0
+        print(f"supervised ingest: state={stats['state']} "
+              f"restarts={stats['restarts']} batches={stats['batches']} "
+              f"records={records} "
+              f"records_skipped={stats['records_skipped']} "
+              f"bytes_quarantined={stats['bytes_quarantined']} "
+              f"finished={stats['finished']}", flush=True)
+        if stats["last_error"]:
+            print(f"last error: {stats['last_error']}", file=sys.stderr)
+        if supervisor.ingest is not None:
+            _print_decode_stats(supervisor.ingest.archive)
+        while server is not None and not stop.is_set():
+            stop.wait(0.2)
     finally:
         if server is not None:
             server.stop()
         store.close()
-    stats = supervisor.stats()
-    print(f"supervised ingest: state={stats['state']} "
-          f"restarts={stats['restarts']} batches={stats['batches']} "
-          f"records_skipped={stats['records_skipped']} "
-          f"bytes_quarantined={stats['bytes_quarantined']} "
-          f"finished={stats['finished']}")
-    if stats["last_error"]:
-        print(f"last error: {stats['last_error']}", file=sys.stderr)
-    if supervisor.ingest is not None:
-        _print_decode_stats(supervisor.ingest.archive)
     return 0 if ok else 1
 
 
@@ -773,117 +737,6 @@ def _cmd_observatory_compact(args) -> int:
     return 0
 
 
-def _mirror_key(args) -> bytes:
-    from repro.transport import DEFAULT_KEY
-
-    return args.key.encode() if getattr(args, "key", None) else DEFAULT_KEY
-
-
-def _cmd_mirror(args) -> int:
-    handlers = {
-        "serve": _cmd_mirror_serve,
-        "sync": _cmd_mirror_sync,
-        "watch": _cmd_mirror_watch,
-        "verify": _cmd_mirror_verify,
-        "proxy": _cmd_mirror_proxy,
-    }
-    return handlers[args.mirror_command](args)
-
-
-def _cmd_mirror_serve(args) -> int:
-    from repro.transport import ArchiveServer
-
-    server = ArchiveServer(args.archive, host=args.host, port=args.port,
-                           key=_mirror_key(args))
-    print(f"archive server listening on http://{args.host}:{args.port}",
-          flush=True)
-    # SIGTERM/SIGINT drain in-flight responses, then this returns.
-    server.serve_forever()
-    return 0
-
-
-def _make_mirror(args):
-    from repro.transport import ArchiveMirror
-
-    collectors = None
-    if getattr(args, "collectors", None):
-        collectors = [c.strip() for c in args.collectors.split(",") if c.strip()]
-    return ArchiveMirror(args.url, args.dest, workers=args.workers,
-                         retries=args.retries, key=_mirror_key(args),
-                         collectors=collectors)
-
-
-def _print_report(report) -> None:
-    print(f"synced {report.months_synced} collector-month(s): "
-          f"{report.files_downloaded} downloaded "
-          f"({report.bytes_downloaded} bytes, "
-          f"{report.bytes_resumed} resumed), "
-          f"{report.files_skipped} unchanged, "
-          f"{report.retries} retries, "
-          f"{report.quarantined} quarantined, "
-          f"{len(report.failures)} failure(s)")
-    for failure in report.failures:
-        print(f"  FAILED: {failure}", file=sys.stderr)
-
-
-def _cmd_mirror_sync(args) -> int:
-    from repro.transport import TransportError
-
-    mirror = _make_mirror(args)
-    try:
-        report = mirror.sync()
-    except TransportError as exc:
-        print(f"sync failed: {exc}", file=sys.stderr)
-        return 1
-    _print_report(report)
-    return 0 if (report.ok or not args.strict) else 1
-
-
-def _cmd_mirror_watch(args) -> int:
-    from repro.transport import TransportError
-
-    mirror = _make_mirror(args)
-    try:
-        mirror.watch(args.interval, cycles=args.cycles,
-                     on_report=_print_report)
-    except KeyboardInterrupt:
-        pass
-    except TransportError as exc:
-        print(f"watch failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_mirror_verify(args) -> int:
-    from repro.transport import ArchiveMirror
-
-    mirror = ArchiveMirror("http://unused", args.dest)
-    result = mirror.verify(repair=args.repair)
-    print(f"verified {len(result['verified'])} file(s), "
-          f"{len(result['missing'])} missing, "
-          f"{len(result['corrupt'])} corrupt")
-    for rel in result["missing"]:
-        print(f"  MISSING: {rel}", file=sys.stderr)
-    for rel in result["corrupt"]:
-        print(f"  CORRUPT: {rel}", file=sys.stderr)
-    return 0 if not result["missing"] and not result["corrupt"] else 1
-
-
-def _cmd_mirror_proxy(args) -> int:
-    from repro.transport import FaultPlan, FaultyProxy
-
-    rates = {kind: getattr(args, kind)
-             for kind in ("drop", "error", "stall", "truncate", "corrupt")
-             if getattr(args, kind) > 0}
-    proxy = FaultyProxy(args.upstream, FaultPlan(rates=rates, seed=args.seed),
-                        host=args.host, port=args.port)
-    print(f"faulty proxy for {args.upstream} listening on "
-          f"http://{args.host}:{args.port} (rates: {rates or 'none'})",
-          flush=True)
-    proxy.serve_forever()
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -893,7 +746,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "detect": _cmd_detect,
         "index": _cmd_index,
         "observatory": _cmd_observatory,
-        "mirror": _cmd_mirror,
     }
     try:
         return handlers[args.command](args)

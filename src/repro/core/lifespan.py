@@ -167,7 +167,8 @@ class LifespanSession:
             deltas = self._commit()
         self._pending_instant = dump.timestamp
         for prefix, progress in self._progress.items():
-            if dump.timestamp < progress.withdraw_time + self.min_stuck:
+            if prefix not in dump.entries or \
+                    dump.timestamp < progress.withdraw_time + self.min_stuck:
                 continue
             holders = {(dump.collector, address)
                        for _, address in dump.peers_holding(prefix)}

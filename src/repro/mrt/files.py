@@ -45,8 +45,8 @@ def open_mrt(path: Union[str, Path]):
 def create_mrt(path: Union[str, Path]):
     """Open an MRT container for writing, codec by suffix as in
     :func:`open_mrt`.  Gzip members carry ``mtime=0`` and an empty
-    embedded filename, so re-written files are byte-identical and
-    transport manifest checksums are stable."""
+    embedded filename, so re-written files are byte-identical and the
+    archive bytes (and the benchmark's ``workload_hash``) are stable."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     if str(path).endswith(".bz2"):
         with bz2.open(path, "wb") as handle:

@@ -327,20 +327,6 @@ class ObservatoryIngest:
                 self.checkpoint()
         return ingested
 
-    def reopen(self) -> None:
-        """Re-open the archive streams at the current watermarks.
-
-        A tailing deployment (e.g. following a mirror that ``mirror
-        watch`` is continuously syncing) calls this after draining the
-        streams: archive files that appeared since the last scan are
-        picked up, and the watermark skip rule guarantees records at the
-        resume instant are not double-ingested.  No-op cheap: the next
-        :meth:`run` rebuilds the scan plan lazily.
-        """
-        self._updates = None
-        self._dumps = None
-        self._next_dump = None
-
     def finish(self) -> None:
         """Drain both streams, commit the trailing lifespan instant,
         evaluate every detector deadline up to the window end, and

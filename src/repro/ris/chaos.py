@@ -7,12 +7,9 @@ records, files torn mid-record — while knowing *exactly* which records
 were destroyed, so a supervised tolerant ingest can be asserted
 byte-identical to a clean ingest of the surviving records.
 
-Corruption operates on the decompressed MRT record stream (the layer
-the tolerant decoder defends; transport-level corruption of the
-*compressed* bytes is the mirror's checksum problem, already covered by
-:mod:`repro.transport`).  Decisions come from a seeded RNG in the same
-spirit as :class:`repro.transport.faults.FaultPlan`, so a given archive
-and seed always produce the same damage.
+Corruption operates on the decompressed MRT record stream, the layer
+the tolerant decoder defends.  Decisions come from a seeded RNG, so a
+given archive and seed always produce the same damage.
 
 Three damage kinds:
 

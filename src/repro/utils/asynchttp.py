@@ -1,7 +1,7 @@
 """The repository's one HTTP server: an asyncio HTTP/1.1 transport.
 
-Every server process here — archive mirror, fault proxy, observatory,
-shard worker, federation edge — is a subclass of
+Every server process here — observatory, shard worker, federation
+edge — is a subclass of
 :class:`AsyncHTTPTransport` with one ``_dispatch`` hook.  The transport
 owns what they share: lifecycle (daemon thread or foreground), the
 connection loop with HTTP/1.1 keep-alive, the request-head parser and
@@ -12,8 +12,8 @@ It imports nothing from the packages that build on it.
 
 Why asyncio: a thread per connection would make ten thousand idle SSE
 subscribers ten thousand idle threads.  Here a connection is a
-coroutine; whatever blocks (store reads, file reads, an upstream
-round-trip) runs on the loop's small executor-thread pool.
+coroutine; whatever blocks (store reads, a shard round-trip) runs on
+the loop's small executor-thread pool.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""The one retry backoff schedule: restarts, the observatory client,
-the archive mirror and the federation's shard connects all wait
-:func:`backoff_delay`."""
+"""The one retry backoff schedule: restarts, the observatory client
+and the federation's shard connects all wait :func:`backoff_delay`."""
 
 from __future__ import annotations
 

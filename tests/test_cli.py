@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -91,6 +93,20 @@ class TestReplicationCommand:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "2017-mar" in out
+
+
+class TestReportCommand:
+    def test_report_is_a_pure_function_of_its_seed(self):
+        """Wall-clock timings go to stderr: the report stream of two
+        runs is the same text."""
+        from repro.reporting import generate
+
+        first, second = io.StringIO(), io.StringIO()
+        generate(quick=True, days=2, stream=first)
+        generate(quick=True, days=2, stream=second)
+        assert first.getvalue() == second.getvalue()
+        assert "Table 1" in first.getvalue()
+        assert "done in" not in first.getvalue()
 
 
 class TestErgonomics:

@@ -9,7 +9,10 @@ does.
 
 import ast
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -100,6 +103,31 @@ class TestOneServerStack:
                  *sorted((ROOT / ".github").rglob("*"))]
         assert [str(path) for path in texts if path.is_file()
                 and "bench_mirror" in path.read_text(encoding="utf-8")] == []
+
+
+class TestNoArchiveTransport:
+    """The archive mirror server, sync client and fault proxy left: no
+    real collector serves their signed manifests, so nothing read
+    through them."""
+
+    def test_no_transport_package(self):
+        assert not (SRC / "transport").exists()
+
+    def test_no_transport_code(self):
+        assert matches(r"repro\.transport|ArchiveMirror|FaultyProxy|"
+                       r"ArchiveServer", SRC) == []
+
+    def test_mirror_command_is_a_usage_error(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "mirror", "serve", "X"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stderr.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert "invalid choice: 'mirror'" in errors[0]
 
 
 class TestOneZombieVerdict:

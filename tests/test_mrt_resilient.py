@@ -3,6 +3,7 @@ and its threading through the archive read path, in both on-disk
 layouts (the ``*RouteViews`` classes rerun the RIS cases on bzip2)."""
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,13 @@ from repro.mrt import (
     write_updates_file,
 )
 from repro.mrt.bgp4mp import MRTRecordHeader
-from repro.mrt.constants import MRT_BGP4MP
+from repro.mrt.constants import (
+    BGP4MP_MESSAGE_AS4,
+    MRT_BGP4MP,
+    MRT_TABLE_DUMP_V2,
+    TDV2_RIB_IPV6_UNICAST,
+)
+from repro.mrt.resilient import _CHUNK, MAX_RECORD_LENGTH
 from repro.net import Prefix
 from repro.mrt.files import create_mrt, open_mrt
 from repro.ris import Archive, ArchiveWriter, RecordFilter
@@ -561,3 +568,66 @@ class TestByteMutation:
                                    error_policy=ErrorPolicy.STRICT))
         except MRTDecodeError:
             pass
+
+
+def record_boundaries(stream):
+    """Offsets in a decompressed MRT stream where a record starts, plus
+    its end."""
+    offsets, position = [], 0
+    while position < len(stream):
+        offsets.append(position)
+        position += 12 + _MRT_HDR.unpack_from(stream, position)[3]
+    return offsets + [position]
+
+
+class TestHostileLength:
+    """A record header whose length field claims anything up to
+    2**32 - 1 bytes costs at most ``MAX_RECORD_LENGTH`` plus one read
+    chunk of traced memory: no allocation is sized by the field, in an
+    updates file or a bview, under ``skip`` or ``strict``."""
+
+    BOUND = MAX_RECORD_LENGTH + _CHUNK
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hostile")
+        updates = root / "updates.20240604.0800.gz"
+        # A few read chunks each, so a claim is read against more data.
+        write_updates_file(updates, records_for_file(100))
+        bview = ArchiveWriter(root / "ris").write_rib(rib_dump(T0, 200))
+        return {"updates": (updates, raw_stream(updates), MRT_BGP4MP,
+                            BGP4MP_MESSAGE_AS4),
+                "bview": (bview, raw_stream(bview), MRT_TABLE_DUMP_V2,
+                          TDV2_RIB_IPV6_UNICAST)}
+
+    @staticmethod
+    def read(kind, path, policy):
+        try:
+            if kind == "updates":
+                list(read_updates_file(path, "rrc00", error_policy=policy))
+            else:
+                read_rib_file(path, error_policy=policy)
+        except MRTDecodeError:
+            assert policy == ErrorPolicy.STRICT
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["updates", "bview"]),
+           length=st.integers(0, (1 << 32) - 1),
+           at=st.integers(0, 1 << 16),
+           filler=st.binary(max_size=64))
+    def test_peak_memory_is_bounded(self, streams, kind, length, at, filler):
+        path, stream, mrt_type, subtype = streams[kind]
+        boundaries = record_boundaries(stream)
+        cut = boundaries[at % len(boundaries)]
+        rewrite(path, stream[:cut] + _MRT_HDR.pack(T0, mrt_type, subtype,
+                                                   length)
+                + filler + stream[cut:])
+        for policy in (ErrorPolicy.SKIP, ErrorPolicy.STRICT):
+            tracemalloc.start()
+            try:
+                baseline, _ = tracemalloc.get_traced_memory()
+                self.read(kind, path, policy)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - baseline <= self.BOUND, (length, policy)

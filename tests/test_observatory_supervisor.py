@@ -2,7 +2,14 @@
 ingest, and its surfacing through the observatory HTTP API."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +24,8 @@ from repro.observatory import (
 )
 from repro.observatory import supervisor as supervisor_module
 from repro.ris import Archive
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -297,3 +306,44 @@ class TestDaemonReportsItsEngine:
         finally:
             server.stop()
             store.close()
+
+
+class TestDaemonServesItsFinishedState:
+    """``observatory ingest --supervise --serve-port`` keeps serving
+    once the window is done, until SIGTERM, and then exits with the
+    run's code."""
+
+    def test_serves_until_sigterm(self, world):
+        root, scen = world
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "observatory", "ingest",
+             str(root / "archive"), str(root / "store-cli"),
+             "--supervise", "--serve-port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("observatory daemon serving on "), \
+                banner
+            url = banner.split()[-1]
+
+            def get(path):
+                with urllib.request.urlopen(url + path, timeout=10) as resp:
+                    return resp.read().decode()
+
+            deadline = time.monotonic() + 60
+            while not json.loads(get("/healthz"))["ingest_finished"]:
+                assert time.monotonic() < deadline, "ingest never finished"
+                time.sleep(0.05)
+            summary = proc.stdout.readline()
+            records = int(re.search(r"\brecords=(\d+)", summary).group(1))
+            assert records == scen.record_count
+            metrics = series(get("/metrics"))
+            assert int(metrics["observatory_ingest_records_total"]) == records
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

@@ -12,9 +12,13 @@ from repro.bgp import (
     Withdrawal,
 )
 from repro.mrt import RibDump
+from repro.mrt.files import write_updates_file
 from repro.net import Prefix
 from repro.ris import Archive, ArchiveWriter, PeerRegistry, RISPeer
+from repro.simulator.ribgen import generate_rib_dumps
 from repro.utils.timeutil import ts
+
+from helpers import ann, wd
 
 
 def attrs(*asns):
@@ -162,6 +166,35 @@ class TestRibs:
         archive = Archive(tmp_path)
         got = list(archive.iter_ribs(ts(2024, 6, 5), ts(2024, 6, 6)))
         assert [d.timestamp for d in got] == [ts(2024, 6, 5, 0), ts(2024, 6, 5, 8)]
+
+
+class TestDeterministicBytes:
+    """Re-written gzip files are byte-identical, so archive bytes (and
+    the benchmark's ``workload_hash`` over them) are stable across runs."""
+
+    @staticmethod
+    def records():
+        start = ts(2024, 6, 1)
+        records = []
+        for i in range(8):
+            records.append(ann(start + 60 * i, "2001:db8:100::/48", 25091, 3333))
+            records.append(wd(start + 60 * i + 30, "2001:db8:100::/48"))
+        return records
+
+    def test_update_file_rewrite_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.gz", tmp_path / "b.gz"
+        write_updates_file(a, self.records())
+        write_updates_file(b, self.records())
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_rib_rewrite_is_byte_identical(self, tmp_path):
+        start = ts(2024, 6, 1)
+        dumps = list(generate_rib_dumps(self.records(), start,
+                                        start + 9 * 3600))
+        assert dumps
+        path_a = ArchiveWriter(tmp_path / "a").write_rib(dumps[0])
+        path_b = ArchiveWriter(tmp_path / "b").write_rib(dumps[0])
+        assert path_a.read_bytes() == path_b.read_bytes()
 
 
 class TestPeerRegistry:
