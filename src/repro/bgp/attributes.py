@@ -102,9 +102,14 @@ class ASPath:
         return self.asns[0]
 
     def prepend(self, asn: int) -> "ASPath":
-        """Return a new path with ``asn`` prepended (as done at export)."""
+        """Return a new path with ``asn`` prepended (as done at export).
+
+        Only ``asn`` is checked: the rest of the path was checked when
+        this one was built."""
         validate_asn(asn)
-        return ASPath((asn,) + self.asns)
+        path = object.__new__(ASPath)
+        object.__setattr__(path, "asns", (asn,) + self.asns)
+        return path
 
     def contains(self, asn: int) -> bool:
         """Loop check: is ``asn`` already in the path?"""

@@ -88,18 +88,28 @@ class CampaignRun:
     final_withdrawals: dict[Prefix, int]
     #: named scripted prefixes for the case studies.
     scripted_prefixes: dict[str, Prefix] = field(default_factory=dict)
+    #: detector config -> its result over ``records``; see :meth:`detect`.
+    _detections: dict[DetectorConfig, DetectionResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def detect(self, threshold: int = 90 * MINUTE, dedup: bool = True,
                exclude_noisy: bool = False,
                excluded_peers: frozenset[PeerKey] = frozenset()
                ) -> DetectionResult:
-        """Run the revised detector over the campaign records."""
+        """Run the revised detector over the campaign records.
+
+        The result is memoised per detector configuration (a run's
+        records never change), so callers share it and must not mutate
+        it."""
         excluded = set(excluded_peers)
         if exclude_noisy:
             excluded |= set(self.noisy_truth)
         config = DetectorConfig(threshold=threshold, dedup=dedup,
                                 excluded_peers=frozenset(excluded))
-        return ZombieDetector(config).detect(self.records, self.intervals)
+        if config not in self._detections:
+            self._detections[config] = ZombieDetector(config).detect(
+                self.records, self.intervals)
+        return self._detections[config]
 
     def rib_dumps(self, start: Optional[int] = None,
                   end: Optional[int] = None) -> Iterator[RibDump]:

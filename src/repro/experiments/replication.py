@@ -66,20 +66,34 @@ class ReplicationRun:
     records: list[Record]
     peers: PeerRegistry
     noisy_truth: frozenset[PeerKey]
+    #: detector config (or ``("legacy", threshold)``) -> its result over
+    #: ``records``; see :meth:`detect`.
+    _detections: dict[object, DetectionResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def detect(self, dedup: bool = True, exclude_noisy: bool = False,
                threshold: int = 90 * MINUTE) -> DetectionResult:
+        """The revised detector over the period's records, memoised per
+        detector configuration: callers share the result and must not
+        mutate it."""
         excluded = self.noisy_truth if exclude_noisy else frozenset()
         config = DetectorConfig(threshold=threshold, dedup=dedup,
                                 excluded_peers=excluded)
-        return ZombieDetector(config).detect(self.records, self.intervals)
+        if config not in self._detections:
+            self._detections[config] = ZombieDetector(config).detect(
+                self.records, self.intervals)
+        return self._detections[config]
 
     def detect_legacy(self, threshold: int = 90 * MINUTE) -> DetectionResult:
-        detector = LegacyDetector(threshold=threshold,
-                                  miss_prob=self.config.legacy_miss_prob,
-                                  seed=self.config.seed,
-                                  excluded_peers=self.noisy_truth)
-        return detector.detect(self.records, self.intervals)
+        """The legacy detector (seeded, so deterministic), memoised and
+        shared like :meth:`detect`."""
+        key = ("legacy", threshold)
+        if key not in self._detections:
+            self._detections[key] = LegacyDetector(
+                threshold=threshold, miss_prob=self.config.legacy_miss_prob,
+                seed=self.config.seed, excluded_peers=self.noisy_truth,
+            ).detect(self.records, self.intervals)
+        return self._detections[key]
 
 
 def run_replication(config: ReplicationConfig) -> ReplicationRun:

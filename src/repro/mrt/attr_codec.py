@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from repro.bgp.attributes import (
@@ -30,7 +31,8 @@ from repro.bgp.attributes import (
 from repro.mrt.constants import SAFI_UNICAST
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix, format_address
 
-__all__ = ["encode_attributes", "encode_mp_unreach", "AttributeDecoder"]
+__all__ = ["encode_attributes", "encode_mp_unreach", "packed_address",
+           "AttributeDecoder"]
 
 _FLAG_OPTIONAL = 0x80
 _FLAG_TRANSITIVE = 0x40
@@ -86,6 +88,15 @@ def _decode_as_path(payload: bytes) -> ASPath:
     return ASPath(tuple(asns))
 
 
+@lru_cache(maxsize=4096)
+def packed_address(text: str) -> tuple[int, bytes]:
+    """``(IP version, packed bytes)`` of an address text.  Memoised like
+    :func:`repro.bgp.attributes._check_address`: an encoded archive
+    repeats the same few peer, local and next-hop addresses."""
+    address = ipaddress.ip_address(text)
+    return address.version, address.packed
+
+
 def encode_attributes(attrs: PathAttributes,
                       announced: Optional[list[Prefix]] = None,
                       withdrawn_mp: Optional[list[Prefix]] = None,
@@ -105,9 +116,9 @@ def encode_attributes(attrs: PathAttributes,
     out += _attribute(_FLAG_TRANSITIVE, ATTR_ORIGIN, bytes([attrs.origin]))
     out += _attribute(_FLAG_TRANSITIVE, ATTR_AS_PATH, _encode_as_path(attrs.as_path))
 
-    next_hop = ipaddress.ip_address(attrs.next_hop)
-    if next_hop.version == 4:
-        out += _attribute(_FLAG_TRANSITIVE, ATTR_NEXT_HOP, next_hop.packed)
+    version, next_hop = packed_address(attrs.next_hop)
+    if version == 4:
+        out += _attribute(_FLAG_TRANSITIVE, ATTR_NEXT_HOP, next_hop)
 
     if attrs.aggregator is not None:
         payload = struct.pack("!I", attrs.aggregator.asn) + attrs.aggregator.address_bytes()
@@ -119,11 +130,11 @@ def encode_attributes(attrs: PathAttributes,
         out += _attribute(_FLAG_OPTIONAL | _FLAG_TRANSITIVE, ATTR_COMMUNITIES, payload)
 
     v6_announced = [p for p in announced if p.is_ipv6]
-    if v6_announced or (rib_entry and next_hop.version == 6):
+    if v6_announced or (rib_entry and version == 6):
         body = bytearray()
         if not rib_entry:
             body += struct.pack("!HB", AFI_IPV6, SAFI_UNICAST)
-        body += bytes([16]) + next_hop.packed if next_hop.version == 6 else bytes([4]) + next_hop.packed
+        body += bytes([len(next_hop)]) + next_hop
         if not rib_entry:
             body += b"\x00"  # reserved
             for prefix in v6_announced:

@@ -17,7 +17,6 @@ object built; malformed bytes raise ``ValueError``, ``struct.error`` or
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from typing import Iterator, Optional
 
@@ -33,6 +32,7 @@ from repro.mrt.attr_codec import (
     AttributeDecoder,
     encode_attributes,
     encode_mp_unreach,
+    packed_address,
 )
 from repro.mrt.constants import (
     BGP4MP_MESSAGE,
@@ -102,15 +102,15 @@ def decode_mrt_header(data: bytes, offset: int = 0) -> MRTRecordHeader:
 
 def _bgp4mp_header(record, local_address: Optional[str]) -> bytes:
     """The AS4 BGP4MP per-record header of ``record``'s peer."""
-    peer_ip = ipaddress.ip_address(record.peer_address)
+    peer_version, peer_packed = packed_address(record.peer_address)
     if local_address is None:
-        local_address = "192.0.2.1" if peer_ip.version == 4 else "2001:db8::1"
-    local_ip = ipaddress.ip_address(local_address)
-    if peer_ip.version != local_ip.version:
+        local_address = "192.0.2.1" if peer_version == 4 else "2001:db8::1"
+    local_version, local_packed = packed_address(local_address)
+    if peer_version != local_version:
         raise ValueError("peer and local addresses must share a family")
-    afi = AFI_IPV4 if peer_ip.version == 4 else AFI_IPV6
+    afi = AFI_IPV4 if peer_version == 4 else AFI_IPV6
     return (struct.pack("!IIHH", record.peer_asn, COLLECTOR_ASN, 0, afi)
-            + peer_ip.packed + local_ip.packed)
+            + peer_packed + local_packed)
 
 
 def encode_update_record(record: UpdateRecord,

@@ -32,7 +32,7 @@ def save_checkpoint(path: Union[str, Path], document: dict[str, Any]) -> None:
     payload["version"] = CHECKPOINT_VERSION
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(json.dumps(payload, sort_keys=True))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -210,7 +210,7 @@ def write_manifest(root: Path, segments: Sequence[_Segment],
     }
     tmp = root / "manifest.json.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(json.dumps(payload, sort_keys=True))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, root / "manifest.json")

@@ -15,16 +15,16 @@ real archives.  Neither class knows which platform it is serving.
 
 The read path is built for throughput:
 
-* every update file carries a JSON sidecar index (``.idx``, see
-  :mod:`repro.ris.index`) so window resolution and pushed-down
-  peer/ipversion/prefix-family clauses can skip whole files without
-  decompressing them;
+* every scan lists files afresh (one ``os.scandir`` per directory) and
+  stats each once; a per-file table keeps each file version's JSON
+  sidecar (``.idx``, :mod:`repro.ris.index`), read once, so window
+  resolution and pushed-down clauses skip whole files undecompressed;
+* a decoded-file LRU cache (:mod:`repro.ris.cache`), checked against
+  the same stat, keeps recent decodes grouped by prefix, so re-scanning
+  a window with another filter is nearly free;
 * ``Archive(root, workers=N)`` decodes multi-file windows on a process
   pool (:mod:`repro.ris.parallel`) with an ordered heap-merge identical
   to the sequential path;
-* a decoded-file LRU cache (:mod:`repro.ris.cache`), keyed by
-  ``(path, size, mtime)``, makes re-scanning the same window with a
-  different detector or filter nearly free;
 * :meth:`Archive.iter_updates` accepts a
   :class:`~repro.ris.pushdown.RecordFilter` so stream-level clauses are
   applied at (or before) decode time.
@@ -33,7 +33,11 @@ The read path is built for throughput:
 from __future__ import annotations
 
 import calendar
+import os
+import re
 import warnings
+from fnmatch import translate
+from functools import lru_cache
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
@@ -44,7 +48,8 @@ from repro.mrt.files import (create_mrt, read_rib_file, read_updates_file,
 from repro.mrt.resilient import DecodeStats, ErrorPolicy
 from repro.mrt.tabledump import RibDump, encode_rib_dump
 from repro.ris.cache import DecodedFileCache
-from repro.ris.index import build_rib_index, load_index, write_index
+from repro.ris.index import (build_rib_index, file_fingerprint, load_index,
+                             write_index)
 from repro.ris.parallel import iter_plan_parallel, worker_pool
 from repro.ris.pushdown import RecordFilter
 from repro.utils.timeutil import align_down, to_datetime
@@ -57,6 +62,8 @@ RIB_DUMP_SECONDS = 8 * 3600
 
 #: Default size (in files) of the per-archive decoded-file LRU cache.
 DEFAULT_CACHE_FILES = 32
+#: Files the sidecar table remembers (~1.3 KB each) before it starts over.
+TABLE_FILES = 1 << 15
 
 
 class Layout(NamedTuple):
@@ -74,8 +81,30 @@ class Layout(NamedTuple):
               collector: str = "*") -> list[Path]:
         """Every file under ``root`` that ``template`` (one of this
         layout's own) names, for one collector or all, sorted."""
-        return sorted(root.glob(template.format(
-            collector=collector, month="*", stamp="*")))
+        return [Path(path) for path in _walk(str(root), template.format(
+            collector=collector, month="*", stamp="*"))]
+
+
+def _walk(root: str, pattern: str, dirs_only: bool = False) -> list[str]:
+    """Paths under ``root`` matching the ``/``-separated glob ``pattern``,
+    in ``sorted(Path(root).glob(pattern))`` order (one scandir per dir)."""
+    parts = pattern.split("/")
+    level = [root]
+    for depth, part in enumerate(parts):
+        want_dir = dirs_only or depth < len(parts) - 1
+        matches = re.compile(translate(part)).match
+        found = []
+        for parent in level:
+            try:
+                with os.scandir(parent) as entries:
+                    names = sorted(entry.name for entry in entries
+                                   if matches(entry.name)
+                                   and (not want_dir or entry.is_dir()))
+            except OSError:
+                continue
+            found += [os.path.join(parent, name) for name in names]
+        level = found
+    return level
 
 
 RIS_LAYOUT = Layout(UPDATE_BIN_SECONDS, "rrc*",
@@ -101,6 +130,7 @@ def reindex_archive(root: Union[str, Path], rebuild: bool = False,
     return written
 
 
+@lru_cache(maxsize=1 << 16)
 def _parse_file_stamp(name: str) -> int:
     """Timestamp from ``updates.YYYYMMDD.HHMM.gz`` / ``bview....`` names.
 
@@ -213,24 +243,26 @@ class Archive:
         self.decode_stats = DecodeStats()
         self.files_considered = 0
         self.files_skipped = 0
+        #: path -> (fingerprint, sidecar index or None) of that version
+        self._table: dict[str, tuple] = {}
 
     def collectors(self) -> list[str]:
         """Collector directories present in the archive."""
-        return sorted({p.relative_to(self.root).parts[0]
-                       for p in self.root.glob(self.layout.collectors)
-                       if p.is_dir()})
+        return sorted({os.path.relpath(p, self.root).split(os.sep)[0] for p
+                       in _walk(str(self.root), self.layout.collectors, True)})
 
     def _files(self, template: str, collector: str, start: int,
-               end: int) -> list[tuple[int, Path]]:
+               end: int) -> list[tuple[int, str]]:
         """``(file stamp, path)`` of the files of ``collector`` matching
         the layout ``template`` whose stamp falls in [start, end), in
         (month, stamp) order."""
         out = []
-        for path in self.layout.files(self.root, template, collector):
+        for path in _walk(str(self.root), template.format(
+                collector=collector, month="*", stamp="*")):
             try:
-                stamp = _parse_file_stamp(path.name)
+                stamp = _parse_file_stamp(os.path.basename(path))
             except ValueError:
-                self.on_foreign_file(path)
+                self.on_foreign_file(Path(path))
                 continue
             if start <= stamp < end:
                 out.append((stamp, path))
@@ -242,14 +274,14 @@ class Archive:
         The file containing ``start`` is included even though its stamp
         may precede ``start`` (records are filtered at iteration time).
         """
-        window_start = align_down(start, self.layout.bin_seconds)
-        return [path for _, path in self._files(
-            self.layout.updates, collector, window_start, end)]
+        return [Path(path) for _, path in self._files(
+            self.layout.updates, collector,
+            align_down(start, self.layout.bin_seconds), end)]
 
-    def _file_may_match(self, path: Path, start: int, end: int,
+    @staticmethod
+    def _file_may_match(index, start: int, end: int,
                         record_filter: Optional[RecordFilter]) -> bool:
         """Sidecar-index skip test; True when no (fresh) index exists."""
-        index = load_index(path)
         if index is None:
             return True
         if index.record_count == 0:
@@ -263,27 +295,36 @@ class Archive:
     def _scan_plan(self, start: int, end: int,
                    collectors: Optional[Sequence[str]],
                    record_filter: Optional[RecordFilter]
-                   ) -> list[tuple[str, list[Path]]]:
-        """Per-collector file lists after index-based skipping."""
+                   ) -> list[tuple[str, list[tuple[str, Optional[tuple]]]]]:
+        """Per-collector ``(path, fingerprint)`` lists after index skipping."""
         if collectors is not None:
             collectors = list(collectors)
         elif record_filter is not None and record_filter.collectors:
             collectors = sorted(record_filter.collectors)
         else:
             collectors = self.collectors()
+        window_start = align_down(start, self.layout.bin_seconds)
         plan = []
         for collector in collectors:
             if (record_filter is not None and record_filter.collectors
                     and collector not in record_filter.collectors):
                 continue
-            paths = []
-            for path in self.update_files(collector, start, end):
+            files = []
+            for _, path in self._files(self.layout.updates, collector,
+                                       window_start, end):
                 self.files_considered += 1
-                if self._file_may_match(path, start, end, record_filter):
-                    paths.append(path)
+                fingerprint = file_fingerprint(path)  # the scan's one stat
+                known = self._table.get(path)
+                if known is None or known[0] != fingerprint:  # new version
+                    if len(self._table) >= TABLE_FILES:
+                        self._table.clear()
+                    known = self._table[path] = (fingerprint, fingerprint
+                                                 and load_index(path, fingerprint))
+                if self._file_may_match(known[1], start, end, record_filter):
+                    files.append((path, fingerprint))
                 else:
                     self.files_skipped += 1
-            plan.append((collector, paths))
+            plan.append((collector, files))
         return plan
 
     def stats(self) -> dict:
@@ -301,7 +342,8 @@ class Archive:
             "decode": self.decode_stats.as_dict(),
         }
 
-    def _decoded(self, path: Path, collector: str,
+    def _decoded(self, path: str, fingerprint: Optional[tuple],
+                 collector: str,
                  record_filter: Optional[RecordFilter]) -> Iterable[Record]:
         """Decode one file, via the LRU cache when possible.
 
@@ -310,16 +352,14 @@ class Archive:
         prior unfiltered decode of the same file.
         """
         if self.cache is not None:
-            cached = self.cache.get(path)
+            cached = self.cache.get(path, fingerprint)
             if cached is not None:
-                if record_filter is None:
-                    return cached
-                return [r for r in cached if record_filter.matches_record(r)]
+                return cached.select(record_filter)
             if record_filter is None:
                 records = tuple(read_updates_file(
                     path, collector, error_policy=self.error_policy,
                     stats=self.decode_stats))
-                self.cache.put(path, records)
+                self.cache.put(path, records, fingerprint)
                 return records
         return read_updates_file(path, collector, record_filter=record_filter,
                                  error_policy=self.error_policy,
@@ -337,7 +377,7 @@ class Archive:
         sequence with non-matching records removed.
         """
         plan = self._scan_plan(start, end, collectors, record_filter)
-        total_files = sum(len(paths) for _, paths in plan)
+        total_files = sum(len(files) for _, files in plan)
         if self.workers > 1 and total_files > 1:
             merged = self._iter_parallel(plan, record_filter)
         else:
@@ -346,16 +386,17 @@ class Archive:
             if start <= record.timestamp < end:
                 yield record
 
-    def _iter_sequential(self, plan: Sequence[tuple[str, Sequence[Path]]],
+    def _iter_sequential(self, plan: Sequence[tuple[str, Sequence[tuple]]],
                          record_filter: Optional[RecordFilter]
                          ) -> Iterator[Record]:
-        def stream(collector: str, paths: Sequence[Path]) -> Iterator[Record]:
-            for path in paths:
-                yield from self._decoded(path, collector, record_filter)
+        def stream(collector: str, files: Sequence[tuple]) -> Iterator[Record]:
+            for path, fingerprint in files:
+                yield from self._decoded(path, fingerprint, collector,
+                                         record_filter)
 
-        return merge_records(stream(c, paths) for c, paths in plan)
+        return merge_records(stream(c, files) for c, files in plan)
 
-    def _iter_parallel(self, plan: Sequence[tuple[str, Sequence[Path]]],
+    def _iter_parallel(self, plan: Sequence[tuple[str, Sequence[tuple]]],
                        record_filter: Optional[RecordFilter]
                        ) -> Iterator[Record]:
         with worker_pool(self.workers) as pool:
@@ -372,7 +413,7 @@ class Archive:
         collectors = list(collectors) if collectors is not None else self.collectors()
         stamped = [item for collector in collectors
                    for item in self._files(self.layout.ribs, collector, start, end)]
-        for _, path in sorted(stamped, key=lambda item: (item[0], str(item[1]))):
+        for _, path in sorted(stamped):
             dump = read_rib_file(path, self.error_policy, self.decode_stats)
             if dump is not None:
                 yield dump

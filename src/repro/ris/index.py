@@ -18,6 +18,7 @@ this library are always fully indexed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -25,7 +26,7 @@ from typing import Iterable, Optional, Union
 from repro.bgp.messages import Record, StateRecord, UpdateRecord
 
 __all__ = ["FileIndex", "INDEX_SUFFIX", "index_path", "build_index",
-           "build_rib_index", "write_index", "load_index"]
+           "build_rib_index", "write_index", "load_index", "file_fingerprint"]
 
 INDEX_SUFFIX = ".idx"
 INDEX_VERSION = 1
@@ -135,21 +136,29 @@ def write_index(data_path: Union[str, Path], records: Iterable[Record],
     return path
 
 
-def load_index(data_path: Union[str, Path]) -> Optional[FileIndex]:
-    """Load the sidecar for ``data_path``; None if missing, foreign-format
-    or stale with respect to the data file."""
-    data_path = Path(data_path)
-    path = index_path(data_path)
+def file_fingerprint(path: Union[str, Path]) -> Optional[tuple[int, int]]:
+    """``(size, mtime_ns)`` of ``path``, or None when it cannot be stat'ed."""
     try:
-        payload = json.loads(path.read_text())
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_size, stat.st_mtime_ns)
+
+
+def load_index(data_path: Union[str, Path],
+               fingerprint: Optional[tuple] = None) -> Optional[FileIndex]:
+    """Load the sidecar for ``data_path``; None if missing, foreign-format
+    or stale with respect to the data file's ``(size, mtime_ns)``
+    ``fingerprint`` (stat'ed here when the caller has none)."""
+    try:
+        payload = json.loads(index_path(data_path).read_text())
     except (OSError, ValueError):
         return None
     if not isinstance(payload, dict) or payload.get("version") != INDEX_VERSION:
         return None
     try:
-        stat = data_path.stat()
-        if (payload["file_size"] != stat.st_size
-                or payload["file_mtime_ns"] != stat.st_mtime_ns):
+        if (payload["file_size"], payload["file_mtime_ns"]) != (
+                fingerprint or file_fingerprint(data_path)):
             return None
         return FileIndex(
             record_count=payload["record_count"],

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro.bgp.messages import Record, merge_records
@@ -85,54 +84,53 @@ def worker_pool(workers: int):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _collector_stream(pool: Executor, collector: str, paths: Sequence[Path],
+def _collector_stream(pool: Executor, collector: str,
+                      files: Sequence[tuple[str, Optional[tuple]]],
                       record_filter: Optional[RecordFilter],
                       cache: Optional[DecodedFileCache],
                       error_policy: str,
                       stats: Optional[DecodeStats]) -> Iterator[Record]:
     """Records of one collector, files decoded ahead out-of-process but
     yielded strictly in file order."""
-    pending: deque = deque()  # (path, cached_records | None, future | None)
-    files = iter(paths)
+    pending: deque = deque()  # (path, fingerprint, records, future)
+    remaining = iter(files)
 
     def schedule_next() -> None:
-        for path in files:
+        for path, fingerprint in remaining:
             if cache is not None:
-                cached = cache.get(path)
-                if cached is not None:
-                    pending.append((path, cached, None))
+                cached = cache.get(path, fingerprint)
+                if cached is not None:  # the records, taken at the hit
+                    pending.append((path, fingerprint,
+                                    cached.select(record_filter), None))
                     return
-            pending.append((path, None, pool.submit(
-                decode_file, str(path), collector, record_filter,
+            pending.append((path, fingerprint, None, pool.submit(
+                decode_file, path, collector, record_filter,
                 error_policy)))
             return
 
     for _ in range(PREFETCH_PER_COLLECTOR):
         schedule_next()
     while pending:
-        path, cached, future = pending.popleft()
+        path, fingerprint, records, future = pending.popleft()
         schedule_next()
-        if cached is not None:
-            records = (cached if record_filter is None else
-                       [r for r in cached if record_filter.matches_record(r)])
-        else:
+        if records is None:
             records, worker_stats = future.result()
             if stats is not None:
                 stats.merge(worker_stats)
             if cache is not None and record_filter is None:
-                cache.put(path, records)
+                cache.put(path, records, fingerprint)
         yield from records
 
 
 def iter_plan_parallel(pool: Executor,
-                       plan: Sequence[tuple[str, Sequence[Path]]],
+                       plan: Sequence[tuple[str, Sequence[tuple[str, Optional[tuple]]]]],
                        record_filter: Optional[RecordFilter] = None,
                        cache: Optional[DecodedFileCache] = None,
                        error_policy: str = ErrorPolicy.SKIP,
                        stats: Optional[DecodeStats] = None
                        ) -> Iterator[Record]:
-    """Decode a ``[(collector, paths), ...]`` plan on ``pool`` and merge
-    the collector streams in global ``(time, collector, peer)`` order."""
+    """Decode a ``[(collector, [(path, fingerprint), ...]), ...]`` plan on
+    ``pool``; merge the streams in ``(time, collector, peer)`` order."""
     return merge_records(
         _collector_stream(pool, collector, paths, record_filter, cache,
                           error_policy, stats)

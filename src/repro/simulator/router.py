@@ -39,6 +39,9 @@ class ASRouter:
         self.next_hop = f"2001:db8:{asn & 0xFFFF:x}:{(asn >> 16) & 0xFFFF:x}::1"
         #: neighbour ASN -> how we see them.
         self.relationships: dict[int, Relationship] = {}
+        #: ``relationships`` as ``(neighbour, relationship)`` in ASN
+        #: order, the order every export walks; kept by add_neighbor.
+        self._neighbors: list[tuple[int, Relationship]] = []
         #: prefix -> neighbour ASN -> attributes as received.
         self.adj_rib_in: dict[Prefix, dict[int, PathAttributes]] = {}
         #: locally originated routes.
@@ -58,6 +61,7 @@ class ASRouter:
 
     def add_neighbor(self, asn: int, relationship: Relationship) -> None:
         self.relationships[asn] = relationship
+        self._neighbors = sorted(self.relationships.items())
         self.exported.setdefault(asn, set())
 
     def add_observer(self, observer: Observer) -> None:
@@ -174,13 +178,13 @@ class ASRouter:
         src, attrs = winner
         learned_rel = None if src is None else self.relationships[src]
         out_attrs = self.export_attributes(prefix)
-        for neighbor in sorted(self.relationships):
+        for neighbor, relationship in self._neighbors:
             if neighbor == src:
                 # Never advertise a route back to its source; retract a
                 # previously advertised one if policy flips the source.
                 self._retract_if_exported(neighbor, prefix)
                 continue
-            if (should_export(learned_rel, self.relationships[neighbor])
+            if (should_export(learned_rel, relationship)
                     and not out_attrs.as_path.contains(neighbor)):
                 self.exported[neighbor].add(prefix)
                 self.world.send(self.asn, neighbor, Announcement(prefix, out_attrs))
@@ -188,7 +192,7 @@ class ASRouter:
                 self._retract_if_exported(neighbor, prefix)
 
     def _export_withdrawal(self, prefix: Prefix) -> None:
-        for neighbor in sorted(self.relationships):
+        for neighbor, _ in self._neighbors:
             self._retract_if_exported(neighbor, prefix)
 
     def _retract_if_exported(self, neighbor: int, prefix: Prefix) -> None:

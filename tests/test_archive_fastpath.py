@@ -4,6 +4,7 @@ cache — held to the same oracle in both on-disk layouts (the
 ``*RouteViews`` classes at the bottom rerun the RIS cases unchanged)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrt_reference import split_mrt
 from repro.bgp import (
@@ -352,6 +353,149 @@ class TestDecodedFileCache(RisLayout):
         assert len(list(archive.iter_updates(BASE, BASE + 300))) == 2
 
 
+#: Prefixes the populated archive holds (v6 ones with withdrawals) and
+#: one it does not.
+TABLE_PREFIXES = ([Prefix(f"2a0d:3dc1:{0x1100 + i:x}::/48") for i in (0, 5, 7, 39)]
+                  + [Prefix(f"84.205.{i}.0/24") for i in (0, 7, 21)]
+                  + [Prefix("2001:db8::/32")])
+
+prefix_filters = st.builds(
+    RecordFilter,
+    prefix_exact=st.frozensets(st.sampled_from(TABLE_PREFIXES),
+                               min_size=1, max_size=3),
+    collectors=st.frozensets(st.sampled_from(["rrc00", "rrc01", "rrc02"]),
+                             max_size=2),
+    peers=st.frozensets(st.sampled_from([25091, 16347, 64999]), max_size=2),
+    elem_types=st.frozensets(st.sampled_from(["A", "W"]), max_size=1))
+
+
+def one_withdrawal(offset, peer_asn=1):
+    return UpdateRecord(BASE + offset, "rrc00", "::1", peer_asn,
+                        Withdrawal(Prefix("2001:db8::/32")))
+
+
+class TestPerFileTable(RisLayout):
+    """The archive's per-file table: sidecars read once per file
+    version, cached decodes grouped by prefix, listings never kept."""
+
+    def test_prefix_scans_equal_brute_force(self, populated_root):
+        full = list(self.archive_cls(populated_root, cache_size=0)
+                    .iter_updates(*WINDOW))
+        warm = self.archive_cls(populated_root, cache_size=64)
+        assert list(warm.iter_updates(*WINDOW)) == full
+
+        @settings(max_examples=40, derandomize=True, deadline=None)
+        @given(record_filter=prefix_filters)
+        def check(record_filter):
+            expected = [r for r in full if record_filter.matches_record(r)]
+            assert list(warm.iter_updates(
+                *WINDOW, record_filter=record_filter)) == expected
+            cold = self.archive_cls(populated_root, cache_size=0)
+            assert list(cold.iter_updates(
+                *WINDOW, record_filter=record_filter)) == expected
+
+        check()
+
+    def test_pooled_rescan_with_one_file_cache(self, tmp_path):
+        """A cache hit queued behind a pooled decode survives the put
+        of that decode, which evicts it from a one-file cache."""
+        writer = self.writer_cls(tmp_path)
+        for offset in (0, 3600):
+            writer.write_updates("rrc00", [one_withdrawal(offset)])
+        window = (BASE, BASE + 7200)
+        sequential = self.archive_cls(tmp_path, cache_size=0)
+        pooled = self.archive_cls(tmp_path, workers=2, cache_size=1)
+        for text in (None, "prefix exact 2001:db8::/32"):
+            record_filter = compile_filter(text) if text else None
+            expected = list(sequential.iter_updates(
+                *window, record_filter=record_filter))
+            assert len(expected) == 2
+            for _ in range(2):
+                assert list(pooled.iter_updates(
+                    *window, record_filter=record_filter)) == expected
+        assert pooled.cache.hits > 0 and pooled.cache.evictions > 0
+
+    def test_file_written_after_a_scan_is_seen(self, tmp_path):
+        writer = self.writer_cls(tmp_path)
+        writer.write_updates("rrc00", [one_withdrawal(0)])
+        archive = self.archive_cls(tmp_path)
+        assert len(list(archive.iter_updates(BASE, BASE + 7200))) == 1
+        writer.write_updates("rrc00", [one_withdrawal(3600)])
+        assert [r.timestamp for r in archive.iter_updates(
+            BASE, BASE + 7200)] == [BASE, BASE + 3600]
+
+    def test_rewrite_without_sidecar_drops_the_remembered_index(self,
+                                                                 tmp_path):
+        writer = self.writer_cls(tmp_path)
+        (path,) = writer.write_updates("rrc00", [one_withdrawal(0)])
+        archive = self.archive_cls(tmp_path)
+        peer_7 = RecordFilter(peers=frozenset({7}))
+        assert list(archive.iter_updates(BASE, BASE + 300,
+                                         record_filter=peer_7)) == []
+        assert archive.files_skipped == 1  # the sidecar names peer 1 only
+        # A foreign writer replaces the data file; the sidecar is stale.
+        from repro.mrt.files import write_updates_file
+        rewritten = [one_withdrawal(0, peer_asn=7), one_withdrawal(9, 7)]
+        write_updates_file(path, rewritten)
+        assert list(archive.iter_updates(BASE, BASE + 300,
+                                         record_filter=peer_7)) == rewritten
+        assert archive.files_skipped == 1
+
+    def test_warm_rescan_reads_no_sidecar(self, populated_root, monkeypatch):
+        import repro.ris.archive as archive_mod
+
+        calls = []
+        real = archive_mod.load_index
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(archive_mod, "load_index", counting)
+        archive = self.archive_cls(populated_root)
+        first = list(archive.iter_updates(*WINDOW))
+        assert len(calls) == archive.files_considered > 0
+        calls.clear()
+        assert list(archive.iter_updates(*WINDOW)) == first
+        assert calls == []
+
+    def test_table_starts_over_when_full(self, tmp_path, monkeypatch):
+        import repro.ris.archive as archive_mod
+
+        monkeypatch.setattr(archive_mod, "TABLE_FILES", 2)
+        writer = self.writer_cls(tmp_path)
+        records = [one_withdrawal(offset) for offset in (0, 3600, 7200)]
+        for record in records:
+            writer.write_updates("rrc00", [record])
+        archive = self.archive_cls(tmp_path)
+        for _ in range(2):
+            assert list(archive.iter_updates(BASE, BASE + 3 * 3600)) == records
+            assert len(archive._table) <= 2
+
+    def test_listing_is_the_sorted_glob(self, tmp_path):
+        """The scandir walk lists what ``sorted(Path.glob)`` lists, in
+        its order: foreign and hidden names, several months and
+        collectors, sidecars excluded."""
+        layout = self.archive_cls.layout
+        writer = self.writer_cls(tmp_path)
+        for collector in ("rrc01", "rrc00", "rrc10", ".rrc09"):
+            for month_offset in (0, 40 * 86400):
+                writer.write_updates(collector, [UpdateRecord(
+                    BASE + month_offset + offset, collector, "::1", 1,
+                    Withdrawal(Prefix("2001:db8::/32")))
+                    for offset in (0, 700, 5000)])
+        (path,) = writer.write_updates("rrc00", [one_withdrawal(0)])
+        foreign = path.with_name(f"updates.tmp{path.suffix}")
+        foreign.write_bytes(b"")
+        (tmp_path / "stray").write_bytes(b"")
+        for template in (layout.updates, layout.ribs):
+            pattern = template.format(collector="*", month="*", stamp="*")
+            assert layout.files(tmp_path, template) == sorted(
+                tmp_path.glob(pattern))
+        listed = layout.files(tmp_path, layout.updates)
+        assert foreign in listed and len(listed) > 12
+
+
 class TestForeignFiles(RisLayout):
     def test_foreign_files_skipped_with_warning(self, tmp_path):
         writer = self.writer_cls(tmp_path)
@@ -465,6 +609,10 @@ class TestFileIndexRouteViews(TestFileIndex):
 
 
 class TestDecodedFileCacheRouteViews(TestDecodedFileCache):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestPerFileTableRouteViews(TestPerFileTable):
     writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
 
 

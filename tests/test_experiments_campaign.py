@@ -53,6 +53,20 @@ class TestCampaignBasics:
         result = run.detect()
         assert result.visible_count >= 0.95 * run.announcement_count
 
+    def test_detection_is_memoised_per_config(self, run):
+        """Report builders ask the same run the same question many
+        times: one result per detector configuration, equal to a fresh
+        detection."""
+        from repro.core import DetectorConfig, ZombieDetector
+
+        result = run.detect(threshold=180 * MINUTE, exclude_noisy=True)
+        assert run.detect(threshold=180 * MINUTE, exclude_noisy=True) is result
+        assert run.detect(threshold=180 * MINUTE) is not result
+        fresh = ZombieDetector(DetectorConfig(
+            threshold=180 * MINUTE, excluded_peers=run.noisy_truth)
+        ).detect(run.records, run.intervals)
+        assert result == fresh
+
     def test_noisy_truth_attached(self, run):
         assert len(run.noisy_truth) == 3
 

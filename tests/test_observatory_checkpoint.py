@@ -164,6 +164,19 @@ class TestCheckpointDocument:
         assert document["version"] == 1
         assert not path.with_name(path.name + ".tmp").exists()
 
+    def test_file_bytes_are_the_sorted_json_text(self, scenario, tmp_path):
+        """The checkpoint is written with one ``json.dumps`` call, so its
+        bytes are exactly the sorted-key text of the stamped document."""
+        ingest = make_ingest(scenario, tmp_path / "store",
+                             tmp_path / "ckpt.json")
+        ingest.run(max_records=10)
+        ingest.checkpoint()
+        ingest.store.close()
+        path = tmp_path / "ckpt.json"
+        document = load_checkpoint(path)
+        assert path.read_bytes() == json.dumps(
+            document, sort_keys=True).encode("utf-8")
+
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert load_checkpoint(tmp_path / "absent.json") is None
 
