@@ -160,7 +160,7 @@ class BGPStream:
 
     def _iter_updates(self) -> Iterator[BGPElem]:
         # Filter clauses are pushed down into the archive read path
-        # (file-index skipping, NLRI prematch, record-level match), so
+        # (NLRI prematch, record-level match), so
         # every record that comes back is already a match.
         for record in self.archive.iter_updates(
                 self.from_time, self.until_time, self.collectors,

@@ -7,7 +7,6 @@ Commands
 ``campaign``     run the 2024 beacon campaign and print §5 results
 ``replication``  run the §3 replication periods and print Tables 1-4
 ``detect``       run the revised detector over an on-disk RIS archive
-``index``        write sidecar file indexes for an existing archive
 ``observatory``  the long-running detection service (§6):
                  ``synth`` / ``ingest`` / ``serve`` / ``tail`` /
                  ``query`` / ``forensics`` / ``compact`` / ``doctor`` /
@@ -76,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="poison-record policy: fail fast, skip and "
                              "count (default), or skip and preserve raw "
                              "bytes in a .quarantine sidecar")
-
-    index = sub.add_parser(
-        "index", help="write sidecar file indexes for an existing archive")
-    index.add_argument("archive", help="archive root directory")
-    index.add_argument("--rebuild", action="store_true",
-                       help="rewrite sidecars even when fresh ones exist")
 
     observatory = sub.add_parser(
         "observatory", help="long-running zombie detection service (§6)")
@@ -331,23 +324,6 @@ def _cmd_detect(args) -> int:
     for outbreak in result.outbreaks:
         subpath = " ".join(str(a) for a in outbreak.common_subpath())
         print(f"  {outbreak} | common subpath [{subpath}]")
-    return 0
-
-
-def _cmd_index(args) -> int:
-    from repro.ris import Archive, reindex_archive
-    from repro.routeviews import RouteViewsArchive
-
-    try:
-        # One root may hold either platform's files, or both.
-        written = sum(
-            reindex_archive(args.archive, rebuild=args.rebuild,
-                            layout=cls.layout)
-            for cls in (Archive, RouteViewsArchive))
-    except FileNotFoundError:
-        print(f"archive root does not exist: {args.archive}", file=sys.stderr)
-        return 2
-    print(f"indexed {written} update file(s)")
     return 0
 
 
@@ -744,7 +720,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "campaign": _cmd_campaign,
         "replication": _cmd_replication,
         "detect": _cmd_detect,
-        "index": _cmd_index,
         "observatory": _cmd_observatory,
     }
     try:

@@ -36,7 +36,9 @@ from repro.bgp.messages import Record
 from repro.core import (
     DetectionResult,
     DetectorConfig,
+    LifespanTracker,
     ZombieDetector,
+    ZombieLifespan,
 )
 from repro.core.state import PeerKey
 from repro.experiments.config import CampaignConfig
@@ -91,6 +93,9 @@ class CampaignRun:
     #: detector config -> its result over ``records``; see :meth:`detect`.
     _detections: dict[DetectorConfig, DetectionResult] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: exclude_noisy -> tracked lifespans; see :meth:`lifespans`.
+    _lifespans: dict[bool, dict[Prefix, ZombieLifespan]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def detect(self, threshold: int = 90 * MINUTE, dedup: bool = True,
                exclude_noisy: bool = False,
@@ -110,6 +115,20 @@ class CampaignRun:
             self._detections[config] = ZombieDetector(config).detect(
                 self.records, self.intervals)
         return self._detections[config]
+
+    def lifespans(self, exclude_noisy: bool = False
+                  ) -> dict[Prefix, ZombieLifespan]:
+        """Zombie lifespans tracked over :meth:`rib_dumps`, from every
+        peer or with the noisy peer routers left out (paper Fig. 3).
+
+        Memoised like :meth:`detect`, so callers share the result and
+        must not mutate it."""
+        if exclude_noisy not in self._lifespans:
+            excluded = self.noisy_truth if exclude_noisy else frozenset()
+            self._lifespans[exclude_noisy] = LifespanTracker().track(
+                self.rib_dumps(), self.final_withdrawals,
+                excluded_peers=excluded)
+        return self._lifespans[exclude_noisy]
 
     def rib_dumps(self, start: Optional[int] = None,
                   end: Optional[int] = None) -> Iterator[RibDump]:

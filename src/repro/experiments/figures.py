@@ -19,7 +19,6 @@ from repro.analysis import (
     path_length_analysis,
 )
 from repro.core import (
-    LifespanTracker,
     ResurrectionEvent,
     ZombieLifespan,
     find_resurrections,
@@ -104,11 +103,8 @@ class Figure3Data:
 
 def build_figure3(run: CampaignRun, min_days: float = 1.0) -> Figure3Data:
     """Outbreak-duration CDFs from the 8-hourly RIB dumps (paper Fig. 3)."""
-    dumps = list(run.rib_dumps())
-    tracker = LifespanTracker()
-    all_lifespans = tracker.track(dumps, run.final_withdrawals)
-    excl_lifespans = tracker.track(dumps, run.final_withdrawals,
-                                   excluded_peers=run.noisy_truth)
+    all_lifespans = run.lifespans()
+    excl_lifespans = run.lifespans(exclude_noisy=True)
 
     def durations(lifespans: dict[Prefix, ZombieLifespan]) -> list[float]:
         return sorted(ls.duration_days for ls in lifespans.values()

@@ -18,7 +18,7 @@ safe).  The one live-engine input is an
 :class:`~repro.observatory.supervisor.ObservatorySupervisor`: while it
 runs an engine, ``/healthz`` and ``/metrics`` fold in that engine's
 ingest and forensics-ring counters and its archive's read-path
-counters (decoded-file cache hits/misses/evictions, index skip-scan).
+counters (decoded-file cache hits/misses/evictions, files scanned).
 
 This module is transport-neutral: :class:`ObservatoryApp` holds
 routing, ETags, pagination, counters and metrics rendering, and answers
@@ -551,7 +551,4 @@ class ObservatoryApp:
             metric("observatory_archive_files_considered_total",
                    scan["files_considered"],
                    "Archive files considered by scan planning.")
-            metric("observatory_archive_files_skipped_total",
-                   scan["files_skipped"],
-                   "Archive files skipped via the sidecar index.")
         return "\n".join(lines) + "\n"

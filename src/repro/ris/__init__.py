@@ -6,20 +6,10 @@ from repro.ris.archive import (
     UPDATE_BIN_SECONDS,
     Archive,
     ArchiveWriter,
-    reindex_archive,
 )
 from repro.ris.cache import DecodedFileCache
 from repro.ris.chaos import ChaosReport, build_reference_archive, corrupt_archive
 from repro.ris.collectors import DEFAULT_COLLECTORS, Collector, PeerRegistry, RISPeer
-from repro.ris.index import (
-    INDEX_SUFFIX,
-    FileIndex,
-    build_index,
-    build_rib_index,
-    index_path,
-    load_index,
-    write_index,
-)
 from repro.ris.pushdown import RecordFilter
 
 __all__ = [
@@ -33,14 +23,6 @@ __all__ = [
     "build_reference_archive",
     "corrupt_archive",
     "RecordFilter",
-    "FileIndex",
-    "INDEX_SUFFIX",
-    "index_path",
-    "build_index",
-    "build_rib_index",
-    "write_index",
-    "load_index",
-    "reindex_archive",
     "Collector",
     "PeerRegistry",
     "RISPeer",

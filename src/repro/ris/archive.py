@@ -16,12 +16,9 @@ real archives.  Neither class knows which platform it is serving.
 The read path is built for throughput:
 
 * every scan lists files afresh (one ``os.scandir`` per directory) and
-  stats each once; a per-file table keeps each file version's JSON
-  sidecar (``.idx``, :mod:`repro.ris.index`), read once, so window
-  resolution and pushed-down clauses skip whole files undecompressed;
-* a decoded-file LRU cache (:mod:`repro.ris.cache`), checked against
-  the same stat, keeps recent decodes grouped by prefix, so re-scanning
-  a window with another filter is nearly free;
+  stats each once; that stat is checked against a decoded-file LRU
+  cache (:mod:`repro.ris.cache`), which keeps recent decodes grouped
+  by prefix, so re-scanning a window with another filter is nearly free;
 * ``Archive(root, workers=N)`` decodes multi-file windows on a process
   pool (:mod:`repro.ris.parallel`) with an ordered heap-merge identical
   to the sequential path;
@@ -47,23 +44,19 @@ from repro.mrt.files import (create_mrt, read_rib_file, read_updates_file,
                              write_updates_file)
 from repro.mrt.resilient import DecodeStats, ErrorPolicy
 from repro.mrt.tabledump import RibDump, encode_rib_dump
-from repro.ris.cache import DecodedFileCache
-from repro.ris.index import (build_rib_index, file_fingerprint, load_index,
-                             write_index)
+from repro.ris.cache import DecodedFileCache, file_fingerprint
 from repro.ris.parallel import iter_plan_parallel, worker_pool
 from repro.ris.pushdown import RecordFilter
 from repro.utils.timeutil import align_down, to_datetime
 
 __all__ = ["Archive", "ArchiveWriter", "UPDATE_BIN_SECONDS",
-           "RIB_DUMP_SECONDS", "DEFAULT_CACHE_FILES", "reindex_archive"]
+           "RIB_DUMP_SECONDS", "DEFAULT_CACHE_FILES"]
 
 UPDATE_BIN_SECONDS = 5 * 60
 RIB_DUMP_SECONDS = 8 * 3600
 
 #: Default size (in files) of the per-archive decoded-file LRU cache.
 DEFAULT_CACHE_FILES = 32
-#: Files the sidecar table remembers (~1.3 KB each) before it starts over.
-TABLE_FILES = 1 << 15
 
 
 class Layout(NamedTuple):
@@ -112,30 +105,12 @@ RIS_LAYOUT = Layout(UPDATE_BIN_SECONDS, "rrc*",
                     "{collector}/{month}/bview.{stamp}.gz")
 
 
-def reindex_archive(root: Union[str, Path], rebuild: bool = False,
-                    layout: Layout = RIS_LAYOUT) -> int:
-    """Write sidecars for every update file ``layout`` places under
-    ``root`` that lacks a fresh one (or for all of them with
-    ``rebuild=True``); returns the number of sidecars written."""
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"archive root does not exist: {root}")
-    written = 0
-    for path in layout.files(root, layout.updates):
-        if not rebuild and load_index(path) is not None:
-            continue
-        collector = path.relative_to(root).parts[0]
-        write_index(path, list(read_updates_file(path, collector)))
-        written += 1
-    return written
-
-
 @lru_cache(maxsize=1 << 16)
 def _parse_file_stamp(name: str) -> int:
     """Timestamp from ``updates.YYYYMMDD.HHMM.gz`` / ``bview....`` names.
 
     Raises :class:`ValueError` for names that do not follow the archive
-    convention (temp files, index sidecars, foreign drops).
+    convention (temp files, stray sidecars, foreign drops).
     """
     parts = name.split(".")
     stamp = "".join(parts[1:3])
@@ -169,7 +144,6 @@ class ArchiveWriter:
 
         Records for bins that already exist on disk are merged with the
         existing content (needed when a simulation writes incrementally).
-        Each file gets a fresh sidecar index (:mod:`repro.ris.index`).
         """
         bins: dict[int, list[Record]] = {}
         for record in records:
@@ -187,7 +161,6 @@ class ArchiveWriter:
                 items = existing + items
             items.sort(key=record_sort_key)
             write_updates_file(path, items, sort=False)
-            write_index(path, items)
             written.append(path)
         return written
 
@@ -196,7 +169,6 @@ class ArchiveWriter:
         path = self.rib_path(dump.collector, dump.timestamp)
         with create_mrt(path) as handle:
             handle.write(encode_rib_dump(dump))
-        write_index(path, (), index=build_rib_index(dump))
         return path
 
     def update_path(self, collector: str, bin_start: int) -> Path:
@@ -242,9 +214,6 @@ class Archive:
         self.error_policy = ErrorPolicy.validate(error_policy)
         self.decode_stats = DecodeStats()
         self.files_considered = 0
-        self.files_skipped = 0
-        #: path -> (fingerprint, sidecar index or None) of that version
-        self._table: dict[str, tuple] = {}
 
     def collectors(self) -> list[str]:
         """Collector directories present in the archive."""
@@ -278,25 +247,12 @@ class Archive:
             self.layout.updates, collector,
             align_down(start, self.layout.bin_seconds), end)]
 
-    @staticmethod
-    def _file_may_match(index, start: int, end: int,
-                        record_filter: Optional[RecordFilter]) -> bool:
-        """Sidecar-index skip test; True when no (fresh) index exists."""
-        if index is None:
-            return True
-        if index.record_count == 0:
-            return False
-        if index.max_timestamp < start or index.min_timestamp >= end:
-            return False
-        if record_filter is not None and not record_filter.may_match_file(index):
-            return False
-        return True
-
     def _scan_plan(self, start: int, end: int,
                    collectors: Optional[Sequence[str]],
                    record_filter: Optional[RecordFilter]
                    ) -> list[tuple[str, list[tuple[str, Optional[tuple]]]]]:
-        """Per-collector ``(path, fingerprint)`` lists after index skipping."""
+        """Per-collector ``(path, fingerprint)`` lists of the update
+        files covering the window, each stat'ed once."""
         if collectors is not None:
             collectors = list(collectors)
         elif record_filter is not None and record_filter.collectors:
@@ -309,26 +265,14 @@ class Archive:
             if (record_filter is not None and record_filter.collectors
                     and collector not in record_filter.collectors):
                 continue
-            files = []
-            for _, path in self._files(self.layout.updates, collector,
-                                       window_start, end):
-                self.files_considered += 1
-                fingerprint = file_fingerprint(path)  # the scan's one stat
-                known = self._table.get(path)
-                if known is None or known[0] != fingerprint:  # new version
-                    if len(self._table) >= TABLE_FILES:
-                        self._table.clear()
-                    known = self._table[path] = (fingerprint, fingerprint
-                                                 and load_index(path, fingerprint))
-                if self._file_may_match(known[1], start, end, record_filter):
-                    files.append((path, fingerprint))
-                else:
-                    self.files_skipped += 1
+            files = [(path, file_fingerprint(path)) for _, path in self._files(
+                self.layout.updates, collector, window_start, end)]
+            self.files_considered += len(files)
             plan.append((collector, files))
         return plan
 
     def stats(self) -> dict:
-        """Read-path counters (cache + index skip-scan) for ``/metrics``."""
+        """Read-path counters (cache + scan) for ``/metrics``."""
         return {
             "root": str(self.root),
             "workers": self.workers,
@@ -336,8 +280,9 @@ class Archive:
             "cache": self.cache.stats() if self.cache is not None else None,
             "scan": {
                 "files_considered": self.files_considered,
-                "files_skipped": self.files_skipped,
-                "files_decoded": self.files_considered - self.files_skipped,
+                # Stays until ROADMAP item 1 drops ris.index_skipped_files.
+                "files_skipped": 0,
+                "files_decoded": self.files_considered,
             },
             "decode": self.decode_stats.as_dict(),
         }

@@ -8,8 +8,8 @@ entries, keyed by path and ``(size, mtime_ns)`` fingerprint, so any
 rewrite of the underlying file — including an
 :class:`~repro.ris.archive.ArchiveWriter` merge — invalidates the entry
 automatically.  The caller passes the fingerprint from the one stat its
-scan already made; the archive checks its per-file sidecar table
-against the same stat.
+scan already made (:func:`file_fingerprint`); the cache is the only
+thing that stat is checked against.
 
 Entries always hold the *complete, unfiltered* decode of a file;
 window trimming and filter push-down are applied on the way out
@@ -21,6 +21,7 @@ reference, so an entry a caller already holds stays whole.
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from itertools import chain
 from pathlib import Path
@@ -28,7 +29,16 @@ from typing import Optional, Sequence, Union
 
 from repro.bgp.messages import Record, UpdateRecord
 
-__all__ = ["CachedDecode", "DecodedFileCache"]
+__all__ = ["CachedDecode", "DecodedFileCache", "file_fingerprint"]
+
+
+def file_fingerprint(path: Union[str, Path]) -> Optional[tuple[int, int]]:
+    """``(size, mtime_ns)`` of ``path``, or None when it cannot be stat'ed."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_size, stat.st_mtime_ns)
 
 
 class CachedDecode:

@@ -45,7 +45,6 @@ from repro.mrt.files import create_mrt, open_mrt
 from repro.mrt.resilient import ErrorPolicy, ResilientReader
 from repro.net.prefix import AFI_IPV4
 from repro.ris.archive import RIS_LAYOUT, Layout
-from repro.ris.index import index_path
 
 __all__ = ["ChaosReport", "corrupt_archive", "build_reference_archive"]
 
@@ -110,13 +109,9 @@ def _poison_record(header: MRTRecordHeader, body: bytes) -> bytes:
 
 def _rewrite(path: Path, payload: bytes) -> None:
     """Publish the corrupted decompressed stream (deterministic bytes,
-    through the archive writer's own container helper) and drop the
-    sidecar index, which no longer describes the file."""
+    through the archive writer's own container helper)."""
     with create_mrt(path) as handle:
         handle.write(payload)
-    sidecar = index_path(path)
-    if sidecar.exists():
-        sidecar.unlink()
 
 
 def corrupt_archive(root: Union[str, Path], *,

@@ -5,8 +5,7 @@ language (``repro.bgpstream``): the same clause semantics, applied to
 decoded :class:`~repro.bgp.messages.Record` objects *before* they are
 turned into stream elements — and, one level deeper, to raw MRT records
 before path attributes are decoded (see
-:func:`repro.mrt.files.read_updates_file`) and to whole archive files
-via the sidecar index (:mod:`repro.ris.index`).
+:func:`repro.mrt.files.read_updates_file`).
 
 The filter is immutable and picklable so it can cross the process
 boundary into :mod:`repro.ris.parallel` workers.
@@ -15,13 +14,10 @@ boundary into :mod:`repro.ris.parallel` workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.bgp.messages import Record, UpdateRecord
-from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index imports us)
-    from repro.ris.index import FileIndex
+from repro.net.prefix import Prefix
 
 __all__ = ["RecordFilter"]
 
@@ -84,30 +80,3 @@ class RecordFilter:
         if self.elem_types:
             return False
         return not self.has_prefix_clause
-
-    def may_match_file(self, index: "FileIndex") -> bool:
-        """Whole-file skip test against a sidecar index.
-
-        Returns False only when *no* record in a file with these summary
-        statistics could survive the filter; True is conservative.
-        """
-        if self.peers and not (self.peers & index.peer_asns):
-            return False
-
-        route_possible = index.update_count > 0
-        if route_possible and self.elem_types:
-            counts = {"A": index.announce_count, "W": index.withdraw_count}
-            route_possible = any(counts.get(t, 0) > 0 for t in self.elem_types)
-        if route_possible:
-            # Every prefix clause must be satisfiable by the file: one of
-            # the families it names must be present.
-            clauses = [{p.afi for p in self.prefix_exact},
-                       {p.afi for p in self.prefix_more}]
-            if self.ipversion is not None:
-                clauses.append({AFI_IPV4 if self.ipversion == 4 else AFI_IPV6})
-            route_possible = all(not afis or afis & index.afis
-                                 for afis in clauses)
-
-        state_possible = (index.state_count > 0 and not self.elem_types
-                          and not self.has_prefix_clause)
-        return route_possible or state_possible

@@ -4,7 +4,7 @@ The paper excludes RouteViews "due to limited resources,
 acknowledging the potential omission of zombie routes", and lists
 combining RIS with RouteViews as future work.  This module makes that
 combination possible with layout facts alone — all listing, binning,
-merging, indexing and decoding is :mod:`repro.ris.archive`'s:
+merging and decoding is :mod:`repro.ris.archive`'s:
 
 * the real on-disk layout differs from RIS:
   ``<root>/<collector>/bgpdata/<YYYY.MM>/UPDATES/updates.<YYYYMMDD>.<HHMM>.bz2``
@@ -12,8 +12,8 @@ merging, indexing and decoding is :mod:`repro.ris.archive`'s:
   hours (same MRT payloads, bzip2 instead of gzip);
 * :class:`RouteViewsWriter` / :class:`RouteViewsArchive` are
   :class:`repro.ris.ArchiveWriter` / :class:`repro.ris.Archive` reading
-  that layout, so sidecar indexes, filter push-down, the decoded-file
-  cache and error policies apply unchanged, and
+  that layout, so filter push-down, the decoded-file cache and error
+  policies apply unchanged, and
 * :func:`merged_update_stream` interleaves records from both platforms
   in one time-ordered stream — the detector runs over the union unchanged.
 """

@@ -1,7 +1,10 @@
-"""Tests for the high-throughput archive read path: sidecar indexes,
-filter push-down, parallel decode equivalence and the decoded-file
-cache — held to the same oracle in both on-disk layouts (the
+"""Tests for the high-throughput archive read path: filter push-down,
+parallel decode equivalence and the decoded-file cache — held to the
+same oracle in both on-disk layouts (the
 ``*RouteViews`` classes at the bottom rerun the RIS cases unchanged)."""
+
+import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,17 +21,13 @@ from repro.bgp import (
 )
 from repro.bgpstream import BGPStream, compile_filter
 from repro.bgpstream.stream import _match_elem
-from repro.mrt import RecordDecoder
-from repro.mrt.files import create_mrt
+from repro.mrt import RecordDecoder, RibDump
+from repro.mrt.files import create_mrt, read_updates_file
 from repro.net import Prefix
 from repro.ris import (
     Archive,
     ArchiveWriter,
     RecordFilter,
-    build_index,
-    index_path,
-    load_index,
-    reindex_archive,
 )
 from repro.routeviews import RouteViewsArchive, RouteViewsWriter
 from repro.utils.timeutil import ts
@@ -146,138 +145,29 @@ class TestParallelEquivalence(RisLayout):
 
 
 class TestFileIndex(RisLayout):
-    def test_writer_emits_sidecars(self, populated_root):
-        archive = self.archive_cls(populated_root)
-        files = [path for collector in archive.collectors()
-                 for path in archive.update_files(collector, *WINDOW)]
-        assert files
-        for path in files:
-            index = load_index(path)
-            assert index is not None
-            assert index.record_count > 0
-            assert index.min_timestamp <= index.max_timestamp
-
-    def test_index_contents_match_decode(self, populated_root):
-        archive = self.archive_cls(populated_root, cache_size=0)
-        path = archive.update_files("rrc00", *WINDOW)[0]
-        from repro.mrt.files import read_updates_file
-
-        records = list(read_updates_file(path, "rrc00"))
-        index = load_index(path)
-        rebuilt = build_index(records)
-        assert index == rebuilt
-        assert index.peer_asns == {25091, 16347}
-        assert index.afis == {1, 2}
+    """Archive-wide tools walk each layout's update files; an ``.idx``
+    sidecar left by an older version of this library is never trusted."""
 
     def test_stale_sidecar_is_ignored(self, tmp_path):
         writer = self.writer_cls(tmp_path)
-        record = UpdateRecord(BASE, "rrc00", "::1", 1,
-                              Withdrawal(Prefix("2001:db8::/32")))
+        record = one_withdrawal(0)
         (path,) = writer.write_updates("rrc00", [record])
-        assert load_index(path) is not None
+        legacy_sidecar(path, [record])
         # A foreign writer rewrites the data file without the sidecar.
         with create_mrt(path) as handle:
             handle.write(b"")
-        assert load_index(path) is None
-        # The read path falls back to decoding (no crash, no stale data).
+        # The read path decodes the file (no crash, no stale data).
         archive = self.archive_cls(tmp_path)
         assert list(archive.iter_updates(BASE, BASE + 300)) == []
 
     def test_corrupt_sidecar_is_ignored(self, tmp_path):
         writer = self.writer_cls(tmp_path)
-        record = UpdateRecord(BASE, "rrc00", "::1", 1,
-                              Withdrawal(Prefix("2001:db8::/32")))
-        (path,) = writer.write_updates("rrc00", [record])
-        index_path(path).write_text("{not json")
-        assert load_index(path) is None
+        (path,) = writer.write_updates("rrc00", [one_withdrawal(0)])
+        path.with_name(path.name + ".idx").write_text("{not json")
         archive = self.archive_cls(tmp_path)
-        assert len(list(archive.iter_updates(BASE, BASE + 300))) == 1
-
-    def test_index_skips_files_without_decode(self, populated_root, monkeypatch):
-        """A peer filter that excludes every peer must not decompress a
-        single file."""
-        import repro.ris.archive as archive_mod
-
-        calls = []
-        real = archive_mod.read_updates_file
-
-        def counting(path, collector, **kwargs):
-            calls.append(path)
-            return real(path, collector, **kwargs)
-
-        monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = self.archive_cls(populated_root, cache_size=0)
-        record_filter = RecordFilter(peers=frozenset({64999}))
-        assert list(archive.iter_updates(*WINDOW,
-                                         record_filter=record_filter)) == []
-        assert calls == []
-
-    def test_time_skip_via_index(self, tmp_path, monkeypatch):
-        """The start-bin file is pulled in by stamp, but the index skips
-        it when every record precedes ``start``."""
-        import repro.ris.archive as archive_mod
-
-        writer = self.writer_cls(tmp_path)
-        writer.write_updates("rrc00", [
-            UpdateRecord(BASE + offset, "rrc00", "::1", 1,
-                         Withdrawal(Prefix("2001:db8::/32")))
-            for offset in (0, 30, 60)])
-
-        calls = []
-        real = archive_mod.read_updates_file
-
-        def counting(path, collector, **kwargs):
-            calls.append(path)
-            return real(path, collector, **kwargs)
-
-        monkeypatch.setattr(archive_mod, "read_updates_file", counting)
-        archive = self.archive_cls(tmp_path, cache_size=0)
-        # The bin containing start is listed by update_files ...
-        assert len(archive.update_files("rrc00", BASE + 100, BASE + 300)) == 1
-        # ... but its indexed max_timestamp < start, so it never decodes.
-        assert list(archive.iter_updates(BASE + 100, BASE + 300)) == []
-        assert calls == []
-
-    def test_rib_dump_gets_sidecar(self, tmp_path):
-        from repro.mrt import RibDump
-
-        writer = self.writer_cls(tmp_path)
-        dump = RibDump(BASE, "rrc00")
-        dump.add_route(Prefix("2a0d:3dc1:1200::/48"), 25091, "2001:db8::2",
-                       attrs6(25091, 8298, 210312), BASE - 3600)
-        dump.add_route(Prefix("84.205.64.0/24"), 16347, "192.0.2.9",
-                       attrs4(16347, 12654), BASE - 3600)
-        path = writer.write_rib(dump)
-        index = load_index(path)
-        assert index is not None
-        assert index.record_count == 2
-        assert index.peer_asns == {25091, 16347}
-        assert index.afis == {1, 2}
-        assert index.min_timestamp == index.max_timestamp == BASE
-
-    def test_reindex_archive(self, tmp_path):
-        writer = self.writer_cls(tmp_path)
-        record = UpdateRecord(BASE, "rrc00", "::1", 1,
-                              Withdrawal(Prefix("2001:db8::/32")))
-        (path,) = writer.write_updates("rrc00", [record])
-        index_path(path).unlink()
-        layout = self.archive_cls.layout
-        assert reindex_archive(tmp_path, layout=layout) == 1
-        assert load_index(path) is not None
-        # fresh sidecars are kept
-        assert reindex_archive(tmp_path, layout=layout) == 0
-        assert reindex_archive(tmp_path, rebuild=True, layout=layout) == 1
-
-    def test_repro_index_finds_the_layout(self, tmp_path, capsys):
-        from repro.cli import main
-
-        writer = self.writer_cls(tmp_path)
-        (path,) = writer.write_updates("rrc00", [UpdateRecord(
-            BASE, "rrc00", "::1", 1, Withdrawal(Prefix("2001:db8::/32")))])
-        index_path(path).unlink()
-        assert main(["index", str(tmp_path)]) == 0
-        assert "indexed 1 update file(s)" in capsys.readouterr().out
-        assert load_index(path) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert len(list(archive.iter_updates(BASE, BASE + 300))) == 1
 
     def test_corrupt_archive_walks_the_layout(self, tmp_path):
         from repro.ris import corrupt_archive
@@ -293,7 +183,6 @@ class TestFileIndex(RisLayout):
         assert report.destroyed == {
             str(path.relative_to(tmp_path)): [0, 1, 2, 3]}
         assert path.read_bytes() != before
-        assert not index_path(path).exists()
         assert list(self.archive_cls(tmp_path, error_policy="skip")
                     .iter_updates(BASE, BASE + 60)) == []
 
@@ -375,8 +264,9 @@ def one_withdrawal(offset, peer_asn=1):
 
 
 class TestPerFileTable(RisLayout):
-    """The archive's per-file table: sidecars read once per file
-    version, cached decodes grouped by prefix, listings never kept."""
+    """The archive's per-file state: one stat per file and scan checked
+    against the decode cache, cached decodes grouped by prefix, listings
+    never kept."""
 
     def test_prefix_scans_equal_brute_force(self, populated_root):
         full = list(self.archive_cls(populated_root, cache_size=0)
@@ -424,58 +314,10 @@ class TestPerFileTable(RisLayout):
         assert [r.timestamp for r in archive.iter_updates(
             BASE, BASE + 7200)] == [BASE, BASE + 3600]
 
-    def test_rewrite_without_sidecar_drops_the_remembered_index(self,
-                                                                 tmp_path):
-        writer = self.writer_cls(tmp_path)
-        (path,) = writer.write_updates("rrc00", [one_withdrawal(0)])
-        archive = self.archive_cls(tmp_path)
-        peer_7 = RecordFilter(peers=frozenset({7}))
-        assert list(archive.iter_updates(BASE, BASE + 300,
-                                         record_filter=peer_7)) == []
-        assert archive.files_skipped == 1  # the sidecar names peer 1 only
-        # A foreign writer replaces the data file; the sidecar is stale.
-        from repro.mrt.files import write_updates_file
-        rewritten = [one_withdrawal(0, peer_asn=7), one_withdrawal(9, 7)]
-        write_updates_file(path, rewritten)
-        assert list(archive.iter_updates(BASE, BASE + 300,
-                                         record_filter=peer_7)) == rewritten
-        assert archive.files_skipped == 1
-
-    def test_warm_rescan_reads_no_sidecar(self, populated_root, monkeypatch):
-        import repro.ris.archive as archive_mod
-
-        calls = []
-        real = archive_mod.load_index
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(archive_mod, "load_index", counting)
-        archive = self.archive_cls(populated_root)
-        first = list(archive.iter_updates(*WINDOW))
-        assert len(calls) == archive.files_considered > 0
-        calls.clear()
-        assert list(archive.iter_updates(*WINDOW)) == first
-        assert calls == []
-
-    def test_table_starts_over_when_full(self, tmp_path, monkeypatch):
-        import repro.ris.archive as archive_mod
-
-        monkeypatch.setattr(archive_mod, "TABLE_FILES", 2)
-        writer = self.writer_cls(tmp_path)
-        records = [one_withdrawal(offset) for offset in (0, 3600, 7200)]
-        for record in records:
-            writer.write_updates("rrc00", [record])
-        archive = self.archive_cls(tmp_path)
-        for _ in range(2):
-            assert list(archive.iter_updates(BASE, BASE + 3 * 3600)) == records
-            assert len(archive._table) <= 2
-
     def test_listing_is_the_sorted_glob(self, tmp_path):
         """The scandir walk lists what ``sorted(Path.glob)`` lists, in
         its order: foreign and hidden names, several months and
-        collectors, sidecars excluded."""
+        collectors, ``.idx`` files excluded."""
         layout = self.archive_cls.layout
         writer = self.writer_cls(tmp_path)
         for collector in ("rrc01", "rrc00", "rrc10", ".rrc09"):
@@ -485,6 +327,7 @@ class TestPerFileTable(RisLayout):
                     Withdrawal(Prefix("2001:db8::/32")))
                     for offset in (0, 700, 5000)])
         (path,) = writer.write_updates("rrc00", [one_withdrawal(0)])
+        path.with_name(path.name + ".idx").write_text("{}")
         foreign = path.with_name(f"updates.tmp{path.suffix}")
         foreign.write_bytes(b"")
         (tmp_path / "stray").write_bytes(b"")
@@ -523,21 +366,68 @@ class TestForeignFiles(RisLayout):
         assert [p.name for p in seen] == [f"updates.tmp{path.suffix}"]
 
     def test_sidecars_never_parsed_as_archive_files(self, tmp_path):
-        writer = self.writer_cls(tmp_path)
-        written = writer.write_updates("rrc00", [
-            UpdateRecord(BASE, "rrc00", "::1", 1,
-                         Withdrawal(Prefix("2001:db8::/32")))])
-        archive = self.archive_cls(tmp_path, cache_size=0)
-        # .idx sidecars exist next to the data files and must not be
-        # globbed up as update files.
-        assert archive.update_files("rrc00", BASE, BASE + 300) == written
+        """Archives written by older versions of this library carry a
+        JSON ``.idx`` sidecar next to every data file.  Fresh, stale or
+        corrupt, they are neither listed, warned about nor read: the
+        archive reads back what one without them reads."""
+        records = [one_withdrawal(offset, peer_asn)
+                   for offset in (0, 10, 1000, 2000) for peer_asn in (1, 2)]
+        dump = RibDump(BASE, "rrc00")
+        dump.add_route(Prefix("84.205.64.0/24"), 16347, "192.0.2.9",
+                       attrs4(16347, 12654), BASE - 3600)
+        roots = tmp_path / "plain", tmp_path / "legacy"
+        for root in roots:  # ``written`` and ``bview`` end on the legacy copy
+            writer = self.writer_cls(root)
+            written = writer.write_updates("rrc00", records)
+            bview = writer.write_rib(dump)
+        assert len(written) == 3
+        fresh, stale, corrupt = written
+        legacy_sidecar(fresh, records[:4])
+        # A sidecar of an older version of the file, holding peer 1 only.
+        legacy_sidecar(stale, records[4:5], file_size=1)
+        corrupt.with_name(corrupt.name + ".idx").write_text("{not json")
+        legacy_sidecar(bview, [UpdateRecord(
+            BASE, "rrc00", "192.0.2.9", 16347,
+            Announcement(Prefix("84.205.64.0/24"), attrs4(16347, 12654)))])
+        window = (BASE, BASE + 2700)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plain, legacy = (self.archive_cls(root) for root in roots)
+            assert legacy.update_files("rrc00", *window) == written
+            for record_filter in (None, RecordFilter(peers=frozenset({2})),
+                                  compile_filter("ipversion 4")):
+                expected = list(plain.iter_updates(
+                    *window, record_filter=record_filter))
+                assert list(legacy.iter_updates(
+                    *window, record_filter=record_filter)) == expected
+            assert len(list(legacy.iter_updates(*window))) == len(records)
+            assert list(legacy.iter_ribs(*window)) == list(
+                plain.iter_ribs(*window))
+
+
+def legacy_sidecar(path, records, **overrides):
+    """The JSON ``.idx`` sidecar older versions of this library wrote
+    next to ``path``: a summary of its update ``records``, with
+    ``file_size`` and ``file_mtime_ns`` naming the file version it
+    described."""
+    stat = path.stat()
+    announced = sum(1 for record in records if record.is_announcement)
+    stamps = [record.timestamp for record in records]
+    payload = {"version": 1, "file_size": stat.st_size,
+               "file_mtime_ns": stat.st_mtime_ns,
+               "record_count": len(records), "announce_count": announced,
+               "withdraw_count": len(records) - announced, "state_count": 0,
+               "min_timestamp": min(stamps), "max_timestamp": max(stamps),
+               "peer_asns": sorted({record.peer_asn for record in records}),
+               "afis": sorted({record.prefix.afi for record in records}),
+               **overrides}
+    path.with_name(path.name + ".idx").write_text(json.dumps(payload))
 
 
 class TestPrematchWalker:
     def test_walker_yields_all_prefixes(self, populated_root):
         archive = Archive(populated_root, cache_size=0)
-        from repro.mrt.files import read_updates_file
-
         for path in archive.update_files("rrc00", *WINDOW)[:3]:
             decoded_prefixes = set()
             for record in read_updates_file(path, "rrc00"):
@@ -633,8 +523,8 @@ class TestLayoutsAgree:
         assert bool(ris) == (filter_text != "peer 64999")
 
     def test_second_batch_into_an_existing_bin_is_merged(self, tmp_path):
-        """A RouteViews bin written twice keeps both batches and gets a
-        fresh sidecar, exactly like a RIS bin."""
+        """A RouteViews bin written twice keeps both batches in one
+        file, exactly like a RIS bin."""
         writer = RouteViewsWriter(tmp_path)
         first, second = (
             UpdateRecord(BASE + offset, "route-views2", "::1", 1,
@@ -644,4 +534,4 @@ class TestLayoutsAgree:
         assert writer.write_updates("route-views2", [first]) == [path]
         archive = RouteViewsArchive(tmp_path)
         assert list(archive.iter_updates(BASE, BASE + 900)) == [first, second]
-        assert load_index(path).record_count == 2
+        assert len(list(read_updates_file(path, "route-views2"))) == 2

@@ -9,8 +9,8 @@ Each digest is the sha256 of a canonical rendering of the complete
 count maps; ``visible_intervals`` in order — so a detector change that
 moves any number an experiment table is built from moves a digest.
 ``GOLDEN_ARCHIVE`` pins the encoder side under both: the sha256 of the
-campaign archive's ``.gz`` files and ``.idx`` sidecars (less their
-``file_mtime_ns``), captured before ``Prefix`` moved onto integers.
+campaign archive's ``.gz`` files, re-pinned when the writer stopped
+writing ``.idx`` sidecars (the ``.gz`` bytes did not change).
 ``GOLDEN_STORE`` is the same for the live path: the event-store bytes
 after a default-threshold ``ObservatoryIngest`` over the campaign world
 written out as a RIS archive.  It was re-captured when the ingest's
@@ -132,18 +132,12 @@ def write_campaign_archive(root):
 
 
 def archive_digest(root):
-    """sha256 over the archive's files in path order: each ``.gz`` as
-    written, each ``.idx`` sidecar without its ``file_mtime_ns``."""
+    """sha256 over the archive's ``.gz`` files, as written, in path
+    order."""
     digest = hashlib.sha256()
-    for path in sorted(Path(root).rglob("*")):
-        if path.suffix not in (".gz", ".idx"):
-            continue
-        data = path.read_bytes()
-        if path.suffix == ".idx":
-            payload = json.loads(data)
-            del payload["file_mtime_ns"]
-            data = json.dumps(payload, sort_keys=True).encode()
-        digest.update(str(path.relative_to(root)).encode() + b"\0" + data)
+    for path in sorted(Path(root).rglob("*.gz")):
+        digest.update(str(path.relative_to(root)).encode() + b"\0"
+                      + path.read_bytes())
     return digest.hexdigest()
 
 
@@ -210,7 +204,7 @@ GOLDEN_STORE = (
     "b01b217c9d1db6fabc45e3aefe4002d94a7f8a21ba295d71c190319ac4bbd024")
 
 GOLDEN_ARCHIVE = (
-    "5dc20b6b23aedb96f149d4efb63dfb2b02b4b20e312404ec29c84dbaa181ada5")
+    "a0acf136edb6c1626e81861c6fea1c8c74324f4be76e006bb5682aee9f653bea")
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +212,16 @@ def campaign_archive(tmp_path_factory):
     root = tmp_path_factory.mktemp("campaign-archive")
     write_campaign_archive(root)
     return root
+
+
+@pytest.fixture(scope="module")
+def campaign_store(campaign_archive, tmp_path_factory):
+    """The default-threshold ingest of the campaign archive, shared by
+    the tests that read it (none writes to it)."""
+    store = ingest_campaign(campaign_archive,
+                            tmp_path_factory.mktemp("campaign-ingest"))
+    yield store
+    store.close()
 
 
 class TestGoldenDetectionResult:
@@ -233,16 +237,16 @@ class TestGoldenArchiveBytes:
 
 
 class TestGoldenIngestStore:
-    def test_store_bytes(self, campaign_archive, tmp_path):
-        store = ingest_campaign(campaign_archive, tmp_path)
-        assert hashlib.sha256(store.raw_bytes()).hexdigest() == GOLDEN_STORE
-        store.close()
+    def test_store_bytes(self, campaign_store):
+        assert hashlib.sha256(
+            campaign_store.raw_bytes()).hexdigest() == GOLDEN_STORE
 
 
 class TestThreePathsOneVerdict:
     @pytest.mark.parametrize("minutes", [90, 180])
     def test_batch_equals_ingest_outbreak_events(self, campaign_archive,
-                                                 tmp_path, minutes):
+                                                 campaign_store, tmp_path,
+                                                 minutes):
         run = campaign_run(quick=True)
         start, end = run.config.start, run.config.end + DAY
         records = list(Archive(campaign_archive).iter_updates(start, end))
@@ -253,13 +257,14 @@ class TestThreePathsOneVerdict:
              route.peer[0], route.peer[1], route.peer_asn,
              route.detected_at, route.stale)
             for outbreak in batch.outbreaks for route in outbreak.routes)
-        store = ingest_campaign(campaign_archive, tmp_path,
-                                threshold=minutes * MINUTE)
+        store = campaign_store if minutes == 90 else ingest_campaign(
+            campaign_archive, tmp_path, threshold=minutes * MINUTE)
         events = sorted(
             (p["prefix"], p["announce_time"], p["collector"],
              p["peer_address"], p["peer_asn"], p["detected_at"], p["stale"])
             for p in store.events(kinds=("outbreak",)))
-        store.close()
+        if store is not campaign_store:
+            store.close()
         assert expected and events == expected
 
 
@@ -294,15 +299,13 @@ def resurrection_rows(archive, intervals, start, end, store,
 
 class TestBatchEqualsIngestResurrections:
     def test_batch_equals_ingest_resurrection_rows(self, campaign_archive,
-                                                   tmp_path):
+                                                   campaign_store):
         """The campaign archive: its three days hold late announcements
         and no dump-scale resurrection, on both sides."""
         run = campaign_run(quick=True)
-        store = ingest_campaign(campaign_archive, tmp_path)
         batch, served = resurrection_rows(
             Archive(campaign_archive), run.intervals, run.config.start,
-            run.config.end + DAY, store)
-        store.close()
+            run.config.end + DAY, campaign_store)
         assert any(row[0] == "updates" for row in batch)
         assert served == batch
 

@@ -1,6 +1,7 @@
 """Tests for palm-tree root-cause inference."""
 
 from helpers import ann, interval
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp import ASPath
 from repro.core import ZombieOutbreak, ZombieRoute, infer_root_cause, infer_root_causes
@@ -127,6 +128,23 @@ class TestPrepending:
         outbreak = outbreak_from_paths([(10, 10, 2, 1)])
         inference = infer_root_cause(outbreak, origin_asn=1)
         assert inference.suspect == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(origin=st.sampled_from([1, 2]), paths=st.lists(st.lists(
+        st.tuples(st.sampled_from([1, 2, 3, 4, 10, 64500]),
+                  st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=6), max_size=5))
+    def test_prepending_anywhere_leaves_the_tree_unchanged(self, origin,
+                                                           paths):
+        """Each ASN of each path repeated 1-3 times in place: trunk,
+        suspect, branches and both path counts stay the same.  A small
+        ASN pool makes shared trunks, branches and rooted paths
+        common."""
+        plain = [ASPath.of(*(asn for asn, _ in path)) for path in paths]
+        prepended = [ASPath.of(*(asn for asn, times in path
+                                 for _ in range(times))) for path in paths]
+        assert (build_palm_tree(prepended, origin)
+                == build_palm_tree(plain, origin))
 
 
 class TestEvidenceCounts:

@@ -130,6 +130,31 @@ class TestNoArchiveTransport:
         assert "invalid choice: 'mirror'" in errors[0]
 
 
+class TestNoSidecarIndex:
+    """The on-disk ``.idx`` sidecar tier left: RIPE publishes none, so
+    on real archives it never skipped a file; one stat per file checks
+    the decode cache instead."""
+
+    def test_no_index_module(self):
+        assert not (SRC / "ris" / "index.py").exists()
+
+    def test_no_sidecar_code(self):
+        assert matches(r"load_index|write_index|reindex_archive|"
+                       r"may_match_file|INDEX_SUFFIX|\.idx", SRC) == []
+
+    def test_index_command_is_a_usage_error(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "index", "X"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stderr.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert "invalid choice: 'index'" in errors[0]
+
+
 class TestOneZombieVerdict:
     def test_one_double_count_test(self):
         assert len(matches(r"is_stale\(", SRC / "core" / "detector.py")) == 1
