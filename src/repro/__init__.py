@@ -18,15 +18,15 @@ The package is organised bottom-up:
 
 Extensions implementing the paper's §6 / future work:
 
-* :mod:`repro.dataplane` — FIBs and packet walks (the Fig. 1 loop).
 * :mod:`repro.observatory` — live detection: the ingest feeds the §3.1
   and §5.1 cores one record at a time and writes their verdicts to an
   event store served over HTTP/SSE.
-* :mod:`repro.routeviews` — RouteViews archives and merged feeds.
-* :mod:`repro.core.wild` — zombie detection without beacons.
-* :mod:`repro.beacons.ipv4_clock` / :mod:`repro.beacons.service` — the
-  compact IPv4 clock and the long-term beacon service.
-* :mod:`repro.cli` — ``python -m repro {report,campaign,replication,detect}``.
+* :mod:`repro.routeviews` — the RouteViews archive layout.
+* :mod:`repro.cli` — ``python -m repro
+  {report,campaign,replication,detect,observatory}``.
+
+A module stays only while an experiment, a benchmark workload or a
+tested contract needs it (DESIGN.md §3).
 """
 
 __version__ = "1.0.0"

@@ -5,11 +5,6 @@ from repro.analysis.compare import ComparisonCounts, PipelineComparison, compare
 from repro.analysis.concurrency import ConcurrencyStats, concurrent_outbreaks
 from repro.analysis.emergence import EmergenceStats, emergence_rates
 from repro.analysis.pathlen import PathLengthStats, path_length_analysis
-from repro.analysis.suspects import (
-    SuspectProfile,
-    characterize_suspects,
-    inference_confidence,
-)
 
 __all__ = [
     "ECDF",
@@ -22,7 +17,4 @@ __all__ = [
     "emergence_rates",
     "PathLengthStats",
     "path_length_analysis",
-    "SuspectProfile",
-    "characterize_suspects",
-    "inference_confidence",
 ]

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 __all__ = ["ECDF"]
 
@@ -18,8 +16,6 @@ class ECDF:
     >>> cdf = ECDF.from_values([1, 2, 2, 4])
     >>> cdf.at(2)
     0.75
-    >>> cdf.quantile(0.5)
-    2.0
     """
 
     xs: tuple[float, ...]
@@ -42,10 +38,6 @@ class ECDF:
         return cls(tuple(xs), tuple(ps))
 
     @property
-    def n_points(self) -> int:
-        return len(self.xs)
-
-    @property
     def is_empty(self) -> bool:
         return not self.xs
 
@@ -56,20 +48,15 @@ class ECDF:
         index = bisect.bisect_right(self.xs, x)
         return self.ps[index - 1] if index else 0.0
 
-    def quantile(self, p: float) -> float:
-        """Smallest x with CDF(x) >= p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        if self.is_empty:
-            raise ValueError("empty ECDF has no quantiles")
-        index = bisect.bisect_left(self.ps, p)
-        return self.xs[min(index, len(self.xs) - 1)]
-
     def mean(self) -> float:
         if self.is_empty:
             raise ValueError("empty ECDF has no mean")
-        weights = np.diff(np.concatenate(([0.0], np.asarray(self.ps))))
-        return float(np.dot(self.xs, weights))
+        # Each step's weight is its probability mass, p_i - p_{i-1}.
+        total, previous = 0.0, 0.0
+        for x, p in zip(self.xs, self.ps):
+            total += x * (p - previous)
+            previous = p
+        return total
 
     def series(self) -> list[tuple[float, float]]:
         """(x, p) pairs suitable for plotting/printing."""

@@ -30,14 +30,6 @@ class ComparisonCounts:
     outbreaks_v4: int
     outbreaks_v6: int
 
-    @property
-    def routes_total(self) -> int:
-        return self.routes_v4 + self.routes_v6
-
-    @property
-    def outbreaks_total(self) -> int:
-        return self.outbreaks_v4 + self.outbreaks_v6
-
 
 @dataclass(frozen=True)
 class PipelineComparison:

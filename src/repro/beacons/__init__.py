@@ -1,8 +1,6 @@
 """Beacon methodologies: RIS 4-hour beacons and the paper's new beacons."""
 
 from repro.beacons.aggregator import AggregatorClock
-from repro.beacons.ipv4_clock import IPv4BeaconClock, IPv4BeaconSchedule
-from repro.beacons.service import BeaconService, BeaconServiceConfig
 from repro.beacons.ris_beacons import (
     RIS_BEACON_ASN,
     RISBeacon,
@@ -23,10 +21,6 @@ from repro.beacons.zombie_beacons import (
 
 __all__ = [
     "AggregatorClock",
-    "IPv4BeaconClock",
-    "IPv4BeaconSchedule",
-    "BeaconService",
-    "BeaconServiceConfig",
     "RISBeacon",
     "RISBeaconSchedule",
     "RIS_BEACON_ASN",

@@ -35,10 +35,6 @@ class RISBeacon:
     collector: str
     prefix: Prefix
 
-    @property
-    def afi_name(self) -> str:
-        return "IPv4" if self.prefix.is_ipv4 else "IPv6"
-
 
 def ris_beacons_2018() -> list[RISBeacon]:
     """The beacon set during the paper's replication periods: 13 IPv4 and
@@ -74,9 +70,3 @@ class RISBeaconSchedule(BeaconSchedule):
                     origin_asn=self.origin_asn,
                 )
             slot += ANNOUNCE_PERIOD
-
-    def beacon_for_prefix(self, prefix: Prefix) -> Optional[RISBeacon]:
-        for beacon in self.beacons:
-            if beacon.prefix == prefix:
-                return beacon
-        return None

@@ -44,10 +44,6 @@ class BeaconEvent:
     def is_announce(self) -> bool:
         return self.action is BeaconAction.ANNOUNCE
 
-    @property
-    def is_withdraw(self) -> bool:
-        return self.action is BeaconAction.WITHDRAW
-
 
 @dataclass(frozen=True)
 class BeaconInterval:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 from repro.beacons.schedule import BeaconInterval, BeaconSchedule
 from repro.net.prefix import Prefix
-from repro.utils.timeutil import DAY, MINUTE, align_up, from_iso, to_datetime
+from repro.utils.timeutil import MINUTE, align_up, from_iso, to_datetime
 
 __all__ = [
     "RecycleApproach",
@@ -62,10 +62,6 @@ class RecycleApproach(Enum):
 
     DAILY = "24h"
     FIFTEEN_DAYS = "15d"
-
-    @property
-    def recycle_seconds(self) -> int:
-        return DAY if self is RecycleApproach.DAILY else 15 * DAY
 
 
 def _hextet_from_digits(digits: str) -> int:

@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.bgp.messages import StateRecord, UpdateRecord
+from repro.net.asn import validate_asn
 from repro.net.prefix import Prefix
 from repro.ris.archive import Archive
 from repro.ris.pushdown import RecordFilter
@@ -81,10 +82,12 @@ def compile_filter(text: Optional[str]) -> RecordFilter:
     :class:`~repro.ris.pushdown.RecordFilter` usable directly with
     :meth:`repro.ris.Archive.iter_updates`.  Clauses of different types
     are ANDed; repeated clauses of one type (``prefix exact A and prefix
-    exact B``) are ORed, like repeated ``add_filter`` calls in pybgpstream."""
+    exact B``) are ORed, like repeated ``add_filter`` calls in pybgpstream.
+    Only ``peer`` and ``collector`` take several values; any other token
+    left over in a clause is an error, not silently dropped."""
     sets: dict[str, set] = {name: set() for name in (
         "peers", "collectors", "elem_types", "prefix_exact", "prefix_more")}
-    ipversion = None
+    versions: set[int] = set()
     for clause in (text or "").split(" and "):
         tokens = clause.split()
         if not tokens:
@@ -92,25 +95,32 @@ def compile_filter(text: Optional[str]) -> RecordFilter:
         keyword, values = tokens[0], tokens[1:]
         try:
             if keyword == "prefix":
-                mode, value = values[0], values[1]
+                mode, value = values
                 if mode not in ("exact", "more"):
                     raise FilterError(f"unknown prefix mode {mode!r}")
                 sets[f"prefix_{mode}"].add(Prefix(value))
             elif keyword in ("peer", "collector"):
                 if not values:
                     raise FilterError(f"clause {clause!r} needs a value")
-                sets[f"{keyword}s"].update(
-                    map(int, values) if keyword == "peer" else values)
+                if keyword == "peer":
+                    values = [validate_asn(int(value)) for value in values]
+                sets[f"{keyword}s"].update(values)
             elif keyword == "ipversion":
-                ipversion = int(values[0])
+                (value,) = values
+                if value not in ("4", "6"):
+                    raise FilterError(f"ipversion must be 4 or 6: {clause!r}")
+                versions.add(int(value))
             elif keyword == "type":
-                sets["elem_types"].update(_ELEM_TYPES[values[0]])
+                (value,) = values
+                sets["elem_types"].update(_ELEM_TYPES[value])
             else:
                 raise FilterError(f"unknown filter keyword {keyword!r}")
-        except (IndexError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             if isinstance(exc, FilterError):
                 raise
             raise FilterError(f"cannot parse clause {clause!r}") from exc
+    # Both families ORed together restrict nothing.
+    ipversion = versions.pop() if len(versions) == 1 else None
     return RecordFilter(ipversion=ipversion, **{
         name: frozenset(values) for name, values in sets.items()})
 

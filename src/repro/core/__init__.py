@@ -28,15 +28,8 @@ from repro.core.rootcause import (
     PalmTree,
     RootCauseInference,
     infer_root_cause,
-    infer_root_causes,
 )
 from repro.core.state import PeerKey, PrefixState, StateReconstructor
-from repro.core.wild import (
-    WildConfig,
-    WildWithdrawal,
-    detect_wild_zombies,
-    find_complete_withdrawals,
-)
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -63,12 +56,7 @@ __all__ = [
     "PalmTree",
     "RootCauseInference",
     "infer_root_cause",
-    "infer_root_causes",
     "PeerKey",
     "PrefixState",
     "StateReconstructor",
-    "WildConfig",
-    "WildWithdrawal",
-    "detect_wild_zombies",
-    "find_complete_withdrawals",
 ]

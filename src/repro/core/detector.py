@@ -92,10 +92,6 @@ class DetectionResult:
         return len(self.outbreaks)
 
     @property
-    def zombie_route_count(self) -> int:
-        return sum(o.size for o in self.outbreaks)
-
-    @property
     def visible_count(self) -> int:
         return len(self.visible_intervals)
 

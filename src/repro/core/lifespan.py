@@ -52,10 +52,6 @@ class PresenceSegment:
     end: int
     peers: frozenset[PeerKey]
 
-    @property
-    def span_days(self) -> float:
-        return (self.end - self.start) / DAY
-
 
 @dataclass
 class ZombieLifespan:

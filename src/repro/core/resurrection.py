@@ -96,10 +96,6 @@ class ResurrectionEvent:
     resurrected_at: int         # first dump of the next segment
     peers: frozenset[PeerKey]   # peers of the new segment
 
-    @property
-    def gap_days(self) -> float:
-        return (self.resurrected_at - self.disappeared_after) / 86400
-
 
 @dataclass
 class _Window:

@@ -12,13 +12,13 @@ servers may hide the true culprit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bgp.attributes import ASPath
 from repro.core.outbreaks import ZombieOutbreak
 
-__all__ = ["RootCauseInference", "infer_root_cause", "infer_root_causes",
-           "build_palm_tree", "PalmTree"]
+__all__ = ["RootCauseInference", "infer_root_cause", "build_palm_tree",
+           "PalmTree"]
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,3 @@ def infer_root_cause(outbreak: ZombieOutbreak,
     """Infer the suspected root-cause AS of one outbreak."""
     tree = _build_palm_tree(outbreak.zombie_paths(), origin_asn)
     return RootCauseInference(outbreak=outbreak, tree=tree)
-
-
-def infer_root_causes(outbreaks: Iterable[ZombieOutbreak],
-                      origin_asn: int) -> list[RootCauseInference]:
-    """Batch inference, one result per outbreak."""
-    return [infer_root_cause(o, origin_asn) for o in outbreaks]

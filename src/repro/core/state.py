@@ -55,10 +55,6 @@ class StateReconstructor:
     def __init__(self, records: Iterable[Record]):
         #: (peer, prefix) -> time-ordered events.
         self._events: dict[tuple[PeerKey, Prefix], list[_Event]] = {}
-        #: prefix -> peers with an event list for it.  Per-prefix
-        #: queries (``peers_with_prefix``/``ever_announced``) walk this
-        #: instead of scanning every (peer, prefix) pair.
-        self._peers_by_prefix: dict[Prefix, set[PeerKey]] = {}
         #: peers that ever appeared in the stream.
         self._peers: dict[PeerKey, int] = {}
         ordered = sorted(records, key=record_sort_key)
@@ -77,7 +73,6 @@ class StateReconstructor:
                            present=record.is_announcement,
                            announcement=record if record.is_announcement else None)
             self._events.setdefault((key, record.prefix), []).append(event)
-            self._peers_by_prefix.setdefault(record.prefix, set()).add(key)
 
     def _append_for_peer(self, key: PeerKey, time: int, order: int) -> None:
         """Record a session transition: a REMOVED event on every prefix
@@ -127,20 +122,3 @@ class StateReconstructor:
         if event is None or not event.present:
             return None
         return event.announcement
-
-    def peers_with_prefix(self, prefix: Prefix, time: int) -> list[PeerKey]:
-        """Peer routers whose state for ``prefix`` is PRESENT at ``time``."""
-        present = []
-        for key in self._peers_by_prefix.get(prefix, ()):
-            if self.state_at(key, prefix, time) is PrefixState.PRESENT:
-                present.append(key)
-        return sorted(present)
-
-    def ever_announced(self, prefix: Prefix, key: Optional[PeerKey] = None) -> bool:
-        """Did any peer (or one specific peer) announce ``prefix`` inside
-        the window this reconstructor covers?"""
-        if key is not None:
-            events = self._events.get((key, prefix), [])
-            return any(e.present for e in events)
-        return any(any(e.present for e in self._events[(peer, prefix)])
-                   for peer in self._peers_by_prefix.get(prefix, ()))

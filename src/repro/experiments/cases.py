@@ -12,14 +12,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.beacons import BEACON_ORIGIN_ASN
-from repro.core import (
-    LifespanTracker,
-    ZombieOutbreak,
-    infer_root_cause,
-)
+from repro.core import ZombieOutbreak, infer_root_cause
 from repro.experiments.campaign import CampaignRun
 from repro.net.prefix import Prefix
-from repro.utils.timeutil import DAY, MINUTE
+from repro.utils.timeutil import MINUTE
 
 __all__ = ["CaseStudy", "build_case_study", "build_paper_cases"]
 
@@ -51,10 +47,7 @@ def build_case_study(run: CampaignRun, prefix: Prefix,
     cone = (run.topology.customer_cone_size(suspect)
             if suspect is not None and suspect in run.topology else 0)
 
-    tracker = LifespanTracker()
-    lifespans = tracker.track(run.rib_dumps(), {prefix: run.final_withdrawals[prefix]},
-                              excluded_peers=run.noisy_truth)
-    lifespan = lifespans[prefix]
+    lifespan = run.lifespans(exclude_noisy=True)[prefix]
     per_as: dict[int, float] = {}
     for route in outbreak.routes:
         days = lifespan.peer_duration_days(route.peer)

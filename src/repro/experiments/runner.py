@@ -17,8 +17,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.replication import ReplicationRun, run_replication
 
-__all__ = ["campaign_run", "replication_run", "replication_runs",
-           "clear_cache"]
+__all__ = ["campaign_run", "replication_run", "replication_runs"]
 
 _campaign_cache: dict[CampaignConfig, CampaignRun] = {}
 _replication_cache: dict[ReplicationConfig, ReplicationRun] = {}
@@ -55,8 +54,3 @@ def replication_runs(days: Optional[int] = 6) -> list[ReplicationRun]:
     """All three periods, truncated to ``days`` each."""
     return [replication_run(period, days=days)
             for period in REPLICATION_PERIODS]
-
-
-def clear_cache() -> None:
-    _campaign_cache.clear()
-    _replication_cache.clear()

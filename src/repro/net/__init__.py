@@ -1,6 +1,6 @@
 """Network-layer primitives: prefixes and ASNs."""
 
-from repro.net.asn import ASInfo, WELL_KNOWN_ASES, asdot, is_private_asn, validate_asn
+from repro.net.asn import ASInfo, WELL_KNOWN_ASES, validate_asn
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
 __all__ = [
@@ -9,7 +9,5 @@ __all__ = [
     "Prefix",
     "ASInfo",
     "WELL_KNOWN_ASES",
-    "asdot",
-    "is_private_asn",
     "validate_asn",
 ]

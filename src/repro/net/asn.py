@@ -1,15 +1,15 @@
 """Autonomous System Number helpers.
 
 ASNs are plain ``int`` throughout the library; this module centralises
-validation, formatting (asdot), and the registry of real-world ASes named
-by the paper so experiment code can refer to them symbolically.
+validation and the registry of real-world ASes named by the paper so
+experiment code can refer to them symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["validate_asn", "asdot", "ASInfo", "WELL_KNOWN_ASES"]
+__all__ = ["validate_asn", "ASInfo", "WELL_KNOWN_ASES"]
 
 AS_TRANS = 23456
 MAX_ASN = 2 ** 32 - 1
@@ -22,19 +22,6 @@ def validate_asn(asn: int) -> int:
     if not 0 <= asn <= MAX_ASN:
         raise ValueError(f"ASN {asn} out of range [0, {MAX_ASN}]")
     return asn
-
-
-def is_private_asn(asn: int) -> bool:
-    """True for RFC 6996 private-use ASNs."""
-    return 64512 <= asn <= 65534 or 4200000000 <= asn <= 4294967294
-
-
-def asdot(asn: int) -> str:
-    """Render an ASN in asdot notation (RFC 5396)."""
-    validate_asn(asn)
-    if asn < 65536:
-        return str(asn)
-    return f"{asn >> 16}.{asn & 0xFFFF}"
 
 
 @dataclass(frozen=True)

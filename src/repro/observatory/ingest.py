@@ -54,7 +54,7 @@ from repro.observatory.store import EventStore
 from repro.ris.archive import Archive
 from repro.utils.timeutil import MINUTE
 
-__all__ = ["ObservatoryIngest", "intervals_from_json"]
+__all__ = ["ObservatoryIngest"]
 
 
 class ObservatoryIngest:
@@ -379,9 +379,3 @@ class ObservatoryIngest:
             "ring_evictions": self.ring.evictions,
             **self.counters,
         }
-
-
-def intervals_from_json(payloads: Iterable[dict[str, Any]]
-                        ) -> list[BeaconInterval]:
-    """Rehydrate intervals persisted by a checkpoint or scenario file."""
-    return [BeaconInterval.from_json(payload) for payload in payloads]

@@ -9,7 +9,7 @@ from repro.ris.archive import (
 )
 from repro.ris.cache import DecodedFileCache
 from repro.ris.chaos import ChaosReport, build_reference_archive, corrupt_archive
-from repro.ris.collectors import DEFAULT_COLLECTORS, Collector, PeerRegistry, RISPeer
+from repro.ris.collectors import DEFAULT_COLLECTORS, PeerRegistry, RISPeer
 from repro.ris.pushdown import RecordFilter
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "build_reference_archive",
     "corrupt_archive",
     "RecordFilter",
-    "Collector",
     "PeerRegistry",
     "RISPeer",
     "DEFAULT_COLLECTORS",

@@ -9,26 +9,14 @@ peer 176.119.234.201 does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-__all__ = ["Collector", "RISPeer", "PeerRegistry", "DEFAULT_COLLECTORS"]
+__all__ = ["RISPeer", "PeerRegistry", "DEFAULT_COLLECTORS"]
 
 #: The collector names RIS has operated (rrc08/09/14 retired but present
 #: in historical data).
 DEFAULT_COLLECTORS: tuple[str, ...] = tuple(f"rrc{i:02d}" for i in range(27))
-
-
-@dataclass(frozen=True)
-class Collector:
-    """One RIS route collector."""
-
-    name: str
-    location: str = ""
-
-    def __post_init__(self):
-        if not self.name.startswith("rrc"):
-            raise ValueError(f"collector name must look like rrcNN: {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +66,6 @@ class PeerRegistry:
 
     def by_collector(self, collector: str) -> list[RISPeer]:
         return [p for p in self._peers.values() if p.collector == collector]
-
-    def by_asn(self, asn: int) -> list[RISPeer]:
-        """All peer routers of one peer AS (may span collectors)."""
-        return [p for p in self._peers.values() if p.asn == asn]
 
     def asns(self) -> set[int]:
         return {p.asn for p in self._peers.values()}

@@ -1,4 +1,4 @@
-"""RouteViews archive substrate and RIS+RouteViews stream merging."""
+"""RouteViews archive substrate: the second layout of :mod:`repro.ris.archive`."""
 
 from repro.routeviews.archive import (
     DEFAULT_COLLECTORS,
@@ -6,13 +6,11 @@ from repro.routeviews.archive import (
     UPDATE_BIN_SECONDS,
     RouteViewsArchive,
     RouteViewsWriter,
-    merged_update_stream,
 )
 
 __all__ = [
     "RouteViewsArchive",
     "RouteViewsWriter",
-    "merged_update_stream",
     "DEFAULT_COLLECTORS",
     "UPDATE_BIN_SECONDS",
     "RIB_DUMP_SECONDS",

@@ -13,20 +13,15 @@ merging and decoding is :mod:`repro.ris.archive`'s:
 * :class:`RouteViewsWriter` / :class:`RouteViewsArchive` are
   :class:`repro.ris.ArchiveWriter` / :class:`repro.ris.Archive` reading
   that layout, so filter push-down, the decoded-file cache and error
-  policies apply unchanged, and
-* :func:`merged_update_stream` interleaves records from both platforms
-  in one time-ordered stream — the detector runs over the union unchanged.
+  policies apply unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from repro.bgp.messages import Record, merge_records
 from repro.ris.archive import Archive, ArchiveWriter, Layout
 
-__all__ = ["RouteViewsArchive", "RouteViewsWriter", "merged_update_stream",
-           "UPDATE_BIN_SECONDS", "RIB_DUMP_SECONDS", "DEFAULT_COLLECTORS"]
+__all__ = ["RouteViewsArchive", "RouteViewsWriter", "UPDATE_BIN_SECONDS",
+           "RIB_DUMP_SECONDS", "DEFAULT_COLLECTORS"]
 
 UPDATE_BIN_SECONDS = 15 * 60
 RIB_DUMP_SECONDS = 2 * 3600
@@ -54,15 +49,3 @@ class RouteViewsArchive(Archive):
     """Read-side of a RouteViews-layout archive."""
 
     layout = ROUTEVIEWS_LAYOUT
-
-
-def merged_update_stream(start: int, end: int,
-                         ris_archive: Optional[Archive] = None,
-                         routeviews_archive: Optional[Archive] = None,
-                         ) -> Iterator[Record]:
-    """Interleave RIS and RouteViews records in overall time order —
-    the §6 "combined platforms" detector input."""
-    return merge_records(
-        archive.iter_updates(start, end)
-        for archive in (ris_archive, routeviews_archive)
-        if archive is not None)

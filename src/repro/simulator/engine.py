@@ -47,12 +47,6 @@ class Engine:
         heapq.heappush(self._queue, (float(time), self._sequence, callback))
         self._sequence += 1
 
-    def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule relative to the current time."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.schedule(self._now + delay, callback)
-
     def run(self, until: Optional[float] = None) -> int:
         """Drain events (up to and including ``until``); returns the
         number of events processed by this call."""

@@ -116,9 +116,6 @@ class BGPWorld:
         for peer in registry:
             self.attach_tap(peer, drop_withdrawal_prob=noisy.get(peer.key, 0.0))
 
-    def peer_registry(self) -> PeerRegistry:
-        return PeerRegistry(tap.peer for tap in self.taps.values())
-
     # -- faults ----------------------------------------------------------------
 
     def _schedule_session_resets(self) -> None:

@@ -259,6 +259,3 @@ class ASRouter:
 
     def has_route(self, prefix: Prefix) -> bool:
         return prefix in self.best
-
-    def best_path(self, prefix: Prefix) -> Optional[PathAttributes]:
-        return self.export_attributes(prefix)

@@ -63,9 +63,6 @@ class ASTopology:
     def asns(self) -> list[int]:
         return sorted(self._graph.nodes)
 
-    def edge_count(self) -> int:
-        return self._graph.number_of_edges()
-
     def relationship(self, asn: int, neighbor: int) -> Relationship:
         """How ``asn`` sees ``neighbor`` (CUSTOMER/PEER/PROVIDER)."""
         try:
@@ -90,10 +87,6 @@ class ASTopology:
 
     def is_stub(self, asn: int) -> bool:
         return not self.customers(asn)
-
-    def tier1s(self) -> list[int]:
-        """ASes with no providers (the clique at the top)."""
-        return [asn for asn in self.asns() if not self.providers(asn)]
 
     def customer_cone(self, asn: int) -> set[int]:
         """All ASes reachable from ``asn`` by walking only customer edges

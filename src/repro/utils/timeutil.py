@@ -8,7 +8,6 @@ naive :class:`datetime.datetime` by accident.
 
 from __future__ import annotations
 
-import calendar
 from datetime import datetime, timezone
 
 __all__ = [
@@ -76,12 +75,6 @@ def previous_month_start(timestamp: int) -> int:
     dt = to_datetime(month_start(timestamp))
     year, month = (dt.year - 1, 12) if dt.month == 1 else (dt.year, dt.month - 1)
     return ts(year, month, 1)
-
-
-def days_in_month(timestamp: int) -> int:
-    """Number of days in the timestamp's month."""
-    dt = to_datetime(timestamp)
-    return calendar.monthrange(dt.year, dt.month)[1]
 
 
 def align_down(timestamp: int, step: int, origin: int = 0) -> int:

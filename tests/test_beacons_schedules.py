@@ -59,12 +59,6 @@ class TestRISBeacons:
         interval = next(schedule.intervals(ts(2018, 7, 19), ts(2018, 7, 20)))
         assert interval.origin_asn == 12654
 
-    def test_beacon_for_prefix(self):
-        schedule = RISBeaconSchedule()
-        beacon = schedule.beacon_for_prefix(Prefix("2001:7fb:fe00::/48"))
-        assert beacon.collector == "rrc00"
-        assert schedule.beacon_for_prefix(Prefix("2001:db8::/32")) is None
-
     def test_events_alternate_and_sorted(self):
         schedule = RISBeaconSchedule(ris_beacons_2018()[:1])
         events = list(schedule.events(ts(2018, 7, 19), ts(2018, 7, 19, 8)))

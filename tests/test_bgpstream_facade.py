@@ -207,3 +207,34 @@ class TestFilters:
         assert not compile_filter("")
         with pytest.raises(FilterError):
             compile_filter("frobnicate 1")
+
+    @pytest.mark.parametrize("text", [
+        "ipversion 4 or ipversion 6",
+        "prefix exact 2a0d:3dc1:1200::/48 2a0d:3dc1:1215::/48",
+        "type announcements withdrawals",
+        "ipversion 5",
+        "peer 99999999999",
+        "peer -1",
+    ])
+    def test_no_token_is_silently_dropped(self, archive_root, text):
+        """A clause that cannot mean what it says is refused: a leftover
+        token, an address family other than 4 or 6, a peer ASN outside
+        [0, 2**32)."""
+        with pytest.raises(FilterError):
+            BGPStream(str(archive_root), BASE, BASE + 300, filter=text)
+
+    def test_repeated_ipversion_clauses_are_a_union(self, archive_root):
+        """Like every repeated clause, ``ipversion`` clauses are ORed:
+        both families together restrict nothing."""
+        from repro.bgpstream import compile_filter
+
+        assert compile_filter("ipversion 4 and ipversion 6") == compile_filter("")
+        assert compile_filter("ipversion 6 and ipversion 6").ipversion == 6
+        assert compile_filter("peer 4294967295").peers == {2 ** 32 - 1}
+        both = {e.fields["prefix"] for e in BGPStream(
+            str(archive_root), BASE, BASE + 300,
+            filter="ipversion 4 and ipversion 6") if e.type != "S"}
+        v4, v6 = ({e.fields["prefix"] for e in BGPStream(
+            str(archive_root), BASE, BASE + 300, filter=f"ipversion {n}")}
+            for n in (4, 6))
+        assert v4 and v6 and both == v4 | v6

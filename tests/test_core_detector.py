@@ -231,5 +231,5 @@ class TestStatistics:
     def test_zombie_route_count(self):
         records, intervals = TestExclusions()._two_peer_records()
         result = detect(records, intervals)
-        assert result.zombie_route_count == 2
         assert result.outbreak_count == 1
+        assert result.outbreaks[0].size == 2

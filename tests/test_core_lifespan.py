@@ -98,7 +98,8 @@ class TestResurrectionEvents:
         events = find_resurrections([lifespan])
         assert len(events) == 2
         first, second = events
-        assert first.gap_days == pytest.approx(53, abs=2)
+        assert (first.resurrected_at - first.disappeared_after) / DAY == \
+            pytest.approx(53, abs=2)
         assert first.peers == {("rrc15", PEER_ADDR)}
         assert second.resurrected_at > first.resurrected_at
 

@@ -202,12 +202,14 @@ def reference(records, intervals, config):
                   + [other.announce_time - 1 for other in intervals
                      if other.prefix == iv.prefix
                      and other.announce_time > iv.announce_time])
-        state = StateReconstructor(
-            r for r in records if iv.announce_time <= r.timestamp <= end
-            and (isinstance(r, StateRecord) or r.prefix == iv.prefix))
+        window = [r for r in records
+                  if iv.announce_time <= r.timestamp <= end
+                  and (isinstance(r, StateRecord) or r.prefix == iv.prefix)]
+        state = StateReconstructor(window)
+        announced = {(r.collector, r.peer_address) for r in window
+                     if isinstance(r, UpdateRecord) and r.is_announcement}
         seen = [(key, asn) for key, asn in state.peers().items()
-                if state.ever_announced(iv.prefix, key)
-                and not config.excludes(key, asn)]
+                if key in announced and not config.excludes(key, asn)]
         if seen:
             visible.append(iv)
         for key, asn in seen:

@@ -4,7 +4,7 @@ from helpers import ann, interval
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import ASPath
-from repro.core import ZombieOutbreak, ZombieRoute, infer_root_cause, infer_root_causes
+from repro.core import ZombieOutbreak, ZombieRoute, infer_root_cause
 from repro.core.rootcause import build_palm_tree
 from repro.net import Prefix
 from repro.utils.timeutil import ts
@@ -82,14 +82,6 @@ class TestPalmTree:
         inference = infer_root_cause(outbreak, origin_asn=210312)
         assert inference.tree.trunk == (210312, 8298, 25091, 33891)
         assert inference.suspect == 33891
-
-    def test_batch(self):
-        outbreaks = [
-            outbreak_from_paths([(64801, 33891, 25091, 8298, 210312)]),
-            outbreak_from_paths([(64801, 9304, 6939, 43100, 25091, 8298, 210312)]),
-        ]
-        inferences = infer_root_causes(outbreaks, 210312)
-        assert len(inferences) == 2
 
 
 class TestPrepending:

@@ -90,21 +90,6 @@ class TestQueries:
         state = StateReconstructor([ann(100, P, 25091, 210312)])
         assert state.prefixes() == {Prefix(P)}
 
-    def test_peers_with_prefix(self):
-        state = StateReconstructor([
-            ann(100, P, 25091, 210312),
-            ann(100, P, 16347, 210312, addr="192.0.2.9", peer_asn=16347),
-            wd(200, P),
-        ])
-        assert state.peers_with_prefix(Prefix(P), 300) == [("rrc00", "192.0.2.9")]
-
-    def test_ever_announced(self):
-        state = StateReconstructor([ann(100, P, 25091, 210312), wd(200, P)])
-        assert state.ever_announced(Prefix(P))
-        assert state.ever_announced(Prefix(P), PEER)
-        assert not state.ever_announced(Prefix("2001:db8::/32"))
-        assert not state.ever_announced(Prefix(P), ("rrc01", "::9"))
-
     def test_last_announcement_none_when_removed(self):
         state = StateReconstructor([ann(100, P, 25091, 210312), wd(200, P)])
         assert state.last_announcement(PEER, Prefix(P), 300) is None
@@ -116,37 +101,3 @@ class TestQueries:
         state = StateReconstructor(records)
         assert state.state_at(PEER, Prefix(P), 100) is PrefixState.PRESENT
 
-
-class TestPerPrefixIndex:
-    """``peers_with_prefix`` answers from a per-prefix index; it must
-    agree with the brute-force scan over every (peer, prefix) pair."""
-
-    @staticmethod
-    def _brute_force(state, prefix, time):
-        present = []
-        for (key, event_prefix) in state._events:
-            if event_prefix != prefix:
-                continue
-            if state.state_at(key, prefix, time) is PrefixState.PRESENT:
-                present.append(key)
-        return sorted(present)
-
-    @staticmethod
-    def _world():
-        other = "2a0d:3dc1:9999::/48"
-        return [
-            ann(100, P, 25091, 210312),
-            ann(110, P, 16347, 210312, addr="192.0.2.9", peer_asn=16347),
-            ann(120, other, 6939, 210312, addr="192.0.2.10", peer_asn=6939),
-            wd(200, P),
-            sess_down(250, addr="192.0.2.9", peer_asn=16347),
-            ann(300, P, 25091, 8298, 210312),
-        ]
-
-    def test_matches_brute_force_at_every_instant(self):
-        state = StateReconstructor(self._world())
-        other = Prefix("2a0d:3dc1:9999::/48")
-        for time in (50, 100, 115, 150, 200, 260, 300, 10**9):
-            for prefix in (Prefix(P), other, Prefix("2001:db8::/32")):
-                assert state.peers_with_prefix(prefix, time) == \
-                    self._brute_force(state, prefix, time), (prefix, time)

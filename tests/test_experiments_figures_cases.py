@@ -15,7 +15,6 @@ from repro.experiments import (
 )
 from repro.experiments import build_figure2
 from repro.experiments.cases import render_case
-from repro.experiments.runner import clear_cache
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +93,3 @@ class TestRunnerCache:
         b = replication_run("2017-mar", days=2)
         assert a is not b
         assert a.config.name != b.config.name
-
-    def test_clear_cache(self):
-        a = replication_run("2018", days=2)
-        clear_cache()
-        b = replication_run("2018", days=2)
-        assert a is not b
-        # Determinism: the re-simulated world is identical.
-        assert len(a.records) == len(b.records)
-        assert a.records[0] == b.records[0]
-        assert a.records[-1] == b.records[-1]

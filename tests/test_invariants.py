@@ -281,3 +281,94 @@ class TestOneLiveEngine:
     def test_no_call_passes_a_retired_setting(self):
         assert matches(r"\b(%s)=(?!=)" % "|".join(self.CONSTANTS),
                        SRC) == []
+
+
+class TestPeriphery:
+    """Every module earns its place: a module under ``src/repro`` stays
+    only while another ``src/`` module (not its own package
+    ``__init__``), ``bench/`` or ``benchmarks/`` imports it, or while
+    :attr:`KEEP` names what needs it.  Tests and examples do not count."""
+
+    #: Modules nothing else imports, each with the reason it stays.
+    KEEP = {
+        "repro.__main__": "the `python -m repro` entry point",
+        "repro.ris.chaos": "the chaos CI job and the one seeded fault "
+                           "model (ROADMAP item 15)",
+        "repro.routeviews.archive": "the second ris.archive.Layout; "
+                                    "removing it reshapes the bench's "
+                                    "read path, its own decision",
+    }
+
+    #: Removed for want of a reader; they stay gone.
+    GONE = ("dataplane", "core/wild.py", "beacons/service.py",
+            "beacons/ipv4_clock.py", "analysis/suspects.py")
+
+    @staticmethod
+    def module_of(path: Path) -> str:
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    @staticmethod
+    def imported(path: Path) -> set[str]:
+        """Dotted names ``path`` imports: ``from a import b`` gives ``a``
+        and ``a.b``.  ``src/`` imports absolutely, so a relative import
+        credits no module and fails the rule rather than passing it."""
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}"
+                             for alias in node.names)
+        return names
+
+    def importers(self) -> dict[str, set[str]]:
+        """Module -> the files that import it, a package's re-exported
+        names credited to the module they come from."""
+        inits = {self.module_of(path): path
+                 for path in SRC.rglob("__init__.py")}
+        reexports = {}
+        for package, path in inits.items():
+            for name in self.imported(path):
+                head, _, attr = name.rpartition(".")
+                if head != package:
+                    reexports[f"{package}.{attr}"] = name
+        users: dict[str, set[str]] = {}
+        files = [*SRC.rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
+                 *(ROOT / "benchmarks").rglob("*.py")]
+        for path in files:
+            for name in self.imported(path):
+                while name in reexports:
+                    name = reexports[name]
+                for target in (name, name.rpartition(".")[0]):
+                    users.setdefault(target, set()).add(
+                        str(path.relative_to(ROOT)))
+        return users
+
+    def test_every_module_has_a_reader_or_a_reason(self):
+        users = self.importers()
+        unread = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            module = self.module_of(path)
+            own_init = str((path.parent / "__init__.py").relative_to(ROOT))
+            readers = users.get(module, set()) - {own_init}
+            if not readers and module not in self.KEEP:
+                unread.append(module)
+        assert unread == []
+
+    def test_kept_modules_exist_and_are_unread(self):
+        """A KEEP entry whose module gained a reader, or left, goes."""
+        users = self.importers()
+        for module in self.KEEP:
+            path = SRC.parent / Path(*module.split("."))
+            assert path.with_suffix(".py").exists(), module
+            own_init = str((path.parent / "__init__.py").relative_to(ROOT))
+            assert not users.get(module, set()) - {own_init}, module
+
+    def test_removed_modules_stay_removed(self):
+        assert [name for name in self.GONE if (SRC / name).exists()] == []
+        assert matches(r"repro\.dataplane|core\.wild|beacons\.service|"
+                       r"ipv4_clock|analysis\.suspects", SRC) == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import WELL_KNOWN_ASES, asdot, is_private_asn, validate_asn
+from repro.net import WELL_KNOWN_ASES, validate_asn
 
 
 class TestValidate:
@@ -30,31 +30,6 @@ class TestValidate:
     def test_string_rejected(self):
         with pytest.raises(TypeError):
             validate_asn("65000")
-
-
-class TestAsdot:
-    def test_small_plain(self):
-        assert asdot(3356) == "3356"
-
-    def test_large_dotted(self):
-        assert asdot(210312) == "3.13704"
-
-    def test_boundary(self):
-        assert asdot(65535) == "65535"
-        assert asdot(65536) == "1.0"
-
-
-class TestPrivate:
-    def test_private_16bit(self):
-        assert is_private_asn(64512)
-        assert is_private_asn(65534)
-
-    def test_public(self):
-        assert not is_private_asn(3356)
-        assert not is_private_asn(65535)
-
-    def test_private_32bit(self):
-        assert is_private_asn(4200000000)
 
 
 class TestWellKnown:

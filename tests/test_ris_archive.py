@@ -214,13 +214,6 @@ class TestPeerRegistry:
         registry.add(peer)
         assert len(registry) == 1
 
-    def test_by_asn_spans_routers(self):
-        registry = PeerRegistry([
-            RISPeer("rrc25", "176.119.234.201", 211509, transport_v4=True),
-            RISPeer("rrc25", "2001:678:3f4:5::1", 211509),
-        ])
-        assert len(registry.by_asn(211509)) == 2
-
     def test_by_collector(self):
         registry = PeerRegistry([
             RISPeer("rrc00", "::1", 1), RISPeer("rrc01", "::2", 2)])

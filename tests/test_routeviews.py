@@ -3,14 +3,11 @@
 import pytest
 
 from repro.bgp import Announcement, ASPath, PathAttributes, UpdateRecord, Withdrawal
+from repro.bgp.messages import merge_records
 from repro.core import DetectorConfig, ZombieDetector
 from repro.net import Prefix
 from repro.ris import Archive, ArchiveWriter
-from repro.routeviews import (
-    RouteViewsArchive,
-    RouteViewsWriter,
-    merged_update_stream,
-)
+from repro.routeviews import RouteViewsArchive, RouteViewsWriter
 from repro.utils.timeutil import ts
 
 BASE = ts(2024, 6, 4, 12, 0)
@@ -101,9 +98,8 @@ class TestCombinedPlatforms:
 
     def test_merged_stream_time_order(self, both_archives):
         ris, rv = both_archives
-        records = list(merged_update_stream(BASE, BASE + 3600,
-                                            ris_archive=ris,
-                                            routeviews_archive=rv))
+        records = list(merge_records(
+            archive.iter_updates(BASE, BASE + 3600) for archive in (ris, rv)))
         assert [r.timestamp for r in records] == [BASE + 10, BASE + 30]
         assert {r.collector for r in records} == {"rrc00", "route-views2"}
 
@@ -117,20 +113,10 @@ class TestCombinedPlatforms:
         detector = ZombieDetector(DetectorConfig())
         ris_only = detector.detect(list(ris.iter_updates(BASE, BASE + 7200)),
                                    [iv])
-        combined = detector.detect(
-            list(merged_update_stream(BASE, BASE + 7200, ris_archive=ris,
-                                      routeviews_archive=rv)), [iv])
+        combined = detector.detect(list(merge_records(
+            archive.iter_updates(BASE, BASE + 7200) for archive in (ris, rv))),
+            [iv])
         # Both peers are stuck (no withdrawals recorded at all).
         assert ris_only.outbreaks[0].size == 1
         assert combined.outbreaks[0].size == 2
         assert {p for p in combined.outbreaks[0].peer_asns} == {25091, 3356}
-
-    def test_single_source_streams(self, both_archives):
-        ris, rv = both_archives
-        only_ris = list(merged_update_stream(BASE, BASE + 3600,
-                                             ris_archive=ris))
-        only_rv = list(merged_update_stream(BASE, BASE + 3600,
-                                            routeviews_archive=rv))
-        assert len(only_ris) == 1
-        assert len(only_rv) == 1
-        assert list(merged_update_stream(BASE, BASE + 3600)) == []

@@ -63,7 +63,7 @@ class TestTransparentAS:
         world.run_until_idle()
         path = world.routers[30].best.get(PREFIX6)[1].as_path
         assert path.asns == (10,)  # AS20 is invisible
-        exported = world.routers[30].best_path(PREFIX6)
+        exported = world.routers[30].export_attributes(PREFIX6)
         assert exported.as_path.asns == (30, 10)
 
     def test_opaque_by_default(self):

@@ -62,7 +62,7 @@ class TestPropagation:
         world = build_world()
         announce_and_withdraw(world, withdraw_at=10**9)
         world.run_until(600)
-        path = world.routers[30].best_path(PREFIX).as_path
+        path = world.routers[30].export_attributes(PREFIX).as_path
         assert path.asns == (30, 20, 10)  # not the 30-22-21-10 detour
 
     def test_withdrawal_clears_everyone(self):
@@ -88,7 +88,7 @@ class TestPropagation:
         assert 30 not in rib_in_20  # 30 must not export a customer route
         # downward to its customer 20?  It may: customer routes go to
         # everyone.  But 20 must not pick a looped path.
-        best = world.routers[20].best_path(PREFIX)
+        best = world.routers[20].export_attributes(PREFIX)
         assert best.as_path.asns == (20, 10)
 
     def test_path_hunting_promotes_alternative(self):
@@ -129,7 +129,7 @@ class TestZombieCreation:
         world = build_world(fault_plan=plan)
         announce_and_withdraw(world, announce_at=0.0)
         world.run_until(7200)
-        stuck = world.routers[40].best_path(PREFIX)
+        stuck = world.routers[40].export_attributes(PREFIX)
         assert stuck.aggregator is not None
 
     def test_prefix_scoped_suppression(self):

@@ -58,10 +58,6 @@ class TestMonth:
     def test_previous_month_start(self):
         assert timeutil.previous_month_start(ts(2024, 1, 15)) == ts(2023, 12, 1)
 
-    def test_days_in_month(self):
-        assert timeutil.days_in_month(ts(2024, 2, 10)) == 29
-        assert timeutil.days_in_month(ts(2023, 2, 10)) == 28
-
 
 class TestAlign:
     def test_align_down_hour(self):

@@ -48,9 +48,6 @@ class TestGraph:
         assert topo.is_stub(4)
         assert not topo.is_stub(1)
 
-    def test_tier1s(self):
-        assert tiny_topology().tier1s() == [1, 4]
-
     def test_customer_cone(self):
         topo = tiny_topology()
         assert topo.customer_cone(1) == {1, 2, 3}
