@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.analysis.cdf import ECDF
 from repro.core.detector import DetectionResult
-from repro.net.prefix import Prefix
 
 __all__ = ["EmergenceStats", "emergence_rates"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.net.prefix import Prefix
 

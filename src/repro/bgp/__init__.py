@@ -10,7 +10,7 @@ from repro.bgp.messages import (
     Withdrawal,
     record_sort_key,
 )
-from repro.bgp.policy import Relationship, compare_routes, preference_rank, should_export
+from repro.bgp.policy import Relationship, route_key, should_export
 from repro.bgp.rib import AdjRIB, Route
 
 __all__ = [
@@ -26,9 +26,8 @@ __all__ = [
     "Record",
     "record_sort_key",
     "Relationship",
-    "preference_rank",
     "should_export",
-    "compare_routes",
+    "route_key",
     "AdjRIB",
     "Route",
 ]

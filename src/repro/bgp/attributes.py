@@ -12,10 +12,10 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.net.asn import validate_asn
-from repro.net.prefix import format_address
+from repro.net.prefix import format_address, packed_address
 
 __all__ = [
     "Origin",
@@ -115,18 +115,6 @@ class ASPath:
         """Loop check: is ``asn`` already in the path?"""
         return asn in self.asns
 
-    def has_subpath(self, sub: Sequence[int]) -> bool:
-        """True if ``sub`` occurs as a contiguous subsequence.
-
-        The paper groups zombie routes by "common subpath" (e.g.
-        ``4637 1299 25091 8298 210312``); this implements that test.
-        """
-        sub = tuple(sub)
-        if not sub:
-            return True
-        n, m = len(self.asns), len(sub)
-        return any(self.asns[i:i + m] == sub for i in range(n - m + 1))
-
     def __len__(self) -> int:
         return len(self.asns)
 
@@ -156,7 +144,7 @@ class Aggregator:
         _check_address(self.address, ipv4_only=True)
 
     def address_bytes(self) -> bytes:
-        return ipaddress.IPv4Address(self.address).packed
+        return packed_address(self.address)[1]
 
     @classmethod
     def from_bytes(cls, asn: int, data: bytes) -> "Aggregator":
@@ -190,14 +178,18 @@ class PathAttributes:
 
     def with_prepended(self, asn: int, next_hop: Optional[str] = None) -> "PathAttributes":
         """Attributes as re-exported by ``asn`` (path prepended, next hop
-        rewritten to the exporter's address when provided)."""
-        return PathAttributes(
-            as_path=self.as_path.prepend(asn),
-            next_hop=next_hop if next_hop is not None else self.next_hop,
-            origin=self.origin,
-            aggregator=self.aggregator,
-            communities=self.communities,
-        )
+        rewritten to the exporter's address when provided).
+
+        Only ``asn`` and ``next_hop`` are checked: the other fields were
+        checked when this bundle was built."""
+        if next_hop is None:
+            next_hop = self.next_hop
+        else:
+            _check_address(next_hop)
+        attrs = object.__new__(PathAttributes)
+        attrs.__dict__.update(self.__dict__, as_path=self.as_path.prepend(asn),
+                              next_hop=next_hop)
+        return attrs
 
     def community_strings(self) -> list[str]:
         return [f"{high}:{low}" for high, low in self.communities]

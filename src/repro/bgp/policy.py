@@ -3,9 +3,10 @@
 ASes prefer customer routes over peer routes over provider routes
 (economics), and export valley-free: routes learned from a peer or a
 provider are re-exported only to customers.  The simulator's route
-selection uses :func:`preference_rank` first, then AS-path length, then a
-deterministic tiebreak, mirroring the BGP decision process closely enough
-for withdrawal/path-hunting dynamics to emerge.
+selection keys each route with :func:`route_key` (preference rank, then
+AS-path length, then a deterministic tiebreak), mirroring the BGP
+decision process closely enough for withdrawal/path-hunting dynamics to
+emerge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from repro.bgp.attributes import PathAttributes
 
-__all__ = ["Relationship", "preference_rank", "should_export", "compare_routes"]
+__all__ = ["Relationship", "should_export", "route_key"]
 
 
 class Relationship(Enum):
@@ -25,6 +26,12 @@ class Relationship(Enum):
     PEER = "peer"           # settlement-free
     PROVIDER = "provider"   # we pay the neighbour
 
+    def __init__(self, value: str):
+        #: Gao-Rexford local preference rank: lower is more preferred
+        #: (maps to LOCAL_PREF ordering).  A plain attribute, so the
+        #: decision reads it without hashing the member.
+        self.rank = ("customer", "peer", "provider").index(value)
+
     @property
     def inverse(self) -> "Relationship":
         if self is Relationship.CUSTOMER:
@@ -32,19 +39,6 @@ class Relationship(Enum):
         if self is Relationship.PROVIDER:
             return Relationship.CUSTOMER
         return Relationship.PEER
-
-
-#: Lower rank is more preferred (maps to LOCAL_PREF ordering).
-_PREFERENCE = {
-    Relationship.CUSTOMER: 0,
-    Relationship.PEER: 1,
-    Relationship.PROVIDER: 2,
-}
-
-
-def preference_rank(relationship: Relationship) -> int:
-    """Gao-Rexford local preference rank; lower wins."""
-    return _PREFERENCE[relationship]
 
 
 def should_export(learned_from: Optional[Relationship],
@@ -60,21 +54,16 @@ def should_export(learned_from: Optional[Relationship],
     return export_to is Relationship.CUSTOMER
 
 
-def compare_routes(rel_a: Optional[Relationship], attrs_a: PathAttributes,
-                   rel_b: Optional[Relationship], attrs_b: PathAttributes,
-                   tiebreak_a: int, tiebreak_b: int) -> int:
-    """BGP decision process over two candidate routes.
+def route_key(learned_from: Optional[Relationship], attrs: PathAttributes,
+              neighbor: int) -> tuple[int, int, int]:
+    """Sort key of the BGP decision process: the lowest key wins.
 
-    Returns a negative number if route *a* wins, positive if *b* wins.
     Order: local preference (relationship), AS-path length, then the
-    caller-supplied deterministic tiebreak (lowest neighbour id, standing
-    in for lowest router-id).  Locally originated routes (``rel`` None)
-    always beat learned routes.
+    lowest neighbour ASN (standing in for lowest router-id).  Locally
+    originated routes (``learned_from`` None) key as ``(-1, length, -1)``
+    and so beat every learned route.  Neighbour ASNs are unique, so no
+    two candidates of one prefix share a key: the order is strict.
     """
-    pref_a = -1 if rel_a is None else preference_rank(rel_a)
-    pref_b = -1 if rel_b is None else preference_rank(rel_b)
-    if pref_a != pref_b:
-        return pref_a - pref_b
-    if len(attrs_a.as_path) != len(attrs_b.as_path):
-        return len(attrs_a.as_path) - len(attrs_b.as_path)
-    return tiebreak_a - tiebreak_b
+    if learned_from is None:
+        return (-1, len(attrs.as_path.asns), -1)
+    return (learned_from.rank, len(attrs.as_path.asns), neighbor)

@@ -24,11 +24,10 @@ tooling (Table 3) treats both pipelines symmetrically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.beacons.schedule import BeaconInterval
-from repro.bgp.messages import Record, UpdateRecord
+from repro.bgp.messages import Record
 from repro.core.detector import DEFAULT_THRESHOLD, DetectionResult, DetectorConfig
 from repro.core.outbreaks import ZombieOutbreak, ZombieRoute
 from repro.core.state import StateReconstructor

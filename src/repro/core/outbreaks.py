@@ -9,8 +9,8 @@ beacon interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.beacons.schedule import BeaconInterval
 from repro.bgp.attributes import PathAttributes

@@ -9,7 +9,7 @@ mechanism (all shape targets in DESIGN.md hold at either scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.utils.timeutil import DAY, from_iso
 

@@ -7,7 +7,7 @@ these series; no plotting dependency is required offline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis import (

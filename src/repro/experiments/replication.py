@@ -42,7 +42,6 @@ from repro.simulator import (
     BGPWorld,
     FaultPlan,
     LinkFreeze,
-    SessionResetEvent,
     WithdrawalSuppression,
 )
 from repro.topology import ASTopology, TopologyConfig, build_internet

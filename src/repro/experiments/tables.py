@@ -9,14 +9,13 @@ in DESIGN.md §4.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.analysis import compare_results
 from repro.core import DetectionResult
 from repro.experiments.campaign import NOISY_PEER_ROUTERS, CampaignRun
 from repro.experiments.replication import NOISY_PEER_16347, ReplicationRun
-from repro.net.prefix import Prefix
 from repro.utils.timeutil import MINUTE
 
 __all__ = [

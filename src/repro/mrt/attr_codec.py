@@ -11,9 +11,7 @@ repeats (see :mod:`repro.mrt.bgp4mp`).
 
 from __future__ import annotations
 
-import ipaddress
 import struct
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from repro.bgp.attributes import (
@@ -26,13 +24,19 @@ from repro.bgp.attributes import (
     ATTR_ORIGIN,
     Aggregator,
     ASPath,
+    Origin,
     PathAttributes,
 )
 from repro.mrt.constants import SAFI_UNICAST
-from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix, format_address
+from repro.net.prefix import (
+    AFI_IPV4,
+    AFI_IPV6,
+    Prefix,
+    format_address,
+    packed_address,
+)
 
-__all__ = ["encode_attributes", "encode_mp_unreach", "packed_address",
-           "AttributeDecoder"]
+__all__ = ["encode_attributes", "encode_mp_unreach", "AttributeDecoder"]
 
 _FLAG_OPTIONAL = 0x80
 _FLAG_TRANSITIVE = 0x40
@@ -52,26 +56,34 @@ _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _U16_PAIR = struct.Struct("!HH")
 _U16_U8 = struct.Struct("!HB")
+_ATTR_HEADER = struct.Struct("!BBB")
+_ATTR_HEADER_EXTENDED = struct.Struct("!BBH")
+#: Whole ORIGIN attributes by value, and the fixed heads of the
+#: fixed-length NEXT_HOP and AGGREGATOR attributes.
+_ORIGIN_ATTRIBUTES = tuple(bytes((_FLAG_TRANSITIVE, ATTR_ORIGIN, 1, value))
+                           for value in (Origin.IGP, Origin.EGP, Origin.INCOMPLETE))
+_NEXT_HOP_HEAD = bytes((_FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4))
+_AGGREGATOR_HEAD = bytes((_FLAG_OPTIONAL | _FLAG_TRANSITIVE, ATTR_AGGREGATOR, 8))
+#: AFI and SAFI that open an IPv6 MP_REACH_NLRI / MP_UNREACH_NLRI.
+_MP_REACH_V6_HEAD = struct.pack("!HB", AFI_IPV6, SAFI_UNICAST)
 
 
 def _attribute(flags: int, type_code: int, payload: bytes) -> bytes:
     """Frame one attribute, using extended length when needed."""
     if len(payload) > 255:
-        flags |= _FLAG_EXTENDED
-        return struct.pack("!BBH", flags, type_code, len(payload)) + payload
-    return struct.pack("!BBB", flags, type_code, len(payload)) + payload
+        return _ATTR_HEADER_EXTENDED.pack(flags | _FLAG_EXTENDED, type_code,
+                                          len(payload)) + payload
+    return _ATTR_HEADER.pack(flags, type_code, len(payload)) + payload
 
 
 def _encode_as_path(path: ASPath) -> bytes:
-    """AS_PATH as one or more AS_SEQUENCE segments of <=255 ASNs."""
-    out = bytearray()
-    asns = list(path.asns)
-    for start in range(0, len(asns), 255):
-        chunk = asns[start:start + 255]
-        out += struct.pack("!BB", _AS_SEQUENCE, len(chunk))
-        for asn in chunk:
-            out += struct.pack("!I", asn)
-    return bytes(out)
+    """AS_PATH as one or more AS_SEQUENCE segments of <=255 ASNs, each
+    packed by one ``struct`` call."""
+    asns = path.asns
+    return b"".join(
+        struct.pack(f"!BB{len(chunk)}I", _AS_SEQUENCE, len(chunk), *chunk)
+        for chunk in (asns[start:start + 255]
+                      for start in range(0, len(asns), 255)))
 
 
 def _decode_as_path(payload: bytes) -> ASPath:
@@ -88,15 +100,6 @@ def _decode_as_path(payload: bytes) -> ASPath:
     return ASPath(tuple(asns))
 
 
-@lru_cache(maxsize=4096)
-def packed_address(text: str) -> tuple[int, bytes]:
-    """``(IP version, packed bytes)`` of an address text.  Memoised like
-    :func:`repro.bgp.attributes._check_address`: an encoded archive
-    repeats the same few peer, local and next-hop addresses."""
-    address = ipaddress.ip_address(text)
-    return address.version, address.packed
-
-
 def encode_attributes(attrs: PathAttributes,
                       announced: Optional[list[Prefix]] = None,
                       withdrawn_mp: Optional[list[Prefix]] = None,
@@ -109,46 +112,43 @@ def encode_attributes(attrs: PathAttributes,
     With ``rib_entry=True`` the MP_REACH_NLRI contains only the next hop
     (RFC 6396 §4.3.4).
     """
-    announced = announced or []
-    withdrawn_mp = withdrawn_mp or []
-    out = bytearray()
-
-    out += _attribute(_FLAG_TRANSITIVE, ATTR_ORIGIN, bytes([attrs.origin]))
-    out += _attribute(_FLAG_TRANSITIVE, ATTR_AS_PATH, _encode_as_path(attrs.as_path))
-
     version, next_hop = packed_address(attrs.next_hop)
+    parts = [_ORIGIN_ATTRIBUTES[attrs.origin],
+             _attribute(_FLAG_TRANSITIVE, ATTR_AS_PATH, _encode_as_path(attrs.as_path))]
     if version == 4:
-        out += _attribute(_FLAG_TRANSITIVE, ATTR_NEXT_HOP, next_hop)
+        parts.append(_NEXT_HOP_HEAD + next_hop)
 
-    if attrs.aggregator is not None:
-        payload = struct.pack("!I", attrs.aggregator.asn) + attrs.aggregator.address_bytes()
-        out += _attribute(_FLAG_OPTIONAL | _FLAG_TRANSITIVE, ATTR_AGGREGATOR, payload)
+    aggregator = attrs.aggregator
+    if aggregator is not None:
+        parts.append(_AGGREGATOR_HEAD + _U32.pack(aggregator.asn)
+                     + aggregator.address_bytes())
 
     if attrs.communities:
-        payload = b"".join(struct.pack("!HH", high, low)
+        payload = b"".join(_U16_PAIR.pack(high, low)
                            for high, low in attrs.communities)
-        out += _attribute(_FLAG_OPTIONAL | _FLAG_TRANSITIVE, ATTR_COMMUNITIES, payload)
+        parts.append(_attribute(_FLAG_OPTIONAL | _FLAG_TRANSITIVE,
+                                ATTR_COMMUNITIES, payload))
 
-    v6_announced = [p for p in announced if p.is_ipv6]
-    if v6_announced or (rib_entry and version == 6):
-        body = bytearray()
-        if not rib_entry:
-            body += struct.pack("!HB", AFI_IPV6, SAFI_UNICAST)
-        body += bytes([len(next_hop)]) + next_hop
-        if not rib_entry:
-            body += b"\x00"  # reserved
-            for prefix in v6_announced:
-                body += prefix.wire_bytes()
-        out += _attribute(_FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, bytes(body))
+    v6_announced = [p.wire_bytes() for p in announced if p.version == 6] \
+        if announced else None
+    if rib_entry:
+        if version == 6 or v6_announced:
+            parts.append(_attribute(_FLAG_OPTIONAL, ATTR_MP_REACH_NLRI,
+                                    bytes((len(next_hop),)) + next_hop))
+    elif v6_announced:
+        parts.append(_attribute(
+            _FLAG_OPTIONAL, ATTR_MP_REACH_NLRI,
+            _MP_REACH_V6_HEAD + bytes((len(next_hop),)) + next_hop
+            + b"\x00" + b"".join(v6_announced)))  # reserved, then NLRI
 
     if withdrawn_mp:
-        out += encode_mp_unreach(withdrawn_mp)
-    return bytes(out)
+        parts.append(encode_mp_unreach(withdrawn_mp))
+    return b"".join(parts)
 
 
 def encode_mp_unreach(withdrawn: list[Prefix]) -> bytes:
     """The MP_UNREACH_NLRI attribute withdrawing IPv6 ``withdrawn``."""
-    body = struct.pack("!HB", AFI_IPV6, SAFI_UNICAST) + b"".join(
+    body = _MP_REACH_V6_HEAD + b"".join(
         prefix.wire_bytes() for prefix in withdrawn)
     return _attribute(_FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, body)
 

@@ -32,7 +32,6 @@ from repro.mrt.attr_codec import (
     AttributeDecoder,
     encode_attributes,
     encode_mp_unreach,
-    packed_address,
 )
 from repro.mrt.constants import (
     BGP4MP_MESSAGE,
@@ -43,7 +42,7 @@ from repro.mrt.constants import (
     BGP_MSG_UPDATE,
     MRT_BGP4MP,
 )
-from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
+from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix, packed_address
 
 __all__ = [
     "encode_update_record",
@@ -65,6 +64,7 @@ COLLECTOR_ASN = 12654  # RIPE NCC RIS AS
 MRT_HEADER = struct.Struct("!IHHI")
 #: What malformed record bytes raise out of the BGP4MP and TDV2 decoders.
 DECODE_ERRORS = (ValueError, IndexError, struct.error)
+_PEER_HEADER_AS4 = struct.Struct("!IIHH")
 _ASN_PAIR_AS4 = struct.Struct("!II")
 _ASN_PAIR_AS2 = struct.Struct("!HH")
 _U16_PAIR = struct.Struct("!HH")
@@ -109,7 +109,7 @@ def _bgp4mp_header(record, local_address: Optional[str]) -> bytes:
     if peer_version != local_version:
         raise ValueError("peer and local addresses must share a family")
     afi = AFI_IPV4 if peer_version == 4 else AFI_IPV6
-    return (struct.pack("!IIHH", record.peer_asn, COLLECTOR_ASN, 0, afi)
+    return (_PEER_HEADER_AS4.pack(record.peer_asn, COLLECTOR_ASN, 0, afi)
             + peer_packed + local_packed)
 
 
@@ -122,13 +122,14 @@ def encode_update_record(record: UpdateRecord,
     if not isinstance(message, (Announcement, Withdrawal)):
         raise TypeError(f"cannot encode message of type {type(message).__name__}")
     prefix = message.prefix
+    ipv4 = prefix.version == 4
     withdrawn = attr_bytes = nlri = b""
     if isinstance(message, Announcement):
         attr_bytes = encode_attributes(
-            message.attributes, announced=[] if prefix.is_ipv4 else [prefix])
-        if prefix.is_ipv4:
+            message.attributes, announced=None if ipv4 else [prefix])
+        if ipv4:
             nlri = prefix.wire_bytes()
-    elif prefix.is_ipv4:
+    elif ipv4:
         withdrawn = prefix.wire_bytes()
     else:
         attr_bytes = encode_mp_unreach([prefix])

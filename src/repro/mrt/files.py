@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import bz2
 import gzip
+import io
+import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -41,21 +44,34 @@ def open_mrt(path: Union[str, Path]):
     return opener(path, "rb")
 
 
+#: The gzip member header ``gzip.GzipFile(filename="", mtime=0)``
+#: writes: deflate, no flags, mtime 0, best compression, OS unknown.
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+
+
 @contextmanager
 def create_mrt(path: Union[str, Path]):
     """Open an MRT container for writing, codec by suffix as in
     :func:`open_mrt`.  Gzip members carry ``mtime=0`` and an empty
     embedded filename, so re-written files are byte-identical and the
-    archive bytes (and the benchmark's ``workload_hash``) are stable."""
+    archive bytes (and the benchmark's ``workload_hash``) are stable.
+    A gzip file is written whole when the block exits: the bytes
+    ``gzip.GzipFile`` would stream, from one deflate call and one
+    write."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     if str(path).endswith(".bz2"):
         with bz2.open(path, "wb") as handle:
             yield handle
-    else:
-        with open(path, "wb") as raw, \
-                gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                              mtime=0) as handle:
-            yield handle
+        return
+    buffer = io.BytesIO()
+    yield buffer
+    data = buffer.getvalue()
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS,
+                               zlib.DEF_MEM_LEVEL, 0)
+    with open(path, "wb") as raw:
+        raw.write(_GZIP_HEADER + deflate.compress(data) + deflate.flush()
+                  + struct.pack("<II", zlib.crc32(data),  # CRC-32, size
+                                len(data) & 0xFFFFFFFF))
 
 
 def write_updates_file(path: Union[str, Path], records: Iterable[Record],

@@ -9,7 +9,6 @@ and the attributes of that route.  The lifespan analysis
 from __future__ import annotations
 
 import io
-import ipaddress
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Optional
@@ -26,7 +25,7 @@ from repro.mrt.constants import (
     TDV2_RIB_IPV6_UNICAST,
 )
 from repro.mrt.resilient import ErrorPolicy, ResilientReader
-from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
+from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix, packed_address
 
 __all__ = ["RibPeer", "RibEntry", "RibDump", "encode_rib_dump",
            "decode_rib_stream", "decode_rib_dump"]
@@ -86,15 +85,14 @@ class RibDump:
 
 
 def _encode_peer_index(dump: RibDump) -> bytes:
-    body = bytearray()
-    body += struct.pack("!I", 0)  # collector BGP ID (unused)
+    body = bytearray(struct.pack("!I", 0))  # collector BGP ID (unused)
     name = dump.collector.encode()
     body += struct.pack("!H", len(name)) + name
     body += struct.pack("!H", len(dump.peers))
     for peer in dump.peers:
-        ip = ipaddress.ip_address(peer.address)
-        peer_type = PEER_TYPE_AS4 | (PEER_TYPE_IPV6 if ip.version == 6 else 0)
-        body += bytes([peer_type]) + struct.pack("!I", 0) + ip.packed
+        version, packed = packed_address(peer.address)
+        peer_type = PEER_TYPE_AS4 | (PEER_TYPE_IPV6 if version == 6 else 0)
+        body += bytes((peer_type,)) + struct.pack("!I", 0) + packed
         body += struct.pack("!I", peer.asn)
     return encode_mrt_record(dump.timestamp, MRT_TABLE_DUMP_V2,
                              TDV2_PEER_INDEX_TABLE, bytes(body))
@@ -103,14 +101,12 @@ def _encode_peer_index(dump: RibDump) -> bytes:
 def encode_rib_dump(dump: RibDump) -> bytes:
     """Serialise a snapshot: PEER_INDEX_TABLE then one record per prefix."""
     out = bytearray(_encode_peer_index(dump))
-    sequence = 0
-    for prefix in sorted(dump.entries.keys()):
-        subtype = (TDV2_RIB_IPV4_UNICAST if prefix.is_ipv4
+    for sequence, prefix in enumerate(sorted(dump.entries)):
+        subtype = (TDV2_RIB_IPV4_UNICAST if prefix.version == 4
                    else TDV2_RIB_IPV6_UNICAST)
-        body = bytearray(struct.pack("!I", sequence))
-        body += prefix.wire_bytes()
         routes = dump.entries[prefix]
-        body += struct.pack("!H", len(routes))
+        body = bytearray(struct.pack("!I", sequence))
+        body += prefix.wire_bytes() + struct.pack("!H", len(routes))
         for entry in routes:
             attr_bytes = encode_attributes(entry.attributes, rib_entry=True)
             body += struct.pack("!HIH", entry.peer_index,
@@ -118,7 +114,6 @@ def encode_rib_dump(dump: RibDump) -> bytes:
             body += attr_bytes
         out += encode_mrt_record(dump.timestamp, MRT_TABLE_DUMP_V2, subtype,
                                  bytes(body))
-        sequence += 1
     return bytes(out)
 
 

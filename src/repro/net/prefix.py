@@ -6,7 +6,8 @@ the text is rendered on first use and cached.  Only parsing text goes
 through :mod:`ipaddress`.  The hash is ``hash(value ^ netmask)``, that of
 the equal :mod:`ipaddress` network, so set and dict order is unchanged.
 
-:func:`format_address` is the one packed-address renderer: the text of
+:func:`format_address` is the one packed-address renderer (and
+:func:`packed_address` its memoised inverse): the text of
 ``str(ipaddress.ip_address(packed))`` through :func:`socket.inet_ntop`,
 except where the first 80 bits are zero (``::ffff:a.b.c.d``,
 ``::a.b.c.d``, ``::``) — there ``inet_ntop`` and :mod:`ipaddress`
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import ipaddress
 import socket
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
-__all__ = ["Prefix", "AFI_IPV4", "AFI_IPV6", "format_address"]
+__all__ = ["Prefix", "AFI_IPV4", "AFI_IPV6", "format_address", "packed_address"]
 
 AFI_IPV4 = 1
 AFI_IPV6 = 2
@@ -41,6 +42,15 @@ def format_address(packed: bytes, ipv4_only: bool = False) -> str:
         return socket.inet_ntop(socket.AF_INET6, packed)
     parse = ipaddress.IPv4Address if ipv4_only else ipaddress.ip_address
     return str(parse(packed))
+
+
+@lru_cache(maxsize=4096)
+def packed_address(text: str) -> tuple[int, bytes]:
+    """``(IP version, packed bytes)`` of an address text, the inverse of
+    :func:`format_address`.  Memoised: an encoded archive repeats the
+    same few peer, local, next-hop and aggregator addresses."""
+    address = ipaddress.ip_address(text)
+    return address.version, address.packed
 
 
 @total_ordering

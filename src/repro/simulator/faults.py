@@ -20,12 +20,10 @@ resets re-announcing stale tables.  This module models those as
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.bgp.messages import Announcement, Message, Withdrawal
+from repro.bgp.messages import Message, Withdrawal
 from repro.net.prefix import Prefix
 
 __all__ = [
@@ -144,13 +142,15 @@ class FaultPlan:
         self.link_faults: list[LinkFault] = list(link_faults)
         self.session_resets: list[SessionResetEvent] = sorted(
             session_resets, key=lambda r: r.time)
-        self._by_link: dict[tuple[int, int], list[LinkFault]] = {}
+        #: directed link -> its faults; a link absent here delivers
+        #: every message as sent.
+        self.by_link: dict[tuple[int, int], list[LinkFault]] = {}
         for fault in self.link_faults:
-            self._by_link.setdefault((fault.src, fault.dst), []).append(fault)
+            self.by_link.setdefault((fault.src, fault.dst), []).append(fault)
 
     def add_link_fault(self, fault: LinkFault) -> None:
         self.link_faults.append(fault)
-        self._by_link.setdefault((fault.src, fault.dst), []).append(fault)
+        self.by_link.setdefault((fault.src, fault.dst), []).append(fault)
 
     def add_session_reset(self, reset: SessionResetEvent) -> None:
         self.session_resets.append(reset)
@@ -160,7 +160,7 @@ class FaultPlan:
                     time: float) -> Disposition:
         """Combined effect of all matching faults: any drop wins;
         otherwise delays accumulate."""
-        faults = self._by_link.get((src, dst))
+        faults = self.by_link.get((src, dst))
         if not faults:
             return Disposition.DELIVER
         total_delay = 0.0

@@ -12,13 +12,12 @@ operations experiments need:
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.beacons.aggregator import AggregatorClock
 from repro.beacons.schedule import BeaconEvent, BeaconSchedule
 from repro.bgp.attributes import Aggregator, ASPath, PathAttributes
 from repro.bgp.messages import Message, Record
-from repro.net.prefix import Prefix
 from repro.ris.collectors import PeerRegistry, RISPeer
 from repro.simulator.collector import CollectorTap
 from repro.simulator.engine import Engine
@@ -80,18 +79,20 @@ class BGPWorld:
     def send(self, src: int, dst: int, message: Message) -> None:
         """Send a BGP message, subject to link faults and delays."""
         now = self.engine.now
-        disposition = self.fault_plan.disposition(src, dst, message, now)
-        if disposition.drop:
-            return
-        delay = (self._link_delay[(src, dst)]
-                 + self._rng.uniform(0.0, self._jitter)
-                 + disposition.extra_delay)
-        # FIFO per directed link: a message never overtakes an earlier one.
         link = (src, dst)
+        extra_delay = 0.0
+        if link in self.fault_plan.by_link:
+            disposition = self.fault_plan.disposition(src, dst, message, now)
+            if disposition.drop:
+                return
+            extra_delay = disposition.extra_delay
+        # ``jitter * random()`` is ``uniform(0.0, jitter)`` to the bit.
+        delay = (self._link_delay[link] + self._jitter * self._rng.random()
+                 + extra_delay)
+        # FIFO per directed link: a message never overtakes an earlier one.
         deliver_at = max(now + delay, self._link_clock.get(link, 0.0) + 1e-6)
         self._link_clock[link] = deliver_at
-        router = self.routers[dst]
-        self.engine.schedule(deliver_at, lambda: router.receive(src, message))
+        self.engine.schedule(deliver_at, self.routers[dst].receive, src, message)
 
     def record(self, record: Record) -> None:
         self.records.append(record)
@@ -120,12 +121,7 @@ class BGPWorld:
 
     def _schedule_session_resets(self) -> None:
         for reset in self.fault_plan.session_resets:
-            self.engine.schedule(reset.time, self._reset_closure(reset))
-
-    def _reset_closure(self, reset: SessionResetEvent):
-        def fire():
-            self.apply_session_reset(reset)
-        return fire
+            self.engine.schedule(reset.time, self.apply_session_reset, reset)
 
     def apply_session_reset(self, reset: SessionResetEvent) -> None:
         """Execute one reset: tap reset if ``tap_address`` set, else an
@@ -194,28 +190,13 @@ class BGPWorld:
                 attrs = self.beacon_attributes(
                     event.origin_asn, event.origin_time or event.time,
                     use_aggregator_clock)
-                self.engine.schedule(
-                    event.time,
-                    self._originate_closure(router, event.prefix, attrs))
+                self.engine.schedule(event.time, router.originate,
+                                     event.prefix, attrs)
             else:
-                self.engine.schedule(
-                    event.time,
-                    self._withdraw_closure(router, event.prefix))
+                self.engine.schedule(event.time, router.withdraw_origin,
+                                     event.prefix)
             count += 1
         return count
-
-    @staticmethod
-    def _originate_closure(router: ASRouter, prefix: Prefix,
-                           attrs: PathAttributes):
-        def fire():
-            router.originate(prefix, attrs)
-        return fire
-
-    @staticmethod
-    def _withdraw_closure(router: ASRouter, prefix: Prefix):
-        def fire():
-            router.withdraw_origin(prefix)
-        return fire
 
     def run_beacon_schedule(self, schedule: BeaconSchedule, start: int, end: int,
                             settle: float = 3600.0,

@@ -11,7 +11,6 @@ this route at time T".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional

@@ -17,7 +17,7 @@ Everything is deterministic under a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.topology.graph import ASTopology
 

@@ -8,7 +8,7 @@ impact ("AS4637 ... ~6000 ASes in its customer cone") are computed here.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 import networkx as nx
 
@@ -84,9 +84,6 @@ class ASTopology:
     def peers(self, asn: int) -> list[int]:
         return [n for n in self.neighbors(asn)
                 if self.relationship(asn, n) is Relationship.PEER]
-
-    def is_stub(self, asn: int) -> bool:
-        return not self.customers(asn)
 
     def customer_cone(self, asn: int) -> set[int]:
         """All ASes reachable from ``asn`` by walking only customer edges

@@ -32,21 +32,6 @@ class TestASPath:
         assert path.contains(200)
         assert not path.contains(400)
 
-    def test_has_subpath_positive(self):
-        path = ASPath.from_string("61573 28598 10429 12956 3356 34549 8298 210312")
-        assert path.has_subpath((3356, 34549, 8298, 210312))
-
-    def test_has_subpath_negative_noncontiguous(self):
-        path = ASPath.of(1, 2, 3, 4)
-        assert not path.has_subpath((1, 3))
-
-    def test_has_subpath_empty(self):
-        assert ASPath.of(1).has_subpath(())
-
-    def test_has_subpath_full_match(self):
-        path = ASPath.of(9304, 6939, 43100, 25091, 8298, 210312)
-        assert path.has_subpath(path.asns)
-
     def test_len_and_iter(self):
         path = ASPath.of(10, 20, 30)
         assert len(path) == 3

@@ -1,6 +1,6 @@
 """Unit tests for the Gao-Rexford policy model."""
 
-from repro.bgp import ASPath, PathAttributes, Relationship, compare_routes, preference_rank, should_export
+from repro.bgp import ASPath, PathAttributes, Relationship, route_key, should_export
 
 
 def attrs(*asns):
@@ -9,9 +9,9 @@ def attrs(*asns):
 
 class TestPreference:
     def test_order(self):
-        assert (preference_rank(Relationship.CUSTOMER)
-                < preference_rank(Relationship.PEER)
-                < preference_rank(Relationship.PROVIDER))
+        assert (Relationship.CUSTOMER.rank
+                < Relationship.PEER.rank
+                < Relationship.PROVIDER.rank)
 
     def test_inverse(self):
         assert Relationship.CUSTOMER.inverse is Relationship.PROVIDER
@@ -40,34 +40,28 @@ class TestExport:
 
 
 class TestDecision:
+    """The lowest :func:`route_key` wins the decision."""
+
     def test_customer_beats_shorter_provider_path(self):
         # Customer route with longer path still wins (local-pref first).
-        result = compare_routes(Relationship.CUSTOMER, attrs(1, 2, 3, 4),
-                                Relationship.PROVIDER, attrs(9, 4),
-                                tiebreak_a=0, tiebreak_b=1)
-        assert result < 0
+        assert (route_key(Relationship.CUSTOMER, attrs(1, 2, 3, 4), 0)
+                < route_key(Relationship.PROVIDER, attrs(9, 4), 1))
 
     def test_shorter_path_wins_same_relationship(self):
-        result = compare_routes(Relationship.PEER, attrs(1, 4),
-                                Relationship.PEER, attrs(1, 2, 4),
-                                tiebreak_a=5, tiebreak_b=1)
-        assert result < 0
+        assert (route_key(Relationship.PEER, attrs(1, 4), 5)
+                < route_key(Relationship.PEER, attrs(1, 2, 4), 1))
 
     def test_tiebreak_lowest_wins(self):
-        result = compare_routes(Relationship.PEER, attrs(1, 4),
-                                Relationship.PEER, attrs(2, 4),
-                                tiebreak_a=7, tiebreak_b=3)
-        assert result > 0  # b has lower tiebreak, b wins
+        # b has the lower neighbour ASN, b wins
+        assert (route_key(Relationship.PEER, attrs(1, 4), 7)
+                > route_key(Relationship.PEER, attrs(2, 4), 3))
 
     def test_local_origin_beats_everything(self):
-        result = compare_routes(None, attrs(4),
-                                Relationship.CUSTOMER, attrs(4),
-                                tiebreak_a=9, tiebreak_b=0)
-        assert result < 0
+        assert (route_key(None, attrs(4), 9)
+                < route_key(Relationship.CUSTOMER, attrs(4), 0))
 
     def test_antisymmetry(self):
-        forward = compare_routes(Relationship.PEER, attrs(1, 4),
-                                 Relationship.CUSTOMER, attrs(1, 2, 4), 1, 2)
-        backward = compare_routes(Relationship.CUSTOMER, attrs(1, 2, 4),
-                                  Relationship.PEER, attrs(1, 4), 2, 1)
-        assert (forward > 0) == (backward < 0)
+        a = route_key(Relationship.PEER, attrs(1, 4), 1)
+        b = route_key(Relationship.CUSTOMER, attrs(1, 2, 4), 2)
+        assert (a > b) == (b < a)
+        assert a != b

@@ -92,7 +92,7 @@ class TestLateAnnouncements:
         assert len(events) == 1
         event = events[0]
         assert event.offset_minutes == 170
-        assert event.path.has_subpath((4637, 1299, 25091, 8298, 210312))
+        assert event.path.asns[-5:] == (4637, 1299, 25091, 8298, 210312)
         assert event.withdrawn_at == wd_time + 100 * MINUTE
 
     def test_prompt_reannouncement_not_flagged(self):

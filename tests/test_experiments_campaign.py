@@ -128,7 +128,7 @@ class TestFigure2Shape:
         subpath the paper names."""
         late = [event for event in find_late_announcements(
                     run.records, run.intervals)
-                if event.path.has_subpath((4637, 1299, 25091, 8298, 210312))]
+                if event.path.asns[-5:] == (4637, 1299, 25091, 8298, 210312)]
         assert late
         assert all(170 <= event.offset_minutes < 175 for event in late)
 

@@ -372,3 +372,80 @@ class TestPeriphery:
         assert [name for name in self.GONE if (SRC / name).exists()] == []
         assert matches(r"repro\.dataplane|core\.wild|beacons\.service|"
                        r"ipv4_clock|analysis\.suspects", SRC) == []
+
+
+class TestNoUnusedImports:
+    """Every module-level import of a ``src/`` module (package
+    ``__init__`` re-exports aside) binds a name the module reads or
+    lists in ``__all__``.  No linter runs on this repository; this is
+    the one check that an import outlives its last reader."""
+
+    @staticmethod
+    def bound(tree: ast.Module):
+        """``(line, name)`` of every import in the module body, or in a
+        module-level ``if``/``try``; ``__future__`` imports bind nothing."""
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop(0)
+            if isinstance(node, (ast.If, ast.Try)):
+                stack += node.body + node.orelse + getattr(node, "finalbody", [])
+                for handler in getattr(node, "handlers", []):
+                    stack += handler.body
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield node.lineno, alias.asname or alias.name.split(".")[0]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    yield node.lineno, alias.asname or alias.name
+
+    @staticmethod
+    def read(tree: ast.Module) -> set[str]:
+        """Names the module loads, quoted annotations included."""
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            annotations = []
+            if isinstance(node, ast.arg) and node.annotation:
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.returns:
+                annotations.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            for annotation in annotations:
+                for part in ast.walk(annotation):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        names.update(
+                            name.id for name in
+                            ast.walk(ast.parse(part.value, mode="eval"))
+                            if isinstance(name, ast.Name))
+        return names
+
+    @staticmethod
+    def exported(tree: ast.Module) -> set[str]:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                return {element.value for element in node.value.elts}
+        return set()
+
+    def test_every_import_is_read(self):
+        unused = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            keep = self.read(tree) | self.exported(tree)
+            unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                       for line, name in self.bound(tree) if name not in keep]
+        assert unused == []
+
+    def test_the_check_sees_an_unused_import(self):
+        tree = ast.parse("import math\nfrom typing import Any, Optional\n"
+                         "x: 'Optional[int]' = None\n")
+        keep = self.read(tree) | self.exported(tree)
+        assert [name for _, name in self.bound(tree) if name not in keep] \
+            == ["math", "Any"]

@@ -50,7 +50,7 @@ class TestLinkFIFO:
         # Final state must be withdrawn: the last message wins only if
         # ordering is preserved.
         assert seen[-1] == "W"
-        assert not world.routers[20].has_route(PREFIX6)
+        assert PREFIX6 not in world.routers[20].best
 
 
 class TestTransparentAS:
@@ -124,12 +124,12 @@ class TestROVRevalidation:
         attrs = world.beacon_attributes(10, 0)
         world.engine.schedule(1.0, lambda: origin.originate(PREFIX6, attrs))
         world.run_until(4000)
-        assert world.routers[30].has_route(PREFIX6)
+        assert PREFIX6 in world.routers[30].best
         # After revocation (+ propagation delay <= 1800s) AS30 drops it;
         # the non-validating AS20 keeps it.
         world.run_until(5000 + 3600)
-        assert not world.routers[30].has_route(PREFIX6)
-        assert world.routers[20].has_route(PREFIX6)
+        assert PREFIX6 not in world.routers[30].best
+        assert PREFIX6 in world.routers[20].best
 
     def test_rov_as_rejects_invalid_at_receive_time(self):
         topo = line_topology(30, 20, 10)
@@ -139,8 +139,8 @@ class TestROVRevalidation:
         attrs = world.beacon_attributes(10, 0)
         world.engine.schedule(1.0, lambda: origin.originate(PREFIX6, attrs))
         world.run_until_idle()
-        assert not world.routers[20].has_route(PREFIX6)
-        assert not world.routers[30].has_route(PREFIX6)  # never exported
+        assert PREFIX6 not in world.routers[20].best
+        assert PREFIX6 not in world.routers[30].best  # never exported
 
 
 class TestExportPolicy:
@@ -155,8 +155,8 @@ class TestExportPolicy:
         attrs = world.beacon_attributes(2, 0)
         world.engine.schedule(1.0, lambda: origin.originate(PREFIX6, attrs))
         world.run_until_idle()
-        assert world.routers[1].has_route(PREFIX6)
-        assert not world.routers[3].has_route(PREFIX6)
+        assert PREFIX6 in world.routers[1].best
+        assert PREFIX6 not in world.routers[3].best
 
     def test_withdrawal_delay_applies_only_in_window(self):
         topo = line_topology(20, 10)
@@ -169,7 +169,7 @@ class TestExportPolicy:
         world.engine.schedule(200.0, lambda: origin.originate(PREFIX6, attrs))
         world.engine.schedule(300.0, lambda: origin.withdraw_origin(PREFIX6))
         world.run_until(1000)
-        assert not world.routers[20].has_route(PREFIX6)
+        assert PREFIX6 not in world.routers[20].best
 
 
 class TestSessionResetBookkeeping:

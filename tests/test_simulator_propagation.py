@@ -56,7 +56,7 @@ class TestPropagation:
         announce_and_withdraw(world, withdraw_at=10**9)
         world.run_until(600)
         for asn in (20, 21, 22, 30, 40):
-            assert world.routers[asn].has_route(PREFIX), f"AS{asn} missing route"
+            assert PREFIX in world.routers[asn].best, f"AS{asn} missing route"
 
     def test_shortest_path_preferred(self):
         world = build_world()
@@ -70,7 +70,7 @@ class TestPropagation:
         announce_and_withdraw(world)
         world.run_until(3600)
         for asn in (20, 21, 22, 30, 40):
-            assert not world.routers[asn].has_route(PREFIX)
+            assert PREFIX not in world.routers[asn].best
 
     def test_origin_validation(self):
         world = build_world()
@@ -110,7 +110,7 @@ class TestPropagation:
         assert explored[0] == (40, 30, 20, 10)
         assert explored[-1] is None
         # The simulation converged with no leftover state.
-        assert not world.routers[40].has_route(PREFIX)
+        assert PREFIX not in world.routers[40].best
 
 
 class TestZombieCreation:
@@ -120,8 +120,8 @@ class TestZombieCreation:
         world = build_world(fault_plan=plan)
         announce_and_withdraw(world)
         world.run_until(7200)
-        assert not world.routers[30].has_route(PREFIX)
-        assert world.routers[40].has_route(PREFIX)  # the zombie
+        assert PREFIX not in world.routers[30].best
+        assert PREFIX in world.routers[40].best  # the zombie
 
     def test_zombie_keeps_original_aggregator(self):
         plan = FaultPlan([WithdrawalSuppression(src=30, dst=40, start=0,
@@ -144,22 +144,22 @@ class TestZombieCreation:
             world.engine.schedule(0.0, lambda p=prefix, a=attrs: origin.originate(p, a))
             world.engine.schedule(900.0, lambda p=prefix: origin.withdraw_origin(p))
         world.run_until(7200)
-        assert world.routers[40].has_route(PREFIX)
-        assert not world.routers[40].has_route(other)
+        assert PREFIX in world.routers[40].best
+        assert other not in world.routers[40].best
 
     def test_link_freeze_blocks_everything(self):
         plan = FaultPlan([LinkFreeze(src=30, dst=40, start=0, end=10**9)])
         world = build_world(fault_plan=plan)
         announce_and_withdraw(world)
         world.run_until(7200)
-        assert not world.routers[40].has_route(PREFIX)  # never even learned it
+        assert PREFIX not in world.routers[40].best  # never even learned it
 
     def test_freeze_after_announce_creates_stale_view(self):
         plan = FaultPlan([LinkFreeze(src=30, dst=40, start=600, end=10**9)])
         world = build_world(fault_plan=plan)
         announce_and_withdraw(world, announce_at=0.0, withdraw_at=900.0)
         world.run_until(7200)
-        assert world.routers[40].has_route(PREFIX)
+        assert PREFIX in world.routers[40].best
 
     def test_withdrawal_delay_creates_transient_zombie(self):
         delay = 3600.0
@@ -168,9 +168,9 @@ class TestZombieCreation:
         world = build_world(fault_plan=plan)
         announce_and_withdraw(world, withdraw_at=900.0)
         world.run_until(2000)
-        assert world.routers[40].has_route(PREFIX)  # still stuck at +18min
+        assert PREFIX in world.routers[40].best  # still stuck at +18min
         world.run_until(900 + delay + 600)
-        assert not world.routers[40].has_route(PREFIX)  # cured
+        assert PREFIX not in world.routers[40].best  # cured
 
 
 class TestResurrection:
@@ -232,7 +232,7 @@ class TestCollectorTaps:
         updates = [r for r in world.records if isinstance(r, UpdateRecord)]
         assert all(r.is_announcement for r in updates)
         # The AS itself converged — the zombie exists only in RIS's view.
-        assert not world.routers[40].has_route(PREFIX)
+        assert PREFIX not in world.routers[40].best
 
     def test_tap_session_reset_emits_state_records(self):
         plan = FaultPlan(

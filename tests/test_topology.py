@@ -42,12 +42,6 @@ class TestGraph:
         assert topo.peers(1) == [4]
         assert topo.neighbors(1) == [2, 4]
 
-    def test_stub_detection(self):
-        topo = tiny_topology()
-        assert topo.is_stub(3)
-        assert topo.is_stub(4)
-        assert not topo.is_stub(1)
-
     def test_customer_cone(self):
         topo = tiny_topology()
         assert topo.customer_cone(1) == {1, 2, 3}
