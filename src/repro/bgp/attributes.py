@@ -56,12 +56,6 @@ class Origin:
     EGP = 1
     INCOMPLETE = 2
 
-    _NAMES = {0: "IGP", 1: "EGP", 2: "INCOMPLETE"}
-
-    @classmethod
-    def name(cls, value: int) -> str:
-        return cls._NAMES.get(value, f"UNKNOWN({value})")
-
 
 @dataclass(frozen=True)
 class ASPath:
@@ -93,13 +87,6 @@ class ASPath:
         if not self.asns:
             raise ValueError("empty AS path has no origin")
         return self.asns[-1]
-
-    @property
-    def head(self) -> int:
-        """The leftmost AS — the neighbour that sent the route."""
-        if not self.asns:
-            raise ValueError("empty AS path has no head")
-        return self.asns[0]
 
     def prepend(self, asn: int) -> "ASPath":
         """Return a new path with ``asn`` prepended (as done at export).

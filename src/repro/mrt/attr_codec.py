@@ -5,8 +5,9 @@ always encoded 4-byte (AS4); IPv6 reachability travels in
 MP_REACH_NLRI / MP_UNREACH_NLRI as on the real wire.  TABLE_DUMP_V2 RIB
 entries use the RFC 6396 §4.3.4 abbreviated MP_REACH_NLRI (next hop
 only), selected with ``rib_entry=True``.  Decoding goes through an
-:class:`AttributeDecoder`, one per file, which interns what the file
-repeats (see :mod:`repro.mrt.bgp4mp`).
+:class:`AttributeDecoder`, one per archive read scope (an
+:class:`~repro.ris.Archive` keeps one for every file it reads), which
+interns what those files repeat (see :mod:`repro.mrt.bgp4mp`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ from repro.net.prefix import (
 )
 
 __all__ = ["encode_attributes", "encode_mp_unreach", "AttributeDecoder"]
+
+#: Entries one intern table of an :class:`AttributeDecoder` holds; a
+#: table that reaches it is emptied and refills from what follows.  A
+#: decoder lives as long as its :class:`~repro.ris.Archive`, and one
+#: horizon-long scan or a real RIS month would otherwise grow it
+#: without end.
+INTERN_LIMIT = 1 << 16
 
 _FLAG_OPTIONAL = 0x80
 _FLAG_TRANSITIVE = 0x40
@@ -153,26 +161,43 @@ def encode_mp_unreach(withdrawn: list[Prefix]) -> bytes:
     return _attribute(_FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, body)
 
 
-class AttributeDecoder:
-    """Decoder of the addresses, NLRI and attribute blocks of one file.
+def remember(table: dict, key: bytes, value):
+    """``table[key] = value``, emptying ``table`` first when it holds
+    :data:`INTERN_LIMIT` entries; returns ``value``.  Values handed out
+    before stay valid: they are immutable."""
+    if len(table) >= INTERN_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
 
-    A file repeats a few peer addresses, next hops, prefixes, AS paths
-    and aggregators thousands of times, so each is decoded and validated
-    once: intern tables map its raw bytes to the decoded value.  They
-    live as long as the decoder, one per file; only successes are kept,
-    so malformed bytes raise on every occurrence.
+
+class AttributeDecoder:
+    """Decoder of the addresses, NLRI and attribute blocks of a set of
+    files (one :class:`~repro.ris.Archive`'s, or one file's by default).
+
+    Archive files repeat a few peer addresses, next hops, prefixes, AS
+    paths, aggregators and peer index tables thousands of times, so each
+    is decoded and validated once: intern tables map its raw bytes to
+    the decoded value.  They live as long as the decoder, each bounded
+    by :data:`INTERN_LIMIT`; only successes are kept, so malformed bytes
+    raise on every occurrence.  Lookups are dict ``get``/set only, so a
+    decoder shared between threads stays consistent under the GIL (a
+    race at worst decodes a value twice).
     """
 
     def __init__(self):
-        self._addresses: dict[bytes, str] = {}
+        self._addresses: dict[bytes, str] = {}  # and IPv4 next hops
         self._prefixes: tuple[dict, dict] = ({}, {})  # IPv6, IPv4
         self._as_paths: dict[bytes, ASPath] = {}
         self._aggregators: dict[bytes, Aggregator] = {}
+        #: PEER_INDEX_TABLE body -> (collector, peers), for
+        #: :mod:`repro.mrt.tabledump`.
+        self.peer_indexes: dict[bytes, tuple] = {}
 
     def address(self, packed: bytes) -> str:
         text = self._addresses.get(packed)
         if text is None:
-            text = self._addresses[packed] = format_address(packed)
+            text = remember(self._addresses, packed, format_address(packed))
         return text
 
     def prefix(self, data: bytes, afi: int, pos: int) -> tuple[Prefix, int]:
@@ -184,7 +209,7 @@ class AttributeDecoder:
         table = self._prefixes[afi == AFI_IPV4]
         prefix = table.get(key)
         if prefix is None:
-            prefix = table[key] = Prefix.from_wire(key, afi)[0]
+            prefix = remember(table, key, Prefix.from_wire(key, afi)[0])
         return prefix, end
 
     def nlri(self, data: bytes, afi: int, start: int = 0,
@@ -229,15 +254,17 @@ class AttributeDecoder:
             elif type_code == ATTR_AS_PATH:
                 as_path = self._as_paths.get(payload)
                 if as_path is None:
-                    as_path = self._as_paths[payload] = _decode_as_path(payload)
+                    as_path = remember(self._as_paths, payload,
+                                       _decode_as_path(payload))
             elif type_code == ATTR_NEXT_HOP:
-                next_hop = format_address(payload, ipv4_only=True)
+                next_hop = (self.address(payload) if len(payload) == 4
+                            else format_address(payload, ipv4_only=True))
             elif type_code == ATTR_AGGREGATOR:
                 aggregator = self._aggregators.get(payload)
                 if aggregator is None:
                     (asn,) = _U32.unpack(payload[:4])
-                    aggregator = self._aggregators[payload] = \
-                        Aggregator.from_bytes(asn, payload[4:8])
+                    aggregator = remember(self._aggregators, payload,
+                                          Aggregator.from_bytes(asn, payload[4:8]))
             elif type_code == ATTR_COMMUNITIES:
                 communities = tuple(_U16_PAIR.iter_unpack(
                     payload[:len(payload) // 4 * 4]))

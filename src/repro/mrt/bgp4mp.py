@@ -4,12 +4,14 @@ The encoder always emits BGP4MP_MESSAGE_AS4 / BGP4MP_STATE_CHANGE_AS4
 (4-byte peer ASNs), as RIPE RIS has done for many years; the decoder
 additionally accepts the 2-byte legacy subtypes.
 
-The decoder is one :class:`RecordDecoder` per file
-(:func:`repro.mrt.files.read_updates_file` makes it).  No per-record
-step goes through :mod:`ipaddress`: addresses are rendered by
-:func:`repro.net.prefix.format_address`, prefixes are built as integers
-from NLRI bytes, and each peer address, next hop, prefix, AS_PATH and
-AGGREGATOR is decoded once per file, then looked up by its raw bytes.
+The decoder is one :class:`RecordDecoder` per :class:`repro.ris.Archive`,
+shared by every updates file and bview it reads
+(:func:`repro.mrt.files.read_updates_file` makes a fresh one for a file
+read on its own).  No per-record step goes through :mod:`ipaddress`:
+addresses are rendered by :func:`repro.net.prefix.format_address`,
+prefixes are built as integers from NLRI bytes, and each peer address,
+next hop, prefix, AS_PATH and AGGREGATOR is decoded once per decoder,
+then looked up by its raw bytes.
 ``ASPath``, ``Aggregator`` and ``PathAttributes`` still validate every
 object built; malformed bytes raise ``ValueError``, ``struct.error`` or
 ``IndexError`` as they always did.
@@ -150,7 +152,8 @@ def encode_state_record(record: StateRecord,
 
 
 class RecordDecoder(AttributeDecoder):
-    """The BGP4MP decoder of one updates file (see the module docstring)."""
+    """The BGP4MP decoder of an archive's updates files (see the module
+    docstring)."""
 
     def decode(self, header: MRTRecordHeader, body: bytes,
                collector: str) -> list:

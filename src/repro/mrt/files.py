@@ -98,9 +98,12 @@ def write_updates_file(path: Union[str, Path], records: Iterable[Record],
 def read_updates_file(path: Union[str, Path], collector: str,
                       record_filter=None,
                       error_policy: str = ErrorPolicy.SKIP,
-                      stats: Optional[DecodeStats] = None
+                      stats: Optional[DecodeStats] = None,
+                      decoder: Optional[RecordDecoder] = None
                       ) -> Iterator[Record]:
-    """Decode an MRT updates file into Update/State records.
+    """Decode an MRT updates file into Update/State records, on
+    ``decoder``: an :class:`~repro.ris.Archive`'s, shared by every file
+    it reads, or a fresh one for this file by default.
 
     A record that is not BGP4MP or fails to decode is rejected through
     the file's :class:`~repro.mrt.resilient.ResilientReader`: under
@@ -116,7 +119,8 @@ def read_updates_file(path: Union[str, Path], collector: str,
     with ResilientReader(path, error_policy, stats) as reader, \
             open_mrt(path) as handle:
         stats = reader.stats
-        decoder = RecordDecoder()
+        if decoder is None:
+            decoder = RecordDecoder()
         for header, body in reader.iter_raw(handle):
             if header.mrt_type != MRT_BGP4MP:
                 reader.quarantine_record(header, body)
@@ -140,9 +144,11 @@ def read_updates_file(path: Union[str, Path], collector: str,
 
 def read_rib_file(path: Union[str, Path],
                   error_policy: str = ErrorPolicy.SKIP,
-                  stats: Optional[DecodeStats] = None) -> Optional[RibDump]:
-    """Decode one bview; None when the policy contained it as a whole
+                  stats: Optional[DecodeStats] = None,
+                  decoder: Optional[RecordDecoder] = None) -> Optional[RibDump]:
+    """Decode one bview on ``decoder`` (as :func:`read_updates_file`);
+    None when the policy contained it as a whole
     (:func:`~repro.mrt.tabledump.decode_rib_stream`)."""
     with ResilientReader(path, error_policy, stats) as reader, \
             open_mrt(path) as handle:
-        return decode_rib_stream(reader, handle)
+        return decode_rib_stream(reader, handle, decoder)

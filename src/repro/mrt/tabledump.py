@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Optional
 
 from repro.bgp.attributes import PathAttributes
-from repro.mrt.attr_codec import AttributeDecoder, encode_attributes
+from repro.mrt.attr_codec import AttributeDecoder, encode_attributes, remember
 from repro.mrt.bgp4mp import DECODE_ERRORS, MRTRecordHeader, encode_mrt_record
 from repro.mrt.constants import (
     MRT_TABLE_DUMP_V2,
@@ -117,8 +117,8 @@ def encode_rib_dump(dump: RibDump) -> bytes:
     return bytes(out)
 
 
-def _decode_peer_index(body: bytes,
-                       decoder: AttributeDecoder) -> tuple[str, list[RibPeer]]:
+def _decode_peer_index(body: bytes, decoder: AttributeDecoder
+                       ) -> tuple[str, tuple[RibPeer, ...]]:
     offset = 4  # skip collector BGP ID
     (name_len,) = struct.unpack_from("!H", body, offset)
     offset += 2
@@ -140,7 +140,7 @@ def _decode_peer_index(body: bytes,
             (asn,) = struct.unpack_from("!H", body, offset)
             offset += 2
         peers.append(RibPeer(asn, address))
-    return collector, peers
+    return collector, tuple(peers)
 
 
 def _decode_rib_entries(header: MRTRecordHeader, body: bytes,
@@ -164,15 +164,20 @@ def _decode_rib_entries(header: MRTRecordHeader, body: bytes,
     return prefix, entries
 
 
-def decode_rib_stream(reader: ResilientReader,
-                      handle: BinaryIO) -> Optional[RibDump]:
-    """The bview decode loop, one :class:`AttributeDecoder` per file.
+def decode_rib_stream(reader: ResilientReader, handle: BinaryIO,
+                      decoder: Optional[AttributeDecoder] = None
+                      ) -> Optional[RibDump]:
+    """The bview decode loop, on ``decoder`` (an archive's, shared by its
+    files; a fresh one by default).  A peer index table seen before is
+    looked up by its bytes; each dump still gets its own ``peers`` list.
 
     A bview is contained **as a whole**: once ``reader`` met any damage
     (``strict`` raises instead) the dump is dropped — None — and every
     record it held counts as skipped, since a partial table would end
     presence segments and fabricate §5.1 resurrections."""
-    decoder = AttributeDecoder()
+    if decoder is None:
+        decoder = AttributeDecoder()
+    peer_indexes = decoder.peer_indexes
     dump: Optional[RibDump] = None
     decoded = 0
     for header, body in reader.iter_raw(handle):
@@ -181,7 +186,9 @@ def decode_rib_stream(reader: ResilientReader,
                 raise ValueError(
                     f"unexpected MRT type {header.mrt_type} in RIB dump")
             if header.subtype == TDV2_PEER_INDEX_TABLE:
-                dump = RibDump(header.timestamp, *_decode_peer_index(body, decoder))
+                collector, peers = peer_indexes.get(body) or remember(
+                    peer_indexes, body, _decode_peer_index(body, decoder))
+                dump = RibDump(header.timestamp, collector, list(peers))
             elif dump is None:
                 raise ValueError("RIB record before PEER_INDEX_TABLE")
             else:

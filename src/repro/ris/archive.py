@@ -19,6 +19,10 @@ The read path is built for throughput:
   stats each once; that stat is checked against a decoded-file LRU
   cache (:mod:`repro.ris.cache`), which keeps recent decodes grouped
   by prefix, so re-scanning a window with another filter is nearly free;
+* one :class:`~repro.mrt.bgp4mp.RecordDecoder` per :class:`Archive`
+  decodes every updates file and bview it reads, so a peer, prefix,
+  AS path or Aggregator repeated across files is decoded once (its
+  intern tables are bounded; a new ``Archive`` starts cold);
 * ``Archive(root, workers=N)`` decodes multi-file windows on a process
   pool (:mod:`repro.ris.parallel`) with an ordered heap-merge identical
   to the sequential path;
@@ -40,6 +44,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
 from repro.bgp.messages import Record, merge_records, record_sort_key
+from repro.mrt.bgp4mp import RecordDecoder
 from repro.mrt.files import (create_mrt, read_rib_file, read_updates_file,
                              write_updates_file)
 from repro.mrt.resilient import DecodeStats, ErrorPolicy
@@ -213,6 +218,7 @@ class Archive:
         self.on_foreign_file = on_foreign_file or _warn_foreign_file
         self.error_policy = ErrorPolicy.validate(error_policy)
         self.decode_stats = DecodeStats()
+        self.decoder = RecordDecoder()  # pooled workers keep their own
         self.files_considered = 0
 
     def collectors(self) -> list[str]:
@@ -303,12 +309,12 @@ class Archive:
             if record_filter is None:
                 records = tuple(read_updates_file(
                     path, collector, error_policy=self.error_policy,
-                    stats=self.decode_stats))
+                    stats=self.decode_stats, decoder=self.decoder))
                 self.cache.put(path, records, fingerprint)
                 return records
         return read_updates_file(path, collector, record_filter=record_filter,
                                  error_policy=self.error_policy,
-                                 stats=self.decode_stats)
+                                 stats=self.decode_stats, decoder=self.decoder)
 
     def iter_updates(self, start: int, end: int,
                      collectors: Optional[Sequence[str]] = None,
@@ -359,6 +365,7 @@ class Archive:
         stamped = [item for collector in collectors
                    for item in self._files(self.layout.ribs, collector, start, end)]
         for _, path in sorted(stamped):
-            dump = read_rib_file(path, self.error_policy, self.decode_stats)
+            dump = read_rib_file(path, self.error_policy, self.decode_stats,
+                                 self.decoder)
             if dump is not None:
                 yield dump

@@ -25,10 +25,6 @@ class Engine:
         self._processed = 0
 
     @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    @property
     def processed(self) -> int:
         """Total events executed so far."""
         return self._processed

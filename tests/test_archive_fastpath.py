@@ -4,6 +4,8 @@ same oracle in both on-disk layouts (the
 ``*RouteViews`` classes at the bottom rerun the RIS cases unchanged)."""
 
 import json
+import sys
+import threading
 import warnings
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrt_reference import split_mrt
 from repro.bgp import (
+    Aggregator,
     Announcement,
     ASPath,
     PathAttributes,
@@ -19,10 +22,11 @@ from repro.bgp import (
     UpdateRecord,
     Withdrawal,
 )
+from repro.bgp.messages import merge_records
 from repro.bgpstream import BGPStream, compile_filter
 from repro.bgpstream.stream import _match_elem
-from repro.mrt import RecordDecoder, RibDump
-from repro.mrt.files import create_mrt, read_updates_file
+from repro.mrt import RecordDecoder, RibDump, attr_codec
+from repro.mrt.files import create_mrt, read_rib_file, read_updates_file
 from repro.net import Prefix
 from repro.ris import (
     Archive,
@@ -440,6 +444,141 @@ class TestPrematchWalker:
             assert decoded_prefixes <= walked
 
 
+def write_ribs(writer, peers=24, dumps=3):
+    """``dumps`` 8-hourly bviews per collector, each of one collector
+    holding the same peer index table."""
+    for collector in ("rrc00", "rrc01"):
+        for index in range(dumps):
+            dump = RibDump(BASE + index * 8 * 3600, collector)
+            for peer in range(peers):
+                dump.add_route(Prefix(f"84.205.{peer}.0/24"), 64500 + peer,
+                               f"2001:db8::{peer + 1:x}",
+                               attrs4(64500 + peer, 12654), BASE)
+            writer.write_rib(dump)
+
+
+def per_file_reads(root, archive_cls, window, record_filter=None):
+    """The window as per-file reads, each on a fresh decoder, merged."""
+    listing = archive_cls(root, cache_size=0)
+    streams = [[record for path in listing.update_files(collector, *window)
+                for record in read_updates_file(path, collector,
+                                                record_filter=record_filter)]
+               for collector in listing.collectors()]
+    return [record for record in merge_records(streams)
+            if window[0] <= record.timestamp < window[1]]
+
+
+def per_file_ribs(root, archive_cls, window):
+    listing = archive_cls(root, cache_size=0)
+    paths = [path for collector in listing.collectors()
+             for path in listing._files(listing.layout.ribs, collector, *window)]
+    return [read_rib_file(path) for _, path in sorted(paths)]
+
+
+def intern_tables(decoder):
+    """Every intern table of ``decoder``."""
+    tables = []
+    for value in vars(decoder).values():
+        tables += value if isinstance(value, tuple) else [value]
+    return tables
+
+
+class TestArchiveDecodeScope(RisLayout):
+    """One decoder per archive: its files share intern tables, and what
+    it returns is what per-file reads on fresh decoders return."""
+
+    RIB_WINDOW = (BASE, BASE + 3 * 8 * 3600)
+
+    def test_archive_equals_per_file_reads(self, tmp_path):
+        root = populate(self.writer_cls(tmp_path))
+        write_ribs(self.writer_cls(tmp_path))
+        archive = self.archive_cls(root, cache_size=0)
+        for text in (None, "prefix exact 84.205.7.0/24", "peer 16347"):
+            record_filter = compile_filter(text) if text else None
+            expected = per_file_reads(root, self.archive_cls, WINDOW,
+                                      record_filter)
+            assert expected
+            assert list(archive.iter_updates(
+                *WINDOW, record_filter=record_filter)) == expected
+        expected = per_file_ribs(root, self.archive_cls, self.RIB_WINDOW)
+        assert len(expected) == 6
+        assert list(archive.iter_ribs(*self.RIB_WINDOW)) == expected
+
+    def test_each_dump_owns_its_peer_list(self, tmp_path):
+        write_ribs(self.writer_cls(tmp_path))
+        archive = self.archive_cls(tmp_path)
+        first, *others = archive.iter_ribs(*self.RIB_WINDOW)
+        before = [list(dump.peers) for dump in others]
+        assert first.peer_index(65535, "2001:db8::ffff") == 24
+        assert [dump.peers for dump in others] == before
+        again = list(archive.iter_ribs(*self.RIB_WINDOW))
+        assert len(again[0].peers) == 24
+        assert again == per_file_ribs(tmp_path, self.archive_cls,
+                                      self.RIB_WINDOW)
+
+    def test_a_new_archive_starts_cold(self, populated_root):
+        warm = self.archive_cls(populated_root)
+        list(warm.iter_updates(*WINDOW))
+        assert any(intern_tables(warm.decoder))
+        cold = self.archive_cls(populated_root)
+        assert cold.decoder is not warm.decoder
+        assert not any(intern_tables(cold.decoder))
+
+    def test_tables_stay_under_the_cap(self, tmp_path, monkeypatch):
+        cap = 4
+        monkeypatch.setattr(attr_codec, "INTERN_LIMIT", cap)
+        records = [UpdateRecord(
+            BASE + i * 150, "rrc00", f"192.0.2.{i + 1}", 64500 + i,
+            Announcement(Prefix(f"84.205.{i}.0/24"), PathAttributes(
+                as_path=ASPath.of(64500 + i, 12654), next_hop=f"10.1.{i}.1",
+                aggregator=Aggregator(12654, f"10.0.{i}.1"))))
+            for i in range(12)]  # 12 distinct values in every table
+        writer = self.writer_cls(tmp_path)
+        writer.write_updates("rrc00", records)
+        write_ribs(writer, peers=1, dumps=2 * cap)  # as many peer tables
+        archive = self.archive_cls(tmp_path, cache_size=0)
+        window = (BASE, BASE + 3600)
+        expected = per_file_reads(tmp_path, self.archive_cls, window)
+        assert expected == records
+        ribs = per_file_ribs(tmp_path, self.archive_cls, (BASE, BASE + 4 * 86400))
+        for _ in range(2):  # decodes stay identical after the tables reset
+            got = []
+            for record in archive.iter_updates(*window):
+                got.append(record)
+                assert max(map(len, intern_tables(archive.decoder))) <= cap
+            assert got == expected
+            got = []
+            for dump in archive.iter_ribs(BASE, BASE + 4 * 86400):
+                got.append(dump)
+                assert max(map(len, intern_tables(archive.decoder))) <= cap
+            assert got == ribs
+
+    def test_threads_share_one_archive(self, populated_root, monkeypatch):
+        """Threads scanning one ``Archive`` while its tables keep
+        resetting each get what per-file reads give."""
+        monkeypatch.setattr(attr_codec, "INTERN_LIMIT", 4)
+        expected = per_file_reads(populated_root, self.archive_cls, WINDOW)
+        archive = self.archive_cls(populated_root, cache_size=0)
+        results = [None] * 4
+
+        def scan(index):
+            results[index] = list(archive.iter_updates(*WINDOW))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(index,))
+                       for index in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * len(results)
+
+
 class TestArchiveStats:
     def test_cache_stats_track_hits_misses_evictions(self, tmp_path):
         writer = ArchiveWriter(tmp_path)
@@ -507,6 +646,10 @@ class TestPerFileTableRouteViews(TestPerFileTable):
 
 
 class TestForeignFilesRouteViews(TestForeignFiles):
+    writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
+
+
+class TestArchiveDecodeScopeRouteViews(TestArchiveDecodeScope):
     writer_cls, archive_cls = RouteViewsWriter, RouteViewsArchive
 
 

@@ -15,7 +15,7 @@ class TestASPath:
     def test_origin_and_head(self):
         path = ASPath.of(100, 200, 300)
         assert path.origin_as == 300
-        assert path.head == 100
+        assert path.asns[0] == 100
 
     def test_empty_path_has_no_origin(self):
         with pytest.raises(ValueError):
@@ -112,8 +112,3 @@ class TestPathAttributes:
         agg = Aggregator(12654, "10.0.0.1")
         attrs = self._attrs(aggregator=agg)
         assert attrs.with_prepended(1).aggregator == agg
-
-    def test_origin_name(self):
-        assert Origin.name(0) == "IGP"
-        assert Origin.name(2) == "INCOMPLETE"
-        assert "UNKNOWN" in Origin.name(7)

@@ -6,9 +6,10 @@ generated BGP4MP bodies — v4 and v6 peers (IPv4-mapped, IPv4-compatible
 and unspecified included), prefix lengths 0 and max, host bits set,
 extended-length attributes, AS_SETs, truncated bodies — both decoders
 must return equal records, with equal text, or raise the same exception
-class.  One :class:`RecordDecoder` decodes a whole generated file, so a
-wrong intern-table hit shows too.  ``Prefix`` is held to
-:mod:`ipaddress` networks the same way.
+class.  One :class:`RecordDecoder` decodes a whole generated file, and
+one decodes several files whose records recur across them (as an
+:class:`~repro.ris.Archive`'s does), so a wrong intern-table hit shows
+too.  ``Prefix`` is held to :mod:`ipaddress` networks the same way.
 """
 
 import ipaddress
@@ -159,6 +160,68 @@ class TestDecoderEqualsReference:
             expected = outcome(reference_decode, header, body, ipaddress_text)
             assert outcome(decoder.decode, header, body) == expected
             assert outcome(decode_bgp4mp, header, body) == expected
+
+
+@st.composite
+def archive_files(draw):
+    """A few "files" drawn from one pool of records, valid and
+    malformed mixed, so the same bytes recur in different files."""
+    pool = draw(st.lists(bgp4mp_record(), min_size=1, max_size=6))
+    return draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=6), min_size=2, max_size=4))
+
+
+def update(attributes=b"", tail=b""):
+    """A BGP4MP_MESSAGE_AS4 UPDATE from an IPv4 peer carrying the framed
+    ``attributes`` and the trailing IPv4 NLRI ``tail``."""
+    message = struct.pack("!HH", 0, len(attributes)) + attributes + tail
+    body = (struct.pack("!IIHH", 64500, 12654, 0, AFI_IPV4)
+            + bytes([192, 0, 2, 1, 192, 0, 2, 2]) + BGP_MARKER
+            + struct.pack("!HB", 19 + len(message), 2) + message)
+    return MRTRecordHeader(1718600000, MRT_BGP4MP, BGP4MP_MESSAGE_AS4,
+                           len(body)), body
+
+
+def framed(code, payload):
+    return struct.pack("!BBB", 0x40, code, len(payload)) + payload
+
+
+GOOD_PATH = framed(2, struct.pack("!BB2I", 2, 2, 64500, 65001))
+GOOD_TAIL = bytes([24, 198, 51, 100])
+#: Valid, and sharing a head with each malformed payload below.
+VALID = update(GOOD_PATH + framed(3, bytes([192, 0, 2, 1]))
+               + framed(7, b"\x00\x00\xfd\xe8\x0a\x00\x00\x01"), GOOD_TAIL)
+#: One bad AS_PATH, AGGREGATOR, NEXT_HOP or NLRI payload each, beside
+#: otherwise valid attributes.
+MALFORMED = {
+    "as_path": update(framed(2, struct.pack("!BBI", 3, 1, 64500)), GOOD_TAIL),
+    "aggregator": update(GOOD_PATH + framed(7, b"\x00\x00\xfd\xe8"), GOOD_TAIL),
+    "next_hop": update(GOOD_PATH + framed(3, bytes([192, 0, 2, 1]) + bytes(12)),
+                       GOOD_TAIL),
+    "nlri": update(GOOD_PATH, bytes([33, 198, 51, 100, 0, 0])),
+}
+
+
+class TestOneDecoderAcrossFiles:
+    @given(archive_files())
+    def test_shared_decoder_equals_fresh_and_reference(self, files):
+        shared = RecordDecoder()
+        for records in files:
+            for header, body in records:
+                expected = outcome(reference_decode, header, body,
+                                   ipaddress_text)
+                assert outcome(shared.decode, header, body) == expected
+                assert outcome(RecordDecoder().decode, header, body) == expected
+
+    def test_malformed_payload_raises_on_every_occurrence(self):
+        shared = RecordDecoder()
+        for name, (header, body) in MALFORMED.items():
+            expected = outcome(reference_decode, header, body, ipaddress_text)
+            assert isinstance(expected, type), name
+            for _ in range(2):  # its first and its second "file"
+                assert outcome(shared.decode, *VALID) == outcome(
+                    reference_decode, *VALID, ipaddress_text)
+                assert outcome(shared.decode, header, body) is expected, name
 
 
 @st.composite

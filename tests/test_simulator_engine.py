@@ -32,7 +32,8 @@ class TestEngine:
         assert count == 1
         assert fired == [1]
         assert engine.now == 5.0
-        assert engine.pending == 1
+        assert engine.run_until_idle() == 1  # the t=10 event still queued
+        assert fired == [1, 10] and engine.processed == 2
 
     def test_callbacks_can_schedule(self):
         engine = Engine()

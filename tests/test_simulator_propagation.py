@@ -223,7 +223,7 @@ class TestCollectorTaps:
         world.run_until(7200)
         announcements = [r for r in world.records
                          if isinstance(r, UpdateRecord) and r.is_announcement]
-        assert announcements[0].attributes.as_path.head == 40
+        assert announcements[0].attributes.as_path.asns[0] == 40
 
     def test_noisy_tap_drops_all_withdrawals(self):
         world = self._world_with_tap(drop_prob=1.0)
